@@ -5,7 +5,7 @@
 #
 #   lint   cargo fmt + clippy with warnings as errors
 #   test   release build, workspace tests, fault-inject configurations
-#   chaos  crash-point enumeration + fault-injected degrade/heal cycle
+#   chaos  crash-point enumeration + SimFs-injected degrade/heal cycle
 #   smoke  HTTP round-trip, batch + SSE, assay front end, observability,
 #          restart-recovery
 #   perf   bench artifacts vs the committed baselines (ci/perf_gate)
@@ -82,7 +82,6 @@ section_test() {
   echo "==> cargo test --features fault-inject (resilience ladder under forced failures)"
   cargo test -q --offline -p columba-milp --features fault-inject
   cargo test -q --offline -p columba-layout --features fault-inject
-  cargo test -q --offline -p columba-service --features fault-inject
 
   echo "==> cargo build -p columba-obs --no-default-features (allocator tracking compiles out)"
   cargo build -q --offline -p columba-obs --no-default-features
@@ -92,9 +91,8 @@ section_chaos() {
   echo "==> chaos: crash-point enumeration (SimFs power loss after every storage op)"
   cargo test -q --offline -p columba-service --test crash_points
 
-  echo "==> chaos: degrade/heal cycle + injected persist faults (fault-inject)"
-  cargo test -q --offline -p columba-service --features fault-inject \
-    --test self_heal --test persist_fault
+  echo "==> chaos: degrade/heal cycle + injected persist faults (SimFs)"
+  cargo test -q --offline -p columba-service --test self_heal --test persist_fault
 
   echo "==> chaos: readiness gate under a large journal replay"
   cargo test -q --offline -p columba-service --test health

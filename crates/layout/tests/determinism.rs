@@ -8,6 +8,7 @@
 //! the shared node pool with real §3.2.1 models.
 
 use std::path::PathBuf;
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 use columba_layout::{generate_only, GeneratedLayout, LayoutOptions};
@@ -30,7 +31,13 @@ fn solve_case(case: &str, threads: usize) -> GeneratedLayout {
     generated
 }
 
+/// The solves run under a wall-clock limit, so the cases take turns: two
+/// of them sharing a small machine can starve a root LP past the limit
+/// and leave the search nothing to run.
+static SOLVE_LOCK: Mutex<()> = Mutex::new(());
+
 fn assert_same_objective(case: &str) {
+    let _turn = SOLVE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let seq = solve_case(case, 1);
     let par = solve_case(case, 4);
     assert!(

@@ -132,21 +132,10 @@ pub type HistExemplar = (usize, u64, f64);
 /// Render a histogram snapshot in Prometheus histogram convention
 /// (`# HELP`/`# TYPE name histogram`, cumulative `_bucket{le="seconds"}`
 /// lines, `_sum`, `_count`) plus `_p50` / `_p90` / `_p99` summary
-/// gauges. `name` must be sanitized.
-pub fn prom_histogram(
-    buf: &mut String,
-    name: &str,
-    help: &str,
-    labels: &[(String, String)],
-    s: &HistSnapshot,
-) {
-    prom_histogram_ex(buf, name, help, labels, s, &[]);
-}
-
-/// [`prom_histogram`] with OpenMetrics-style exemplars: each
-/// `(bucket, job, value)` entry appends `# {job="<id>"} <value>` to that
+/// gauges. `name` must be sanitized. Each OpenMetrics-style exemplar
+/// `(bucket, job, value)` appends `# {job="<id>"} <value>` to that
 /// bucket's sample line, linking the bucket to a retained job trace.
-pub fn prom_histogram_ex(
+pub fn prom_histogram(
     buf: &mut String,
     name: &str,
     help: &str,
@@ -311,7 +300,14 @@ mod tests {
         h.record(std::time::Duration::from_micros(1));
         h.record(std::time::Duration::from_micros(100));
         let mut out = String::new();
-        prom_histogram(&mut out, "x_seconds", "test latency", &[], &h.snapshot());
+        prom_histogram(
+            &mut out,
+            "x_seconds",
+            "test latency",
+            &[],
+            &h.snapshot(),
+            &[],
+        );
         assert!(out.contains("# HELP x_seconds test latency"));
         assert!(out.contains("# TYPE x_seconds histogram"));
         assert!(out.contains("x_seconds_bucket{le=\"0.000001000\"} 1"));
@@ -327,7 +323,7 @@ mod tests {
         h.record(std::time::Duration::from_micros(100));
         let idx = crate::hist::bucket_index(100.0);
         let mut out = String::new();
-        prom_histogram_ex(
+        prom_histogram(
             &mut out,
             "x_seconds",
             "test latency",

@@ -1,9 +1,9 @@
 //! # columba-obs
 //!
 //! Std-only, zero-dependency observability substrate for the Columba S
-//! stack: hierarchical spans, log-bucketed latency histograms, a small
-//! counter/gauge registry, and two exporters (Prometheus text exposition
-//! and Chrome trace-event JSON).
+//! stack: hierarchical spans, log-bucketed latency histograms, allocator
+//! accounting, an SLO burn-rate engine, and two exporters (Prometheus
+//! text exposition and Chrome trace-event JSON).
 //!
 //! Design constraints, in order:
 //!
@@ -28,7 +28,6 @@ pub mod alloc;
 pub mod export;
 pub mod hist;
 pub mod parse;
-pub mod registry;
 pub mod slo;
 pub mod span;
 
@@ -38,7 +37,6 @@ pub use hist::{bucket_bounds_us, bucket_index, HistSnapshot, Histogram};
 pub use parse::{
     parse_json, parse_prometheus, validate_chrome_trace, Json, PromExemplar, PromSample,
 };
-pub use registry::{Gauge, Registry};
 pub use slo::{SloDef, SloEngine, SloKind, SloReport, SloSnapshot, SloTransition};
 pub use span::{
     enabled, instant, set_enabled, span, AttrValue, EventKind, RecorderGuard, SpanContext,

@@ -65,8 +65,6 @@ pub use hash::{fnv1a64, ContentKey};
 pub use http::{HttpConfig, HttpServer};
 pub use job::{JobId, JobState, JobStatus, QosClass};
 pub use metrics::{metric_value, MetricsSnapshot};
-#[cfg(feature = "fault-inject")]
-pub use persist::fault::{arm as arm_persist_fault, PersistFault, PersistFaultGuard};
 pub use persist::{
     BreakerConfig, BreakerState, CrashMode, FsyncPolicy, Journal, JournalRecord, Persist,
     PersistConfig, PersistSupervisor, RealFs, Recovery, SimFault, SimFs, Storage, StorageFile,

@@ -3,22 +3,22 @@
 //! One [`MetricsSnapshot`] gathers everything `/metrics` serves: cache
 //! counters, queue state, jobs by state, latency histograms, per-worker
 //! utilisation, and the cumulative [`SolveStats`] absorbed from every
-//! solve the service ran. Two wire formats:
+//! solve the service ran. Every served series is listed once, in
+//! `MetricsSnapshot::series`, and both wire formats are loops over that
+//! list:
 //!
 //! * [`MetricsSnapshot::render`] — flat text, one `name value` pair per
 //!   line, integers and fixed-point decimals only — trivially
 //!   scrape-able and diff-able. The default for `GET /metrics`.
 //! * [`MetricsSnapshot::render_prometheus`] — the Prometheus text
 //!   exposition format, served for `GET /metrics?format=prometheus`:
-//!   counters/gauges with `# TYPE` lines, plus full histogram families
-//!   (`columba_solve_seconds_bucket{le="…"}`, `_sum`, `_count`, and
+//!   counters/gauges with `# HELP`/`# TYPE` lines, plus full histogram
+//!   families (`_bucket{le="…"}`, `_sum`, `_count`, and
 //!   `_p50`/`_p90`/`_p99` summary gauges).
 
 use std::time::Duration;
 
-use columba_obs::export::{
-    prom_histogram, prom_histogram_ex, prom_sample, prom_type_line, HistExemplar,
-};
+use columba_obs::export::{prom_histogram, prom_sample, prom_type_line, HistExemplar};
 use columba_obs::{AllocStats, HistSnapshot};
 use columba_s::SolveStats;
 
@@ -130,125 +130,505 @@ pub struct MetricsSnapshot {
     pub http_by_route: Vec<(String, u16, u64)>,
 }
 
+/// How one sample prints.
+#[derive(Clone, Copy)]
+enum Value<'a> {
+    /// A count: a decimal integer in both formats.
+    Int(u64),
+    /// A real: this many fixed decimals in the flat form, the exposition
+    /// format's shortest form in the Prometheus one.
+    Real(f64, usize),
+    /// A latency histogram family with its exemplars (Prometheus only).
+    Hist(&'a HistSnapshot, &'a [HistExemplar]),
+}
+
+/// A Prometheus family declaration: name, `# TYPE` kind, `# HELP` text.
+type Prom = (&'static str, &'static str, &'static str);
+
+const HISTOGRAM: &str = "histogram";
+
+fn counter(name: &'static str, help: &'static str) -> Prom {
+    (name, "counter", help)
+}
+
+fn gauge(name: &'static str, help: &'static str) -> Prom {
+    (name, "gauge", help)
+}
+
+/// One served family, listed once for both wire formats. A labelled
+/// sample's flat name is the flat name with `_<value>` appended for each
+/// label. Where the formats disagree, a family is flat-only or
+/// Prometheus-only.
+struct Series<'a> {
+    flat: Option<&'static str>,
+    prom: Option<Prom>,
+    samples: Vec<(Vec<(String, String)>, Value<'a>)>,
+}
+
+fn both<'a>(flat: &'static str, prom: Prom, value: Value<'a>) -> Series<'a> {
+    Series {
+        flat: Some(flat),
+        prom: Some(prom),
+        samples: vec![(Vec::new(), value)],
+    }
+}
+
+fn flat_only<'a>(flat: &'static str, value: Value<'a>) -> Series<'a> {
+    Series {
+        flat: Some(flat),
+        prom: None,
+        samples: vec![(Vec::new(), value)],
+    }
+}
+
+fn prom_only(prom: Prom, value: Value<'_>) -> Series<'_> {
+    Series {
+        flat: None,
+        prom: Some(prom),
+        samples: vec![(Vec::new(), value)],
+    }
+}
+
+fn label(key: &str, value: impl ToString) -> Vec<(String, String)> {
+    vec![(key.to_string(), value.to_string())]
+}
+
 impl MetricsSnapshot {
+    /// Every served series, in serve order.
+    fn series(&self) -> Vec<Series<'_>> {
+        use Value::{Hist, Int, Real};
+        let n = |v: usize| Int(v as u64);
+        let cache = &self.cache;
+        let alloc = &self.alloc;
+        let mut out = vec![
+            both(
+                "cache_hits",
+                counter("columba_cache_hits_total", "Design cache hits"),
+                Int(cache.hits),
+            ),
+            both(
+                "cache_misses",
+                counter("columba_cache_misses_total", "Design cache misses"),
+                Int(cache.misses),
+            ),
+            both(
+                "cache_evictions",
+                counter(
+                    "columba_cache_evictions_total",
+                    "Design cache LRU evictions",
+                ),
+                Int(cache.evictions),
+            ),
+            both(
+                "cache_entries",
+                gauge("columba_cache_entries", "Design cache entries"),
+                n(cache.entries),
+            ),
+            both(
+                "cache_bytes",
+                gauge("columba_cache_bytes", "Design cache bytes held"),
+                n(cache.bytes),
+            ),
+            flat_only("cache_capacity_bytes", n(cache.capacity_bytes)),
+            both(
+                "queue_depth",
+                gauge("columba_queue_depth", "Jobs waiting for a worker"),
+                n(self.queue_depth),
+            ),
+            // the flat form names each class; Prometheus labels one family
+            flat_only("queue_depth_interactive", n(self.queue_depth_interactive)),
+            flat_only("queue_depth_bulk", n(self.queue_depth_bulk)),
+            Series {
+                flat: None,
+                prom: Some(gauge(
+                    "columba_queue_class_depth",
+                    "Jobs waiting for a worker by QoS class",
+                )),
+                samples: vec![
+                    (
+                        label("class", "interactive"),
+                        n(self.queue_depth_interactive),
+                    ),
+                    (label("class", "bulk"), n(self.queue_depth_bulk)),
+                ],
+            },
+            both(
+                "queue_capacity",
+                gauge(
+                    "columba_queue_capacity",
+                    "Interactive admission-control bound",
+                ),
+                n(self.queue_capacity),
+            ),
+            both(
+                "bulk_queue_capacity",
+                gauge(
+                    "columba_bulk_queue_capacity",
+                    "Bulk admission-control bound",
+                ),
+                n(self.bulk_queue_capacity),
+            ),
+            both(
+                "queue_rejected",
+                counter(
+                    "columba_queue_rejected_total",
+                    "Submissions rejected by admission control",
+                ),
+                Int(self.rejected),
+            ),
+            both(
+                "batches_submitted",
+                counter("columba_batches_submitted_total", "Batch groups admitted"),
+                Int(self.batches_submitted),
+            ),
+            both(
+                "batch_members",
+                counter(
+                    "columba_batch_members_total",
+                    "Batch members received including duplicates",
+                ),
+                Int(self.batch_members),
+            ),
+            both(
+                "batch_dedup_hits",
+                counter(
+                    "columba_batch_dedup_hits_total",
+                    "Batch members collapsed onto another member's job",
+                ),
+                Int(self.batch_dedup_hits),
+            ),
+            both(
+                "batches_live",
+                gauge("columba_batches_live", "Batch groups tracked"),
+                n(self.batches_live),
+            ),
+            both(
+                "jobs_queued",
+                gauge("columba_jobs_queued", "Jobs currently queued"),
+                n(self.jobs_queued),
+            ),
+            both(
+                "jobs_running",
+                gauge("columba_jobs_running", "Jobs currently running"),
+                n(self.jobs_running),
+            ),
+            both(
+                "jobs_done",
+                counter("columba_jobs_done_total", "Jobs finished with a design"),
+                n(self.jobs_done),
+            ),
+            both(
+                "jobs_failed",
+                counter("columba_jobs_failed_total", "Jobs failed"),
+                n(self.jobs_failed),
+            ),
+            both(
+                "jobs_cancelled",
+                counter("columba_jobs_cancelled_total", "Jobs cancelled"),
+                n(self.jobs_cancelled),
+            ),
+            both(
+                "workers",
+                gauge("columba_workers", "Worker threads in the pool"),
+                n(self.workers),
+            ),
+            both(
+                "worker_panics",
+                counter(
+                    "columba_worker_panics_total",
+                    "Worker panics contained by the pool",
+                ),
+                Int(self.worker_panics),
+            ),
+            both(
+                "drc_rejected",
+                counter(
+                    "columba_drc_rejected_total",
+                    "Designs rejected by the post-synthesis DRC gate",
+                ),
+                Int(self.drc_rejected),
+            ),
+            both(
+                "assay_jobs",
+                counter(
+                    "columba_assay_jobs_total",
+                    "Assay submissions through the schedule front end",
+                ),
+                Int(self.assay_jobs),
+            ),
+            both(
+                "storage_ops_inserted",
+                counter(
+                    "columba_storage_ops_inserted_total",
+                    "Storage operations inserted for idle fluids",
+                ),
+                Int(self.storage_ops_inserted),
+            ),
+            flat_only(
+                "journal_records_replayed",
+                Int(self.journal_records_replayed),
+            ),
+            flat_only("journal_corrupt_skipped", Int(self.journal_corrupt_skipped)),
+            flat_only("cache_files_loaded", Int(self.cache_files_loaded)),
+            flat_only("cache_corrupt_dropped", Int(self.cache_corrupt_dropped)),
+            // compactions come before persist errors in the flat form and
+            // after them in the Prometheus one
+            flat_only("compactions", Int(self.compactions)),
+            both(
+                "persist_errors",
+                counter(
+                    "columba_persist_errors_total",
+                    "Persist-layer write failures",
+                ),
+                Int(self.persist_errors),
+            ),
+            prom_only(
+                counter(
+                    "columba_journal_compactions_total",
+                    "Journal compactions run",
+                ),
+                Int(self.compactions),
+            ),
+            both(
+                "persist_retries",
+                counter(
+                    "columba_persist_retries_total",
+                    "Persist-write retries by the self-healing supervisor",
+                ),
+                Int(self.persist_retries),
+            ),
+            both(
+                "breaker_trips",
+                counter(
+                    "columba_breaker_trips_total",
+                    "Persist breaker trips into degraded mode",
+                ),
+                Int(self.breaker_trips),
+            ),
+            both(
+                "breaker_state",
+                gauge(
+                    "columba_breaker_state",
+                    "Breaker state: 0 closed, 1 open, 2 half-open",
+                ),
+                Int(self.breaker_state),
+            ),
+            both(
+                "degraded_seconds",
+                counter(
+                    "columba_degraded_seconds_total",
+                    "Seconds spent in degraded (volatile) mode",
+                ),
+                Real(self.degraded_seconds, 3),
+            ),
+            both(
+                "watchdog_cancels",
+                counter(
+                    "columba_watchdog_cancels_total",
+                    "Stuck jobs cancelled by the watchdog",
+                ),
+                Int(self.watchdog_cancels),
+            ),
+            both(
+                "solve_nodes",
+                counter(
+                    "columba_solve_nodes_total",
+                    "Branch-and-bound nodes processed",
+                ),
+                n(self.solve.nodes_processed),
+            ),
+            both(
+                "solve_pruned",
+                counter(
+                    "columba_solve_pruned_total",
+                    "Branch-and-bound nodes pruned",
+                ),
+                n(self.solve.nodes_pruned),
+            ),
+            both(
+                "solve_simplex_iterations",
+                counter(
+                    "columba_solve_simplex_iterations_total",
+                    "Simplex iterations across all solves",
+                ),
+                n(self.solve.simplex_iterations),
+            ),
+            flat_only(
+                "solve_time_seconds",
+                Real(self.solve.total_time.as_secs_f64(), 6),
+            ),
+            flat_only("solve_worker_panics", n(self.solve.worker_panics)),
+            both(
+                "uptime_seconds",
+                gauge("columba_uptime_seconds", "Time since the service started"),
+                Real(self.uptime.as_secs_f64(), 3),
+            ),
+            Series {
+                flat: Some("worker_busy_fraction"),
+                prom: Some(gauge(
+                    "columba_worker_busy_fraction",
+                    "Fraction of uptime each worker spent running jobs",
+                )),
+                samples: (self.worker_busy.iter().enumerate())
+                    .map(|(i, &busy)| (label("worker", i), Real(busy, 6)))
+                    .collect(),
+            },
+            both(
+                "trace_events_evicted",
+                counter(
+                    "columba_trace_events_evicted_total",
+                    "Lifecycle trace events dropped by bounded rings",
+                ),
+                Int(self.trace_events_evicted),
+            ),
+            both(
+                "profile_events_dropped",
+                counter(
+                    "columba_profile_events_dropped_total",
+                    "Span events dropped by bounded per-job recorders",
+                ),
+                Int(self.profile_events_dropped),
+            ),
+            both(
+                "traces_sampled_out",
+                counter(
+                    "columba_traces_sampled_out_total",
+                    "Job traces discarded by the tail-sampling policy",
+                ),
+                Int(self.traces_sampled_out),
+            ),
+            both(
+                "slo_alerts_fired",
+                counter(
+                    "columba_slo_alerts_fired_total",
+                    "SLO burn-rate page alerts fired",
+                ),
+                Int(self.slo_alerts_fired),
+            ),
+            both(
+                "alloc_live_bytes",
+                gauge(
+                    "columba_alloc_live_bytes",
+                    "Live heap bytes tracked by the global allocator",
+                ),
+                Int(alloc.live_bytes),
+            ),
+            both(
+                "alloc_peak_live_bytes",
+                gauge(
+                    "columba_alloc_peak_live_bytes",
+                    "High-water mark of live heap bytes",
+                ),
+                Int(alloc.peak_live_bytes),
+            ),
+            both(
+                "alloc_live_allocs",
+                gauge(
+                    "columba_alloc_live_allocs",
+                    "Live allocations tracked by the global allocator",
+                ),
+                Int(alloc.live_allocs),
+            ),
+            both(
+                "alloc_total_allocs",
+                counter(
+                    "columba_alloc_allocations_total",
+                    "Heap allocations since start",
+                ),
+                Int(alloc.total_allocs),
+            ),
+            both(
+                "alloc_total_alloc_bytes",
+                counter(
+                    "columba_alloc_allocated_bytes_total",
+                    "Heap bytes allocated since start",
+                ),
+                Int(alloc.total_alloc_bytes),
+            ),
+        ];
+        // with allocator tracking compiled out there are no subsystems,
+        // and the family is left out rather than declared empty
+        if !alloc.subsystems.is_empty() {
+            out.push(Series {
+                flat: Some("alloc_subsystem_bytes"),
+                prom: Some(counter(
+                    "columba_alloc_subsystem_bytes_total",
+                    "Heap bytes allocated while each subsystem's span was innermost",
+                )),
+                samples: (alloc.subsystems.iter())
+                    .map(|sub| (label("subsystem", sub.name), Int(sub.bytes)))
+                    .collect(),
+            });
+        }
+        out.push(Series {
+            flat: None,
+            prom: Some(counter(
+                "columba_http_requests_total",
+                "HTTP requests by route and status",
+            )),
+            samples: (self.http_by_route.iter())
+                .map(|(route, status, count)| {
+                    let labels = vec![
+                        ("route".to_string(), route.clone()),
+                        ("status".to_string(), status.to_string()),
+                    ];
+                    (labels, Int(*count))
+                })
+                .collect(),
+        });
+        out.push(prom_only(
+            (
+                "columba_solve_seconds",
+                HISTOGRAM,
+                "Wall-clock latency of completed non-cache-hit solves",
+            ),
+            Hist(&self.solve_hist, &self.solve_exemplars),
+        ));
+        out.push(prom_only(
+            (
+                "columba_http_request_seconds",
+                HISTOGRAM,
+                "HTTP request service latency",
+            ),
+            Hist(&self.http_hist, &[]),
+        ));
+        // the flat form summarises each histogram as a count and three
+        // percentiles
+        let (s50, s90, s99) = self.solve_hist.percentiles_us();
+        let (h50, h90, h99) = self.http_hist.percentiles_us();
+        out.extend([
+            flat_only("solve_latency_count", Int(self.solve_hist.count)),
+            flat_only("solve_seconds_p50", Real(s50 / 1e6, 6)),
+            flat_only("solve_seconds_p90", Real(s90 / 1e6, 6)),
+            flat_only("solve_seconds_p99", Real(s99 / 1e6, 6)),
+            flat_only("http_requests_total", Int(self.http_hist.count)),
+            flat_only("http_seconds_p50", Real(h50 / 1e6, 6)),
+            flat_only("http_seconds_p90", Real(h90 / 1e6, 6)),
+            flat_only("http_seconds_p99", Real(h99 / 1e6, 6)),
+        ]);
+        out
+    }
+
     /// Renders the flat text form served by `GET /metrics`.
     #[must_use]
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::with_capacity(512);
-        let mut line = |k: &str, v: String| {
-            let _ = writeln!(s, "{k} {v}");
-        };
-        line("cache_hits", self.cache.hits.to_string());
-        line("cache_misses", self.cache.misses.to_string());
-        line("cache_evictions", self.cache.evictions.to_string());
-        line("cache_entries", self.cache.entries.to_string());
-        line("cache_bytes", self.cache.bytes.to_string());
-        line(
-            "cache_capacity_bytes",
-            self.cache.capacity_bytes.to_string(),
-        );
-        line("queue_depth", self.queue_depth.to_string());
-        line(
-            "queue_depth_interactive",
-            self.queue_depth_interactive.to_string(),
-        );
-        line("queue_depth_bulk", self.queue_depth_bulk.to_string());
-        line("queue_capacity", self.queue_capacity.to_string());
-        line("bulk_queue_capacity", self.bulk_queue_capacity.to_string());
-        line("queue_rejected", self.rejected.to_string());
-        line("batches_submitted", self.batches_submitted.to_string());
-        line("batch_members", self.batch_members.to_string());
-        line("batch_dedup_hits", self.batch_dedup_hits.to_string());
-        line("batches_live", self.batches_live.to_string());
-        line("jobs_queued", self.jobs_queued.to_string());
-        line("jobs_running", self.jobs_running.to_string());
-        line("jobs_done", self.jobs_done.to_string());
-        line("jobs_failed", self.jobs_failed.to_string());
-        line("jobs_cancelled", self.jobs_cancelled.to_string());
-        line("workers", self.workers.to_string());
-        line("worker_panics", self.worker_panics.to_string());
-        line("drc_rejected", self.drc_rejected.to_string());
-        line("assay_jobs", self.assay_jobs.to_string());
-        line(
-            "storage_ops_inserted",
-            self.storage_ops_inserted.to_string(),
-        );
-        line(
-            "journal_records_replayed",
-            self.journal_records_replayed.to_string(),
-        );
-        line(
-            "journal_corrupt_skipped",
-            self.journal_corrupt_skipped.to_string(),
-        );
-        line("cache_files_loaded", self.cache_files_loaded.to_string());
-        line(
-            "cache_corrupt_dropped",
-            self.cache_corrupt_dropped.to_string(),
-        );
-        line("compactions", self.compactions.to_string());
-        line("persist_errors", self.persist_errors.to_string());
-        line("persist_retries", self.persist_retries.to_string());
-        line("breaker_trips", self.breaker_trips.to_string());
-        line("breaker_state", self.breaker_state.to_string());
-        line("degraded_seconds", format!("{:.3}", self.degraded_seconds));
-        line("watchdog_cancels", self.watchdog_cancels.to_string());
-        line("solve_nodes", self.solve.nodes_processed.to_string());
-        line("solve_pruned", self.solve.nodes_pruned.to_string());
-        line(
-            "solve_simplex_iterations",
-            self.solve.simplex_iterations.to_string(),
-        );
-        line(
-            "solve_time_seconds",
-            format!("{:.6}", self.solve.total_time.as_secs_f64()),
-        );
-        line("solve_worker_panics", self.solve.worker_panics.to_string());
-        line(
-            "uptime_seconds",
-            format!("{:.3}", self.uptime.as_secs_f64()),
-        );
-        for (i, busy) in self.worker_busy.iter().enumerate() {
-            line(&format!("worker_busy_fraction_{i}"), format!("{busy:.6}"));
+        for series in self.series() {
+            let Some(flat) = series.flat else { continue };
+            for (labels, value) in &series.samples {
+                s.push_str(flat);
+                for (_, v) in labels {
+                    s.push('_');
+                    s.push_str(v);
+                }
+                let _ = match *value {
+                    Value::Int(v) => writeln!(s, " {v}"),
+                    Value::Real(v, places) => writeln!(s, " {v:.places$}"),
+                    Value::Hist(..) => unreachable!("histograms are Prometheus-only"),
+                };
+            }
         }
-        line(
-            "trace_events_evicted",
-            self.trace_events_evicted.to_string(),
-        );
-        line(
-            "profile_events_dropped",
-            self.profile_events_dropped.to_string(),
-        );
-        line("traces_sampled_out", self.traces_sampled_out.to_string());
-        line("slo_alerts_fired", self.slo_alerts_fired.to_string());
-        line("alloc_live_bytes", self.alloc.live_bytes.to_string());
-        line(
-            "alloc_peak_live_bytes",
-            self.alloc.peak_live_bytes.to_string(),
-        );
-        line("alloc_live_allocs", self.alloc.live_allocs.to_string());
-        line("alloc_total_allocs", self.alloc.total_allocs.to_string());
-        line(
-            "alloc_total_alloc_bytes",
-            self.alloc.total_alloc_bytes.to_string(),
-        );
-        for sub in &self.alloc.subsystems {
-            line(
-                &format!("alloc_subsystem_bytes_{}", sub.name),
-                sub.bytes.to_string(),
-            );
-        }
-        line("solve_latency_count", self.solve_hist.count.to_string());
-        let (p50, p90, p99) = self.solve_hist.percentiles_us();
-        line("solve_seconds_p50", format!("{:.6}", p50 / 1e6));
-        line("solve_seconds_p90", format!("{:.6}", p90 / 1e6));
-        line("solve_seconds_p99", format!("{:.6}", p99 / 1e6));
-        line("http_requests_total", self.http_hist.count.to_string());
-        let (p50, p90, p99) = self.http_hist.percentiles_us();
-        line("http_seconds_p50", format!("{:.6}", p50 / 1e6));
-        line("http_seconds_p90", format!("{:.6}", p90 / 1e6));
-        line("http_seconds_p99", format!("{:.6}", p99 / 1e6));
         s
     }
 
@@ -256,411 +636,29 @@ impl MetricsSnapshot {
     /// `GET /metrics?format=prometheus`. Metric names carry a `columba_`
     /// prefix; the two latency histograms render as full Prometheus
     /// histogram families plus `_p50`/`_p90`/`_p99` summary gauges, and
-    /// per-route HTTP counts become one
-    /// `columba_http_requests_total{route,status}` family.
+    /// per-route HTTP counts become one family labelled by route and
+    /// status.
     #[must_use]
+    #[allow(clippy::cast_precision_loss)]
     pub fn render_prometheus(&self) -> String {
         let mut s = String::with_capacity(8192);
         let mut last = String::new();
-        let counter = |s: &mut String, last: &mut String, name: &str, help: &str, v: f64| {
-            prom_type_line(s, last, name, "counter", help);
-            prom_sample(s, name, &[], v);
-        };
-        let gauge = |s: &mut String, last: &mut String, name: &str, help: &str, v: f64| {
-            prom_type_line(s, last, name, "gauge", help);
-            prom_sample(s, name, &[], v);
-        };
-        #[allow(clippy::cast_precision_loss)]
-        let f = |v: u64| v as f64;
-        #[allow(clippy::cast_precision_loss)]
-        let fu = |v: usize| v as f64;
-        let c = &mut s;
-        let l = &mut last;
-        counter(
-            c,
-            l,
-            "columba_cache_hits_total",
-            "Design cache hits",
-            f(self.cache.hits),
-        );
-        counter(
-            c,
-            l,
-            "columba_cache_misses_total",
-            "Design cache misses",
-            f(self.cache.misses),
-        );
-        counter(
-            c,
-            l,
-            "columba_cache_evictions_total",
-            "Design cache LRU evictions",
-            f(self.cache.evictions),
-        );
-        gauge(
-            c,
-            l,
-            "columba_cache_entries",
-            "Design cache entries",
-            fu(self.cache.entries),
-        );
-        gauge(
-            c,
-            l,
-            "columba_cache_bytes",
-            "Design cache bytes held",
-            fu(self.cache.bytes),
-        );
-        gauge(
-            c,
-            l,
-            "columba_queue_depth",
-            "Jobs waiting for a worker",
-            fu(self.queue_depth),
-        );
-        prom_type_line(
-            c,
-            l,
-            "columba_queue_class_depth",
-            "gauge",
-            "Jobs waiting for a worker by QoS class",
-        );
-        prom_sample(
-            c,
-            "columba_queue_class_depth",
-            &[("class".to_string(), "interactive".to_string())],
-            fu(self.queue_depth_interactive),
-        );
-        prom_sample(
-            c,
-            "columba_queue_class_depth",
-            &[("class".to_string(), "bulk".to_string())],
-            fu(self.queue_depth_bulk),
-        );
-        gauge(
-            c,
-            l,
-            "columba_queue_capacity",
-            "Interactive admission-control bound",
-            fu(self.queue_capacity),
-        );
-        gauge(
-            c,
-            l,
-            "columba_bulk_queue_capacity",
-            "Bulk admission-control bound",
-            fu(self.bulk_queue_capacity),
-        );
-        counter(
-            c,
-            l,
-            "columba_queue_rejected_total",
-            "Submissions rejected by admission control",
-            f(self.rejected),
-        );
-        counter(
-            c,
-            l,
-            "columba_batches_submitted_total",
-            "Batch groups admitted",
-            f(self.batches_submitted),
-        );
-        counter(
-            c,
-            l,
-            "columba_batch_members_total",
-            "Batch members received including duplicates",
-            f(self.batch_members),
-        );
-        counter(
-            c,
-            l,
-            "columba_batch_dedup_hits_total",
-            "Batch members collapsed onto another member's job",
-            f(self.batch_dedup_hits),
-        );
-        gauge(
-            c,
-            l,
-            "columba_batches_live",
-            "Batch groups tracked",
-            fu(self.batches_live),
-        );
-        gauge(
-            c,
-            l,
-            "columba_jobs_queued",
-            "Jobs currently queued",
-            fu(self.jobs_queued),
-        );
-        gauge(
-            c,
-            l,
-            "columba_jobs_running",
-            "Jobs currently running",
-            fu(self.jobs_running),
-        );
-        counter(
-            c,
-            l,
-            "columba_jobs_done_total",
-            "Jobs finished with a design",
-            fu(self.jobs_done),
-        );
-        counter(
-            c,
-            l,
-            "columba_jobs_failed_total",
-            "Jobs failed",
-            fu(self.jobs_failed),
-        );
-        counter(
-            c,
-            l,
-            "columba_jobs_cancelled_total",
-            "Jobs cancelled",
-            fu(self.jobs_cancelled),
-        );
-        gauge(
-            c,
-            l,
-            "columba_workers",
-            "Worker threads in the pool",
-            fu(self.workers),
-        );
-        counter(
-            c,
-            l,
-            "columba_worker_panics_total",
-            "Worker panics contained by the pool",
-            f(self.worker_panics),
-        );
-        counter(
-            c,
-            l,
-            "columba_drc_rejected_total",
-            "Designs rejected by the post-synthesis DRC gate",
-            f(self.drc_rejected),
-        );
-        counter(
-            c,
-            l,
-            "columba_assay_jobs_total",
-            "Assay submissions through the schedule front end",
-            f(self.assay_jobs),
-        );
-        counter(
-            c,
-            l,
-            "columba_storage_ops_inserted_total",
-            "Storage operations inserted for idle fluids",
-            f(self.storage_ops_inserted),
-        );
-        counter(
-            c,
-            l,
-            "columba_persist_errors_total",
-            "Persist-layer write failures",
-            f(self.persist_errors),
-        );
-        counter(
-            c,
-            l,
-            "columba_journal_compactions_total",
-            "Journal compactions run",
-            f(self.compactions),
-        );
-        counter(
-            c,
-            l,
-            "columba_persist_retries_total",
-            "Persist-write retries by the self-healing supervisor",
-            f(self.persist_retries),
-        );
-        counter(
-            c,
-            l,
-            "columba_breaker_trips_total",
-            "Persist breaker trips into degraded mode",
-            f(self.breaker_trips),
-        );
-        gauge(
-            c,
-            l,
-            "columba_breaker_state",
-            "Breaker state: 0 closed, 1 open, 2 half-open",
-            f(self.breaker_state),
-        );
-        counter(
-            c,
-            l,
-            "columba_degraded_seconds_total",
-            "Seconds spent in degraded (volatile) mode",
-            self.degraded_seconds,
-        );
-        counter(
-            c,
-            l,
-            "columba_watchdog_cancels_total",
-            "Stuck jobs cancelled by the watchdog",
-            f(self.watchdog_cancels),
-        );
-        counter(
-            c,
-            l,
-            "columba_solve_nodes_total",
-            "Branch-and-bound nodes processed",
-            fu(self.solve.nodes_processed),
-        );
-        counter(
-            c,
-            l,
-            "columba_solve_pruned_total",
-            "Branch-and-bound nodes pruned",
-            fu(self.solve.nodes_pruned),
-        );
-        counter(
-            c,
-            l,
-            "columba_solve_simplex_iterations_total",
-            "Simplex iterations across all solves",
-            fu(self.solve.simplex_iterations),
-        );
-        gauge(
-            c,
-            l,
-            "columba_uptime_seconds",
-            "Time since the service started",
-            self.uptime.as_secs_f64(),
-        );
-        prom_type_line(
-            c,
-            l,
-            "columba_worker_busy_fraction",
-            "gauge",
-            "Fraction of uptime each worker spent running jobs",
-        );
-        for (i, busy) in self.worker_busy.iter().enumerate() {
-            prom_sample(
-                c,
-                "columba_worker_busy_fraction",
-                &[("worker".to_string(), i.to_string())],
-                *busy,
-            );
-        }
-        counter(
-            c,
-            l,
-            "columba_trace_events_evicted_total",
-            "Lifecycle trace events dropped by bounded rings",
-            f(self.trace_events_evicted),
-        );
-        counter(
-            c,
-            l,
-            "columba_profile_events_dropped_total",
-            "Span events dropped by bounded per-job recorders",
-            f(self.profile_events_dropped),
-        );
-        counter(
-            c,
-            l,
-            "columba_traces_sampled_out_total",
-            "Job traces discarded by the tail-sampling policy",
-            f(self.traces_sampled_out),
-        );
-        counter(
-            c,
-            l,
-            "columba_slo_alerts_fired_total",
-            "SLO burn-rate page alerts fired",
-            f(self.slo_alerts_fired),
-        );
-        gauge(
-            c,
-            l,
-            "columba_alloc_live_bytes",
-            "Live heap bytes tracked by the global allocator",
-            f(self.alloc.live_bytes),
-        );
-        gauge(
-            c,
-            l,
-            "columba_alloc_peak_live_bytes",
-            "High-water mark of live heap bytes",
-            f(self.alloc.peak_live_bytes),
-        );
-        gauge(
-            c,
-            l,
-            "columba_alloc_live_allocs",
-            "Live allocations tracked by the global allocator",
-            f(self.alloc.live_allocs),
-        );
-        counter(
-            c,
-            l,
-            "columba_alloc_allocations_total",
-            "Heap allocations since start",
-            f(self.alloc.total_allocs),
-        );
-        counter(
-            c,
-            l,
-            "columba_alloc_allocated_bytes_total",
-            "Heap bytes allocated since start",
-            f(self.alloc.total_alloc_bytes),
-        );
-        if !self.alloc.subsystems.is_empty() {
-            prom_type_line(
-                c,
-                l,
-                "columba_alloc_subsystem_bytes_total",
-                "counter",
-                "Heap bytes allocated while each subsystem's span was innermost",
-            );
-            for sub in &self.alloc.subsystems {
-                prom_sample(
-                    c,
-                    "columba_alloc_subsystem_bytes_total",
-                    &[("subsystem".to_string(), sub.name.to_string())],
-                    f(sub.bytes),
-                );
+        for series in self.series() {
+            let Some((name, kind, help)) = series.prom else {
+                continue;
+            };
+            // a histogram family writes its own HELP/TYPE header
+            if kind != HISTOGRAM {
+                prom_type_line(&mut s, &mut last, name, kind, help);
+            }
+            for (labels, value) in &series.samples {
+                match *value {
+                    Value::Int(v) => prom_sample(&mut s, name, labels, v as f64),
+                    Value::Real(v, _) => prom_sample(&mut s, name, labels, v),
+                    Value::Hist(h, ex) => prom_histogram(&mut s, name, help, labels, h, ex),
+                }
             }
         }
-        prom_type_line(
-            c,
-            l,
-            "columba_http_requests_total",
-            "counter",
-            "HTTP requests by route and status",
-        );
-        for (route, status, count) in &self.http_by_route {
-            prom_sample(
-                c,
-                "columba_http_requests_total",
-                &[
-                    ("route".to_string(), route.clone()),
-                    ("status".to_string(), status.to_string()),
-                ],
-                f(*count),
-            );
-        }
-        prom_histogram_ex(
-            c,
-            "columba_solve_seconds",
-            "Wall-clock latency of completed non-cache-hit solves",
-            &[],
-            &self.solve_hist,
-            &self.solve_exemplars,
-        );
-        prom_histogram(
-            c,
-            "columba_http_request_seconds",
-            "HTTP request service latency",
-            &[],
-            &self.http_hist,
-        );
         s
     }
 }

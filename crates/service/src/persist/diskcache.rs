@@ -22,7 +22,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use super::crc::crc32;
-use super::vfs::{RealFs, Storage, StorageFile};
+use super::vfs::{RealFs, Storage};
 use super::FsyncPolicy;
 use crate::cache::{CompletedDesign, DesignSummary};
 use crate::hash::ContentKey;
@@ -254,7 +254,7 @@ fn write_tmp_and_rename(
     fsync: FsyncPolicy,
 ) -> io::Result<()> {
     let mut tmp = storage.create(tmp_path)?;
-    write_faultable(tmp.as_mut(), bytes)?;
+    tmp.write_all(bytes)?;
     if fsync == FsyncPolicy::Always {
         tmp.sync()?;
     }
@@ -266,23 +266,6 @@ fn write_tmp_and_rename(
         }
     }
     Ok(())
-}
-
-fn write_faultable(file: &mut dyn StorageFile, bytes: &[u8]) -> io::Result<()> {
-    #[cfg(feature = "fault-inject")]
-    if let Some(fault) = super::fault::trip() {
-        match fault {
-            super::fault::PersistFault::IoError => {
-                return Err(io::Error::other("injected persist I/O error"));
-            }
-            super::fault::PersistFault::ShortWrite => {
-                let _ = file.write_all(&bytes[..bytes.len() / 2]);
-                let _ = file.sync();
-                return Err(io::Error::other("injected short write"));
-            }
-        }
-    }
-    file.write_all(bytes)
 }
 
 /// Loads every design file under `dir`, deleting (and counting) anything

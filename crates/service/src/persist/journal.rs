@@ -406,20 +406,6 @@ impl Journal {
     }
 
     fn write_all_synced(&mut self, bytes: &[u8]) -> io::Result<()> {
-        #[cfg(feature = "fault-inject")]
-        if let Some(fault) = super::fault::trip() {
-            match fault {
-                super::fault::PersistFault::IoError => {
-                    return Err(io::Error::other("injected persist I/O error"));
-                }
-                super::fault::PersistFault::ShortWrite => {
-                    // a power cut mid-append: a prefix lands, the call fails
-                    let _ = self.file.write_all(&bytes[..bytes.len() / 2]);
-                    let _ = self.file.sync();
-                    return Err(io::Error::other("injected short write"));
-                }
-            }
-        }
         self.file.write_all(bytes)?;
         if self.fsync == FsyncPolicy::Always {
             self.file.sync()?;

@@ -29,8 +29,6 @@
 
 pub mod crc;
 pub mod diskcache;
-#[cfg(feature = "fault-inject")]
-pub mod fault;
 pub mod heal;
 pub mod journal;
 pub mod vfs;

@@ -310,6 +310,12 @@ impl SimFs {
         lock(&self.state).faults.insert(index, fault);
     }
 
+    /// Drops every scheduled fault that has not fired yet: the disk is
+    /// healthy again.
+    pub fn clear_faults(&self) {
+        lock(&self.state).faults.clear();
+    }
+
     /// Simulates power loss: unsynced bytes are dropped (or torn per
     /// `mode`), unsynced directory entries revert, open handles go
     /// stale, and the op counter, crash point, and fault schedule reset

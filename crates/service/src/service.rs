@@ -523,6 +523,11 @@ impl Inner {
         };
         self.ring.record(&event);
         self.trace_sink.record(&event);
+        self.notify_events();
+    }
+
+    /// Advances the event counter and wakes every event-stream waiter.
+    fn notify_events(&self) {
         *lock(&self.events_seq) += 1;
         self.clock.mark_wake();
         self.events_cv.notify_all();
@@ -2341,12 +2346,12 @@ fn run_job(inner: &Inner, id: u64, text: &str, token: &CancelToken) -> JobEnd {
                 );
             }
             lock(&inner.agg).absorb(&result.log.aggregate_solve());
-            // DRC gate: every synthesized design is re-checked before it
-            // is served or cached. A non-clean report fails the job with
-            // the violation list — a design that breaks the rules must
-            // never reach a client or pin a cache slot.
-            let drc = columba_s::design::drc::check(&result.outcome.design);
-            if let Some(msg) = drc_failure(&drc) {
+            // DRC gate: every synthesized design's rule check (run once,
+            // by layout validation, on this very design) is consulted
+            // before it is served or cached. A non-clean report fails the
+            // job with the violation list — a design that breaks the
+            // rules must never reach a client or pin a cache slot.
+            if let Some(msg) = drc_failure(&result.outcome.drc) {
                 inner.drc_rejected.fetch_add(1, Ordering::Relaxed);
                 return JobEnd::Failed(msg);
             }
@@ -2506,6 +2511,10 @@ fn finalize(
         }
         (state, record, keep, r.class, r.from_cache)
     };
+    // The flip is an event of its own: a stream that already read the
+    // job's last trace event while it was still running waits on the
+    // counter, not on the job table.
+    inner.notify_events();
     if !keep {
         inner.ring.forget(&[id]);
         inner.traces_sampled_out.fetch_add(1, Ordering::Relaxed);

@@ -116,3 +116,13 @@ pub fn poll_terminal(addr: SocketAddr, id: &str, timeout: Duration) -> String {
         std::thread::sleep(Duration::from_millis(25));
     }
 }
+
+/// Schedules `fault` for the next 1024 mutating operations on `sim`, far
+/// more than any test issues: a disk that stays broken across retries
+/// and probes until [`columba_service::SimFs::clear_faults`].
+pub fn fail_storage_from_now(sim: &columba_service::SimFs, fault: columba_service::SimFault) {
+    let from = sim.op_count();
+    for index in from..from + 1024 {
+        sim.schedule_fault(index, fault);
+    }
+}

@@ -1,46 +1,32 @@
-//! Injected persist-layer faults (cargo feature `fault-inject`): an I/O
-//! error on the journal append must reject the submission — never ack a
-//! job that was not made durable — and a short write must leave a torn
-//! record that the next startup skips without panicking.
-
-#![cfg(feature = "fault-inject")]
+//! Injected persist-layer faults on a [`SimFs`]: an I/O error on the
+//! journal append must reject the submission — never ack a job that was
+//! not made durable — and a short write must leave a torn record that
+//! the next startup skips without panicking.
 
 mod common;
 
-use std::fs;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Duration;
 
 use columba_service::{
-    arm_persist_fault, FsyncPolicy, JobState, PersistConfig, PersistFault, Service, ServiceConfig,
-    SubmitError,
+    FsyncPolicy, JobState, PersistConfig, Service, ServiceConfig, SimFault, SimFs, SubmitError,
 };
 
 const TINY: &str = "chip t\nmixer m1\nport a\nport b\n\
                     connect a -> m1.left\nconnect m1.right -> b\n";
 
-fn fresh_state_dir(tag: &str) -> PathBuf {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!(
-        "columba-persist-fault-{}-{tag}-{n}",
-        std::process::id()
-    ));
-    let _ = fs::remove_dir_all(&dir);
-    dir
-}
-
-fn open(state_dir: &Path) -> Service {
+fn open(sim: &SimFs) -> Service {
     let mut options = common::deterministic_options();
     options.layout.time_limit = Duration::from_secs(60);
     Service::open(ServiceConfig {
         workers: 1,
         options,
         persist: Some(PersistConfig {
-            state_dir: state_dir.to_path_buf(),
+            state_dir: PathBuf::from("state"),
             fsync_policy: FsyncPolicy::Never,
         }),
+        storage: Some(Arc::new(sim.clone())),
         ..ServiceConfig::default()
     })
     .expect("state dir opens")
@@ -48,20 +34,21 @@ fn open(state_dir: &Path) -> Service {
 
 #[test]
 fn journal_io_error_rejects_the_submission() {
-    let dir = fresh_state_dir("io-error");
-    let service = open(&dir);
-    {
-        let _fault = arm_persist_fault(PersistFault::IoError, 0);
-        match service.submit_text(TINY) {
-            Err(SubmitError::Persist { detail }) => {
-                assert!(!detail.is_empty(), "rejection names the cause");
-            }
-            other => panic!("unjournaled submission must be rejected, got {other:?}"),
+    let sim = SimFs::new();
+    let service = open(&sim);
+    common::fail_storage_from_now(&sim, SimFault::IoError);
+    match service.submit_text(TINY) {
+        Err(SubmitError::Persist { detail }) => {
+            assert!(!detail.is_empty(), "rejection names the cause");
         }
-        assert!(service.metrics().persist_errors >= 1);
+        other => panic!("unjournaled submission must be rejected, got {other:?}"),
     }
-    // disarmed, the same submission goes through and completes
-    let id = service.submit_text(TINY).expect("admitted after disarm");
+    assert!(service.metrics().persist_errors >= 1);
+    // with the fault cleared, the same submission goes through and completes
+    sim.clear_faults();
+    let id = service
+        .submit_text(TINY)
+        .expect("admitted after the fault clears");
     let status = service
         .wait(id, Duration::from_secs(120))
         .expect("job known");
@@ -71,21 +58,20 @@ fn journal_io_error_rejects_the_submission() {
 
 #[test]
 fn short_write_tears_the_record_and_recovery_skips_it() {
-    let dir = fresh_state_dir("short-write");
+    let sim = SimFs::new();
     {
-        let service = open(&dir);
-        {
-            let _fault = arm_persist_fault(PersistFault::ShortWrite, 0);
-            assert!(
-                matches!(service.submit_text(TINY), Err(SubmitError::Persist { .. })),
-                "a torn journal append must reject the submission"
-            );
-        }
+        let service = open(&sim);
+        common::fail_storage_from_now(&sim, SimFault::ShortWrite);
+        assert!(
+            matches!(service.submit_text(TINY), Err(SubmitError::Persist { .. })),
+            "a torn journal append must reject the submission"
+        );
+        sim.clear_faults();
         service.shutdown();
     }
-    // the torn frame is on disk; reopening skips it, counts it, and the
-    // service still works
-    let service = open(&dir);
+    // the torn frame is in the journal; reopening skips it, counts it,
+    // and the service still works
+    let service = open(&sim);
     let m = service.metrics();
     assert!(
         m.journal_corrupt_skipped >= 1,

@@ -1,48 +1,35 @@
-//! The full degrade/heal cycle (cargo feature `fault-inject`): a
+//! The full degrade/heal cycle on a [`SimFs`]: a
 //! persistently failing journal trips the circuit breaker into volatile
 //! degraded mode — submissions are *accepted* but marked non-durable —
 //! and once the fault clears, the half-open probe re-closes the
 //! breaker, writes a `resync` marker, re-journals the still-live
 //! volatile jobs, and durable service resumes.
 
-#![cfg(feature = "fault-inject")]
-
 mod common;
 
-use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use columba_service::{
-    arm_persist_fault, BreakerConfig, BreakerState, FsyncPolicy, Journal, JournalRecord,
-    PersistConfig, PersistFault, Service, ServiceConfig,
+    BreakerConfig, BreakerState, FsyncPolicy, Journal, JournalRecord, PersistConfig, Service,
+    ServiceConfig, SimFault, SimFs,
 };
 
 const TINY: &str = "chip t\nmixer m1\nport a\nport b\n\
                     connect a -> m1.left\nconnect m1.right -> b\n";
 
-fn fresh_state_dir(tag: &str) -> PathBuf {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!(
-        "columba-self-heal-{}-{tag}-{n}",
-        std::process::id()
-    ));
-    let _ = fs::remove_dir_all(&dir);
-    dir
-}
-
-fn open(state_dir: &Path) -> Service {
+fn open(sim: &SimFs) -> Service {
     let mut options = common::deterministic_options();
     options.layout.time_limit = Duration::from_secs(60);
     Service::open(ServiceConfig {
         workers: 1,
         options,
         persist: Some(PersistConfig {
-            state_dir: state_dir.to_path_buf(),
+            state_dir: PathBuf::from("state"),
             fsync_policy: FsyncPolicy::Never,
         }),
+        storage: Some(Arc::new(sim.clone())),
         breaker: BreakerConfig {
             failure_threshold: 2,
             probe_interval: Duration::from_millis(100),
@@ -57,8 +44,8 @@ fn open(state_dir: &Path) -> Service {
 
 #[test]
 fn breaker_trips_serves_volatile_and_heals_with_a_resync_record() {
-    let dir = fresh_state_dir("cycle");
-    let service = open(&dir);
+    let sim = SimFs::new();
+    let service = open(&sim);
 
     // healthy baseline: ready (replay runs on a background thread, so
     // poll), closed breaker, durable admission
@@ -84,10 +71,10 @@ fn breaker_trips_serves_volatile_and_heals_with_a_resync_record() {
     // service degrades to volatile accepts instead of refusing service
     let mut volatile = Vec::new();
     {
-        let _fault = arm_persist_fault(PersistFault::IoError, 0);
+        common::fail_storage_from_now(&sim, SimFault::IoError);
         let mut refused = 0u32;
         for i in 0..32 {
-            match service.submit_text(&format!("{TINY}// v{i}\n")) {
+            match service.submit_text(format!("{TINY}// v{i}\n")) {
                 Ok(id) => {
                     volatile.push(id);
                     if volatile.len() >= 6 {
@@ -121,7 +108,8 @@ fn breaker_trips_serves_volatile_and_heals_with_a_resync_record() {
         let m = service.metrics();
         assert!(m.breaker_trips >= 1, "trip counted: {m:?}");
         assert!(m.persist_retries >= 1, "refused writes were retried first");
-        // fault guard drops here: the disk is healthy again
+        // the disk is healthy again
+        sim.clear_faults();
     }
 
     // the half-open probe re-closes the breaker; live volatile jobs get
@@ -147,7 +135,7 @@ fn breaker_trips_serves_volatile_and_heals_with_a_resync_record() {
 
     // durable service resumed for new work
     let after = service
-        .submit_text(&format!("{TINY}// after\n"))
+        .submit_text(format!("{TINY}// after\n"))
         .expect("admitted");
     assert!(
         service.status(after).expect("known").durable,
@@ -172,8 +160,12 @@ fn breaker_trips_serves_volatile_and_heals_with_a_resync_record() {
 
     // the journal carries the scar tissue: a resync marker from the heal
     // and the post-heal submission after it
-    let (_journal, replay) =
-        Journal::open(&dir.join("journal.log"), FsyncPolicy::Never).expect("journal reopens");
+    let (_journal, replay) = Journal::open_on(
+        Arc::new(sim.clone()),
+        Path::new("state/journal.log"),
+        FsyncPolicy::Never,
+    )
+    .expect("journal reopens");
     let resync_at = replay
         .records
         .iter()
