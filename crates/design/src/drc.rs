@@ -9,9 +9,9 @@
 
 use std::fmt;
 
-use columba_geom::{Layer, Rect, INLET_PITCH, MIN_CHANNEL_SPACING};
+use columba_geom::{Layer, Rect, Um, INLET_PITCH, MIN_CHANNEL_SPACING};
 
-use crate::ir::{Design, InletKind, ValveKind};
+use crate::ir::{Channel, Design, InletKind, ValveKind};
 
 /// Which rule a violation breaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -99,15 +99,106 @@ impl fmt::Display for DrcReport {
 /// Runs all design-rule checks on `design`.
 #[must_use]
 pub fn check(design: &Design) -> DrcReport {
+    run(design).0
+}
+
+/// The work counter of [`check`]: how many candidate rectangle pairs its
+/// overlap sweeps compare. It depends on the geometry alone, so a test can
+/// pin it where timing is too noisy to show a return to all-pairs work.
+#[must_use]
+pub fn candidate_pairs(design: &Design) -> usize {
+    run(design).1
+}
+
+fn run(design: &Design) -> (DrcReport, usize) {
     let mut report = DrcReport::default();
+    let mut examined = 0;
     check_containment(design, &mut report);
-    check_module_overlap(design, &mut report);
-    check_same_layer_clearance(design, &mut report);
-    check_module_channel_conflicts(design, &mut report);
+    check_module_overlap(design, &mut report, &mut examined);
+    check_same_layer_clearance(design, &mut report, &mut examined);
+    check_module_channel_conflicts(design, &mut report, &mut examined);
     check_straight_discipline(design, &mut report);
     check_inlet_pitch(design, &mut report);
     check_valve_placement(design, &mut report);
-    report
+    (report, examined)
+}
+
+/// Every pair of boxes whose interiors overlap ([`Rect::overlaps`]),
+/// found with a sweep line: boxes enter in order of their low edge along
+/// the sweep axis, and each is compared only with the active boxes whose
+/// high edge still lies beyond that edge. `across == None` joins `boxes`
+/// with itself and yields each pair once as `(i, j)` with `i < j`;
+/// `Some(other)` yields `(i, j)` for `boxes[i]` overlapping `other[j]`.
+/// Pairs come out in no particular order. `examined` counts the
+/// comparisons made.
+fn overlapping_pairs(
+    boxes: &[Rect],
+    across: Option<&[Rect]>,
+    examined: &mut usize,
+) -> Vec<(usize, usize)> {
+    let groups = [boxes, across.unwrap_or(&[])];
+    // sweep along the axis on which the boxes are short relative to the
+    // area they span: the active list then stays small
+    let all = || groups.iter().flat_map(|g| g.iter());
+    let Some(frame) = Rect::bounding(all()) else {
+        return Vec::new();
+    };
+    let (sum_w, sum_h) = all().fold((0i128, 0i128), |(w, h), r| {
+        (
+            w + i128::from(r.width().raw()),
+            h + i128::from(r.height().raw()),
+        )
+    });
+    let sweep_x =
+        sum_w * i128::from(frame.height().raw()) <= sum_h * i128::from(frame.width().raw());
+    let span = |r: &Rect| {
+        if sweep_x {
+            (r.x_l(), r.x_r())
+        } else {
+            (r.y_b(), r.y_t())
+        }
+    };
+
+    let mut order: Vec<(Um, usize, usize)> = Vec::with_capacity(boxes.len() + groups[1].len());
+    for (g, rects) in groups.iter().enumerate() {
+        order.extend(rects.iter().enumerate().map(|(k, r)| (span(r).0, g, k)));
+    }
+    order.sort_unstable();
+    let mut active: [Vec<(Um, usize)>; 2] = [Vec::new(), Vec::new()];
+    let mut pairs = Vec::new();
+    for (low, g, k) in order {
+        for list in &mut active {
+            list.retain(|&(high, _)| high > low);
+        }
+        let r = &groups[g][k];
+        let other = if across.is_some() { 1 - g } else { g };
+        for &(_, o) in &active[other] {
+            *examined += 1;
+            if r.overlaps(&groups[other][o]) {
+                pairs.push(match (across.is_some(), g) {
+                    (false, _) => (o.min(k), o.max(k)),
+                    (true, 0) => (k, o),
+                    (true, _) => (o, k),
+                });
+            }
+        }
+        active[g].push((span(r).1, k));
+    }
+    pairs
+}
+
+/// The rectangles of the segments of every channel `keep` selects, each
+/// tagged `(channel index, segment index)`.
+fn segment_boxes(d: &Design, keep: impl Fn(&Channel) -> bool) -> (Vec<Rect>, Vec<(usize, usize)>) {
+    let mut rects = Vec::new();
+    let mut tags = Vec::new();
+    for (i, c) in d.channels.iter().enumerate().filter(|(_, c)| keep(c)) {
+        for (si, s) in c.path.iter().enumerate() {
+            rects.push(s.to_rect());
+            tags.push((i, si));
+        }
+    }
+    (rects, tags)
 }
 
 fn check_containment(d: &Design, report: &mut DrcReport) {
@@ -142,49 +233,54 @@ fn check_containment(d: &Design, report: &mut DrcReport) {
     }
 }
 
-fn check_module_overlap(d: &Design, report: &mut DrcReport) {
-    for (i, a) in d.modules.iter().enumerate() {
-        for b in &d.modules[i + 1..] {
-            if a.rect.overlaps(&b.rect) {
-                report.violations.push(Violation {
-                    rule: Rule::ModuleOverlap,
-                    message: format!(
-                        "modules `{}` {} and `{}` {} overlap",
-                        a.name, a.rect, b.name, b.rect
-                    ),
-                });
-            }
-        }
+fn check_module_overlap(d: &Design, report: &mut DrcReport, examined: &mut usize) {
+    let rects: Vec<Rect> = d.modules.iter().map(|m| m.rect).collect();
+    let mut hits = overlapping_pairs(&rects, None, examined);
+    hits.sort_unstable();
+    for (i, j) in hits {
+        let (a, b) = (&d.modules[i], &d.modules[j]);
+        report.violations.push(Violation {
+            rule: Rule::ModuleOverlap,
+            message: format!(
+                "modules `{}` {} and `{}` {} overlap",
+                a.name, a.rect, b.name, b.rect
+            ),
+        });
     }
 }
 
-fn check_same_layer_clearance(d: &Design, report: &mut DrcReport) {
-    for (i, a) in d.channels.iter().enumerate() {
-        for (jo, b) in d.channels[i + 1..].iter().enumerate() {
-            let j = i + 1 + jo;
-            if a.layer() != b.layer() {
+fn check_same_layer_clearance(d: &Design, report: &mut DrcReport, examined: &mut usize) {
+    let mut hits = Vec::new();
+    for layer in [Layer::Flow, Layer::Control] {
+        let (rects, tags) = segment_boxes(d, |c| c.layer() == layer);
+        for (p, q) in overlapping_pairs(&rects, None, examined) {
+            let ((i, si), (j, sj)) = (tags[p].min(tags[q]), tags[p].max(tags[q]));
+            // a channel's own segments join each other
+            if i == j {
                 continue;
             }
+            let (a, b) = (&d.channels[i], &d.channels[j]);
             // internal geometry of one module is that module's business
             if a.owner.is_some() && a.owner == b.owner {
                 continue;
             }
-            for (si, sa) in a.path.iter().enumerate() {
-                for (sj, sb) in b.path.iter().enumerate() {
-                    if sa.to_rect().overlaps(&sb.to_rect()) && !overlap_is_junction(sa, sb) {
-                        report.violations.push(Violation {
-                            rule: Rule::SameLayerClearance,
-                            message: format!(
-                                "{} channels #{i}.{si} and #{j}.{sj} overlap: {} vs {}",
-                                a.layer(),
-                                sa,
-                                sb
-                            ),
-                        });
-                    }
-                }
+            if !overlap_is_junction(&a.path[si], &b.path[sj]) {
+                hits.push((i, j, si, sj));
             }
         }
+    }
+    hits.sort_unstable();
+    for (i, j, si, sj) in hits {
+        let (a, b) = (&d.channels[i], &d.channels[j]);
+        report.violations.push(Violation {
+            rule: Rule::SameLayerClearance,
+            message: format!(
+                "{} channels #{i}.{si} and #{j}.{sj} overlap: {} vs {}",
+                a.layer(),
+                a.path[si],
+                b.path[sj]
+            ),
+        });
     }
 }
 
@@ -219,26 +315,24 @@ fn overlap_is_junction(sa: &columba_geom::Segment, sb: &columba_geom::Segment) -
     near(sa.start()) || near(sa.end()) || near(sb.start()) || near(sb.end())
 }
 
-fn check_module_channel_conflicts(d: &Design, report: &mut DrcReport) {
-    for (i, c) in d.channels.iter().enumerate() {
-        // only flow-layer transport/MUX channels conflict with module bodies;
-        // control channels fly over on the other layer
-        if c.layer() != Layer::Flow || c.owner.is_some() {
-            continue;
-        }
-        for (mi, m) in d.modules.iter().enumerate() {
-            for s in &c.path {
-                if s.to_rect().overlaps(&m.rect) {
-                    report.violations.push(Violation {
-                        rule: Rule::ModuleChannelConflict,
-                        message: format!(
-                            "flow channel #{i} {s} runs through module `{}` (#{mi})",
-                            m.name
-                        ),
-                    });
-                }
-            }
-        }
+fn check_module_channel_conflicts(d: &Design, report: &mut DrcReport, examined: &mut usize) {
+    // only flow-layer transport/MUX channels conflict with module bodies;
+    // control channels fly over on the other layer
+    let (rects, tags) = segment_boxes(d, |c| c.layer() == Layer::Flow && c.owner.is_none());
+    let modules: Vec<Rect> = d.modules.iter().map(|m| m.rect).collect();
+    let mut hits: Vec<(usize, usize, usize)> = overlapping_pairs(&rects, Some(&modules), examined)
+        .into_iter()
+        .map(|(p, mi)| (tags[p].0, mi, tags[p].1))
+        .collect();
+    hits.sort_unstable();
+    for (i, mi, si) in hits {
+        report.violations.push(Violation {
+            rule: Rule::ModuleChannelConflict,
+            message: format!(
+                "flow channel #{i} {} runs through module `{}` (#{mi})",
+                d.channels[i].path[si], d.modules[mi].name
+            ),
+        });
     }
 }
 
@@ -627,6 +721,49 @@ mod tests {
         });
         let r = check(&d);
         assert_eq!(r.of_rule(Rule::ValvePlacement).len(), 1);
+    }
+
+    #[test]
+    fn sweep_finds_exactly_the_overlapping_pairs() {
+        // small coordinates make ties, shared edges, zero-area boxes and
+        // duplicates common; the elongated boxes flip the sweep axis
+        let mut rng = columba_netlist::prng::Rng::seed_from_u64(11);
+        let mut boxes = |n: usize| -> Vec<Rect> {
+            (0..n)
+                .map(|_| {
+                    let (x, y) = (rng.gen_range(0i64..20), rng.gen_range(0i64..20));
+                    let (long, short) = (rng.gen_range(0i64..12), rng.gen_range(0i64..3));
+                    let (w, h) = if rng.gen_range(0..2usize) == 0 {
+                        (long, short)
+                    } else {
+                        (short, long)
+                    };
+                    Rect::new(Um(x), Um(x + w), Um(y), Um(y + h))
+                })
+                .collect()
+        };
+        let brute = |a: &[Rect], b: &[Rect], within: bool| -> Vec<(usize, usize)> {
+            let mut pairs = Vec::new();
+            for (i, ra) in a.iter().enumerate() {
+                for (j, rb) in b.iter().enumerate() {
+                    if (!within || i < j) && ra.overlaps(rb) {
+                        pairs.push((i, j));
+                    }
+                }
+            }
+            pairs
+        };
+        let mut examined = 0;
+        for round in 0..200 {
+            let a = boxes(round % 40);
+            let b = boxes(round % 7 * 3);
+            let mut within = overlapping_pairs(&a, None, &mut examined);
+            within.sort_unstable();
+            assert_eq!(within, brute(&a, &a, true), "round {round}");
+            let mut across = overlapping_pairs(&a, Some(&b), &mut examined);
+            across.sort_unstable();
+            assert_eq!(across, brute(&a, &b, false), "round {round}");
+        }
     }
 
     #[test]

@@ -23,7 +23,6 @@ use columba_netlist::{ComponentId, ComponentKind, Endpoint, Netlist, UnitSide};
 use crate::entities::{access_override, BlockId, ControlDir, EndKind, FlowEntity, FlowKind, Plan};
 use crate::error::LayoutError;
 use crate::laygen::{GeneratedLayout, LaygenReport};
-use crate::LayoutOptions;
 
 const D: Um = MIN_CHANNEL_SPACING;
 const CHANNEL_W: Um = MIN_CHANNEL_SPACING;
@@ -45,7 +44,6 @@ pub(crate) fn validate(
     netlist: &Netlist,
     plan: &Plan,
     generated: &GeneratedLayout,
-    _options: &LayoutOptions,
 ) -> Result<LayoutResult, LayoutError> {
     let _span = columba_obs::span("layval");
     let start = Instant::now();
@@ -168,7 +166,6 @@ pub(crate) fn validate(
         &mut design,
         &instances,
         &junction_pin,
-        dx,
         dy,
         &chip,
     )?;
@@ -234,7 +231,6 @@ fn route_flows(
     design: &mut Design,
     instances: &HashMap<usize, ModuleInstance>,
     junction_pin: &HashMap<(usize, usize), Point>,
-    dx: Um,
     dy: Um,
     chip: &Rect,
 ) -> Result<(), LayoutError> {
@@ -376,7 +372,6 @@ fn route_flows(
             }
         }
     }
-    let _ = dx;
     Ok(())
 }
 

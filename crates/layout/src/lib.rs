@@ -148,7 +148,7 @@ impl LayoutOptions {
 pub fn synthesize(netlist: &Netlist, options: &LayoutOptions) -> Result<LayoutResult, LayoutError> {
     let plan = entities::build_plan(netlist)?;
     let generated = laygen::generate(&plan, options)?;
-    layval::validate(netlist, &plan, &generated, options)
+    layval::validate(netlist, &plan, &generated)
 }
 
 /// Runs only the §3.2.1 *layout generation* phase and returns the reduced

@@ -269,9 +269,7 @@ pub fn synthesize_resilient(
         let opts = rung_options(policy, rung, &token);
         let t0 = Instant::now();
         let mut rung_span = columba_obs::span(rung_span_name(rung));
-        match laygen::generate(&plan, &opts)
-            .and_then(|g| layval::validate(netlist, &plan, &g, &opts))
-        {
+        match laygen::generate(&plan, &opts).and_then(|g| layval::validate(netlist, &plan, &g)) {
             Ok(result) => {
                 rung_span.attr("outcome", "produced");
                 let status = result.laygen.status;
@@ -311,10 +309,9 @@ pub fn synthesize_resilient(
 
     if policy.allow_constructive {
         let t0 = Instant::now();
-        let opts = rung_options(policy, Rung::ConstructiveOnly, &token);
         let mut rung_span = columba_obs::span(rung_span_name(Rung::ConstructiveOnly));
         match laygen::generate_constructive(&plan)
-            .and_then(|g| layval::validate(netlist, &plan, &g, &opts))
+            .and_then(|g| layval::validate(netlist, &plan, &g))
         {
             Ok(result) => {
                 rung_span.attr("outcome", "produced");
