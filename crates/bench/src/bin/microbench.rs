@@ -13,49 +13,17 @@
 //! The machine-readable artifact lands at `<out>/BENCH_microbench.json`
 //! (default `bench/` — the committed perf-gate baseline location).
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use columba_bench::{bench_json, out_path, secs, write_bench_json, CaseStats};
+use columba_bench::{bench_json, measure, out_path, positive_arg, report, write_bench_json};
 use columba_s::layout::{self, LayoutOptions};
 use columba_s::netlist::{generators, MuxCount};
 use columba_s::planar::planarize;
 use columba_s::{Columba, SynthesisOptions};
 
-/// Times `f` over `iters` runs and returns the raw samples.
-fn measure<T>(iters: usize, mut f: impl FnMut() -> T) -> Vec<Duration> {
-    let mut samples = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let t = Instant::now();
-        std::hint::black_box(f());
-        samples.push(t.elapsed());
-    }
-    samples
-}
-
-/// Prints the human-readable row and returns the machine-readable stats.
-fn report(stage: &str, iters: usize, samples: &[Duration]) -> CaseStats {
-    let stats = CaseStats::from_samples(stage, samples);
-    println!(
-        "{stage:<34}{:>10} {:>10} {:>10}   ({iters} iters)",
-        secs(Duration::from_secs_f64(stats.min_s)),
-        secs(Duration::from_secs_f64(stats.mean_s)),
-        secs(Duration::from_secs_f64(stats.max_s))
-    );
-    stats
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let iters = match args.iter().position(|a| a == "--iters") {
-        None => 5usize,
-        Some(i) => match args.get(i + 1).map(|v| v.parse()) {
-            Some(Ok(n)) if n > 0 => n,
-            _ => {
-                eprintln!("error: --iters requires a positive integer");
-                std::process::exit(2);
-            }
-        },
-    };
+    let iters = positive_arg(&args, "--iters", 5);
 
     println!("synthesis-stage micro-benchmarks ({iters} iterations per stage)\n");
     println!("{:<34}{:>10} {:>10} {:>10}", "stage", "min", "mean", "max");
@@ -66,17 +34,14 @@ fn main() {
 
     cases.push(report(
         "netlist generation (64 units)",
-        iters,
         &measure(iters, || generators::chip_ip(64, MuxCount::One)),
     ));
     cases.push(report(
         "planarize chip4",
-        iters,
         &measure(iters, || planarize(&chip4)),
     ));
     cases.push(report(
         "planarize chip64",
-        iters,
         &measure(iters, || planarize(&chip64)),
     ));
 
@@ -84,7 +49,6 @@ fn main() {
     let heuristic = LayoutOptions::heuristic_only();
     cases.push(report(
         "layout chip4 (heuristic)",
-        iters,
         &measure(iters, || {
             layout::synthesize(&planar4, &heuristic).expect("chip4 synthesizes")
         }),
@@ -97,16 +61,30 @@ fn main() {
     };
     cases.push(report(
         "layout chip4 (bounded search)",
-        iters,
         &measure(iters, || {
             layout::synthesize(&planar4, &budget).expect("chip4 synthesizes")
+        }),
+    ));
+
+    // one branch & bound node on one worker with no effective clock
+    // limit: root LP, rounding LP and one node LP, so the case times
+    // simplex work rather than a budget
+    let one_node = LayoutOptions {
+        threads: 1,
+        node_limit: 1,
+        time_limit: Duration::from_secs(3600),
+        ..LayoutOptions::default()
+    };
+    cases.push(report(
+        "layout chip4 (one node)",
+        &measure(iters, || {
+            layout::synthesize(&planar4, &one_node).expect("chip4 synthesizes")
         }),
     ));
 
     let (planar64, _) = planarize(&chip64);
     cases.push(report(
         "layout chip64 (heuristic)",
-        iters,
         &measure(iters, || {
             layout::synthesize(&planar64, &heuristic).expect("chip64 synthesizes")
         }),
@@ -121,7 +99,6 @@ fn main() {
     });
     cases.push(report(
         "full flow chip4",
-        iters,
         &measure(iters, || {
             flow.synthesize(&chip4).expect("chip4 synthesizes")
         }),

@@ -25,7 +25,7 @@
 
 use std::time::{Duration, Instant};
 
-use columba_bench::{secs, CaseStats};
+use columba_bench::{measure, positive_arg, secs_f64, CaseStats};
 use columba_obs::SpanRecorder;
 use columba_s::layout::{self, LayoutOptions};
 use columba_s::netlist::{generators, MuxCount, Netlist};
@@ -35,27 +35,14 @@ const OVERHEAD_BUDGET: f64 = 0.02;
 const ALLOC_BUDGET: f64 = 0.03;
 
 fn solve_samples(planar: &Netlist, opts: &LayoutOptions, iters: usize) -> Vec<Duration> {
-    (0..iters)
-        .map(|_| {
-            let t = Instant::now();
-            std::hint::black_box(layout::synthesize(planar, opts).expect("chip4ip synthesizes"));
-            t.elapsed()
-        })
-        .collect()
+    measure(iters, || {
+        layout::synthesize(planar, opts).expect("chip4ip synthesizes")
+    })
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let iters = match args.iter().position(|a| a == "--iters") {
-        None => 5usize,
-        Some(i) => match args.get(i + 1).map(|v| v.parse()) {
-            Some(Ok(n)) if n > 0 => n,
-            _ => {
-                eprintln!("error: --iters requires a positive integer");
-                std::process::exit(2);
-            }
-        },
-    };
+    let iters = positive_arg(&args, "--iters", 5);
 
     let chip4 = generators::chip_ip(4, MuxCount::One);
     let (planar, _) = planarize(&chip4);
@@ -122,11 +109,11 @@ fn main() {
     println!("spans per instrumented solve: {span_count}");
     println!(
         "disabled solve median:        {}",
-        secs(Duration::from_secs_f64(disabled.median_s))
+        secs_f64(disabled.median_s)
     );
     println!(
         "enabled solve median:         {}  (informational)",
-        secs(Duration::from_secs_f64(enabled.median_s))
+        secs_f64(enabled.median_s)
     );
     println!(
         "estimated disabled overhead:  {:.4}% of the solve median (budget {:.0}%)",

@@ -12,47 +12,13 @@
 //! The machine-readable artifact lands at `<out>/BENCH_schedule.json`
 //! (default `bench/` — the committed perf-gate baseline location).
 
-use std::time::{Duration, Instant};
-
-use columba_bench::{bench_json, out_path, secs, write_bench_json, CaseStats};
+use columba_bench::{bench_json, measure, out_path, positive_arg, report, write_bench_json};
 use columba_prng::Rng;
 use columba_schedule::{generators, schedule, Assay, ScheduleOptions, StoragePolicy};
 
-/// Times `f` over `iters` runs and returns the raw samples.
-fn measure<T>(iters: usize, mut f: impl FnMut() -> T) -> Vec<Duration> {
-    let mut samples = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let t = Instant::now();
-        std::hint::black_box(f());
-        samples.push(t.elapsed());
-    }
-    samples
-}
-
-/// Prints the human-readable row and returns the machine-readable stats.
-fn report(case: &str, iters: usize, samples: &[Duration]) -> CaseStats {
-    let stats = CaseStats::from_samples(case, samples);
-    println!(
-        "{case:<34}{:>10} {:>10} {:>10}   ({iters} iters)",
-        secs(Duration::from_secs_f64(stats.min_s)),
-        secs(Duration::from_secs_f64(stats.mean_s)),
-        secs(Duration::from_secs_f64(stats.max_s))
-    );
-    stats
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let iters = match args.iter().position(|a| a == "--iters") {
-        None => 10usize,
-        Some(i) => match args.get(i + 1).map(|v| v.parse()) {
-            Some(Ok(n)) if n > 0 => n,
-            _ => {
-                eprintln!("error: --iters requires a positive integer");
-                std::process::exit(2);
-            }
-        },
-    };
+    let iters = positive_arg(&args, "--iters", 10);
 
     println!("assay scheduling micro-benchmarks ({iters} iterations per case)\n");
     println!("{:<34}{:>10} {:>10} {:>10}", "case", "min", "mean", "max");
@@ -83,7 +49,6 @@ fn main() {
     for (batch, &ops) in batches.iter().zip(SIZES.iter()) {
         cases.push(report(
             &format!("schedule {REPS}x{ops} ops"),
-            iters,
             &measure(iters, || {
                 for assay in batch {
                     std::hint::black_box(schedule(assay, &opts).expect("schedules"));
@@ -109,7 +74,6 @@ fn main() {
         };
         cases.push(report(
             &format!("schedule 64 ops ({policy})"),
-            iters,
             &measure(iters, || {
                 schedule(&batches[1][0], &opts).expect("schedules")
             }),

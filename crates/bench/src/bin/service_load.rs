@@ -16,39 +16,12 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use columba_bench::{bench_json, out_path, secs, write_bench_json, CaseStats};
+use columba_bench::{
+    bench_json, out_path, positive_arg, secs, secs_f64, write_bench_json, CaseStats,
+};
 use columba_s::netlist::{generators, MuxCount};
 use columba_s::{LayoutOptions, SynthesisOptions};
 use columba_service::{JobState, Service, ServiceConfig};
-
-fn arg(args: &[String], name: &str, default: usize) -> usize {
-    match args.iter().position(|a| a == name) {
-        None => default,
-        Some(i) => match args.get(i + 1).map(|v| v.parse()) {
-            Some(Ok(n)) if n > 0 => n,
-            _ => {
-                eprintln!("error: {name} requires a positive integer");
-                std::process::exit(2);
-            }
-        },
-    }
-}
-
-fn percentile(sorted: &[Duration], p: f64) -> Duration {
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
-}
-
-fn stats(mut samples: Vec<Duration>) -> (Duration, Duration, Duration, Duration) {
-    samples.sort_unstable();
-    let mean = samples.iter().sum::<Duration>() / samples.len() as u32;
-    (
-        samples[0],
-        mean,
-        percentile(&samples, 0.5),
-        *samples.last().expect("non-empty samples"),
-    )
-}
 
 fn run_to_done(service: &Service, text: &str) -> (Duration, bool) {
     let t = Instant::now();
@@ -67,8 +40,8 @@ fn run_to_done(service: &Service, text: &str) -> (Duration, bool) {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let clients = arg(&args, "--clients", 8);
-    let hits_per_client = arg(&args, "--hits", 16);
+    let clients = positive_arg(&args, "--clients", 8);
+    let hits_per_client = positive_arg(&args, "--hits", 16);
 
     let cases: Vec<(String, String)> = [4usize, 8, 16]
         .iter()
@@ -135,29 +108,21 @@ fn main() {
 
     let cold_stats = CaseStats::from_samples("cold solve", &cold);
     let hot_stats = CaseStats::from_samples("cache hit", &hot);
-    let (cold_min, cold_mean, cold_p50, cold_max) = stats(cold);
-    let (hot_min, hot_mean, hot_p50, hot_max) = stats(hot);
     println!(
         "\n{:<12}{:>10} {:>10} {:>10} {:>10}",
         "", "min", "mean", "p50", "max"
     );
-    println!(
-        "{:<12}{:>10} {:>10} {:>10} {:>10}",
-        "cold solve",
-        secs(cold_min),
-        secs(cold_mean),
-        secs(cold_p50),
-        secs(cold_max)
-    );
-    println!(
-        "{:<12}{:>10} {:>10} {:>10} {:>10}",
-        "cache hit",
-        secs(hot_min),
-        secs(hot_mean),
-        secs(hot_p50),
-        secs(hot_max)
-    );
-    let speedup = cold_p50.as_secs_f64() / hot_p50.as_secs_f64().max(1e-9);
+    for stats in [&cold_stats, &hot_stats] {
+        println!(
+            "{:<12}{:>10} {:>10} {:>10} {:>10}",
+            stats.name,
+            secs_f64(stats.min_s),
+            secs_f64(stats.mean_s),
+            secs_f64(stats.median_s),
+            secs_f64(stats.max_s)
+        );
+    }
+    let speedup = cold_stats.median_s / hot_stats.median_s.max(1e-9);
     println!("\np50 speedup from the content-addressed cache: {speedup:.0}x");
     if speedup < 10.0 {
         eprintln!("warning: cache speedup below the 10x target");

@@ -20,7 +20,7 @@
 //! ([`columba_s::milp::SolveStats`]) of a bounded search.
 
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use columba_s::netlist::{generators, MuxCount, Netlist};
 use columba_s::{Columba, LayoutOptions, SynthesisOptions};
@@ -109,6 +109,53 @@ pub fn harness_flow(search_budget: Duration) -> Columba {
     })
 }
 
+/// The value of the positive-integer flag `name` in `args`, or `default`
+/// when the flag is absent. Exits with status 2 on a missing or invalid
+/// value.
+#[must_use]
+pub fn positive_arg(args: &[String], name: &str, default: usize) -> usize {
+    match args.iter().position(|a| a == name) {
+        None => default,
+        Some(i) => match args.get(i + 1).map(|v| v.parse()) {
+            Some(Ok(n)) if n > 0 => n,
+            _ => {
+                eprintln!("error: {name} requires a positive integer");
+                std::process::exit(2);
+            }
+        },
+    }
+}
+
+/// Times `f` over `iters` runs and returns the raw samples.
+pub fn measure<T>(iters: usize, mut f: impl FnMut() -> T) -> Vec<Duration> {
+    let mut samples = Vec::with_capacity(iters);
+    for _ in 0..iters {
+        let t = Instant::now();
+        std::hint::black_box(f());
+        samples.push(t.elapsed());
+    }
+    samples
+}
+
+/// Prints the human-readable `min mean max` row of one case and returns
+/// its machine-readable stats.
+///
+/// # Panics
+///
+/// On an empty sample set.
+#[must_use]
+pub fn report(case: &str, samples: &[Duration]) -> CaseStats {
+    let stats = CaseStats::from_samples(case, samples);
+    println!(
+        "{case:<34}{:>10} {:>10} {:>10}   ({} iters)",
+        secs_f64(stats.min_s),
+        secs_f64(stats.mean_s),
+        secs_f64(stats.max_s),
+        stats.iters
+    );
+    stats
+}
+
 /// `"12.3x45.6"` dimension formatting.
 #[must_use]
 pub fn dim(w_mm: f64, h_mm: f64) -> String {
@@ -123,6 +170,12 @@ pub fn secs(d: Duration) -> String {
     } else {
         format!("{:.1}s", d.as_secs_f64())
     }
+}
+
+/// [`secs`] of a duration given in seconds.
+#[must_use]
+pub fn secs_f64(s: f64) -> String {
+    secs(Duration::from_secs_f64(s))
 }
 
 /// Machine-readable stats of one benchmark case: exact order statistics
@@ -348,8 +401,8 @@ impl GateReport {
                 out,
                 "| {} | {} | {} | {:+.1}% | {} |",
                 case.name,
-                secs(Duration::from_secs_f64(case.baseline_s)),
-                secs(Duration::from_secs_f64(case.current_s)),
+                secs_f64(case.baseline_s),
+                secs_f64(case.current_s),
                 delta * 100.0,
                 status
             );

@@ -7,6 +7,13 @@
 //! variables may *bound-flip* without a basis change. Dantzig pricing is used
 //! until a long degenerate streak triggers Bland's rule, which guarantees
 //! termination.
+//!
+//! The tableau is dense, but its inner loops touch only entries that can
+//! change: each iteration gathers the entering column's nonzeros once (the
+//! ratio test, the basic-value update and the pivot all read that list), and
+//! a pivot updates only the pivot row's nonzero columns of the rows the
+//! entering column reaches. Skipping an exact zero is exact (`x - f·0 = x`),
+//! so the pivot path and every value match the plain dense elimination.
 
 use crate::cancel::CancelToken;
 use crate::model::Sense;
@@ -17,6 +24,8 @@ const PIVOT_TOL: f64 = 1e-9;
 const COST_TOL: f64 = 1e-9;
 /// Consecutive degenerate pivots before switching to Bland's rule.
 const DEGENERATE_STREAK: usize = 400;
+/// `basic_row` entry of a nonbasic column.
+const NONBASIC: usize = usize::MAX;
 
 /// One constraint row in sparse form, already brought to `Σ aᵢxᵢ (sense) rhs`.
 #[derive(Debug, Clone)]
@@ -24,6 +33,22 @@ pub(crate) struct Row {
     pub terms: Vec<(usize, f64)>,
     pub sense: Sense,
     pub rhs: f64,
+}
+
+impl Row {
+    /// How far `x` violates this row, when that exceeds the residual
+    /// tolerance `1e-5 · (1 + max |coef| + |rhs|)`; `None` when the row holds.
+    pub(crate) fn violation(&self, x: &[f64]) -> Option<f64> {
+        let act: f64 = self.terms.iter().map(|&(j, c)| c * x[j]).sum();
+        let scale =
+            1.0 + self.terms.iter().map(|&(_, c)| c.abs()).fold(0.0, f64::max) + self.rhs.abs();
+        let viol = match self.sense {
+            Sense::Le => act - self.rhs,
+            Sense::Ge => self.rhs - act,
+            Sense::Eq => (act - self.rhs).abs(),
+        };
+        (viol > 1e-5 * scale).then_some(viol)
+    }
 }
 
 /// An LP instance: structural columns with bounds and costs, plus rows.
@@ -73,13 +98,23 @@ struct Tableau {
     beta: Vec<f64>,
     /// column basic in each row
     basis: Vec<usize>,
-    in_basis: Vec<bool>,
+    /// row each column is basic in, [`NONBASIC`] otherwise
+    basic_row: Vec<usize>,
     /// nonbasic-at-upper flag per column
     at_upper: Vec<bool>,
     lb: Vec<f64>,
     ub: Vec<f64>,
     /// reduced costs per column (for the active phase objective)
     d: Vec<f64>,
+    /// columns a pivot still updates: all of them in phase 1; in phase 2
+    /// only those pricing can pick (a fixed column never enters again)
+    live: Vec<usize>,
+    /// `(row, value)` of the entering column's nonzeros, gathered once per
+    /// iteration
+    entering: Vec<(usize, f64)>,
+    /// `(column, value)` of the scaled pivot row's live nonzeros, excluding
+    /// the entering column
+    pivot_row: Vec<(usize, f64)>,
     degenerate_streak: usize,
     iterations: usize,
     cancel: Option<CancelToken>,
@@ -149,7 +184,7 @@ impl Tableau {
         at_upper[..n_struct].copy_from_slice(&at_upper_struct);
 
         let mut basis = Vec::with_capacity(m);
-        let mut in_basis = vec![false; ncols];
+        let mut basic_row = vec![NONBASIC; ncols];
         let mut beta = vec![0.0; m];
         let mut next_art = n_struct + m;
         for (i, row) in lp.rows.iter().enumerate() {
@@ -167,7 +202,7 @@ impl Tableau {
                 }
                 t[base + slack_col] = 1.0;
                 basis.push(slack_col);
-                in_basis[slack_col] = true;
+                basic_row[slack_col] = i;
                 beta[i] = sigma * residual[i];
             } else {
                 // artificial column with +1 after scaling by sign(residual)
@@ -180,7 +215,7 @@ impl Tableau {
                 next_art += 1;
                 t[base + art_col] = 1.0;
                 basis.push(art_col);
-                in_basis[art_col] = true;
+                basic_row[art_col] = i;
                 beta[i] = residual[i].abs();
             }
         }
@@ -192,11 +227,14 @@ impl Tableau {
             t,
             beta,
             basis,
-            in_basis,
+            basic_row,
             at_upper,
             lb,
             ub,
             d: vec![0.0; ncols],
+            live: (0..ncols).collect(),
+            entering: Vec::new(),
+            pivot_row: Vec::new(),
             degenerate_streak: 0,
             iterations: 0,
             cancel: None,
@@ -204,17 +242,17 @@ impl Tableau {
     }
 
     /// Recomputes the reduced-cost row `d = c - c_B^T T` for cost vector `c`
-    /// (dense over all columns) and returns the basic cost contribution.
+    /// (dense over all columns), one tableau row at a time in row order.
     fn load_costs(&mut self, c: &[f64]) {
-        for j in 0..self.ncols {
-            let mut dj = c[j];
-            for i in 0..self.m {
-                let cb = c[self.basis[i]];
-                if cb != 0.0 {
-                    dj -= cb * self.t[i * self.ncols + j];
+        self.d.copy_from_slice(c);
+        let n = self.ncols;
+        for i in 0..self.m {
+            let cb = c[self.basis[i]];
+            if cb != 0.0 {
+                for (dj, &tij) in self.d.iter_mut().zip(&self.t[i * n..(i + 1) * n]) {
+                    *dj -= cb * tij;
                 }
             }
-            self.d[j] = dj;
         }
         for &b in &self.basis {
             self.d[b] = 0.0;
@@ -223,13 +261,9 @@ impl Tableau {
 
     /// Current value of a column (basic value or resting bound).
     fn col_value(&self, j: usize) -> f64 {
-        if self.in_basis[j] {
-            for i in 0..self.m {
-                if self.basis[i] == j {
-                    return self.beta[i];
-                }
-            }
-            unreachable!("column flagged basic but absent from basis");
+        let r = self.basic_row[j];
+        if r != NONBASIC {
+            self.beta[r]
         } else if self.at_upper[j] {
             self.ub[j]
         } else if self.lb[j].is_finite() {
@@ -249,7 +283,7 @@ impl Tableau {
         let mut c1 = vec![0.0; self.ncols];
         c1[(self.n_struct + self.m)..].fill(1.0);
         self.load_costs(&c1);
-        match self.optimize(&c1, max_iters, true) {
+        match self.optimize(max_iters, true) {
             PhaseEnd::Ok => {}
             PhaseEnd::TimedOut => return (LpOutcome::TimedOut, self.iterations),
             PhaseEnd::Unbounded => {
@@ -276,6 +310,10 @@ impl Tableau {
             self.ub[j] = 0.0;
         }
         self.drive_out_artificials();
+        // fixed columns (equality slacks, the pinned artificials) never
+        // enter again, so phase 2 stops updating them
+        let (lb, ub) = (&self.lb, &self.ub);
+        self.live.retain(|&j| lb[j] != ub[j]);
         p1_span.attr("iterations", self.iterations);
         drop(p1_span);
 
@@ -286,7 +324,7 @@ impl Tableau {
         c2[..self.n_struct].copy_from_slice(&lp.cost);
         self.load_costs(&c2);
         self.degenerate_streak = 0;
-        match self.optimize(&c2, max_iters, false) {
+        match self.optimize(max_iters, false) {
             PhaseEnd::Ok => {}
             PhaseEnd::TimedOut => return (LpOutcome::TimedOut, self.iterations),
             PhaseEnd::Unbounded => return (LpOutcome::Unbounded, self.iterations),
@@ -307,15 +345,7 @@ impl Tableau {
         }
         // verify against original rows (guards against tableau drift)
         for row in &lp.rows {
-            let act: f64 = row.terms.iter().map(|&(j, c)| c * x[j]).sum();
-            let scale =
-                1.0 + row.terms.iter().map(|&(_, c)| c.abs()).fold(0.0, f64::max) + row.rhs.abs();
-            let viol = match row.sense {
-                Sense::Le => act - row.rhs,
-                Sense::Ge => row.rhs - act,
-                Sense::Eq => (act - row.rhs).abs(),
-            };
-            if viol > 1e-5 * scale {
+            if let Some(viol) = row.violation(&x) {
                 return (
                     LpOutcome::Numerical(format!("residual {viol:.2e} exceeds tolerance")),
                     self.iterations,
@@ -335,7 +365,7 @@ impl Tableau {
             // find a non-artificial, nonbasic column with a usable pivot
             let mut pick = None;
             for j in 0..(self.n_struct + self.m) {
-                if self.in_basis[j] {
+                if self.basic_row[j] != NONBASIC {
                     continue;
                 }
                 let a = self.t[r * self.ncols + j];
@@ -346,51 +376,71 @@ impl Tableau {
             }
             if let Some(j) = pick {
                 // degenerate pivot: basic artificial sits at 0, so delta = 0
+                self.gather_entering(j);
                 self.pivot(r, j, self.col_value(j));
             }
         }
     }
 
+    /// Collects the nonzeros of column `j` into `entering`, in row order.
+    fn gather_entering(&mut self, j: usize) {
+        self.entering.clear();
+        for i in 0..self.m {
+            let a = self.t[i * self.ncols + j];
+            if a != 0.0 {
+                self.entering.push((i, a));
+            }
+        }
+    }
+
     /// Gauss-Jordan pivot bringing column `j` into the basis at row `r`.
-    /// `new_value` is the entering variable's value after the step.
+    /// `new_value` is the entering variable's value after the step. Reads
+    /// column `j` from `entering`, which must be current.
     fn pivot(&mut self, r: usize, j: usize, new_value: f64) {
         let n = self.ncols;
-        let piv = self.t[r * n + j];
+        let prow = &mut self.t[r * n..(r + 1) * n];
+        let piv = prow[j];
         debug_assert!(piv.abs() > PIVOT_TOL * 1e-3, "pivot too small: {piv}");
         let inv = 1.0 / piv;
-        for col in 0..n {
-            self.t[r * n + col] *= inv;
+        self.pivot_row.clear();
+        for &col in &self.live {
+            let x = prow[col];
+            if x != 0.0 {
+                let y = x * inv;
+                prow[col] = y;
+                if y != 0.0 && col != j {
+                    self.pivot_row.push((col, y));
+                }
+            }
         }
-        self.t[r * n + j] = 1.0; // exact
-        for i in 0..self.m {
+        prow[j] = 1.0; // exact
+        for &(i, f) in &self.entering {
             if i == r {
                 continue;
             }
-            let f = self.t[i * n + j];
-            if f != 0.0 {
-                for col in 0..n {
-                    self.t[i * n + col] -= f * self.t[r * n + col];
-                }
-                self.t[i * n + j] = 0.0;
+            let row = &mut self.t[i * n..(i + 1) * n];
+            for &(col, y) in &self.pivot_row {
+                row[col] -= f * y;
             }
+            row[j] = 0.0;
         }
         // reduced costs
         let f = self.d[j];
         if f != 0.0 {
-            for col in 0..n {
-                self.d[col] -= f * self.t[r * n + col];
+            for &(col, y) in &self.pivot_row {
+                self.d[col] -= f * y;
             }
             self.d[j] = 0.0;
         }
         let old = self.basis[r];
-        self.in_basis[old] = false;
+        self.basic_row[old] = NONBASIC;
         self.basis[r] = j;
-        self.in_basis[j] = true;
+        self.basic_row[j] = r;
         self.beta[r] = new_value;
     }
 
     /// Primal iterations until optimal / unbounded / iteration limit.
-    fn optimize(&mut self, _c: &[f64], max_iters: usize, phase1: bool) -> PhaseEnd {
+    fn optimize(&mut self, max_iters: usize, phase1: bool) -> PhaseEnd {
         loop {
             if self.iterations >= max_iters {
                 return PhaseEnd::IterLimit;
@@ -411,7 +461,7 @@ impl Tableau {
                 self.n_struct + self.m
             };
             for j in 0..scan_end {
-                if self.in_basis[j] {
+                if self.basic_row[j] != NONBASIC {
                     continue;
                 }
                 if self.lb[j] == self.ub[j] {
@@ -439,13 +489,14 @@ impl Tableau {
                 return PhaseEnd::Ok; // optimal for this phase
             };
 
+            self.gather_entering(j);
+
             // ratio test
             let range = self.ub[j] - self.lb[j]; // may be inf
             let mut t_max = range;
-            let mut leave: Option<(usize, bool)> = None; // (row, leaves_at_upper)
-            let n = self.ncols;
-            for i in 0..self.m {
-                let a = self.t[i * n + j];
+            // (row, leaves_at_upper, pivot element)
+            let mut leave: Option<(usize, bool, f64)> = None;
+            for &(i, a) in &self.entering {
                 if a.abs() <= PIVOT_TOL {
                     continue;
                 }
@@ -470,19 +521,19 @@ impl Tableau {
                 let ti = ti.max(0.0);
                 let better = match leave {
                     None => ti < t_max - 1e-12,
-                    Some((li, _)) => {
+                    Some((li, _, la)) => {
                         ti < t_max - 1e-12
                             || (ti <= t_max + 1e-12
                                 && (if bland {
                                     self.basis[i] < self.basis[li]
                                 } else {
-                                    a.abs() > self.t[li * n + j].abs()
+                                    a.abs() > la.abs()
                                 }))
                     }
                 };
                 if ti <= t_max + 1e-12 && better {
                     t_max = ti.min(t_max);
-                    leave = Some((i, !downward));
+                    leave = Some((i, !downward, a));
                 }
             }
 
@@ -496,28 +547,18 @@ impl Tableau {
                 self.degenerate_streak = 0;
             }
 
+            // move the basic variables; a pivot then overwrites the leaving
+            // row's value with the entering variable's
             let delta = if increasing { t_max } else { -t_max };
+            for &(i, a) in &self.entering {
+                self.beta[i] -= a * delta;
+            }
             match leave {
                 None => {
                     // bound flip of the entering column
-                    for i in 0..self.m {
-                        let a = self.t[i * n + j];
-                        if a != 0.0 {
-                            self.beta[i] -= a * delta;
-                        }
-                    }
                     self.at_upper[j] = !self.at_upper[j];
                 }
-                Some((r, leaves_at_upper)) => {
-                    for i in 0..self.m {
-                        if i == r {
-                            continue;
-                        }
-                        let a = self.t[i * n + j];
-                        if a != 0.0 {
-                            self.beta[i] -= a * delta;
-                        }
-                    }
+                Some((r, leaves_at_upper, _)) => {
                     let entering_value = if increasing {
                         (if self.at_upper[j] {
                             self.ub[j]

@@ -174,7 +174,77 @@ struct SearchCtx<'a> {
     stop_token: CancelToken,
 }
 
-impl SearchCtx<'_> {
+impl<'a> SearchCtx<'a> {
+    /// The search data of `model`, with the stop token's deadline capped at
+    /// `start + params.time_limit`.
+    fn new(model: &Model, params: &'a SolveParams, start: Instant) -> SearchCtx<'a> {
+        let solve_deadline = start + params.time_limit;
+        SearchCtx {
+            base_rows: model
+                .constraints
+                .iter()
+                .map(|c| Row {
+                    terms: c.terms.iter().map(|&(v, coef)| (v.index(), coef)).collect(),
+                    sense: c.sense,
+                    rhs: c.rhs,
+                })
+                .collect(),
+            base_lb: model.vars.iter().map(|v| v.lb).collect(),
+            base_ub: model.vars.iter().map(|v| v.ub).collect(),
+            cost: model.objective.clone(),
+            int_vars: model
+                .vars
+                .iter()
+                .enumerate()
+                .filter(|(_, v)| v.kind != VarKind::Continuous)
+                .map(|(i, _)| i)
+                .collect(),
+            obj_constant: model.obj_constant,
+            sign: if model.maximize { -1.0 } else { 1.0 },
+            params,
+            start,
+            stop_token: params.cancel.as_ref().map_or_else(
+                || CancelToken::with_deadline(solve_deadline),
+                |t| t.capped(solve_deadline),
+            ),
+        }
+    }
+
+    /// The first way `x` fails as an incumbent of the *original* model: a
+    /// row violated beyond the simplex residual tolerance, a variable out of
+    /// its bounds, or an integer variable off integral. Checked against the
+    /// model itself rather than the presolved LP that produced `x`.
+    fn incumbent_violation(&self, x: &[f64]) -> Option<String> {
+        if let Some((i, v)) = (self.base_rows.iter().enumerate())
+            .find_map(|(i, row)| row.violation(x).map(|v| (i, v)))
+        {
+            return Some(format!("row {i} violated by {v:.3e}"));
+        }
+        for (j, &v) in x.iter().enumerate() {
+            let (l, u) = (self.base_lb[j], self.base_ub[j]);
+            if !(v >= l - 1e-5 * (1.0 + l.abs()) && v <= u + 1e-5 * (1.0 + u.abs())) {
+                return Some(format!("variable {j} = {v} outside [{l}, {u}]"));
+            }
+        }
+        (self.int_vars.iter())
+            .find(|&&j| (x[j] - x[j].round()).abs() > INT_TOL)
+            .map(|&j| format!("integer variable {j} = {} is fractional", x[j]))
+    }
+
+    /// Under `debug_assertions`, refuses an incumbent that fails
+    /// [`incumbent_violation`](Self::incumbent_violation): a presolve or
+    /// pivoting bug then surfaces as an error instead of a wrong layout.
+    fn certify(&self, x: &[f64]) -> Result<(), SolveError> {
+        if !cfg!(debug_assertions) {
+            return Ok(());
+        }
+        self.incumbent_violation(x).map_or(Ok(()), |e| {
+            Err(SolveError::Numerical(format!(
+                "incumbent certificate failed: {e}"
+            )))
+        })
+    }
+
     /// Solves the LP for the given bounds, accumulating iterations into
     /// `iters` and mapping numerical failures to [`SolveError`].
     fn lp(&self, lb: &[f64], ub: &[f64], iters: &mut usize) -> Result<LpOutcome, SolveError> {
@@ -239,7 +309,8 @@ impl Search<'_> {
             && (bound >= inc - p.abs_gap || (inc - bound).abs() <= p.rel_gap * inc.abs().max(1.0))
     }
 
-    fn offer_incumbent(&self, values: Vec<f64>, obj: f64) {
+    fn offer_incumbent(&self, values: Vec<f64>, obj: f64) -> Result<(), SolveError> {
+        self.ctx.certify(&values)?;
         let mut inc = lock_clean(&self.incumbent);
         if inc.best.as_ref().is_none_or(|(_, b)| obj < *b) {
             inc.best = Some((values, obj));
@@ -256,6 +327,7 @@ impl Search<'_> {
                 );
             }
         }
+        Ok(())
     }
 
     /// Close (and record) one `bnb.batch` span, annotating it with the
@@ -436,7 +508,7 @@ impl Search<'_> {
         match most_fractional(&x, &ctx.int_vars) {
             None => {
                 // integral: candidate incumbent
-                self.offer_incumbent(round_ints(x, &ctx.int_vars), obj);
+                self.offer_incumbent(round_ints(x, &ctx.int_vars), obj)?;
             }
             Some(branch_var) => {
                 let v = x[branch_var];
@@ -484,7 +556,8 @@ pub(crate) fn solve(
 ) -> Result<MipResult, SolveError> {
     let mut solve_span = columba_obs::span("milp.solve");
     let start = Instant::now();
-    let sign = if model.maximize { -1.0 } else { 1.0 };
+    let ctx = SearchCtx::new(model, params, start);
+    let sign = ctx.sign;
     let threads = params.resolved_threads();
     if solve_span.is_recording() {
         solve_span.attr("vars", model.vars.len());
@@ -492,18 +565,9 @@ pub(crate) fn solve(
         solve_span.attr("threads", threads);
     }
 
-    let base_rows: Vec<Row> = model
-        .constraints
-        .iter()
-        .map(|c| Row {
-            terms: c.terms.iter().map(|&(v, coef)| (v.index(), coef)).collect(),
-            sense: c.sense,
-            rhs: c.rhs,
-        })
-        .collect();
     // Constant-only constraints that are unsatisfiable make the model
     // trivially infeasible; satisfied ones are dropped by the presolve.
-    for r in &base_rows {
+    for r in &ctx.base_rows {
         if r.terms.is_empty() {
             let ok = match r.sense {
                 crate::model::Sense::Le => 0.0 <= r.rhs + 1e-9,
@@ -523,44 +587,24 @@ pub(crate) fn solve(
         }
     }
 
-    let solve_deadline = start + params.time_limit;
-    let stop_token = params.cancel.as_ref().map_or_else(
-        || CancelToken::with_deadline(solve_deadline),
-        |t| t.capped(solve_deadline),
-    );
-    let ctx = SearchCtx {
-        base_rows,
-        base_lb: model.vars.iter().map(|v| v.lb).collect(),
-        base_ub: model.vars.iter().map(|v| v.ub).collect(),
-        cost: model.objective.clone(),
-        int_vars: model
-            .vars
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.kind != VarKind::Continuous)
-            .map(|(i, _)| i)
-            .collect(),
-        obj_constant: model.obj_constant,
-        sign,
-        params,
-        start,
-        stop_token,
-    };
-
     let mut root_span = columba_obs::span("milp.root");
     let mut root_iters = 0usize;
     let mut incumbent: Option<(Vec<f64>, f64)> = None; // (values, min-sense obj)
     let mut events: Vec<IncumbentEvent> = Vec::new();
-    let offer_root =
-        |incumbent: &mut Option<(Vec<f64>, f64)>, events: &mut Vec<IncumbentEvent>, x, obj| {
-            if incumbent.as_ref().is_none_or(|(_, b)| obj < *b) {
-                *incumbent = Some((x, obj));
-                events.push(IncumbentEvent {
-                    at: start.elapsed(),
-                    objective: sign * obj,
-                });
-            }
-        };
+    let offer_root = |incumbent: &mut Option<(Vec<f64>, f64)>,
+                      events: &mut Vec<IncumbentEvent>,
+                      x: Vec<f64>,
+                      obj: f64| {
+        ctx.certify(&x)?;
+        if incumbent.as_ref().is_none_or(|(_, b)| obj < *b) {
+            *incumbent = Some((x, obj));
+            events.push(IncumbentEvent {
+                at: start.elapsed(),
+                objective: sign * obj,
+            });
+        }
+        Ok::<(), SolveError>(())
+    };
 
     // -- hint: fix integers, solve the remaining LP --
     if let Some(hint) = hint {
@@ -579,7 +623,7 @@ pub(crate) fn solve(
         }
         if valid {
             if let LpOutcome::Optimal { x, obj } = ctx.lp(&lb, &ub, &mut root_iters)? {
-                offer_root(&mut incumbent, &mut events, x, obj + ctx.obj_constant);
+                offer_root(&mut incumbent, &mut events, x, obj + ctx.obj_constant)?;
             }
         }
     }
@@ -640,7 +684,7 @@ pub(crate) fn solve(
             &mut events,
             round_ints(root_x, &ctx.int_vars),
             root_bound,
-        );
+        )?;
         let stats = root_stats(threads, root_iters, events, start);
         return Ok(finish(
             SolveStatus::Optimal,
@@ -661,7 +705,7 @@ pub(crate) fn solve(
             ub[i] = r;
         }
         if let LpOutcome::Optimal { x, obj } = ctx.lp(&lb, &ub, &mut root_iters)? {
-            offer_root(&mut incumbent, &mut events, x, obj + ctx.obj_constant);
+            offer_root(&mut incumbent, &mut events, x, obj + ctx.obj_constant)?;
         }
     }
 
@@ -755,8 +799,11 @@ pub(crate) fn solve(
     };
     let bound = if hit_limit {
         // the heap still holds every unfinished node (workers requeue on a
-        // limit), so its top is the best proven dual bound
-        heap.peek().map_or(root_bound, |n| n.lp_bound)
+        // limit), so its top is the best proven dual bound. A worker may
+        // requeue a node it popped just before a peer's improvement; a
+        // bound above the incumbent proves nothing, so cap it there.
+        let top = heap.peek().map_or(root_bound, |n| n.lp_bound);
+        incumbent.as_ref().map_or(top, |(_, inc)| top.min(*inc))
     } else {
         incumbent.as_ref().map_or(root_bound, |(_, inc)| *inc)
     };
@@ -819,6 +866,12 @@ fn finish(
     sign: f64,
     stats: SolveStats,
 ) -> MipResult {
+    if let Some((_, obj)) = &incumbent {
+        debug_assert!(
+            bound <= obj + 1e-6 * obj.abs().max(1.0),
+            "dual bound {bound} exceeds the incumbent objective {obj}"
+        );
+    }
     MipResult {
         status,
         solution: incumbent.map(|(values, obj)| Solution {
@@ -1272,6 +1325,44 @@ mod tests {
         for w in s.incumbents.windows(2) {
             assert!(w[1].objective >= w[0].objective, "{:?}", s.incumbents);
         }
+    }
+
+    #[test]
+    fn corrupted_incumbent_fails_its_certificate() {
+        // 3a + 4b + 2c <= 6 over binaries, plus a continuous x in [0, 2]
+        let mut m = Model::new();
+        let a = m.bin_var("a");
+        let b = m.bin_var("b");
+        let c = m.bin_var("c");
+        let x = m.num_var("x", 0.0, 2.0);
+        m.constraint(
+            Model::expr().term(3.0, a).term(4.0, b).term(2.0, c),
+            Sense::Le,
+            6.0,
+        );
+        m.maximize(Model::expr().term(10.0, a).term(13.0, b).term(1.0, x));
+        let params = p();
+        let ctx = SearchCtx::new(&m, &params, Instant::now());
+
+        assert_eq!(ctx.incumbent_violation(&[0.0, 1.0, 1.0, 2.0]), None);
+        let violation = |x: &[f64]| ctx.incumbent_violation(x).unwrap_or_default();
+        assert!(violation(&[1.0, 1.0, 0.0, 0.0]).starts_with("row 0"));
+        assert!(violation(&[0.0, 0.0, 1.0, 2.5]).starts_with("variable 3"));
+        assert!(violation(&[0.0, 0.0, -1.0, 0.0]).starts_with("variable 2"));
+        assert!(violation(&[0.0, 0.5, 0.0, 0.0]).starts_with("integer variable 1"));
+
+        // debug builds refuse the corrupted point; release builds skip the
+        // check
+        let refused = ctx.certify(&[1.0, 1.0, 0.0, 0.0]);
+        if cfg!(debug_assertions) {
+            assert!(
+                matches!(&refused, Err(SolveError::Numerical(msg)) if msg.contains("certificate")),
+                "{refused:?}"
+            );
+        } else {
+            assert!(refused.is_ok());
+        }
+        assert!(ctx.certify(&[0.0, 1.0, 1.0, 2.0]).is_ok());
     }
 
     #[test]
