@@ -11,13 +11,18 @@
 //! ```
 //!
 //! The machine-readable artifact lands at `<out>/BENCH_microbench.json`
-//! (default `bench/` — the committed perf-gate baseline location).
+//! (default `bench/` — the committed perf-gate baseline location). The
+//! work-pinned solver cases also record their simplex iterations, node
+//! count and termination status there, which `perf_gate` holds exactly.
+//! `full flow chip4` still runs to its 2 s budget, so it records no work.
 
 use std::time::Duration;
 
-use columba_bench::{bench_json, measure, out_path, positive_arg, report, write_bench_json};
+use columba_bench::{
+    bench_json, measure, out_path, positive_arg, report, write_bench_json, CaseStats,
+};
 use columba_s::layout::{self, LayoutOptions};
-use columba_s::netlist::{generators, MuxCount};
+use columba_s::netlist::{generators, MuxCount, Netlist};
 use columba_s::planar::planarize;
 use columba_s::{Columba, SynthesisOptions};
 
@@ -47,47 +52,48 @@ fn main() {
 
     let (planar4, _) = planarize(&chip4);
     let heuristic = LayoutOptions::heuristic_only();
-    cases.push(report(
+    cases.push(pinned_layout(
         "layout chip4 (heuristic)",
-        &measure(iters, || {
-            layout::synthesize(&planar4, &heuristic).expect("chip4 synthesizes")
-        }),
+        iters,
+        &planar4,
+        &heuristic,
     ));
 
-    let budget = LayoutOptions {
-        time_limit: Duration::from_secs(2),
-        node_limit: 50,
-        ..LayoutOptions::default()
-    };
-    cases.push(report(
-        "layout chip4 (bounded search)",
-        &measure(iters, || {
-            layout::synthesize(&planar4, &budget).expect("chip4 synthesizes")
-        }),
-    ));
-
-    // one branch & bound node on one worker with no effective clock
-    // limit: root LP, rounding LP and one node LP, so the case times
-    // simplex work rather than a budget
-    let one_node = LayoutOptions {
+    // a few branch & bound nodes on one worker with no effective clock
+    // limit, so the case times search work rather than a budget
+    let four_nodes = LayoutOptions {
         threads: 1,
-        node_limit: 1,
+        node_limit: 4,
         time_limit: Duration::from_secs(3600),
         ..LayoutOptions::default()
     };
-    cases.push(report(
+    cases.push(pinned_layout(
+        "layout chip4 (4 nodes)",
+        iters,
+        &planar4,
+        &four_nodes,
+    ));
+
+    // one branch & bound node: the hint LP, then the root LP warm-started
+    // from its basis (layout turns rounding off, and node 0 branches on
+    // the root solution in hand)
+    let one_node = LayoutOptions {
+        node_limit: 1,
+        ..four_nodes.clone()
+    };
+    cases.push(pinned_layout(
         "layout chip4 (one node)",
-        &measure(iters, || {
-            layout::synthesize(&planar4, &one_node).expect("chip4 synthesizes")
-        }),
+        iters,
+        &planar4,
+        &one_node,
     ));
 
     let (planar64, _) = planarize(&chip64);
-    cases.push(report(
+    cases.push(pinned_layout(
         "layout chip64 (heuristic)",
-        &measure(iters, || {
-            layout::synthesize(&planar64, &heuristic).expect("chip64 synthesizes")
-        }),
+        iters,
+        &planar64,
+        &heuristic,
     ));
 
     let flow = Columba::with_options(SynthesisOptions {
@@ -109,9 +115,9 @@ fn main() {
         &bench_json("microbench", &[("iters", iters.to_string())], &cases),
     );
 
-    // solver telemetry of one representative bounded search
-    let searched = layout::synthesize(&planar4, &budget).expect("chip4 synthesizes");
-    println!("\nsolver telemetry (chip4, bounded search):");
+    // solver telemetry of one representative node-pinned search
+    let searched = layout::synthesize(&planar4, &four_nodes).expect("chip4 synthesizes");
+    println!("\nsolver telemetry (chip4, 4 nodes):");
     println!("  {}", searched.laygen.solve);
     if let Some(u) = searched.laygen.solve.utilization() {
         let workers = searched.laygen.solve.worker_busy.len();
@@ -125,4 +131,31 @@ fn main() {
     for (at, obj) in searched.laygen.solve.trajectory() {
         println!("  incumbent {obj:.4} at {at:.3}s");
     }
+}
+
+/// Times a work-pinned layout solve (a node limit, no effective clock) and
+/// records its exact work: simplex iterations, branch & bound nodes and the
+/// termination status. Pinned work is the same on every run.
+fn pinned_layout(name: &str, iters: usize, planar: &Netlist, options: &LayoutOptions) -> CaseStats {
+    let mut work = None;
+    let samples = measure(iters, || {
+        let out = layout::synthesize(planar, options).expect("case synthesizes");
+        let solve = &out.laygen.solve;
+        let this = (
+            solve.simplex_iterations as u64,
+            solve.nodes_processed as u64,
+            out.laygen.status.to_string(),
+        );
+        assert!(
+            work.as_ref().is_none_or(|w| *w == this),
+            "{name}: work differs between runs"
+        );
+        work = Some(this);
+        out
+    });
+    let (iterations, nodes, status) = work.expect("measured at least once");
+    report(name, &samples).with_work(
+        &[("simplex_iterations", iterations), ("nodes", nodes)],
+        &status,
+    )
 }

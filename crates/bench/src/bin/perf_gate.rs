@@ -11,14 +11,18 @@
 //! case is *pinned*: it must be present in the current artifact, and its
 //! median must not regress by more than the tolerance (default 10 %).
 //! Cases whose baseline median sits under the noise floor (default 5 ms,
-//! `--min-baseline-s`) are reported but never gate — micro-timings
-//! jitter far beyond any tolerance on shared CI runners.
+//! `--min-baseline-s`) are reported but never time-gate — micro-timings
+//! jitter far beyond any tolerance on shared CI runners. A baseline case
+//! that records exact work (`counters` such as `simplex_iterations` and
+//! `nodes`, and a termination `status`) is gated on it at any duration: no
+//! counter may rise above its baseline, and the status may not change.
 //!
 //! The comparison is printed as a markdown table on stdout and, with
 //! `--summary PATH`, appended to that file (point it at
 //! `$GITHUB_STEP_SUMMARY` to land the table in the CI run page).
-//! Exit status: 0 when every gate passes, 1 on any regression or
-//! missing pinned case, 2 on usage or I/O errors.
+//! Exit status: 0 when every gate passes, 1 on any regression, risen
+//! counter, changed status or missing pinned case, 2 on usage or I/O
+//! errors.
 
 use std::io::Write as _;
 use std::process::ExitCode;
@@ -127,7 +131,8 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         println!(
-            "perf gate: FAIL — p50 regression beyond {:.0}% (or missing pinned case)",
+            "perf gate: FAIL — p50 regression beyond {:.0}%, counter above baseline, \
+             changed status, or missing pinned case",
             tolerance * 100.0
         );
         println!("to refresh baselines after an intentional change: ci/perf_gate --refresh");

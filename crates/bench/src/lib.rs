@@ -17,7 +17,7 @@
 //! Micro-benchmarks of the synthesis stages live in the `microbench`
 //! binary — a plain [`std::time::Instant`] harness (no external
 //! benchmarking crates), which also prints the solver telemetry
-//! ([`columba_s::milp::SolveStats`]) of a bounded search.
+//! ([`columba_s::milp::SolveStats`]) of a node-pinned search.
 
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -202,6 +202,12 @@ pub struct CaseStats {
     pub hist_p90_s: f64,
     /// Histogram p99 (bucket upper bound), seconds.
     pub hist_p99_s: f64,
+    /// Exact work counters of a case whose work is pinned (a node limit,
+    /// no effective clock), e.g. `simplex_iterations` and `nodes`; empty
+    /// for a case that times a budget.
+    pub counters: Vec<(String, u64)>,
+    /// Termination status of a pinned solver case.
+    pub status: Option<String>,
 }
 
 impl CaseStats {
@@ -232,7 +238,20 @@ impl CaseStats {
             hist_p50_s: p50 / 1e6,
             hist_p90_s: p90 / 1e6,
             hist_p99_s: p99 / 1e6,
+            counters: Vec::new(),
+            status: None,
         }
+    }
+
+    /// Attaches the exact work counters and termination status of a
+    /// work-pinned case, for [`compare_bench`] to gate.
+    #[must_use]
+    pub fn with_work(mut self, counters: &[(&str, u64)], status: &str) -> CaseStats {
+        self.counters = (counters.iter())
+            .map(|&(name, v)| (name.to_string(), v))
+            .collect();
+        self.status = Some(status.to_string());
+        self
     }
 
     fn json_into(&self, out: &mut String) {
@@ -242,7 +261,7 @@ impl CaseStats {
         let _ = write!(
             out,
             ",\"iters\":{},\"min_s\":{:.9},\"mean_s\":{:.9},\"median_s\":{:.9},\
-             \"max_s\":{:.9},\"hist_p50_s\":{:.9},\"hist_p90_s\":{:.9},\"hist_p99_s\":{:.9}}}",
+             \"max_s\":{:.9},\"hist_p50_s\":{:.9},\"hist_p90_s\":{:.9},\"hist_p99_s\":{:.9}",
             self.iters,
             self.min_s,
             self.mean_s,
@@ -252,6 +271,22 @@ impl CaseStats {
             self.hist_p90_s,
             self.hist_p99_s,
         );
+        if !self.counters.is_empty() {
+            out.push_str(",\"counters\":{");
+            for (i, (name, value)) in self.counters.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                columba_obs::export::json_string_into(out, name);
+                let _ = write!(out, ":{value}");
+            }
+            out.push('}');
+        }
+        if let Some(status) = &self.status {
+            out.push_str(",\"status\":");
+            columba_obs::export::json_string_into(out, status);
+        }
+        out.push('}');
     }
 }
 
@@ -343,6 +378,22 @@ impl GateCase {
     }
 }
 
+/// One exact work check of a perf-gate comparison: a counter that may not
+/// rise above its baseline, or a termination status that may not change.
+#[derive(Debug, Clone)]
+pub struct WorkCheck {
+    /// Case label.
+    pub case: String,
+    /// Counter name, or `status`.
+    pub what: String,
+    /// Committed baseline value.
+    pub baseline: String,
+    /// Freshly measured value (`missing` when the run did not record it).
+    pub current: String,
+    /// Whether the check passes.
+    pub ok: bool,
+}
+
 /// The outcome of comparing one fresh bench artifact against its
 /// committed baseline.
 #[derive(Debug, Clone)]
@@ -356,6 +407,9 @@ pub struct GateReport {
     pub missing: Vec<String>,
     /// Maximum tolerated relative slowdown on gated cases.
     pub tolerance: f64,
+    /// Work counters and statuses of the baseline's work-pinned cases.
+    /// These are exact, so they gate cases of any duration.
+    pub work: Vec<WorkCheck>,
 }
 
 impl GateReport {
@@ -368,10 +422,11 @@ impl GateReport {
             .collect()
     }
 
-    /// Whether the gate passes: no regression and no missing case.
+    /// Whether the gate passes: no regression, no missing case, no counter
+    /// above its baseline and no changed status.
     #[must_use]
     pub fn passed(&self) -> bool {
-        self.regressions().is_empty() && self.missing.is_empty()
+        self.regressions().is_empty() && self.missing.is_empty() && self.work.iter().all(|w| w.ok)
     }
 
     /// Renders the comparison as a GitHub-flavored markdown table (the
@@ -410,12 +465,35 @@ impl GateReport {
         for name in &self.missing {
             let _ = writeln!(out, "| {name} | — | missing | — | **missing** |");
         }
+        if !self.work.is_empty() {
+            out.push_str("\n| case | work | baseline | current | status |\n");
+            out.push_str("|------|------|---------:|--------:|--------|\n");
+            for w in &self.work {
+                let _ = writeln!(
+                    out,
+                    "| {} | {} | {} | {} | {} |",
+                    w.case,
+                    w.what,
+                    w.baseline,
+                    w.current,
+                    if w.ok { "ok" } else { "**changed**" }
+                );
+            }
+        }
         out
     }
 }
 
-/// Extracts `(name, median_s)` per case from a `BENCH_*.json` document.
-fn bench_medians(doc: &columba_obs::Json) -> Result<Vec<(String, f64)>, String> {
+/// One case as read back from a `BENCH_*.json` document.
+struct ParsedCase {
+    name: String,
+    median_s: f64,
+    counters: Vec<(String, f64)>,
+    status: Option<String>,
+}
+
+/// Extracts the cases of a `BENCH_*.json` document.
+fn parse_cases(doc: &columba_obs::Json) -> Result<Vec<ParsedCase>, String> {
     use columba_obs::Json;
     let cases = doc
         .get("cases")
@@ -428,11 +506,31 @@ fn bench_medians(doc: &columba_obs::Json) -> Result<Vec<(String, f64)>, String> 
                 .get("name")
                 .and_then(Json::as_str)
                 .ok_or("case without a name")?;
-            let median = case
+            let median_s = case
                 .get("median_s")
                 .and_then(Json::as_f64)
                 .ok_or_else(|| format!("case {name} without a median_s"))?;
-            Ok((name.to_string(), median))
+            let counters = match case.get("counters") {
+                None => Vec::new(),
+                Some(Json::Obj(fields)) => fields
+                    .iter()
+                    .map(|(k, v)| {
+                        v.as_f64()
+                            .map(|v| (k.clone(), v))
+                            .ok_or_else(|| format!("case {name}: counter {k} is not a number"))
+                    })
+                    .collect::<Result<_, _>>()?,
+                Some(_) => return Err(format!("case {name}: counters is not an object")),
+            };
+            Ok(ParsedCase {
+                name: name.to_string(),
+                median_s,
+                counters,
+                status: case
+                    .get("status")
+                    .and_then(Json::as_str)
+                    .map(str::to_string),
+            })
         })
         .collect()
 }
@@ -440,9 +538,11 @@ fn bench_medians(doc: &columba_obs::Json) -> Result<Vec<(String, f64)>, String> 
 /// Compares a fresh bench artifact against its committed baseline.
 /// Every baseline case is pinned: it must appear in the current run,
 /// and (when its baseline median clears `min_baseline_s`) its median
-/// must not regress by more than `tolerance`. Extra cases in the
-/// current run are ignored — adding a case does not break the gate,
-/// only refreshing the baseline admits it.
+/// must not regress by more than `tolerance`. A baseline case that
+/// records work counters or a status is pinned by work too: no counter
+/// may rise above its baseline and the status may not change, at any
+/// duration. Extra cases in the current run are ignored — adding a case
+/// does not break the gate, only refreshing the baseline admits it.
 ///
 /// # Errors
 ///
@@ -460,29 +560,52 @@ pub fn compare_bench(
         .and_then(columba_obs::Json::as_str)
         .unwrap_or("?")
         .to_string();
-    let base_cases = bench_medians(&base_doc).map_err(|e| format!("baseline: {e}"))?;
-    let cur_cases: std::collections::HashMap<String, f64> = bench_medians(&cur_doc)
+    let base_cases = parse_cases(&base_doc).map_err(|e| format!("baseline: {e}"))?;
+    let cur_cases: std::collections::HashMap<String, ParsedCase> = parse_cases(&cur_doc)
         .map_err(|e| format!("current: {e}"))?
         .into_iter()
+        .map(|c| (c.name.clone(), c))
         .collect();
     let mut cases = Vec::new();
     let mut missing = Vec::new();
-    for (name, baseline_s) in base_cases {
-        match cur_cases.get(&name) {
-            Some(&current_s) => cases.push(GateCase {
-                gated: baseline_s >= min_baseline_s,
-                name,
-                baseline_s,
-                current_s,
-            }),
-            None => missing.push(name),
+    let mut work = Vec::new();
+    for base in base_cases {
+        let Some(cur) = cur_cases.get(&base.name) else {
+            missing.push(base.name);
+            continue;
+        };
+        for (counter, base_value) in &base.counters {
+            let cur_value = cur.counters.iter().find(|(k, _)| k == counter).map(|c| c.1);
+            work.push(WorkCheck {
+                case: base.name.clone(),
+                what: counter.clone(),
+                baseline: base_value.to_string(),
+                current: cur_value.map_or_else(|| "missing".to_string(), |v| v.to_string()),
+                ok: cur_value.is_some_and(|v| v <= *base_value),
+            });
         }
+        if let Some(status) = &base.status {
+            work.push(WorkCheck {
+                case: base.name.clone(),
+                what: "status".to_string(),
+                baseline: status.clone(),
+                current: cur.status.clone().unwrap_or_else(|| "missing".to_string()),
+                ok: cur.status.as_ref() == Some(status),
+            });
+        }
+        cases.push(GateCase {
+            gated: base.median_s >= min_baseline_s,
+            name: base.name,
+            baseline_s: base.median_s,
+            current_s: cur.median_s,
+        });
     }
     Ok(GateReport {
         bench,
         cases,
         missing,
         tolerance,
+        work,
     })
 }
 
@@ -561,6 +684,45 @@ mod tests {
         let report = compare_bench(&baseline, &extra, 0.10, 0.005).expect("parse");
         assert!(report.passed(), "unpinned extra cases never gate");
         assert_eq!(report.cases.len(), 2);
+    }
+
+    /// A one-case artifact with work counters and a status.
+    fn work_artifact(iterations: u64, nodes: u64, status: &str) -> String {
+        let case = CaseStats::from_samples("layout", &[Duration::from_millis(1); 3]).with_work(
+            &[("simplex_iterations", iterations), ("nodes", nodes)],
+            status,
+        );
+        bench_json("microbench", &[], &[case])
+    }
+
+    #[test]
+    fn perf_gate_counters_may_fall_but_not_rise_and_status_must_hold() {
+        let baseline = work_artifact(600, 4, "feasible");
+        // a sub-floor case is still gated by its work
+        let fewer = work_artifact(450, 4, "feasible");
+        let report = compare_bench(&baseline, &fewer, 0.10, 0.005).expect("parse");
+        assert!(report.passed(), "{:?}", report.work);
+        assert_eq!(report.work.len(), 3);
+
+        let more = work_artifact(601, 4, "feasible");
+        let report = compare_bench(&baseline, &more, 0.10, 0.005).expect("parse");
+        assert!(!report.passed());
+        let failed: Vec<&str> = (report.work.iter())
+            .filter(|w| !w.ok)
+            .map(|w| w.what.as_str())
+            .collect();
+        assert_eq!(failed, vec!["simplex_iterations"]);
+        assert!(report.markdown().contains("**changed**"));
+
+        let status = work_artifact(600, 4, "optimal");
+        let report = compare_bench(&baseline, &status, 0.10, 0.005).expect("parse");
+        assert!(!report.passed(), "a changed status fails the gate");
+
+        // a run that stops recording a pinned counter fails too
+        let plain = artifact("microbench", &[("layout", 0.001)]);
+        let report = compare_bench(&baseline, &plain, 0.10, 0.005).expect("parse");
+        assert!(!report.passed());
+        assert!(report.work.iter().all(|w| w.current == "missing"));
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //! * a [`Model`] builder with continuous, integer and binary variables,
 //!   linear constraints and a linear objective;
 //! * a bounded-variable two-phase primal simplex for the LP relaxations
-//!   (Bland's-rule anti-cycling fallback, periodic refactorisation);
+//!   (Bland's-rule anti-cycling fallback), which can also start from a
+//!   given basis and skip phase 1;
 //! * branch & bound with best-bound node selection, most-fractional
-//!   branching, warm-start incumbents and time/node limits;
+//!   branching, warm-start incumbents, a root relaxation started from the
+//!   hint LP's optimal basis, and time/node limits;
 //! * big-M style disjunctive constraints (the "exactly one relative
 //!   position" pattern that dominates the layout models) expressed through
 //!   ordinary binaries.

@@ -2,11 +2,13 @@
 //!
 //! Operates on the *computational form* `min cᵀx  s.t.  Ax = b, l ≤ x ≤ u`
 //! obtained by adding one slack column per constraint row. Phase 1 introduces
-//! one artificial column per row and minimises their sum; phase 2 optimises
-//! the true objective. Nonbasic variables rest at a finite bound; entering
-//! variables may *bound-flip* without a basis change. Dantzig pricing is used
-//! until a long degenerate streak triggers Bland's rule, which guarantees
-//! termination.
+//! one artificial column per row whose slack cannot start within its bounds
+//! and minimises their sum; phase 2 optimises the true objective. Given a
+//! primal feasible start [`Basis`] (an earlier solve's optimal basis), the
+//! solve pivots it in over the all-slack tableau and runs phase 2 alone.
+//! Nonbasic variables rest at a finite bound; entering variables may
+//! *bound-flip* without a basis change. Dantzig pricing is used until a long
+//! degenerate streak triggers Bland's rule, which guarantees termination.
 //!
 //! The tableau is dense, but its inner loops touch only entries that can
 //! change: each iteration gathers the entering column's nonzeros once (the
@@ -79,12 +81,84 @@ pub(crate) enum LpOutcome {
     Numerical(String),
 }
 
-/// Solves `lp`, returning the outcome and the iteration count. When
-/// `cancel` is set, the solve aborts with [`LpOutcome::TimedOut`] once the
-/// token fires — via its deadline or an explicit [`CancelToken::cancel`]
-/// (checked every few hundred pivots).
-pub(crate) fn solve_lp(lp: &Lp, cancel: Option<&CancelToken>) -> (LpOutcome, usize) {
-    Tableau::new(lp).run(lp, cancel.cloned())
+/// A simplex basis in an [`Lp`]'s own indices: the status of every
+/// structural column, and whether each row's slack is basic. Exactly
+/// `rows.len()` entries are basic in a basis [`solve_lp`] returns.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Basis {
+    /// Per structural column.
+    pub cols: Vec<ColStatus>,
+    /// Per row: its slack is basic.
+    pub slack_basic: Vec<bool>,
+}
+
+/// Where a structural column sits in a [`Basis`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ColStatus {
+    Basic,
+    /// Nonbasic at its lower bound.
+    AtLower,
+    /// Nonbasic at its (finite) upper bound.
+    AtUpper,
+}
+
+/// How a solve began.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Start {
+    /// Two-phase, from the slack/artificial basis.
+    Cold,
+    /// From the given basis, installed with `crash_pivots` pivots; phase 1
+    /// skipped.
+    Warm { crash_pivots: usize },
+    /// The given basis was refused for the stated reason (`"singular"` or
+    /// `"infeasible"`), and the solve ran cold.
+    Fallback(&'static str),
+}
+
+/// What [`solve_lp`] returns.
+#[derive(Debug)]
+pub(crate) struct LpRun {
+    pub outcome: LpOutcome,
+    /// Every pivot made, crash pivots included.
+    pub iterations: usize,
+    /// The final basis, when the outcome is optimal.
+    pub basis: Option<Basis>,
+    pub start: Start,
+}
+
+/// Solves `lp`. Without `start`, runs the two-phase method from a
+/// slack/artificial basis. With `start`, pivots that basis in over the
+/// all-slack tableau, checks that it is primal feasible, and runs phase 2
+/// alone; a singular or infeasible start falls back to the cold path.
+/// When `cancel` is set, the solve aborts with [`LpOutcome::TimedOut`] once
+/// the token fires — via its deadline or an explicit
+/// [`CancelToken::cancel`] (checked every few hundred pivots).
+pub(crate) fn solve_lp(lp: &Lp, cancel: Option<&CancelToken>, start: Option<&Basis>) -> LpRun {
+    let cancel = cancel.cloned();
+    let Some(basis) = start else {
+        return Tableau::cold(lp).run(lp, cancel, Start::Cold);
+    };
+    match Tableau::warm(lp, basis) {
+        Ok(t) => {
+            let crash_pivots = t.iterations;
+            t.run(lp, cancel, Start::Warm { crash_pivots })
+        }
+        Err((reason, crash_pivots)) => {
+            let mut run = Tableau::cold(lp).run(lp, cancel, Start::Fallback(reason));
+            run.iterations += crash_pivots;
+            run
+        }
+    }
+}
+
+/// Smallest |pivot| a crash pivot accepts; below it the start basis is
+/// treated as singular.
+const CRASH_PIVOT_TOL: f64 = 1e-7;
+
+/// `1e-7` relative slack on a bound, the primal feasibility a start basis
+/// must meet.
+fn bound_tol(bound: f64) -> f64 {
+    1e-7 * (1.0 + bound.abs())
 }
 
 struct Tableau {
@@ -104,6 +178,8 @@ struct Tableau {
     at_upper: Vec<bool>,
     lb: Vec<f64>,
     ub: Vec<f64>,
+    /// the row each artificial column was added for, in column order
+    art_rows: Vec<usize>,
     /// reduced costs per column (for the active phase objective)
     d: Vec<f64>,
     /// columns a pivot still updates: all of them in phase 1; in phase 2
@@ -121,20 +197,90 @@ struct Tableau {
 }
 
 impl Tableau {
-    fn new(lp: &Lp) -> Tableau {
-        let m = lp.rows.len();
-        let n_struct = lp.lb.len();
-
-        // nonbasic start: structural at the finite bound of smaller magnitude
-        let mut x0 = vec![0.0; n_struct];
-        let mut at_upper_struct = vec![false; n_struct];
+    /// The cold start: every structural column nonbasic at its finite bound
+    /// of smaller magnitude, each row on its slack where that is feasible
+    /// and on an artificial otherwise.
+    fn cold(lp: &Lp) -> Tableau {
+        let mut x0 = lp.lb.clone();
+        let mut at_upper = vec![false; x0.len()];
         for (j, x) in x0.iter_mut().enumerate() {
-            *x = lp.lb[j];
             if lp.ub[j].is_finite() && lp.ub[j].abs() < x.abs() {
                 *x = lp.ub[j];
-                at_upper_struct[j] = true;
+                at_upper[j] = true;
             }
         }
+        Tableau::new(lp, &x0, &at_upper, true)
+    }
+
+    /// The tableau of `start`: the all-slack tableau with every nonbasic
+    /// structural column at its bound, then one crash pivot per basic
+    /// structural column, each on the row whose leaving slack gives the
+    /// largest |pivot|. The right-hand side rides along, so `beta` ends as
+    /// `B⁻¹(b − N·x_N)`. Refuses a basis that is singular or whose basic
+    /// values leave their bounds; the error carries the crash pivots spent.
+    fn warm(lp: &Lp, start: &Basis) -> Result<Tableau, (&'static str, usize)> {
+        let (n, m) = (lp.lb.len(), lp.rows.len());
+        let basics = start
+            .cols
+            .iter()
+            .filter(|&&s| s == ColStatus::Basic)
+            .count()
+            + start.slack_basic.iter().filter(|&&b| b).count();
+        if start.cols.len() != n || start.slack_basic.len() != m || basics != m {
+            return Err(("singular", 0));
+        }
+        let mut x0 = vec![0.0; n];
+        let mut at_upper = vec![false; n];
+        for (j, status) in start.cols.iter().enumerate() {
+            match status {
+                ColStatus::Basic => {} // excluded from the right-hand side
+                ColStatus::AtLower => x0[j] = lp.lb[j],
+                ColStatus::AtUpper if lp.ub[j].is_finite() => {
+                    x0[j] = lp.ub[j];
+                    at_upper[j] = true;
+                }
+                ColStatus::AtUpper => return Err(("infeasible", 0)),
+            }
+        }
+        let mut t = Tableau::new(lp, &x0, &at_upper, false);
+        for j in (0..n).filter(|&j| start.cols[j] == ColStatus::Basic) {
+            t.gather_entering(j);
+            let leaving = |&&(i, _): &&(usize, f64)| {
+                let b = t.basis[i];
+                b >= n && !start.slack_basic[b - n]
+            };
+            let Some(&(r, a)) =
+                (t.entering.iter().filter(leaving)).max_by(|x, y| x.1.abs().total_cmp(&y.1.abs()))
+            else {
+                return Err(("singular", t.iterations));
+            };
+            if a.abs() < CRASH_PIVOT_TOL {
+                return Err(("singular", t.iterations));
+            }
+            let value = t.beta[r] / a;
+            for &(i, ai) in &t.entering {
+                t.beta[i] -= ai * value;
+            }
+            t.pivot(r, j, value);
+            t.iterations += 1;
+        }
+        let feasible = t.basis.iter().zip(&t.beta).all(|(&b, &v)| {
+            let (l, u) = (t.lb[b], t.ub[b]);
+            v >= l - bound_tol(l) && (!u.is_finite() || v <= u + bound_tol(u))
+        });
+        if !feasible {
+            return Err(("infeasible", t.iterations));
+        }
+        Ok(t)
+    }
+
+    /// The tableau with structural column `j` nonbasic at `x0[j]` (at its
+    /// upper bound where `at_upper[j]`) and one basic column per row: the
+    /// row's slack, or, with `artificials` and where the slack would start
+    /// out of bounds, a fresh artificial column.
+    fn new(lp: &Lp, x0: &[f64], at_upper_struct: &[bool], artificials: bool) -> Tableau {
+        let m = lp.rows.len();
+        let n_struct = lp.lb.len();
 
         // residuals with slacks at their bound (0)
         let mut residual = vec![0.0; m];
@@ -154,10 +300,13 @@ impl Tableau {
             .rows
             .iter()
             .zip(&residual)
-            .map(|(row, &r)| match row.sense {
-                Sense::Le => r >= 0.0,
-                Sense::Ge => r <= 0.0,
-                Sense::Eq => r == 0.0,
+            .map(|(row, &r)| {
+                !artificials
+                    || match row.sense {
+                        Sense::Le => r >= 0.0,
+                        Sense::Ge => r <= 0.0,
+                        Sense::Eq => r == 0.0,
+                    }
             })
             .collect();
         let n_art = slack_ok.iter().filter(|&&ok| !ok).count();
@@ -181,12 +330,12 @@ impl Tableau {
         }
 
         let mut at_upper = vec![false; ncols];
-        at_upper[..n_struct].copy_from_slice(&at_upper_struct);
+        at_upper[..n_struct].copy_from_slice(at_upper_struct);
 
         let mut basis = Vec::with_capacity(m);
         let mut basic_row = vec![NONBASIC; ncols];
         let mut beta = vec![0.0; m];
-        let mut next_art = n_struct + m;
+        let mut art_rows = Vec::with_capacity(n_art);
         for (i, row) in lp.rows.iter().enumerate() {
             let slack_col = n_struct + i;
             let slack_coef = match row.sense {
@@ -211,8 +360,8 @@ impl Tableau {
                     t[base + j] += sigma * c;
                 }
                 t[base + slack_col] = sigma * slack_coef;
-                let art_col = next_art;
-                next_art += 1;
+                let art_col = n_struct + m + art_rows.len();
+                art_rows.push(i);
                 t[base + art_col] = 1.0;
                 basis.push(art_col);
                 basic_row[art_col] = i;
@@ -231,6 +380,7 @@ impl Tableau {
             at_upper,
             lb,
             ub,
+            art_rows,
             d: vec![0.0; ncols],
             live: (0..ncols).collect(),
             entering: Vec::new(),
@@ -273,49 +423,57 @@ impl Tableau {
         }
     }
 
-    /// Runs phase 1 then phase 2.
-    fn run(mut self, lp: &Lp, cancel: Option<CancelToken>) -> (LpOutcome, usize) {
+    /// Runs phase 1, unless a warm `start` installed a feasible basis, and
+    /// phase 2.
+    fn run(mut self, lp: &Lp, cancel: Option<CancelToken>, start: Start) -> LpRun {
         let max_iters = 200 * (self.m + self.ncols) + 20_000;
         self.cancel = cancel;
+        let fail = |outcome: LpOutcome, iterations: usize| LpRun {
+            outcome,
+            iterations,
+            basis: None,
+            start,
+        };
 
         // ---- phase 1: minimise sum of artificials ----
-        let mut p1_span = columba_obs::span("simplex.phase1");
-        let mut c1 = vec![0.0; self.ncols];
-        c1[(self.n_struct + self.m)..].fill(1.0);
-        self.load_costs(&c1);
-        match self.optimize(max_iters, true) {
-            PhaseEnd::Ok => {}
-            PhaseEnd::TimedOut => return (LpOutcome::TimedOut, self.iterations),
-            PhaseEnd::Unbounded => {
-                return (
-                    LpOutcome::Numerical("phase-1 reported unbounded".into()),
-                    self.iterations,
-                )
+        if !matches!(start, Start::Warm { .. }) {
+            let mut p1_span = columba_obs::span("simplex.phase1");
+            let mut c1 = vec![0.0; self.ncols];
+            c1[(self.n_struct + self.m)..].fill(1.0);
+            self.load_costs(&c1);
+            match self.optimize(max_iters, true) {
+                PhaseEnd::Ok => {}
+                PhaseEnd::TimedOut => return fail(LpOutcome::TimedOut, self.iterations),
+                PhaseEnd::Unbounded => {
+                    return fail(
+                        LpOutcome::Numerical("phase-1 reported unbounded".into()),
+                        self.iterations,
+                    )
+                }
+                PhaseEnd::IterLimit => {
+                    return fail(
+                        LpOutcome::Numerical("phase-1 iteration limit (cycling?)".into()),
+                        self.iterations,
+                    )
+                }
             }
-            PhaseEnd::IterLimit => {
-                return (
-                    LpOutcome::Numerical("phase-1 iteration limit (cycling?)".into()),
-                    self.iterations,
-                )
+            let phase1_obj: f64 = ((self.n_struct + self.m)..self.ncols)
+                .map(|j| self.col_value(j))
+                .sum();
+            if phase1_obj > 1e-6 {
+                return fail(LpOutcome::Infeasible, self.iterations);
             }
+            // pin artificials to zero and try to drive basic ones out
+            for j in (self.n_struct + self.m)..self.ncols {
+                self.ub[j] = 0.0;
+            }
+            self.drive_out_artificials();
+            p1_span.attr("iterations", self.iterations);
         }
-        let phase1_obj: f64 = ((self.n_struct + self.m)..self.ncols)
-            .map(|j| self.col_value(j))
-            .sum();
-        if phase1_obj > 1e-6 {
-            return (LpOutcome::Infeasible, self.iterations);
-        }
-        // pin artificials to zero and try to drive basic ones out
-        for j in (self.n_struct + self.m)..self.ncols {
-            self.ub[j] = 0.0;
-        }
-        self.drive_out_artificials();
         // fixed columns (equality slacks, the pinned artificials) never
         // enter again, so phase 2 stops updating them
         let (lb, ub) = (&self.lb, &self.ub);
         self.live.retain(|&j| lb[j] != ub[j]);
-        p1_span.attr("iterations", self.iterations);
-        drop(p1_span);
 
         // ---- phase 2: true objective ----
         let mut p2_span = columba_obs::span("simplex.phase2");
@@ -326,10 +484,10 @@ impl Tableau {
         self.degenerate_streak = 0;
         match self.optimize(max_iters, false) {
             PhaseEnd::Ok => {}
-            PhaseEnd::TimedOut => return (LpOutcome::TimedOut, self.iterations),
-            PhaseEnd::Unbounded => return (LpOutcome::Unbounded, self.iterations),
+            PhaseEnd::TimedOut => return fail(LpOutcome::TimedOut, self.iterations),
+            PhaseEnd::Unbounded => return fail(LpOutcome::Unbounded, self.iterations),
             PhaseEnd::IterLimit => {
-                return (
+                return fail(
                     LpOutcome::Numerical("phase-2 iteration limit (cycling?)".into()),
                     self.iterations,
                 )
@@ -346,14 +504,45 @@ impl Tableau {
         // verify against original rows (guards against tableau drift)
         for row in &lp.rows {
             if let Some(viol) = row.violation(&x) {
-                return (
+                return fail(
                     LpOutcome::Numerical(format!("residual {viol:.2e} exceeds tolerance")),
                     self.iterations,
                 );
             }
         }
         let obj: f64 = x.iter().zip(&lp.cost).map(|(xi, ci)| xi * ci).sum();
-        (LpOutcome::Optimal { x, obj }, self.iterations)
+        LpRun {
+            outcome: LpOutcome::Optimal { x, obj },
+            iterations: self.iterations,
+            basis: Some(self.final_basis()),
+            start,
+        }
+    }
+
+    /// The current basis in the LP's own indices. A basic artificial is
+    /// reported as its row's slack: the two columns are parallel, so the
+    /// slack cannot be basic too, and the basis stays nonsingular.
+    fn final_basis(&self) -> Basis {
+        let cols = (0..self.n_struct)
+            .map(|j| {
+                if self.basic_row[j] != NONBASIC {
+                    ColStatus::Basic
+                } else if self.at_upper[j] {
+                    ColStatus::AtUpper
+                } else {
+                    ColStatus::AtLower
+                }
+            })
+            .collect();
+        let mut slack_basic: Vec<bool> = (0..self.m)
+            .map(|i| self.basic_row[self.n_struct + i] != NONBASIC)
+            .collect();
+        for (k, &i) in self.art_rows.iter().enumerate() {
+            if self.basic_row[self.n_struct + self.m + k] != NONBASIC {
+                slack_basic[i] = true;
+            }
+        }
+        Basis { cols, slack_basic }
     }
 
     /// Degenerate pivots to remove artificials from the basis where possible.
@@ -607,7 +796,7 @@ mod tests {
     }
 
     fn optimal(lp: &Lp) -> (Vec<f64>, f64) {
-        match solve_lp(lp, None).0 {
+        match solve_lp(lp, None, None).outcome {
             LpOutcome::Optimal { x, obj } => (x, obj),
             other => panic!("expected optimal, got {other:?}"),
         }
@@ -669,7 +858,10 @@ mod tests {
             &[1.0],
             vec![row(&[(0, 1.0)], Sense::Ge, 2.0)],
         );
-        assert!(matches!(solve_lp(&p, None).0, LpOutcome::Infeasible));
+        assert!(matches!(
+            solve_lp(&p, None, None).outcome,
+            LpOutcome::Infeasible
+        ));
     }
 
     #[test]
@@ -680,7 +872,10 @@ mod tests {
             &[-1.0],
             vec![row(&[(0, 1.0)], Sense::Ge, 0.0)],
         );
-        assert!(matches!(solve_lp(&p, None).0, LpOutcome::Unbounded));
+        assert!(matches!(
+            solve_lp(&p, None, None).outcome,
+            LpOutcome::Unbounded
+        ));
     }
 
     #[test]
@@ -726,7 +921,7 @@ mod tests {
             ],
         );
         // Beale-like cycling example (truncated); must terminate
-        let (outcome, _) = solve_lp(&p, None);
+        let outcome = solve_lp(&p, None, None).outcome;
         assert!(
             matches!(outcome, LpOutcome::Optimal { .. } | LpOutcome::Unbounded),
             "{outcome:?}"
@@ -763,5 +958,147 @@ mod tests {
         assert!((x[0] - 2.0).abs() < 1e-6);
         assert!(x[1].abs() < 1e-6);
         assert!((obj - 2.0).abs() < 1e-6);
+    }
+
+    // -- warm starts --
+
+    /// Solves `p` cold, then again from its own optimal basis.
+    fn restart(p: &Lp) -> (LpRun, LpRun) {
+        let cold = solve_lp(p, None, None);
+        assert_eq!(cold.start, Start::Cold);
+        let basis = cold.basis.clone().expect("optimal solve returns its basis");
+        let warm = solve_lp(p, None, Some(&basis));
+        (cold, warm)
+    }
+
+    #[test]
+    fn restart_from_own_optimal_basis_takes_no_phase2_pivots() {
+        let lps = [
+            // Ge row and a lower bound: phase 1 needs an artificial
+            lp(
+                &[2.0, 0.0],
+                &[f64::INFINITY, f64::INFINITY],
+                &[2.0, 3.0],
+                vec![row(&[(0, 1.0), (1, 1.0)], Sense::Ge, 10.0)],
+            ),
+            // two equalities
+            lp(
+                &[0.0, 0.0],
+                &[f64::INFINITY, f64::INFINITY],
+                &[1.0, 1.0],
+                vec![
+                    row(&[(0, 1.0), (1, 1.0)], Sense::Eq, 5.0),
+                    row(&[(0, 1.0), (1, -1.0)], Sense::Eq, 1.0),
+                ],
+            ),
+            // a duplicated equality leaves a basic artificial, exported as
+            // its row's slack
+            lp(
+                &[0.0, 0.0],
+                &[f64::INFINITY, f64::INFINITY],
+                &[1.0, 2.0],
+                vec![
+                    row(&[(0, 1.0), (1, 1.0)], Sense::Eq, 2.0),
+                    row(&[(0, 1.0), (1, 1.0)], Sense::Eq, 2.0),
+                ],
+            ),
+            // a column nonbasic at its upper bound
+            lp(
+                &[0.0, 0.0, 0.0],
+                &[3.0, 2.0, 5.0],
+                &[-1.0, -2.0, 1.0],
+                vec![
+                    row(&[(0, 1.0), (1, 1.0), (2, -1.0)], Sense::Le, 4.0),
+                    row(&[(0, 1.0), (2, 1.0)], Sense::Ge, 1.0),
+                ],
+            ),
+        ];
+        for (k, p) in lps.iter().enumerate() {
+            let (cold, warm) = restart(p);
+            let Start::Warm { crash_pivots } = warm.start else {
+                panic!("lp {k}: start refused: {:?}", warm.start);
+            };
+            assert_eq!(warm.iterations, crash_pivots, "lp {k}: phase 2 pivoted");
+            let (LpOutcome::Optimal { x: xc, .. }, LpOutcome::Optimal { x: xw, .. }) =
+                (&cold.outcome, &warm.outcome)
+            else {
+                panic!("lp {k}: {:?} / {:?}", cold.outcome, warm.outcome);
+            };
+            for (a, b) in xc.iter().zip(xw) {
+                assert!((a - b).abs() < 1e-9, "lp {k}: {xc:?} vs {xw:?}");
+            }
+            assert_eq!(warm.basis, cold.basis, "lp {k}");
+        }
+    }
+
+    #[test]
+    fn singular_start_falls_back_to_cold() {
+        // the two columns are parallel, so they cannot both be basic
+        let p = lp(
+            &[0.0, 0.0],
+            &[10.0, 10.0],
+            &[-1.0, -1.0],
+            vec![
+                row(&[(0, 1.0), (1, 1.0)], Sense::Le, 4.0),
+                row(&[(0, 2.0), (1, 2.0)], Sense::Le, 10.0),
+            ],
+        );
+        let parallel = Basis {
+            cols: vec![ColStatus::Basic, ColStatus::Basic],
+            slack_basic: vec![false, false],
+        };
+        // three basic entries for two rows
+        let too_many = Basis {
+            cols: vec![ColStatus::Basic, ColStatus::Basic],
+            slack_basic: vec![true, false],
+        };
+        for start in [&parallel, &too_many] {
+            let run = solve_lp(&p, None, Some(start));
+            assert_eq!(run.start, Start::Fallback("singular"));
+            match run.outcome {
+                LpOutcome::Optimal { obj, .. } => assert!((obj + 4.0).abs() < 1e-9),
+                other => panic!("expected optimal, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn infeasible_start_falls_back_to_cold() {
+        // all-slack start: x + y >= 2 is violated at x = y = 0
+        let p = lp(
+            &[0.0, 0.0],
+            &[10.0, 10.0],
+            &[1.0, 2.0],
+            vec![row(&[(0, 1.0), (1, 1.0)], Sense::Ge, 2.0)],
+        );
+        let slack = Basis {
+            cols: vec![ColStatus::AtLower, ColStatus::AtLower],
+            slack_basic: vec![true],
+        };
+        let run = solve_lp(&p, None, Some(&slack));
+        assert_eq!(run.start, Start::Fallback("infeasible"));
+        let (x, obj) = match run.outcome {
+            LpOutcome::Optimal { x, obj } => (x, obj),
+            other => panic!("expected optimal, got {other:?}"),
+        };
+        assert!((x[0] - 2.0).abs() < 1e-9 && x[1].abs() < 1e-9, "{x:?}");
+        assert!((obj - 2.0).abs() < 1e-9);
+
+        // a crash that puts a basic column past its bound: x basic in the
+        // row x + y <= 4 with y at its upper bound 10 gives x = -6
+        let q = lp(
+            &[0.0, 0.0],
+            &[10.0, 10.0],
+            &[-1.0, -1.0],
+            vec![row(&[(0, 1.0), (1, 1.0)], Sense::Le, 4.0)],
+        );
+        let past = Basis {
+            cols: vec![ColStatus::Basic, ColStatus::AtUpper],
+            slack_basic: vec![false],
+        };
+        let run = solve_lp(&q, None, Some(&past));
+        assert_eq!(run.start, Start::Fallback("infeasible"));
+        assert!(run.iterations >= 1, "the crash pivot counts as work");
+        assert!(matches!(run.outcome, LpOutcome::Optimal { obj, .. } if (obj + 4.0).abs() < 1e-9));
     }
 }

@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 
 use crate::cancel::CancelToken;
 use crate::model::{Model, VarId, VarKind};
-use crate::simplex::{self, Lp, LpOutcome, Row};
+use crate::simplex::{self, Basis, ColStatus, Lp, LpOutcome, Row, Start};
 use crate::solution::{MipResult, Solution, SolveStatus};
 use crate::stats::{IncumbentEvent, SolveStats};
 
@@ -133,6 +133,9 @@ struct OpenNode {
     lp_bound: f64,
     depth: usize,
     path: Option<Arc<PathLink>>,
+    /// The optimal point of this node's LP, when it was solved before the
+    /// node was queued (the root); the search branches on it directly.
+    solved: Option<Vec<f64>>,
 }
 
 impl PartialEq for OpenNode {
@@ -245,16 +248,29 @@ impl<'a> SearchCtx<'a> {
         })
     }
 
-    /// Solves the LP for the given bounds, accumulating iterations into
-    /// `iters` and mapping numerical failures to [`SolveError`].
-    fn lp(&self, lb: &[f64], ub: &[f64], iters: &mut usize) -> Result<LpOutcome, SolveError> {
-        let (outcome, it) =
-            presolved_lp(&self.base_rows, &self.cost, lb, ub, Some(&self.stop_token));
-        *iters += it;
-        if let LpOutcome::Numerical(msg) = &outcome {
+    /// Solves the LP for the given bounds from `start` (cold without one),
+    /// accumulating iterations into `iters` and mapping numerical failures
+    /// to [`SolveError`].
+    fn lp(
+        &self,
+        lb: &[f64],
+        ub: &[f64],
+        start: Option<&Handoff>,
+        iters: &mut usize,
+    ) -> Result<Relaxation, SolveError> {
+        let relax = presolved_lp(
+            &self.base_rows,
+            &self.cost,
+            lb,
+            ub,
+            Some(&self.stop_token),
+            start,
+        );
+        *iters += relax.iterations;
+        if let LpOutcome::Numerical(msg) = &relax.outcome {
             return Err(SolveError::Numerical(msg.clone()));
         }
-        Ok(outcome)
+        Ok(relax)
     }
 }
 
@@ -430,9 +446,10 @@ impl Search<'_> {
         busy
     }
 
-    /// Process one node: check limits, prune, solve its LP, then branch or
-    /// record an incumbent.
-    fn process(&self, open: OpenNode) -> Result<(), SolveError> {
+    /// Process one node: check limits, prune, solve its LP (unless it
+    /// arrived solved, as the root does), then branch or record an
+    /// incumbent.
+    fn process(&self, mut open: OpenNode) -> Result<(), SolveError> {
         let ctx = self.ctx;
         let p = ctx.params;
         // the token covers both the solver's own time limit (capped
@@ -468,36 +485,48 @@ impl Search<'_> {
             }
         }
 
-        // reconstruct bounds along the branch path
-        let mut lb = ctx.base_lb.clone();
-        let mut ub = ctx.base_ub.clone();
-        let mut link = open.path.as_deref();
-        while let Some(l) = link {
-            lb[l.bc.var] = lb[l.bc.var].max(l.bc.lb);
-            ub[l.bc.var] = ub[l.bc.var].min(l.bc.ub);
-            link = l.parent.as_deref();
-        }
-        if lb.iter().zip(&ub).any(|(l, u)| l > u) {
-            // conflicting branches
-            self.nodes_pruned.fetch_add(1, Ordering::Relaxed);
-            return Ok(());
-        }
+        let (x, obj) = match open.solved.take() {
+            Some(x) => (x, open.lp_bound),
+            None => {
+                // reconstruct bounds along the branch path
+                let mut lb = ctx.base_lb.clone();
+                let mut ub = ctx.base_ub.clone();
+                let mut link = open.path.as_deref();
+                while let Some(l) = link {
+                    lb[l.bc.var] = lb[l.bc.var].max(l.bc.lb);
+                    ub[l.bc.var] = ub[l.bc.var].min(l.bc.ub);
+                    link = l.parent.as_deref();
+                }
+                if lb.iter().zip(&ub).any(|(l, u)| l > u) {
+                    // conflicting branches
+                    self.nodes_pruned.fetch_add(1, Ordering::Relaxed);
+                    return Ok(());
+                }
 
-        let (outcome, iters) =
-            presolved_lp(&ctx.base_rows, &ctx.cost, &lb, &ub, Some(&ctx.stop_token));
-        self.simplex_iterations.fetch_add(iters, Ordering::Relaxed);
-        let (x, obj) = match outcome {
-            LpOutcome::Numerical(msg) => return Err(SolveError::Numerical(msg)),
-            LpOutcome::TimedOut => {
-                self.stop_at_limit(open);
-                return Ok(());
-            }
-            LpOutcome::Optimal { x, obj } => (x, obj + ctx.obj_constant),
-            // A child cannot be less bounded than the root in a sound model;
-            // treat Unbounded as numerically suspect and prune.
-            LpOutcome::Infeasible | LpOutcome::Unbounded => {
-                self.nodes_pruned.fetch_add(1, Ordering::Relaxed);
-                return Ok(());
+                let relax = presolved_lp(
+                    &ctx.base_rows,
+                    &ctx.cost,
+                    &lb,
+                    &ub,
+                    Some(&ctx.stop_token),
+                    None,
+                );
+                self.simplex_iterations
+                    .fetch_add(relax.iterations, Ordering::Relaxed);
+                match relax.outcome {
+                    LpOutcome::Numerical(msg) => return Err(SolveError::Numerical(msg)),
+                    LpOutcome::TimedOut => {
+                        self.stop_at_limit(open);
+                        return Ok(());
+                    }
+                    LpOutcome::Optimal { x, obj } => (x, obj + ctx.obj_constant),
+                    // A child cannot be less bounded than the root in a sound
+                    // model; treat Unbounded as numerically suspect and prune.
+                    LpOutcome::Infeasible | LpOutcome::Unbounded => {
+                        self.nodes_pruned.fetch_add(1, Ordering::Relaxed);
+                        return Ok(());
+                    }
+                }
             }
         };
         let best = self.best_objective();
@@ -536,12 +565,14 @@ impl Search<'_> {
                     lp_bound: obj,
                     depth,
                     path: Some(down),
+                    solved: None,
                 });
                 heap.push(OpenNode {
                     id: base + 1,
                     lp_bound: obj,
                     depth,
                     path: Some(up),
+                    solved: None,
                 });
             }
         }
@@ -606,7 +637,9 @@ pub(crate) fn solve(
         Ok::<(), SolveError>(())
     };
 
-    // -- hint: fix integers, solve the remaining LP --
+    // -- hint: fix integers, solve the remaining LP; its optimal basis is
+    // the root relaxation's start --
+    let mut hint_basis: Option<Handoff> = None;
     if let Some(hint) = hint {
         let mut lb = ctx.base_lb.clone();
         let mut ub = ctx.base_ub.clone();
@@ -622,8 +655,10 @@ pub(crate) fn solve(
             ub[i] = r;
         }
         if valid {
-            if let LpOutcome::Optimal { x, obj } = ctx.lp(&lb, &ub, &mut root_iters)? {
+            let relax = ctx.lp(&lb, &ub, None, &mut root_iters)?;
+            if let LpOutcome::Optimal { x, obj } = relax.outcome {
                 offer_root(&mut incumbent, &mut events, x, obj + ctx.obj_constant)?;
+                hint_basis = relax.handoff;
             }
         }
     }
@@ -642,8 +677,24 @@ pub(crate) fn solve(
     }
 
     // -- root relaxation --
-    let root_outcome = ctx.lp(&ctx.base_lb, &ctx.base_ub, &mut root_iters)?;
-    let (root_x, root_bound) = match root_outcome {
+    let root = ctx.lp(
+        &ctx.base_lb,
+        &ctx.base_ub,
+        hint_basis.as_ref(),
+        &mut root_iters,
+    )?;
+    if root_span.is_recording() {
+        let (warm, crash_pivots) = match root.start {
+            Start::Warm { crash_pivots } => (1usize, crash_pivots),
+            _ => (0, 0),
+        };
+        root_span.attr("warm_start", warm);
+        root_span.attr("crash_pivots", crash_pivots);
+        if let Start::Fallback(reason) = root.start {
+            root_span.attr("fallback", reason);
+        }
+    }
+    let (root_x, root_bound) = match root.outcome {
         LpOutcome::TimedOut => {
             let status = if incumbent.is_some() {
                 SolveStatus::Feasible
@@ -704,7 +755,7 @@ pub(crate) fn solve(
             lb[i] = r;
             ub[i] = r;
         }
-        if let LpOutcome::Optimal { x, obj } = ctx.lp(&lb, &ub, &mut root_iters)? {
+        if let LpOutcome::Optimal { x, obj } = ctx.lp(&lb, &ub, None, &mut root_iters)?.outcome {
             offer_root(&mut incumbent, &mut events, x, obj + ctx.obj_constant)?;
         }
     }
@@ -715,11 +766,13 @@ pub(crate) fn solve(
     let mut search_span = columba_obs::span("bnb.search");
     let root_time = start.elapsed();
     let mut heap = BinaryHeap::new();
+    // node 0 branches on the root solution in hand rather than re-solving
     heap.push(OpenNode {
         id: 0,
         lp_bound: root_bound,
         depth: 0,
         path: None,
+        solved: Some(root_x),
     });
     let best_bits = incumbent
         .as_ref()
@@ -883,6 +936,31 @@ fn finish(
     }
 }
 
+/// An optimal basis in the base model's indices, with the point it sits
+/// at: what one relaxation hands the next as its start.
+#[derive(Debug)]
+struct Handoff {
+    /// Per model variable: basic in the final basis.
+    basic: Vec<bool>,
+    /// Per model row: its slack is basic. Every row the presolve dropped is.
+    slack_basic: Vec<bool>,
+    /// The optimal point in the model's variable space.
+    x: Vec<f64>,
+}
+
+/// One relaxation solved through [`presolved_lp`].
+#[derive(Debug)]
+struct Relaxation {
+    /// The outcome in the model's variable space.
+    outcome: LpOutcome,
+    iterations: usize,
+    /// The final basis, when the outcome is optimal.
+    handoff: Option<Handoff>,
+    /// How the simplex began; [`Start::Fallback`]`("unmapped")` when a
+    /// start was given but does not map onto this LP.
+    start: Start,
+}
+
 /// Builds and solves the LP for one node's bounds, with a presolve that:
 ///
 /// 1. substitutes fixed variables (`lb == ub`) into every row,
@@ -892,20 +970,26 @@ fn finish(
 /// 3. detects bound-infeasible rows without calling the simplex,
 /// 4. compresses away columns that no remaining row or objective term uses.
 ///
-/// Returns the outcome in the *full* variable space.
+/// A `start` from an earlier relaxation is mapped through the same row and
+/// column maps and passed to the simplex as its start basis. Returns the
+/// outcome, and on an optimum the final basis, in the *full* variable
+/// space.
 fn presolved_lp(
     base_rows: &[Row],
     cost: &[f64],
     lb: &[f64],
     ub: &[f64],
     cancel: Option<&CancelToken>,
-) -> (LpOutcome, usize) {
+    start: Option<&Handoff>,
+) -> Relaxation {
     let n = lb.len();
     let fixed = |j: usize| ub[j] - lb[j] <= 0.0;
     let mut kept_rows: Vec<Row> = Vec::with_capacity(base_rows.len());
+    // base index of each kept row
+    let mut kept_idx: Vec<usize> = Vec::with_capacity(base_rows.len());
     let mut used = vec![false; n];
 
-    for row in base_rows {
+    for (i, row) in base_rows.iter().enumerate() {
         let mut terms: Vec<(usize, f64)> = Vec::with_capacity(row.terms.len());
         let mut rhs = row.rhs;
         for &(j, c) in &row.terms {
@@ -936,7 +1020,12 @@ fn presolved_lp(
             ),
         };
         if infeasible {
-            return (LpOutcome::Infeasible, 0);
+            return Relaxation {
+                outcome: LpOutcome::Infeasible,
+                iterations: 0,
+                handoff: None,
+                start: Start::Cold,
+            };
         }
         if redundant {
             continue;
@@ -949,6 +1038,7 @@ fn presolved_lp(
             sense: row.sense,
             rhs,
         });
+        kept_idx.push(i);
     }
     // objective terms over unfixed variables must survive compression
     for (j, &c) in cost.iter().enumerate() {
@@ -978,9 +1068,14 @@ fn presolved_lp(
     };
     let fixed_cost: f64 = (0..n).filter(|&j| fixed(j)).map(|j| cost[j] * lb[j]).sum();
 
-    let (outcome, iters) = simplex::solve_lp(&small, cancel);
-    let outcome = match outcome {
-        LpOutcome::Optimal { x, obj } => {
+    let mapped = start.map(|h| map_start(h, &keep, &kept_idx, lb, ub));
+    let run = simplex::solve_lp(&small, cancel, mapped.as_ref().and_then(Option::as_ref));
+    let start = match mapped {
+        Some(None) => Start::Fallback("unmapped"),
+        _ => run.start,
+    };
+    let (outcome, handoff) = match (run.outcome, run.basis) {
+        (LpOutcome::Optimal { x, obj }, Some(basis)) => {
             // expand to the full space: fixed -> value, unused -> lb
             let mut full = vec![0.0; n];
             for j in 0..n {
@@ -992,14 +1087,68 @@ fn presolved_lp(
                     lb[j]
                 };
             }
-            LpOutcome::Optimal {
-                x: full,
-                obj: obj + fixed_cost,
+            let mut basic = vec![false; n];
+            for (status, &j) in basis.cols.iter().zip(&keep) {
+                basic[j] = *status == ColStatus::Basic;
             }
+            let mut slack_basic = vec![true; base_rows.len()];
+            for (&b, &i) in basis.slack_basic.iter().zip(&kept_idx) {
+                slack_basic[i] = b;
+            }
+            let handoff = Handoff {
+                basic,
+                slack_basic,
+                x: full.clone(),
+            };
+            (
+                LpOutcome::Optimal {
+                    x: full,
+                    obj: obj + fixed_cost,
+                },
+                Some(handoff),
+            )
         }
-        other => other,
+        (other, _) => (other, None),
     };
-    (outcome, iters)
+    Relaxation {
+        outcome,
+        iterations: run.iterations,
+        handoff,
+        start,
+    }
+}
+
+/// Maps a base-space basis onto a presolved LP with columns `keep` and
+/// rows `kept_idx` under bounds `lb`/`ub`. A nonbasic column is at its
+/// upper bound exactly when the handed-off point sits there. `None` when a
+/// nonbasic column's point is off its bounds, or the basic count does not
+/// match the kept rows.
+fn map_start(
+    h: &Handoff,
+    keep: &[usize],
+    kept_idx: &[usize],
+    lb: &[f64],
+    ub: &[f64],
+) -> Option<Basis> {
+    let at = |v: f64, bound: f64| (v - bound).abs() <= 1e-9 * (1.0 + bound.abs());
+    let cols = keep
+        .iter()
+        .map(|&j| {
+            if h.basic[j] {
+                Some(ColStatus::Basic)
+            } else if ub[j].is_finite() && at(h.x[j], ub[j]) {
+                Some(ColStatus::AtUpper)
+            } else if at(h.x[j], lb[j]) {
+                Some(ColStatus::AtLower)
+            } else {
+                None
+            }
+        })
+        .collect::<Option<Vec<_>>>()?;
+    let slack_basic: Vec<bool> = kept_idx.iter().map(|&i| h.slack_basic[i]).collect();
+    let basics = cols.iter().filter(|&&s| s == ColStatus::Basic).count()
+        + slack_basic.iter().filter(|&&b| b).count();
+    (basics == kept_idx.len()).then_some(Basis { cols, slack_basic })
 }
 
 fn all_integral(x: &[f64], int_vars: &[usize]) -> bool {
