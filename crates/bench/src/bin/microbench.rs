@@ -14,14 +14,13 @@
 //! (default `bench/` — the committed perf-gate baseline location). The
 //! work-pinned solver cases also record their simplex iterations, node
 //! count and termination status there, which `perf_gate` holds exactly.
-//! `full flow chip4` still runs to its 2 s budget, so it records no work.
 
 use std::time::Duration;
 
 use columba_bench::{
     bench_json, measure, out_path, positive_arg, report, write_bench_json, CaseStats,
 };
-use columba_s::layout::{self, LayoutOptions};
+use columba_s::layout::{self, LaygenReport, LayoutOptions};
 use columba_s::netlist::{generators, MuxCount, Netlist};
 use columba_s::planar::planarize;
 use columba_s::{Columba, SynthesisOptions};
@@ -96,19 +95,15 @@ fn main() {
         &heuristic,
     ));
 
+    // the whole flow (validation, planarize, layout, MUX synthesis, DRC)
+    // around the same node-pinned search
     let flow = Columba::with_options(SynthesisOptions {
-        layout: LayoutOptions {
-            time_limit: Duration::from_secs(2),
-            ..LayoutOptions::default()
-        },
+        layout: four_nodes.clone(),
         ..SynthesisOptions::default()
     });
-    cases.push(report(
-        "full flow chip4",
-        &measure(iters, || {
-            flow.synthesize(&chip4).expect("chip4 synthesizes")
-        }),
-    ));
+    cases.push(pinned_work("full flow chip4 (4 nodes)", iters, || {
+        flow.synthesize(&chip4).expect("chip4 synthesizes").layout
+    }));
 
     write_bench_json(
         &out_path(&args, "BENCH_microbench.json"),
@@ -133,25 +128,33 @@ fn main() {
     }
 }
 
-/// Times a work-pinned layout solve (a node limit, no effective clock) and
-/// records its exact work: simplex iterations, branch & bound nodes and the
-/// termination status. Pinned work is the same on every run.
+/// Times a work-pinned layout solve (a node limit, no effective clock).
 fn pinned_layout(name: &str, iters: usize, planar: &Netlist, options: &LayoutOptions) -> CaseStats {
+    pinned_work(name, iters, || {
+        layout::synthesize(planar, options)
+            .expect("case synthesizes")
+            .laygen
+    })
+}
+
+/// Times a work-pinned run and records its exact work from the layout
+/// report it returns: simplex iterations, branch & bound nodes and the
+/// termination status. Pinned work is the same on every run.
+fn pinned_work(name: &str, iters: usize, mut run: impl FnMut() -> LaygenReport) -> CaseStats {
     let mut work = None;
     let samples = measure(iters, || {
-        let out = layout::synthesize(planar, options).expect("case synthesizes");
-        let solve = &out.laygen.solve;
+        let laygen = run();
         let this = (
-            solve.simplex_iterations as u64,
-            solve.nodes_processed as u64,
-            out.laygen.status.to_string(),
+            laygen.solve.simplex_iterations as u64,
+            laygen.solve.nodes_processed as u64,
+            laygen.status.to_string(),
         );
         assert!(
             work.as_ref().is_none_or(|w| *w == this),
             "{name}: work differs between runs"
         );
         work = Some(this);
-        out
+        laygen
     });
     let (iterations, nodes, status) = work.expect("measured at least once");
     report(name, &samples).with_work(

@@ -1,9 +1,11 @@
 //! Pins the simplex pivot path on the benchmark cases.
 //!
-//! Every solve below is bounded by work, not by the clock (one branch &
-//! bound node on the small cases, the LP polish alone on the large ones),
-//! so its simplex iteration count, node count and objective bits are a pure
-//! function of the kernel's pivot rule, its start bases and its arithmetic.
+//! Every solve below is bounded by work, not by the clock (one or four
+//! branch & bound nodes on the small cases, the LP polish alone on the
+//! large ones), so its simplex iteration count, node count and objective
+//! bits are a pure function of the kernel's pivot rule, its start bases
+//! and its arithmetic. The four-node rows add phase 1 with artificials,
+//! `drive_out_artificials` and the cold child LPs to the pinned path.
 //! The iteration counts include the crash pivots that install the root's
 //! start basis. An optimisation of the kernel that claims "same pivots,
 //! same bits" must leave every value here unchanged; a change to the pivot
@@ -117,4 +119,28 @@ fn chip128_two_mux_heuristic_polish() {
         pinned(&generated),
         (252, 0, 0x4093_4002_8f5c_28f5),
     );
+}
+
+/// Four branch & bound nodes on a single worker with no effective clock
+/// limit: the warm root, then child LPs, each solved cold from a
+/// slack/artificial basis (phase 1, `drive_out_artificials`, phase 2).
+fn four_nodes() -> LayoutOptions {
+    LayoutOptions {
+        node_limit: 4,
+        ..one_node()
+    }
+}
+
+fn assert_four_nodes(case: &str, want: Pinned) {
+    assert_pinned(case, pinned(&generate(&bundled(case), &four_nodes())), want);
+}
+
+#[test]
+fn chip4ip_four_nodes() {
+    assert_four_nodes("chip4ip", (5976, 4, 0x4051_82e1_47ae_147b));
+}
+
+#[test]
+fn columba2_21u_four_nodes() {
+    assert_four_nodes("columba2_21u", (1994, 4, 0x4053_0028_f5c2_8f5f));
 }

@@ -10,12 +10,16 @@
 //! *bound-flip* without a basis change. Dantzig pricing is used until a long
 //! degenerate streak triggers Bland's rule, which guarantees termination.
 //!
-//! The tableau is dense, but its inner loops touch only entries that can
-//! change: each iteration gathers the entering column's nonzeros once (the
-//! ratio test, the basic-value update and the pivot all read that list), and
-//! a pivot updates only the pivot row's nonzero columns of the rows the
-//! entering column reaches. Skipping an exact zero is exact (`x - f·0 = x`),
-//! so the pivot path and every value match the plain dense elimination.
+//! The tableau is a dense column-major array, and next to it a row-occupancy
+//! bitmap marks exactly its nonzero entries. The inner loops touch only
+//! entries that can change: each iteration gathers the entering column's
+//! nonzeros from one contiguous column (the ratio test, the basic-value
+//! update and the pivot all read that list), and a pivot walks the pivot
+//! row's set bits in ascending column order, then updates each of those
+//! columns in the rows the entering column reaches. Skipping an exact zero
+//! is exact (`x - f·0 = x`), and every entry gets the same operation the
+//! plain dense row-major elimination gives it, so the pivot path and every
+//! value match it bit for bit.
 
 use crate::cancel::CancelToken;
 use crate::model::Sense;
@@ -166,8 +170,14 @@ struct Tableau {
     /// total columns: structural + slacks + artificials
     ncols: usize,
     n_struct: usize,
-    /// dense row-major tableau, m x ncols (current B^-1 A)
+    /// dense column-major tableau, m x ncols (current B^-1 A): entry
+    /// (i, j) is `t[j * m + i]`
     t: Vec<f64>,
+    /// row-occupancy bitmap, `words` `u64`s per row: bit `j % 64` of word
+    /// `i * words + j / 64` is set exactly when entry (i, j) is nonzero
+    occupied: Vec<u64>,
+    /// bitmap words per row, `ceil(ncols / 64)`
+    words: usize,
     /// current basic-variable values per row
     beta: Vec<f64>,
     /// column basic in each row
@@ -182,9 +192,10 @@ struct Tableau {
     art_rows: Vec<usize>,
     /// reduced costs per column (for the active phase objective)
     d: Vec<f64>,
-    /// columns a pivot still updates: all of them in phase 1; in phase 2
-    /// only those pricing can pick (a fixed column never enters again)
-    live: Vec<usize>,
+    /// per column: a pivot still updates it. All columns are live in
+    /// phase 1; in phase 2 only those pricing can pick (a fixed column
+    /// never enters again), and the others stay frozen, bits included.
+    live: Vec<bool>,
     /// `(row, value)` of the entering column's nonzeros, gathered once per
     /// iteration
     entering: Vec<(usize, f64)>,
@@ -313,6 +324,8 @@ impl Tableau {
         let ncols = n_struct + m + n_art;
 
         let mut t = vec![0.0; m * ncols];
+        let words = ncols.div_ceil(64);
+        let mut occupied = vec![0u64; m * words];
         let mut lb = Vec::with_capacity(ncols);
         let mut ub = Vec::with_capacity(ncols);
         lb.extend_from_slice(&lp.lb);
@@ -342,38 +355,49 @@ impl Tableau {
                 Sense::Le | Sense::Eq => 1.0,
                 Sense::Ge => -1.0,
             };
-            let base = i * ncols;
-            if slack_ok[i] {
+            let basic_col = if slack_ok[i] {
                 // basic slack; scale the row so the basic coefficient is +1
                 let sigma = slack_coef; // 1/slack_coef for ±1
                 for &(j, c) in &row.terms {
-                    t[base + j] += sigma * c;
+                    t[j * m + i] += sigma * c;
                 }
-                t[base + slack_col] = 1.0;
-                basis.push(slack_col);
-                basic_row[slack_col] = i;
+                t[slack_col * m + i] = 1.0;
                 beta[i] = sigma * residual[i];
+                slack_col
             } else {
                 // artificial column with +1 after scaling by sign(residual)
                 let sigma = if residual[i] >= 0.0 { 1.0 } else { -1.0 };
                 for &(j, c) in &row.terms {
-                    t[base + j] += sigma * c;
+                    t[j * m + i] += sigma * c;
                 }
-                t[base + slack_col] = sigma * slack_coef;
+                t[slack_col * m + i] = sigma * slack_coef;
                 let art_col = n_struct + m + art_rows.len();
                 art_rows.push(i);
-                t[base + art_col] = 1.0;
-                basis.push(art_col);
-                basic_row[art_col] = i;
+                t[art_col * m + i] = 1.0;
                 beta[i] = residual[i].abs();
+                art_col
+            };
+            basis.push(basic_col);
+            basic_row[basic_col] = i;
+            // a repeated term may have cancelled, so read the sums back
+            let cols = row.terms.iter().map(|&(j, _)| j);
+            for j in cols.chain([slack_col, basic_col]) {
+                let (w, mask) = bit(words, i, j);
+                if t[j * m + i] == 0.0 {
+                    occupied[w] &= !mask;
+                } else {
+                    occupied[w] |= mask;
+                }
             }
         }
 
-        Tableau {
+        let tableau = Tableau {
             m,
             ncols,
             n_struct,
             t,
+            occupied,
+            words,
             beta,
             basis,
             basic_row,
@@ -382,25 +406,34 @@ impl Tableau {
             ub,
             art_rows,
             d: vec![0.0; ncols],
-            live: (0..ncols).collect(),
+            live: vec![true; ncols],
             entering: Vec::new(),
             pivot_row: Vec::new(),
             degenerate_streak: 0,
             iterations: 0,
             cancel: None,
-        }
+        };
+        #[cfg(test)]
+        tableau.check_occupancy();
+        tableau
+    }
+
+    /// Nonzero entries of the tableau, a popcount of the bitmap.
+    fn nonzeros(&self) -> usize {
+        self.occupied.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Recomputes the reduced-cost row `d = c - c_B^T T` for cost vector `c`
-    /// (dense over all columns), one tableau row at a time in row order.
+    /// (over all columns), one tableau row at a time in row order, each
+    /// over the row's nonzeros.
     fn load_costs(&mut self, c: &[f64]) {
         self.d.copy_from_slice(c);
-        let n = self.ncols;
-        for i in 0..self.m {
+        let (m, words) = (self.m, self.words);
+        for i in 0..m {
             let cb = c[self.basis[i]];
             if cb != 0.0 {
-                for (dj, &tij) in self.d.iter_mut().zip(&self.t[i * n..(i + 1) * n]) {
-                    *dj -= cb * tij;
+                for j in set_bits(&self.occupied[i * words..(i + 1) * words]) {
+                    self.d[j] -= cb * self.t[j * m + i];
                 }
             }
         }
@@ -472,8 +505,9 @@ impl Tableau {
         }
         // fixed columns (equality slacks, the pinned artificials) never
         // enter again, so phase 2 stops updating them
-        let (lb, ub) = (&self.lb, &self.ub);
-        self.live.retain(|&j| lb[j] != ub[j]);
+        for (live, (l, u)) in self.live.iter_mut().zip(self.lb.iter().zip(&self.ub)) {
+            *live = l != u;
+        }
 
         // ---- phase 2: true objective ----
         let mut p2_span = columba_obs::span("simplex.phase2");
@@ -494,6 +528,11 @@ impl Tableau {
             }
         }
         p2_span.attr("iterations", self.iterations - p2_start_iters);
+        if p2_span.is_recording() {
+            p2_span.attr("rows", self.m);
+            p2_span.attr("cols", self.ncols);
+            p2_span.attr("nonzeros", self.nonzeros());
+        }
         drop(p2_span);
 
         // extract structural solution
@@ -551,18 +590,11 @@ impl Tableau {
             if self.basis[r] < self.n_struct + self.m {
                 continue;
             }
-            // find a non-artificial, nonbasic column with a usable pivot
-            let mut pick = None;
-            for j in 0..(self.n_struct + self.m) {
-                if self.basic_row[j] != NONBASIC {
-                    continue;
-                }
-                let a = self.t[r * self.ncols + j];
-                if a.abs() > 1e-7 {
-                    pick = Some(j);
-                    break;
-                }
-            }
+            // the first non-artificial, nonbasic column with a usable pivot
+            let (m, words) = (self.m, self.words);
+            let pick = set_bits(&self.occupied[r * words..(r + 1) * words])
+                .take_while(|&j| j < self.n_struct + m)
+                .find(|&j| self.basic_row[j] == NONBASIC && self.t[j * m + r].abs() > 1e-7);
             if let Some(j) = pick {
                 // degenerate pivot: basic artificial sits at 0, so delta = 0
                 self.gather_entering(j);
@@ -574,44 +606,61 @@ impl Tableau {
     /// Collects the nonzeros of column `j` into `entering`, in row order.
     fn gather_entering(&mut self, j: usize) {
         self.entering.clear();
-        for i in 0..self.m {
-            let a = self.t[i * self.ncols + j];
-            if a != 0.0 {
-                self.entering.push((i, a));
-            }
-        }
+        let column = &self.t[j * self.m..(j + 1) * self.m];
+        let nonzeros = column.iter().enumerate().filter(|&(_, &a)| a != 0.0);
+        self.entering.extend(nonzeros.map(|(i, &a)| (i, a)));
     }
 
     /// Gauss-Jordan pivot bringing column `j` into the basis at row `r`.
     /// `new_value` is the entering variable's value after the step. Reads
     /// column `j` from `entering`, which must be current.
     fn pivot(&mut self, r: usize, j: usize, new_value: f64) {
-        let n = self.ncols;
-        let prow = &mut self.t[r * n..(r + 1) * n];
-        let piv = prow[j];
+        let (m, words) = (self.m, self.words);
+        let piv = self.t[j * m + r];
         debug_assert!(piv.abs() > PIVOT_TOL * 1e-3, "pivot too small: {piv}");
         let inv = 1.0 / piv;
+        // scale the pivot row's live nonzeros, ascending
         self.pivot_row.clear();
-        for &col in &self.live {
-            let x = prow[col];
-            if x != 0.0 {
-                let y = x * inv;
-                prow[col] = y;
-                if y != 0.0 && col != j {
+        for k in 0..words {
+            let mut bits = self.occupied[r * words + k];
+            while bits != 0 {
+                let col = k * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if !self.live[col] {
+                    continue;
+                }
+                let y = self.t[col * m + r] * inv;
+                self.t[col * m + r] = y;
+                if y == 0.0 {
+                    self.occupied[r * words + k] &= !(1 << (col % 64)); // underflow
+                } else if col != j {
                     self.pivot_row.push((col, y));
                 }
             }
         }
-        prow[j] = 1.0; // exact
-        for &(i, f) in &self.entering {
-            if i == r {
-                continue;
+        self.t[j * m + r] = 1.0; // exact
+
+        // eliminate column j from the other rows it reaches, one pivot-row
+        // column at a time; a bit flips when its entry's zero-state does
+        for &(col, y) in &self.pivot_row {
+            let column = &mut self.t[col * m..(col + 1) * m];
+            let (word, shift) = (col / 64, col % 64);
+            for &(i, f) in &self.entering {
+                if i == r {
+                    continue;
+                }
+                let old = column[i];
+                let new = old - f * y;
+                column[i] = new;
+                self.occupied[i * words + word] ^= u64::from((old == 0.0) != (new == 0.0)) << shift;
             }
-            let row = &mut self.t[i * n..(i + 1) * n];
-            for &(col, y) in &self.pivot_row {
-                row[col] -= f * y;
+        }
+        let (w, mask) = (j / 64, 1u64 << (j % 64));
+        for &(i, _) in &self.entering {
+            if i != r {
+                self.t[j * m + i] = 0.0;
+                self.occupied[i * words + w] &= !mask;
             }
-            row[j] = 0.0;
         }
         // reduced costs
         let f = self.d[j];
@@ -626,6 +675,31 @@ impl Tableau {
         self.basis[r] = j;
         self.basic_row[j] = r;
         self.beta[r] = new_value;
+        #[cfg(test)]
+        self.check_occupancy();
+    }
+
+    /// Asserts the bitmap invariant: bit (i, j) is set exactly when entry
+    /// (i, j) is nonzero, for every column (live ones are kept current;
+    /// the others are frozen with their bits).
+    #[cfg(test)]
+    fn check_occupancy(&self) {
+        assert_eq!(self.occupied.len(), self.m * self.words);
+        for j in 0..self.ncols {
+            for i in 0..self.m {
+                let (w, mask) = bit(self.words, i, j);
+                assert_eq!(
+                    self.occupied[w] & mask != 0,
+                    self.t[j * self.m + i] != 0.0,
+                    "bit ({i}, {j}) disagrees with entry {} (live: {})",
+                    self.t[j * self.m + i],
+                    self.live[j]
+                );
+            }
+        }
+        // and no bit is set past the last column
+        let nonzeros = self.t.iter().filter(|&&a| a != 0.0).count();
+        assert_eq!(self.nonzeros(), nonzeros);
     }
 
     /// Primal iterations until optimal / unbounded / iteration limit.
@@ -765,6 +839,25 @@ impl Tableau {
             }
         }
     }
+}
+
+/// Word index and mask of bit (i, j) in a bitmap of `words` words per row.
+fn bit(words: usize, i: usize, j: usize) -> (usize, u64) {
+    (i * words + j / 64, 1 << (j % 64))
+}
+
+/// The indices of the set bits of a bitmap row, ascending.
+fn set_bits(row: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    row.iter().enumerate().flat_map(|(k, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                k * 64 + b
+            })
+        })
+    })
 }
 
 enum PhaseEnd {
@@ -958,6 +1051,64 @@ mod tests {
         assert!((x[0] - 2.0).abs() < 1e-6);
         assert!(x[1].abs() < 1e-6);
         assert!((obj - 2.0).abs() < 1e-6);
+    }
+
+    // -- the occupancy bitmap --
+
+    /// A random LP with small integer coefficients, so that eliminations
+    /// cancel to exact zeros and clear bits: fixed, boxed and
+    /// upper-unbounded columns, repeated terms in a row, and mixed senses,
+    /// each row held by one integral point within the bounds.
+    fn random_lp(rng: &mut columba_prng::Rng) -> Lp {
+        let n = rng.gen_range(1usize..9);
+        let (mut lb, mut ub, mut point) = (vec![], vec![], vec![]);
+        for _ in 0..n {
+            let l = rng.gen_range(-2i64..=1) as f64;
+            let x = l + rng.gen_range(0i64..=4) as f64;
+            let (u, x) = match rng.gen_range(0usize..4) {
+                0 => (l, l),
+                1 => (f64::INFINITY, x),
+                _ => (x, x),
+            };
+            lb.push(l);
+            ub.push(u);
+            point.push(x);
+        }
+        let cost = (0..n).map(|_| rng.gen_range(-3i64..=3) as f64).collect();
+        let rows = (0..rng.gen_range(1usize..8))
+            .map(|_| {
+                let terms: Vec<(usize, f64)> = (0..rng.gen_range(1usize..=n + 1))
+                    .map(|_| (rng.gen_range(0..n), rng.gen_range(-2i64..=2) as f64))
+                    .collect();
+                let act: f64 = terms.iter().map(|&(j, c)| c * point[j]).sum();
+                let slack = rng.gen_range(0i64..=3) as f64;
+                let (sense, rhs) = match rng.gen_range(0usize..5) {
+                    0 => (Sense::Eq, act),
+                    1 | 2 => (Sense::Le, act + slack),
+                    _ => (Sense::Ge, act - slack),
+                };
+                Row { terms, sense, rhs }
+            })
+            .collect();
+        Lp { lb, ub, cost, rows }
+    }
+
+    #[test]
+    fn occupancy_tracks_nonzeros_on_random_lps() {
+        // every tableau checks its bitmap when built and after each pivot
+        let mut rng = columba_prng::Rng::seed_from_u64(0x0cc0_b175);
+        let (mut optimal, mut pivots) = (0, 0);
+        for _ in 0..400 {
+            let p = random_lp(&mut rng);
+            let cold = solve_lp(&p, None, None);
+            pivots += cold.iterations;
+            if let Some(basis) = &cold.basis {
+                optimal += 1;
+                pivots += solve_lp(&p, None, Some(basis)).iterations;
+            }
+        }
+        assert!(optimal >= 250, "only {optimal} optimal LPs");
+        assert!(pivots >= 1000, "only {pivots} pivots");
     }
 
     // -- warm starts --
