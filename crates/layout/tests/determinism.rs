@@ -5,15 +5,20 @@
 //! proven optimum for any worker count; under a budget, both configurations
 //! keep the identical warm-start incumbent unless the search proves an
 //! improvement, which it must then prove in both. The solves below exercise
-//! the shared node pool with real §3.2.1 models.
+//! the shared node pool with real §3.2.1 models. Each is bounded by a node
+//! count with no effective clock, so the outcome does not depend on how
+//! loaded the machine is.
 
 use std::path::PathBuf;
-use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 use columba_layout::{generate_only, GeneratedLayout, LayoutOptions};
 use columba_netlist::Netlist;
 use columba_planar::planarize;
+
+/// Branch & bound nodes per solve: enough for the four workers to share
+/// the pool, few enough to keep a debug build quick.
+const NODE_LIMIT: usize = 24;
 
 fn solve_case(case: &str, threads: usize) -> GeneratedLayout {
     let path =
@@ -23,21 +28,15 @@ fn solve_case(case: &str, threads: usize) -> GeneratedLayout {
     let (planar, _) = planarize(&netlist);
     let options = LayoutOptions {
         threads,
-        time_limit: Duration::from_secs(4),
-        node_limit: 200,
+        time_limit: Duration::from_secs(3600),
+        node_limit: NODE_LIMIT,
         ..LayoutOptions::default()
     };
     let (_, generated) = generate_only(&planar, &options).expect("case generates");
     generated
 }
 
-/// The solves run under a wall-clock limit, so the cases take turns: two
-/// of them sharing a small machine can starve a root LP past the limit
-/// and leave the search nothing to run.
-static SOLVE_LOCK: Mutex<()> = Mutex::new(());
-
 fn assert_same_objective(case: &str) {
-    let _turn = SOLVE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let seq = solve_case(case, 1);
     let par = solve_case(case, 4);
     assert!(

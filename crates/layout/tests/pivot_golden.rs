@@ -2,14 +2,16 @@
 //!
 //! Every solve below is bounded by work, not by the clock (one or four
 //! branch & bound nodes on the small cases, the LP polish alone on the
-//! large ones), so its simplex iteration count, node count and objective
-//! bits are a pure function of the kernel's pivot rule, its start bases
-//! and its arithmetic. The four-node rows add phase 1 with artificials,
-//! `drive_out_artificials` and the cold child LPs to the pinned path.
-//! The iteration counts include the crash pivots that install the root's
-//! start basis. An optimisation of the kernel that claims "same pivots,
-//! same bits" must leave every value here unchanged; a change to the pivot
-//! rule or to how an LP starts must update the table on purpose.
+//! large ones), so its simplex iteration count and node count are a pure
+//! function of the kernel's pivot rule, its start bases and its
+//! arithmetic, and are pinned exactly. The four-node rows add phase 1 with
+//! artificials, `drive_out_artificials` and the cold child LPs to the
+//! pinned path. An iteration is a pivot or a bound flip: factoring the
+//! root's start basis is not one. The objective is pinned to 1e-9
+//! relative of the value the dense-tableau kernel reached, whose bits are
+//! kept here. A kernel optimisation that claims "same pivots" must leave
+//! every count unchanged; a change to the pivot rule, to the basis
+//! factorization or to how an LP starts must update the counts on purpose.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -45,11 +47,15 @@ fn pinned(generated: &GeneratedLayout) -> Pinned {
 }
 
 fn assert_pinned(case: &str, got: Pinned, want: Pinned) {
+    let (objective, pinned) = (f64::from_bits(got.2), f64::from_bits(want.2));
     assert_eq!(
-        got,
-        want,
-        "{case}: (iterations, nodes, objective bits) moved; objective now {}",
-        f64::from_bits(got.2)
+        (got.0, got.1),
+        (want.0, want.1),
+        "{case}: (iterations, nodes) moved"
+    );
+    assert!(
+        (objective - pinned).abs() <= 1e-9 * pinned.abs(),
+        "{case}: objective {objective}, pinned {pinned}"
     );
 }
 
@@ -72,27 +78,27 @@ fn assert_one_node(case: &str, want: Pinned) {
 
 #[test]
 fn chip4ip_one_node() {
-    assert_one_node("chip4ip", (605, 1, 0x4051_82e1_47ae_147b));
+    assert_one_node("chip4ip", (472, 1, 0x4051_82e1_47ae_147b));
 }
 
 #[test]
 fn kinase_activity_one_node() {
-    assert_one_node("kinase_activity", (581, 1, 0x404f_17ae_147a_e145));
+    assert_one_node("kinase_activity", (459, 1, 0x404f_17ae_147a_e145));
 }
 
 #[test]
 fn columba2_21u_one_node() {
-    assert_one_node("columba2_21u", (307, 1, 0x4053_0028_f5c2_8f5f));
+    assert_one_node("columba2_21u", (225, 1, 0x4053_0028_f5c2_8f5f));
 }
 
 #[test]
 fn mrna_isolation_one_node() {
-    assert_one_node("mrna_isolation", (522, 1, 0x4049_9a8f_5c28_f5c1));
+    assert_one_node("mrna_isolation", (378, 1, 0x4049_9a8f_5c28_f5c1));
 }
 
 #[test]
 fn nucleic_acid_processor_one_node() {
-    assert_one_node("nucleic_acid_processor", (415, 1, 0x4046_62e1_47ae_1479));
+    assert_one_node("nucleic_acid_processor", (294, 1, 0x4046_62e1_47ae_1479));
 }
 
 #[test]
@@ -137,10 +143,10 @@ fn assert_four_nodes(case: &str, want: Pinned) {
 
 #[test]
 fn chip4ip_four_nodes() {
-    assert_four_nodes("chip4ip", (5976, 4, 0x4051_82e1_47ae_147b));
+    assert_four_nodes("chip4ip", (5426, 4, 0x4051_82e1_47ae_147b));
 }
 
 #[test]
 fn columba2_21u_four_nodes() {
-    assert_four_nodes("columba2_21u", (1994, 4, 0x4053_0028_f5c2_8f5f));
+    assert_four_nodes("columba2_21u", (1857, 4, 0x4053_0028_f5c2_8f5f));
 }

@@ -6,9 +6,11 @@
 //!
 //! * a [`Model`] builder with continuous, integer and binary variables,
 //!   linear constraints and a linear objective;
-//! * a bounded-variable two-phase primal simplex for the LP relaxations
-//!   (Bland's-rule anti-cycling fallback), which can also start from a
-//!   given basis and skip phase 1;
+//! * a bounded-variable two-phase revised primal simplex for the LP
+//!   relaxations: sparse `A`, an eta-file basis inverse factored in
+//!   triangular order and refactored periodically, hypersparse BTRAN,
+//!   tournament-tree Dantzig pricing with a Bland's-rule anti-cycling
+//!   fallback; it can also factor a given basis and skip phase 1;
 //! * branch & bound with best-bound node selection, most-fractional
 //!   branching, warm-start incumbents, a root relaxation started from the
 //!   hint LP's optimal basis, and time/node limits;

@@ -1,25 +1,39 @@
-//! Bounded-variable two-phase primal simplex.
+//! Bounded-variable two-phase revised primal simplex.
 //!
 //! Operates on the *computational form* `min cᵀx  s.t.  Ax = b, l ≤ x ≤ u`
 //! obtained by adding one slack column per constraint row. Phase 1 introduces
 //! one artificial column per row whose slack cannot start within its bounds
 //! and minimises their sum; phase 2 optimises the true objective. Given a
-//! primal feasible start [`Basis`] (an earlier solve's optimal basis), the
-//! solve pivots it in over the all-slack tableau and runs phase 2 alone.
+//! start [`Basis`] (an earlier solve's optimal basis), the solve factors it
+//! directly, checks that it is primal feasible and runs phase 2 alone.
 //! Nonbasic variables rest at a finite bound; entering variables may
 //! *bound-flip* without a basis change. Dantzig pricing is used until a long
 //! degenerate streak triggers Bland's rule, which guarantees termination.
 //!
-//! The tableau is a dense column-major array, and next to it a row-occupancy
-//! bitmap marks exactly its nonzero entries. The inner loops touch only
-//! entries that can change: each iteration gathers the entering column's
-//! nonzeros from one contiguous column (the ratio test, the basic-value
-//! update and the pivot all read that list), and a pivot walks the pivot
-//! row's set bits in ascending column order, then updates each of those
-//! columns in the rows the entering column reaches. Skipping an exact zero
-//! is exact (`x - f·0 = x`), and every entry gets the same operation the
-//! plain dense row-major elimination gives it, so the pivot path and every
-//! value match it bit for bit.
+//! Nothing of size rows × columns is stored; memory is linear in the
+//! nonzeros. `A` is held by column and by row, and the basis inverse is a
+//! product of eta matrices: a factorization of the basis followed by one
+//! eta per pivot, refactored every [`REFACTOR_INTERVAL`] pivots (which also
+//! recomputes the basic values and reduced costs). An iteration FTRANs the
+//! entering column through the etas; a pivot BTRANs the leaving position's
+//! unit vector to `ρ = e_rᵀB⁻¹`, forms the pivot row `ρᵀA` from the rows `ρ`
+//! reaches, and updates the reduced costs of the columns that row touches.
+//!
+//! - **Triangular factorization.** Slacks and artificials take their own
+//!   rows; the structural columns are then eliminated by row singletons,
+//!   which gives etas with no fill. The layout bases are triangular, so this
+//!   is the whole factorization in practice. A remainder (a *bump*) is
+//!   factored column by column on the largest |pivot|.
+//! - **Hypersparse BTRAN.** Each position keeps the list of etas with an
+//!   entry in it. `ρ` starts as `e_r`; a nonzero `ρ_i` is scattered into the
+//!   etas below it until the next eta that pivots on `i`, and touched etas
+//!   are resolved from a max-heap in descending order. The work follows
+//!   `ρ`'s few nonzeros, not the length of the eta file.
+//! - **Tournament-tree pricing.** The leaves score `|d_j|` of each column
+//!   that may enter; a pivot replays only the leaves whose reduced cost or
+//!   status it changed. Ties go to the lower index, as a scan would pick.
+
+use std::collections::BinaryHeap;
 
 use crate::cancel::CancelToken;
 use crate::model::Sense;
@@ -30,8 +44,16 @@ const PIVOT_TOL: f64 = 1e-9;
 const COST_TOL: f64 = 1e-9;
 /// Consecutive degenerate pivots before switching to Bland's rule.
 const DEGENERATE_STREAK: usize = 400;
-/// `basic_row` entry of a nonbasic column.
+/// `basic_row` entry of a nonbasic column (and `basis` entry of a position
+/// not yet assigned during a factorization).
 const NONBASIC: usize = usize::MAX;
+/// The link past the oldest entry of a position's chain in an [`EtaFile`].
+const CHAIN_END: usize = usize::MAX;
+/// Smallest |pivot| the factorization of a start basis accepts; below it
+/// the start basis is treated as singular.
+const START_PIVOT_TOL: f64 = 1e-7;
+/// Pivots between two factorizations of the basis.
+const REFACTOR_INTERVAL: usize = 64;
 
 /// One constraint row in sparse form, already brought to `Σ aᵢxᵢ (sense) rhs`.
 #[derive(Debug, Clone)]
@@ -81,7 +103,8 @@ pub(crate) enum LpOutcome {
     Unbounded,
     /// The caller's deadline expired mid-solve.
     TimedOut,
-    /// Numerical breakdown (cycling guard or residual check failed).
+    /// Numerical breakdown (cycling guard, singular refactorization or
+    /// residual check failed).
     Numerical(String),
 }
 
@@ -111,9 +134,9 @@ pub(crate) enum ColStatus {
 pub(crate) enum Start {
     /// Two-phase, from the slack/artificial basis.
     Cold,
-    /// From the given basis, installed with `crash_pivots` pivots; phase 1
-    /// skipped.
-    Warm { crash_pivots: usize },
+    /// From the given basis, factored with `factored` basic structural
+    /// columns; phase 1 skipped.
+    Warm { factored: usize },
     /// The given basis was refused for the stated reason (`"singular"` or
     /// `"infeasible"`), and the solve ran cold.
     Fallback(&'static str),
@@ -123,7 +146,8 @@ pub(crate) enum Start {
 #[derive(Debug)]
 pub(crate) struct LpRun {
     pub outcome: LpOutcome,
-    /// Every pivot made, crash pivots included.
+    /// Simplex iterations: pivots and bound flips. Factoring a start basis
+    /// is not an iteration.
     pub iterations: usize,
     /// The final basis, when the outcome is optimal.
     pub basis: Option<Basis>,
@@ -131,33 +155,25 @@ pub(crate) struct LpRun {
 }
 
 /// Solves `lp`. Without `start`, runs the two-phase method from a
-/// slack/artificial basis. With `start`, pivots that basis in over the
-/// all-slack tableau, checks that it is primal feasible, and runs phase 2
-/// alone; a singular or infeasible start falls back to the cold path.
-/// When `cancel` is set, the solve aborts with [`LpOutcome::TimedOut`] once
-/// the token fires — via its deadline or an explicit
-/// [`CancelToken::cancel`] (checked every few hundred pivots).
+/// slack/artificial basis. With `start`, factors that basis, checks that it
+/// is primal feasible, and runs phase 2 alone; a singular or infeasible
+/// start falls back to the cold path. When `cancel` is set, the solve
+/// aborts with [`LpOutcome::TimedOut`] once the token fires — via its
+/// deadline or an explicit [`CancelToken::cancel`] (checked every few
+/// hundred pivots).
 pub(crate) fn solve_lp(lp: &Lp, cancel: Option<&CancelToken>, start: Option<&Basis>) -> LpRun {
     let cancel = cancel.cloned();
     let Some(basis) = start else {
-        return Tableau::cold(lp).run(lp, cancel, Start::Cold);
+        return Simplex::cold(lp).run(lp, cancel, Start::Cold);
     };
-    match Tableau::warm(lp, basis) {
-        Ok(t) => {
-            let crash_pivots = t.iterations;
-            t.run(lp, cancel, Start::Warm { crash_pivots })
+    match Simplex::warm(lp, basis) {
+        Ok(s) => {
+            let factored = s.factored;
+            s.run(lp, cancel, Start::Warm { factored })
         }
-        Err((reason, crash_pivots)) => {
-            let mut run = Tableau::cold(lp).run(lp, cancel, Start::Fallback(reason));
-            run.iterations += crash_pivots;
-            run
-        }
+        Err(reason) => Simplex::cold(lp).run(lp, cancel, Start::Fallback(reason)),
     }
 }
-
-/// Smallest |pivot| a crash pivot accepts; below it the start basis is
-/// treated as singular.
-const CRASH_PIVOT_TOL: f64 = 1e-7;
 
 /// `1e-7` relative slack on a bound, the primal feasibility a start basis
 /// must meet.
@@ -165,53 +181,324 @@ fn bound_tol(bound: f64) -> f64 {
     1e-7 * (1.0 + bound.abs())
 }
 
-struct Tableau {
+/// A sparse matrix in compressed form: line `k` (a column by column, a row
+/// by row) holds `index[start[k]..start[k + 1]]`, ascending, with `value`
+/// alongside.
+#[derive(Debug, Clone)]
+struct Sparse {
+    start: Vec<usize>,
+    index: Vec<usize>,
+    value: Vec<f64>,
+}
+
+impl Sparse {
+    fn line(&self, k: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let range = self.start[k]..self.start[k + 1];
+        let index = self.index[range.clone()].iter().copied();
+        index.zip(self.value[range].iter().copied())
+    }
+
+    /// The same matrix with `lines` lines the other way.
+    fn transpose(&self, lines: usize) -> Sparse {
+        let mut start = vec![0; lines + 1];
+        for &i in &self.index {
+            start[i + 1] += 1;
+        }
+        for k in 0..lines {
+            start[k + 1] += start[k];
+        }
+        let mut next = start.clone();
+        let mut index = vec![0; self.index.len()];
+        let mut value = vec![0.0; self.index.len()];
+        for k in 0..self.start.len() - 1 {
+            for (i, v) in self.line(k) {
+                index[next[i]] = k;
+                value[next[i]] = v;
+                next[i] += 1;
+            }
+        }
+        Sparse {
+            start,
+            index,
+            value,
+        }
+    }
+}
+
+/// One eta matrix: the column it was made from, transformed by the etas
+/// before it, with `pivot_value` in position `pivot` and its other entries
+/// at `start..end` of the file's `index`/`value`. `slot` is its pivot
+/// entry in the file's `chain`.
+#[derive(Debug, Clone, Copy)]
+struct Eta {
+    pivot: usize,
+    pivot_value: f64,
+    start: usize,
+    end: usize,
+    slot: usize,
+}
+
+/// The basis inverse as a product of eta matrices, `B⁻¹ = E_K ⋯ E_1`.
+#[derive(Debug, Clone, Default)]
+struct EtaFile {
+    etas: Vec<Eta>,
+    index: Vec<usize>,
+    value: Vec<f64>,
+    /// Every entry once more, pivots included, chained per position from
+    /// the newest eta down: `(eta, value, next)`, where `next` is the
+    /// position's next older entry ([`CHAIN_END`] ends the chain) and
+    /// `newest[i]` starts position `i`'s chain.
+    chain: Vec<(usize, f64, usize)>,
+    newest: Vec<usize>,
+    /// BTRAN scratch, per eta: the accumulated new pivot entry and whether
+    /// the eta waits in `heap`.
+    acc: Vec<f64>,
+    queued: Vec<bool>,
+    heap: BinaryHeap<usize>,
+}
+
+impl EtaFile {
+    fn new(m: usize) -> EtaFile {
+        EtaFile {
+            newest: vec![CHAIN_END; m],
+            ..EtaFile::default()
+        }
+    }
+
+    fn clear(&mut self) {
+        self.etas.clear();
+        self.index.clear();
+        self.value.clear();
+        self.chain.clear();
+        self.newest.fill(CHAIN_END);
+        self.acc.clear();
+        self.queued.clear();
+    }
+
+    /// Stored entries, pivots included.
+    fn nonzeros(&self) -> usize {
+        self.index.len() + self.etas.len()
+    }
+
+    /// Appends the eta of a transformed column with nonzeros `entries`,
+    /// pivoting on position `p`, whose entry is `pivot_value`.
+    fn push(&mut self, p: usize, pivot_value: f64, entries: impl Iterator<Item = (usize, f64)>) {
+        let (k, start) = (self.etas.len(), self.index.len());
+        for (i, v) in entries.filter(|&(i, _)| i != p) {
+            self.index.push(i);
+            self.value.push(v);
+            self.link(i, k, v);
+        }
+        self.etas.push(Eta {
+            pivot: p,
+            pivot_value,
+            start,
+            end: self.index.len(),
+            slot: self.chain.len(),
+        });
+        self.link(p, k, pivot_value);
+        self.acc.push(0.0);
+        self.queued.push(false);
+    }
+
+    /// Puts eta `k`'s entry `v` in position `i` at the head of its chain.
+    fn link(&mut self, i: usize, k: usize, v: f64) {
+        self.chain.push((k, v, self.newest[i]));
+        self.newest[i] = self.chain.len() - 1;
+    }
+
+    /// FTRAN, `v ← B⁻¹v`, skipping every eta whose pivot entry of `v` is
+    /// zero. Appends to `nonzeros` each position that turns nonzero (a
+    /// position may appear twice).
+    fn ftran(&self, v: &mut [f64], nonzeros: &mut Vec<usize>) {
+        for eta in &self.etas {
+            let p = eta.pivot;
+            if v[p] == 0.0 {
+                continue;
+            }
+            let vp = v[p] / eta.pivot_value;
+            v[p] = vp;
+            for e in eta.start..eta.end {
+                let i = self.index[e];
+                if v[i] == 0.0 {
+                    nonzeros.push(i);
+                }
+                v[i] -= self.value[e] * vp;
+            }
+        }
+    }
+
+    /// BTRAN of a dense vector, `uᵀ ← uᵀB⁻¹`.
+    fn btran(&self, u: &mut [f64]) {
+        for eta in self.etas.iter().rev() {
+            let mut up = u[eta.pivot];
+            for e in eta.start..eta.end {
+                up -= u[self.index[e]] * self.value[e];
+            }
+            u[eta.pivot] = up / eta.pivot_value;
+        }
+    }
+
+    /// Hypersparse BTRAN of the unit vector `e_r`: sets `out` to the
+    /// nonzeros `(position, value)` of `e_rᵀB⁻¹`.
+    fn btran_unit(&mut self, r: usize, out: &mut Vec<(usize, f64)>) {
+        out.clear();
+        self.scatter(r, 1.0, self.newest[r], out);
+        while let Some(k) = self.heap.pop() {
+            self.queued[k] = false;
+            let eta = self.etas[k];
+            let v = std::mem::take(&mut self.acc[k]) / eta.pivot_value;
+            if v != 0.0 {
+                self.scatter(eta.pivot, v, self.chain[eta.slot].2, out);
+            }
+        }
+    }
+
+    /// Spreads `u_i = v` into the etas along position `i`'s chain from
+    /// entry `from`, down to the next one that pivots on `i`, which takes
+    /// `v` as its base. With no such eta, `v` is final.
+    fn scatter(&mut self, i: usize, v: f64, from: usize, out: &mut Vec<(usize, f64)>) {
+        let mut e = from;
+        while e != CHAIN_END {
+            let (k, a, next) = self.chain[e];
+            e = next;
+            if !self.queued[k] {
+                self.queued[k] = true;
+                self.heap.push(k);
+            }
+            if self.etas[k].pivot == i {
+                self.acc[k] += v;
+                return;
+            }
+            self.acc[k] -= v * a;
+        }
+        out.push((i, v));
+    }
+}
+
+/// Dantzig pricing as a tournament tree. Leaf `j` scores column `j`: `|d_j|`
+/// when it may enter, 0 otherwise. Each inner node holds its subtree's
+/// winner: the higher score, and the lower index on a tie.
+#[derive(Debug, Clone, Default)]
+struct Pricer {
+    leaves: usize,
+    score: Vec<f64>,
+    winner: Vec<usize>,
+}
+
+impl Pricer {
+    fn new(n: usize) -> Pricer {
+        let leaves = n.next_power_of_two();
+        Pricer {
+            leaves,
+            score: vec![0.0; leaves],
+            winner: (0..2 * leaves).map(|k| k.saturating_sub(leaves)).collect(),
+        }
+    }
+
+    fn play(&self, node: usize) -> usize {
+        let (a, b) = (self.winner[2 * node], self.winner[2 * node + 1]);
+        if self.score[b] > self.score[a] {
+            b
+        } else {
+            a
+        }
+    }
+
+    fn rebuild(&mut self, score: impl Fn(usize) -> f64) {
+        for j in 0..self.score.len() {
+            self.score[j] = score(j);
+        }
+        for node in (1..self.leaves).rev() {
+            self.winner[node] = self.play(node);
+        }
+    }
+
+    fn set(&mut self, j: usize, score: f64) {
+        self.score[j] = score;
+        let mut node = (self.leaves + j) / 2;
+        while node >= 1 {
+            self.winner[node] = self.play(node);
+            node /= 2;
+        }
+    }
+
+    /// The column with the largest score, if any may enter.
+    fn best(&self) -> Option<usize> {
+        let w = self.winner[1];
+        (self.score[w] > 0.0).then_some(w)
+    }
+
+    /// The lowest-index column that may enter (Bland's rule).
+    fn lowest(&self) -> Option<usize> {
+        self.best()?;
+        let mut node = 1;
+        while node < self.leaves {
+            node = if self.score[self.winner[2 * node]] > 0.0 {
+                2 * node
+            } else {
+                2 * node + 1
+            };
+        }
+        Some(node - self.leaves)
+    }
+}
+
+#[derive(Debug, Clone)]
+struct Simplex {
     m: usize,
     /// total columns: structural + slacks + artificials
     ncols: usize,
     n_struct: usize,
-    /// dense column-major tableau, m x ncols (current B^-1 A): entry
-    /// (i, j) is `t[j * m + i]`
-    t: Vec<f64>,
-    /// row-occupancy bitmap, `words` `u64`s per row: bit `j % 64` of word
-    /// `i * words + j / 64` is set exactly when entry (i, j) is nonzero
-    occupied: Vec<u64>,
-    /// bitmap words per row, `ceil(ncols / 64)`
-    words: usize,
-    /// current basic-variable values per row
-    beta: Vec<f64>,
-    /// column basic in each row
-    basis: Vec<usize>,
-    /// row each column is basic in, [`NONBASIC`] otherwise
-    basic_row: Vec<usize>,
-    /// nonbasic-at-upper flag per column
-    at_upper: Vec<bool>,
+    /// `A` by column and by row, slack and artificial columns included
+    cols: Sparse,
+    rows: Sparse,
+    rhs: Vec<f64>,
     lb: Vec<f64>,
     ub: Vec<f64>,
+    /// nonbasic-at-upper flag per column
+    at_upper: Vec<bool>,
+    /// column basic in each position
+    basis: Vec<usize>,
+    /// position each column is basic in, [`NONBASIC`] otherwise
+    basic_row: Vec<usize>,
+    /// current basic-variable values per position
+    beta: Vec<f64>,
+    /// the active phase's cost per column, and its reduced costs
+    cost: Vec<f64>,
+    d: Vec<f64>,
     /// the row each artificial column was added for, in column order
     art_rows: Vec<usize>,
-    /// reduced costs per column (for the active phase objective)
-    d: Vec<f64>,
-    /// per column: a pivot still updates it. All columns are live in
-    /// phase 1; in phase 2 only those pricing can pick (a fixed column
-    /// never enters again), and the others stay frozen, bits included.
-    live: Vec<bool>,
-    /// `(row, value)` of the entering column's nonzeros, gathered once per
-    /// iteration
+    etas: EtaFile,
+    pricer: Pricer,
+    /// pivots since the last factorization
+    updates: usize,
+    /// factorizations after the first, and columns factored as a bump
+    refactors: usize,
+    bump_columns: usize,
+    /// basic structural columns of a warm start basis
+    factored: usize,
+    /// `(position, value)` of B⁻¹ times the entering column, ascending
     entering: Vec<(usize, f64)>,
-    /// `(column, value)` of the scaled pivot row's live nonzeros, excluding
-    /// the entering column
+    /// nonzeros of `ρ = e_rᵀB⁻¹` for the pivot position `r`
+    rho: Vec<(usize, f64)>,
+    /// `(column, ρᵀa_j)` over the nonbasic columns the pivot row reaches
     pivot_row: Vec<(usize, f64)>,
+    /// zeroed scratch: one slot per position, and one per column
+    work: Vec<f64>,
+    row_work: Vec<f64>,
+    /// the positions of `work` an FTRAN made nonzero
+    touched: Vec<usize>,
     degenerate_streak: usize,
     iterations: usize,
     cancel: Option<CancelToken>,
 }
 
-impl Tableau {
+impl Simplex {
     /// The cold start: every structural column nonbasic at its finite bound
     /// of smaller magnitude, each row on its slack where that is feasible
     /// and on an artificial otherwise.
-    fn cold(lp: &Lp) -> Tableau {
+    fn cold(lp: &Lp) -> Simplex {
         let mut x0 = lp.lb.clone();
         let mut at_upper = vec![false; x0.len()];
         for (j, x) in x0.iter_mut().enumerate() {
@@ -220,25 +507,24 @@ impl Tableau {
                 at_upper[j] = true;
             }
         }
-        Tableau::new(lp, &x0, &at_upper, true)
+        let mut s = Simplex::new(lp, &x0, &at_upper, true);
+        if s.factor(PIVOT_TOL).is_err() {
+            unreachable!("a slack/artificial basis is diagonal");
+        }
+        s.compute_beta();
+        s
     }
 
-    /// The tableau of `start`: the all-slack tableau with every nonbasic
-    /// structural column at its bound, then one crash pivot per basic
-    /// structural column, each on the row whose leaving slack gives the
-    /// largest |pivot|. The right-hand side rides along, so `beta` ends as
-    /// `B⁻¹(b − N·x_N)`. Refuses a basis that is singular or whose basic
-    /// values leave their bounds; the error carries the crash pivots spent.
-    fn warm(lp: &Lp, start: &Basis) -> Result<Tableau, (&'static str, usize)> {
+    /// The simplex on `start`: its nonbasic structural columns at their
+    /// bounds, its basic columns factored. Refuses a basis that is singular
+    /// or whose basic values leave their bounds.
+    fn warm(lp: &Lp, start: &Basis) -> Result<Simplex, &'static str> {
         let (n, m) = (lp.lb.len(), lp.rows.len());
-        let basics = start
-            .cols
-            .iter()
-            .filter(|&&s| s == ColStatus::Basic)
-            .count()
-            + start.slack_basic.iter().filter(|&&b| b).count();
+        let basic = |j: usize| start.cols[j] == ColStatus::Basic;
+        let factored = (0..start.cols.len()).filter(|&j| basic(j)).count();
+        let basics = factored + start.slack_basic.iter().filter(|&&b| b).count();
         if start.cols.len() != n || start.slack_basic.len() != m || basics != m {
-            return Err(("singular", 0));
+            return Err("singular");
         }
         let mut x0 = vec![0.0; n];
         let mut at_upper = vec![false; n];
@@ -250,196 +536,299 @@ impl Tableau {
                     x0[j] = lp.ub[j];
                     at_upper[j] = true;
                 }
-                ColStatus::AtUpper => return Err(("infeasible", 0)),
+                ColStatus::AtUpper => return Err("infeasible"),
             }
         }
-        let mut t = Tableau::new(lp, &x0, &at_upper, false);
-        for j in (0..n).filter(|&j| start.cols[j] == ColStatus::Basic) {
-            t.gather_entering(j);
-            let leaving = |&&(i, _): &&(usize, f64)| {
-                let b = t.basis[i];
-                b >= n && !start.slack_basic[b - n]
-            };
-            let Some(&(r, a)) =
-                (t.entering.iter().filter(leaving)).max_by(|x, y| x.1.abs().total_cmp(&y.1.abs()))
-            else {
-                return Err(("singular", t.iterations));
-            };
-            if a.abs() < CRASH_PIVOT_TOL {
-                return Err(("singular", t.iterations));
-            }
-            let value = t.beta[r] / a;
-            for &(i, ai) in &t.entering {
-                t.beta[i] -= ai * value;
-            }
-            t.pivot(r, j, value);
-            t.iterations += 1;
-        }
-        let feasible = t.basis.iter().zip(&t.beta).all(|(&b, &v)| {
-            let (l, u) = (t.lb[b], t.ub[b]);
+        let mut s = Simplex::new(lp, &x0, &at_upper, false);
+        let slacks = (0..m).filter(|&i| start.slack_basic[i]).map(|i| n + i);
+        s.basis = (0..n).filter(|&j| basic(j)).chain(slacks).collect();
+        s.factor(START_PIVOT_TOL)?;
+        s.factored = factored;
+        s.compute_beta();
+        let feasible = s.basis.iter().zip(&s.beta).all(|(&b, &v)| {
+            let (l, u) = (s.lb[b], s.ub[b]);
             v >= l - bound_tol(l) && (!u.is_finite() || v <= u + bound_tol(u))
         });
         if !feasible {
-            return Err(("infeasible", t.iterations));
+            return Err("infeasible");
         }
-        Ok(t)
+        Ok(s)
     }
 
-    /// The tableau with structural column `j` nonbasic at `x0[j]` (at its
+    /// The simplex with structural column `j` nonbasic at `x0[j]` (at its
     /// upper bound where `at_upper[j]`) and one basic column per row: the
     /// row's slack, or, with `artificials` and where the slack would start
-    /// out of bounds, a fresh artificial column.
-    fn new(lp: &Lp, x0: &[f64], at_upper_struct: &[bool], artificials: bool) -> Tableau {
+    /// out of bounds, a fresh artificial column. Not yet factored.
+    fn new(lp: &Lp, x0: &[f64], at_upper_struct: &[bool], artificials: bool) -> Simplex {
         let m = lp.rows.len();
         let n_struct = lp.lb.len();
-
-        // residuals with slacks at their bound (0)
-        let mut residual = vec![0.0; m];
+        let mut rows = Sparse {
+            start: vec![0],
+            index: Vec::new(),
+            value: Vec::new(),
+        };
+        let mut basis = Vec::with_capacity(m);
+        let mut art_rows = Vec::new();
+        let mut lb = lp.lb.clone();
+        let mut ub = lp.ub.clone();
+        let mut terms = Vec::new();
         for (i, row) in lp.rows.iter().enumerate() {
-            let mut act = 0.0;
-            for &(j, c) in &row.terms {
-                act += c * x0[j];
-            }
-            residual[i] = row.rhs - act;
-        }
-
-        // which rows can start feasibly on their own slack?
-        // Le: slack = residual, needs residual >= 0
-        // Ge: slack = -residual, needs residual <= 0
-        // Eq: slack fixed at 0, needs residual == 0
-        let slack_ok: Vec<bool> = lp
-            .rows
-            .iter()
-            .zip(&residual)
-            .map(|(row, &r)| {
-                !artificials
-                    || match row.sense {
-                        Sense::Le => r >= 0.0,
-                        Sense::Ge => r <= 0.0,
-                        Sense::Eq => r == 0.0,
-                    }
-            })
-            .collect();
-        let n_art = slack_ok.iter().filter(|&&ok| !ok).count();
-        let ncols = n_struct + m + n_art;
-
-        let mut t = vec![0.0; m * ncols];
-        let words = ncols.div_ceil(64);
-        let mut occupied = vec![0u64; m * words];
-        let mut lb = Vec::with_capacity(ncols);
-        let mut ub = Vec::with_capacity(ncols);
-        lb.extend_from_slice(&lp.lb);
-        ub.extend_from_slice(&lp.ub);
-        for row in &lp.rows {
+            // residual with the slack at its bound (0): which rows can start
+            // feasibly on their own slack? Le: slack = residual ≥ 0; Ge:
+            // slack = −residual ≥ 0; Eq: slack fixed at 0, residual == 0
+            let act: f64 = row.terms.iter().map(|&(j, c)| c * x0[j]).sum();
+            let residual = row.rhs - act;
+            let slack_ok = !artificials
+                || match row.sense {
+                    Sense::Le => residual >= 0.0,
+                    Sense::Ge => residual <= 0.0,
+                    Sense::Eq => residual == 0.0,
+                };
+            // a repeated term is summed, and may cancel
+            terms.clone_from(&row.terms);
+            terms.sort_by_key(|&(j, _)| j);
+            terms.dedup_by(|next, kept| {
+                let same = next.0 == kept.0;
+                if same {
+                    kept.1 += next.1;
+                }
+                same
+            });
+            terms.retain(|&(_, c)| c != 0.0);
+            let slack_coef = match row.sense {
+                Sense::Le | Sense::Eq => 1.0,
+                Sense::Ge => -1.0,
+            };
+            terms.push((n_struct + i, slack_coef));
             lb.push(0.0);
             ub.push(match row.sense {
                 Sense::Le | Sense::Ge => f64::INFINITY,
                 Sense::Eq => 0.0,
             });
+            basis.push(if slack_ok {
+                n_struct + i
+            } else {
+                // an artificial column, signed so it starts at |residual|
+                let art_col = n_struct + m + art_rows.len();
+                terms.push((art_col, if residual >= 0.0 { 1.0 } else { -1.0 }));
+                art_rows.push(i);
+                art_col
+            });
+            rows.index.extend(terms.iter().map(|&(j, _)| j));
+            rows.value.extend(terms.iter().map(|&(_, c)| c));
+            rows.start.push(rows.index.len());
         }
-        for _ in 0..n_art {
-            lb.push(0.0);
-            ub.push(f64::INFINITY);
-        }
-
+        let ncols = n_struct + m + art_rows.len();
+        lb.resize(ncols, 0.0);
+        ub.resize(ncols, f64::INFINITY);
         let mut at_upper = vec![false; ncols];
         at_upper[..n_struct].copy_from_slice(at_upper_struct);
-
-        let mut basis = Vec::with_capacity(m);
-        let mut basic_row = vec![NONBASIC; ncols];
-        let mut beta = vec![0.0; m];
-        let mut art_rows = Vec::with_capacity(n_art);
-        for (i, row) in lp.rows.iter().enumerate() {
-            let slack_col = n_struct + i;
-            let slack_coef = match row.sense {
-                Sense::Le | Sense::Eq => 1.0,
-                Sense::Ge => -1.0,
-            };
-            let basic_col = if slack_ok[i] {
-                // basic slack; scale the row so the basic coefficient is +1
-                let sigma = slack_coef; // 1/slack_coef for ±1
-                for &(j, c) in &row.terms {
-                    t[j * m + i] += sigma * c;
-                }
-                t[slack_col * m + i] = 1.0;
-                beta[i] = sigma * residual[i];
-                slack_col
-            } else {
-                // artificial column with +1 after scaling by sign(residual)
-                let sigma = if residual[i] >= 0.0 { 1.0 } else { -1.0 };
-                for &(j, c) in &row.terms {
-                    t[j * m + i] += sigma * c;
-                }
-                t[slack_col * m + i] = sigma * slack_coef;
-                let art_col = n_struct + m + art_rows.len();
-                art_rows.push(i);
-                t[art_col * m + i] = 1.0;
-                beta[i] = residual[i].abs();
-                art_col
-            };
-            basis.push(basic_col);
-            basic_row[basic_col] = i;
-            // a repeated term may have cancelled, so read the sums back
-            let cols = row.terms.iter().map(|&(j, _)| j);
-            for j in cols.chain([slack_col, basic_col]) {
-                let (w, mask) = bit(words, i, j);
-                if t[j * m + i] == 0.0 {
-                    occupied[w] &= !mask;
-                } else {
-                    occupied[w] |= mask;
-                }
-            }
-        }
-
-        let tableau = Tableau {
+        Simplex {
             m,
             ncols,
             n_struct,
-            t,
-            occupied,
-            words,
-            beta,
-            basis,
-            basic_row,
-            at_upper,
+            cols: rows.transpose(ncols),
+            rows,
+            rhs: lp.rows.iter().map(|r| r.rhs).collect(),
             lb,
             ub,
-            art_rows,
+            at_upper,
+            basis,
+            basic_row: vec![NONBASIC; ncols],
+            beta: vec![0.0; m],
+            cost: vec![0.0; ncols],
             d: vec![0.0; ncols],
-            live: vec![true; ncols],
+            art_rows,
+            etas: EtaFile::new(m),
+            pricer: Pricer::new(ncols),
+            updates: 0,
+            refactors: 0,
+            bump_columns: 0,
+            factored: 0,
             entering: Vec::new(),
+            rho: Vec::new(),
             pivot_row: Vec::new(),
+            work: vec![0.0; m],
+            row_work: vec![0.0; ncols],
+            touched: Vec::new(),
             degenerate_streak: 0,
             iterations: 0,
             cancel: None,
-        };
-        #[cfg(test)]
-        tableau.check_occupancy();
-        tableau
+        }
     }
 
-    /// Nonzero entries of the tableau, a popcount of the bitmap.
-    fn nonzeros(&self) -> usize {
-        self.occupied.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Recomputes the reduced-cost row `d = c - c_B^T T` for cost vector `c`
-    /// (over all columns), one tableau row at a time in row order, each
-    /// over the row's nonzeros.
-    fn load_costs(&mut self, c: &[f64]) {
-        self.d.copy_from_slice(c);
-        let (m, words) = (self.m, self.words);
+    /// Factors the set of columns in `basis` afresh into the eta file and
+    /// gives each its position: a slack or artificial its own row, a
+    /// structural column the row it pivots on. A row that one remaining
+    /// structural column reaches (a row singleton) takes that column; with
+    /// none, the column reaching the fewest open rows pivots on its largest
+    /// entry there (a bump). Until the first bump pivot every eta is its
+    /// column verbatim, with no fill; after it, a column is transformed by
+    /// the etas before it when it reaches one of their rows. Slacks and
+    /// artificials come last: `±e_i`, an eta only for `−1`. Refuses a
+    /// singular basis, or any pivot below `tol`.
+    fn factor(&mut self, tol: f64) -> Result<(), &'static str> {
+        let (m, n) = (self.m, self.n_struct);
+        self.etas.clear();
+        self.updates = 0;
+        let heads = std::mem::replace(&mut self.basis, vec![NONBASIC; m]);
+        let mut structural = Vec::new();
+        for c in heads {
+            if c < n {
+                structural.push(c);
+                continue;
+            }
+            let (i, _) = self.cols.line(c).next().ok_or("singular")?;
+            if self.basis[i] != NONBASIC {
+                return Err("singular");
+            }
+            self.basis[i] = c;
+        }
+        // open rows each remaining column reaches, and remaining columns
+        // each open row holds
+        let mut reach = vec![0usize; n];
+        let mut count = vec![0usize; m];
+        for &c in &structural {
+            for (i, _) in self
+                .cols
+                .line(c)
+                .filter(|&(i, _)| self.basis[i] == NONBASIC)
+            {
+                reach[c] += 1;
+                count[i] += 1;
+            }
+        }
+        let mut active = vec![false; n];
+        structural.iter().for_each(|&c| active[c] = true);
+        let mut singles: Vec<usize> = (0..m)
+            .filter(|&i| self.basis[i] == NONBASIC && count[i] == 1)
+            .collect();
+        let mut left = structural.len();
+        while left > 0 {
+            let single = singles.pop();
+            let c = match single {
+                Some(r) => match self.rows.line(r).find(|&(j, _)| j < n && active[j]) {
+                    Some((c, _)) if self.basis[r] == NONBASIC => c,
+                    _ => continue,
+                },
+                None => {
+                    self.bump_columns += 1;
+                    let remaining = structural.iter().filter(|&&c| active[c]);
+                    *remaining.min_by_key(|&&c| reach[c]).ok_or("singular")?
+                }
+            };
+            // the column through the etas so far, unless none touches it
+            let verbatim = self.cols.line(c).all(|(i, _)| self.basis[i] >= n);
+            if verbatim {
+                self.entering.clear();
+                self.entering.extend(self.cols.line(c));
+            } else {
+                self.ftran_column(c);
+            }
+            let open = self
+                .entering
+                .iter()
+                .filter(|&&(i, _)| self.basis[i] == NONBASIC);
+            let (r, piv) = match single {
+                Some(r) => (r, open.filter(|e| e.0 == r).map(|e| e.1).sum()),
+                None => open.fold((NONBASIC, 0.0), |best: (usize, f64), &e| {
+                    if e.1.abs() > best.1.abs() {
+                        e
+                    } else {
+                        best
+                    }
+                }),
+            };
+            if piv.abs() < tol {
+                if single.is_some() {
+                    continue; // left to the bump
+                }
+                return Err("singular");
+            }
+            self.etas.push(r, piv, self.entering.iter().copied());
+            self.basis[r] = c;
+            active[c] = false;
+            left -= 1;
+            for (i, _) in self
+                .cols
+                .line(c)
+                .filter(|&(i, _)| self.basis[i] == NONBASIC)
+            {
+                count[i] -= 1;
+                if count[i] == 1 {
+                    singles.push(i);
+                }
+            }
+            for (j, _) in self.rows.line(r).filter(|&(j, _)| j < n && active[j]) {
+                reach[j] -= 1;
+            }
+        }
         for i in 0..m {
-            let cb = c[self.basis[i]];
-            if cb != 0.0 {
-                for j in set_bits(&self.occupied[i * words..(i + 1) * words]) {
-                    self.d[j] -= cb * self.t[j * m + i];
+            let c = self.basis[i];
+            if c >= n {
+                if let Some((_, s)) = self.cols.line(c).next().filter(|&(_, s)| s != 1.0) {
+                    self.etas.push(i, s, std::iter::empty());
                 }
             }
         }
-        for &b in &self.basis {
-            self.d[b] = 0.0;
+        self.basic_row.fill(NONBASIC);
+        for (i, &c) in self.basis.iter().enumerate() {
+            self.basic_row[c] = i;
         }
+        Ok(())
+    }
+
+    /// Recomputes the basic values `β = B⁻¹(b − N·x_N)`.
+    fn compute_beta(&mut self) {
+        let mut v = std::mem::take(&mut self.beta);
+        v.copy_from_slice(&self.rhs);
+        for j in (0..self.ncols).filter(|&j| self.basic_row[j] == NONBASIC) {
+            let x = self.col_value(j);
+            if x != 0.0 {
+                for (i, a) in self.cols.line(j) {
+                    v[i] -= a * x;
+                }
+            }
+        }
+        self.etas.ftran(&mut v, &mut self.touched);
+        self.touched.clear();
+        self.beta = v;
+    }
+
+    /// Recomputes the reduced costs `d = c − (c_BᵀB⁻¹)A` and rebuilds the
+    /// pricing tree.
+    fn price(&mut self) {
+        let mut y: Vec<f64> = self.basis.iter().map(|&b| self.cost[b]).collect();
+        self.etas.btran(&mut y);
+        for j in 0..self.ncols {
+            self.d[j] = if self.basic_row[j] == NONBASIC {
+                let dot: f64 = self.cols.line(j).map(|(i, a)| y[i] * a).sum();
+                self.cost[j] - dot
+            } else {
+                0.0
+            };
+        }
+        let mut pricer = std::mem::take(&mut self.pricer);
+        pricer.rebuild(|j| if j < self.ncols { self.score(j) } else { 0.0 });
+        self.pricer = pricer;
+    }
+
+    /// Column `j`'s pricing score: `|d_j|` when it may enter, else 0.
+    fn score(&self, j: usize) -> f64 {
+        if self.basic_row[j] != NONBASIC || self.lb[j] == self.ub[j] {
+            return 0.0; // a fixed column can never improve
+        }
+        let dj = self.d[j];
+        match self.at_upper[j] {
+            true if dj > COST_TOL => dj,
+            false if dj < -COST_TOL => -dj,
+            _ => 0.0,
+        }
+    }
+
+    fn reprice(&mut self, j: usize) {
+        let score = self.score(j);
+        self.pricer.set(j, score);
     }
 
     /// Current value of a column (basic value or resting bound).
@@ -467,28 +856,27 @@ impl Tableau {
             basis: None,
             start,
         };
+        let phase_fail = |end: PhaseEnd, phase: &str| match end {
+            PhaseEnd::TimedOut => LpOutcome::TimedOut,
+            PhaseEnd::Unbounded if phase == "phase-2" => LpOutcome::Unbounded,
+            PhaseEnd::Unbounded => LpOutcome::Numerical("phase-1 reported unbounded".into()),
+            PhaseEnd::IterLimit => {
+                LpOutcome::Numerical(format!("{phase} iteration limit (cycling?)"))
+            }
+            PhaseEnd::Singular => {
+                LpOutcome::Numerical(format!("{phase} basis singular at refactorization"))
+            }
+            PhaseEnd::Ok => unreachable!("not a failure"),
+        };
 
         // ---- phase 1: minimise sum of artificials ----
         if !matches!(start, Start::Warm { .. }) {
             let mut p1_span = columba_obs::span("simplex.phase1");
-            let mut c1 = vec![0.0; self.ncols];
-            c1[(self.n_struct + self.m)..].fill(1.0);
-            self.load_costs(&c1);
-            match self.optimize(max_iters, true) {
+            self.cost[(self.n_struct + self.m)..].fill(1.0);
+            self.price();
+            match self.optimize(max_iters) {
                 PhaseEnd::Ok => {}
-                PhaseEnd::TimedOut => return fail(LpOutcome::TimedOut, self.iterations),
-                PhaseEnd::Unbounded => {
-                    return fail(
-                        LpOutcome::Numerical("phase-1 reported unbounded".into()),
-                        self.iterations,
-                    )
-                }
-                PhaseEnd::IterLimit => {
-                    return fail(
-                        LpOutcome::Numerical("phase-1 iteration limit (cycling?)".into()),
-                        self.iterations,
-                    )
-                }
+                end => return fail(phase_fail(end, "phase-1"), self.iterations),
             }
             let phase1_obj: f64 = ((self.n_struct + self.m)..self.ncols)
                 .map(|j| self.col_value(j))
@@ -500,47 +888,41 @@ impl Tableau {
             for j in (self.n_struct + self.m)..self.ncols {
                 self.ub[j] = 0.0;
             }
-            self.drive_out_artificials();
+            if self.drive_out_artificials().is_err() {
+                return fail(phase_fail(PhaseEnd::Singular, "phase-1"), self.iterations);
+            }
             p1_span.attr("iterations", self.iterations);
-        }
-        // fixed columns (equality slacks, the pinned artificials) never
-        // enter again, so phase 2 stops updating them
-        for (live, (l, u)) in self.live.iter_mut().zip(self.lb.iter().zip(&self.ub)) {
-            *live = l != u;
         }
 
         // ---- phase 2: true objective ----
         let mut p2_span = columba_obs::span("simplex.phase2");
         let p2_start_iters = self.iterations;
-        let mut c2 = vec![0.0; self.ncols];
-        c2[..self.n_struct].copy_from_slice(&lp.cost);
-        self.load_costs(&c2);
+        self.cost.fill(0.0);
+        self.cost[..self.n_struct].copy_from_slice(&lp.cost);
+        self.price();
         self.degenerate_streak = 0;
-        match self.optimize(max_iters, false) {
+        match self.optimize(max_iters) {
             PhaseEnd::Ok => {}
-            PhaseEnd::TimedOut => return fail(LpOutcome::TimedOut, self.iterations),
-            PhaseEnd::Unbounded => return fail(LpOutcome::Unbounded, self.iterations),
-            PhaseEnd::IterLimit => {
-                return fail(
-                    LpOutcome::Numerical("phase-2 iteration limit (cycling?)".into()),
-                    self.iterations,
-                )
-            }
+            end => return fail(phase_fail(end, "phase-2"), self.iterations),
         }
         p2_span.attr("iterations", self.iterations - p2_start_iters);
         if p2_span.is_recording() {
             p2_span.attr("rows", self.m);
             p2_span.attr("cols", self.ncols);
-            p2_span.attr("nonzeros", self.nonzeros());
+            p2_span.attr("refactors", self.refactors);
+            p2_span.attr("eta_nonzeros", self.etas.nonzeros());
+            p2_span.attr("bump_columns", self.bump_columns);
         }
         drop(p2_span);
+        #[cfg(any(test, debug_assertions))]
+        self.check_optimal();
 
         // extract structural solution
         let mut x = vec![0.0; self.n_struct];
         for (j, xj) in x.iter_mut().enumerate() {
             *xj = self.col_value(j);
         }
-        // verify against original rows (guards against tableau drift)
+        // verify against original rows (guards against drift)
         for row in &lp.rows {
             if let Some(viol) = row.violation(&x) {
                 return fail(
@@ -555,6 +937,33 @@ impl Tableau {
             iterations: self.iterations,
             basis: Some(self.final_basis()),
             start,
+        }
+    }
+
+    /// Checks an optimal basis independently of the updates that reached
+    /// it: factored from scratch, it gives the same basic values and
+    /// dual-feasible reduced costs.
+    #[cfg(any(test, debug_assertions))]
+    fn check_optimal(&self) {
+        let mut fresh = self.clone();
+        assert!(fresh.factor(PIVOT_TOL).is_ok(), "optimal basis is singular");
+        fresh.compute_beta();
+        fresh.price();
+        for (i, &c) in fresh.basis.iter().enumerate() {
+            let (got, want) = (self.col_value(c), fresh.beta[i]);
+            let tol = 1e-6 * (1.0 + want.abs());
+            assert!(
+                (got - want).abs() <= tol,
+                "column {c}: β {got}, fresh {want}"
+            );
+        }
+        let scale = 1.0 + self.cost.iter().fold(0.0, |s: f64, c| s.max(c.abs()));
+        for j in 0..self.ncols {
+            assert!(
+                fresh.score(j) <= 1e-6 * scale,
+                "column {j}: fresh reduced cost {} is not dual feasible",
+                fresh.d[j]
+            );
         }
     }
 
@@ -585,125 +994,106 @@ impl Tableau {
     }
 
     /// Degenerate pivots to remove artificials from the basis where possible.
-    fn drive_out_artificials(&mut self) {
+    fn drive_out_artificials(&mut self) -> Result<(), &'static str> {
         for r in 0..self.m {
             if self.basis[r] < self.n_struct + self.m {
                 continue;
             }
             // the first non-artificial, nonbasic column with a usable pivot
-            let (m, words) = (self.m, self.words);
-            let pick = set_bits(&self.occupied[r * words..(r + 1) * words])
-                .take_while(|&j| j < self.n_struct + m)
-                .find(|&j| self.basic_row[j] == NONBASIC && self.t[j * m + r].abs() > 1e-7);
+            self.load_pivot_row(r);
+            let usable = |&&(j, a): &&(usize, f64)| j < self.n_struct + self.m && a.abs() > 1e-7;
+            let pick = self.pivot_row.iter().filter(usable).map(|&(j, _)| j).min();
             if let Some(j) = pick {
-                // degenerate pivot: basic artificial sits at 0, so delta = 0
-                self.gather_entering(j);
-                self.pivot(r, j, self.col_value(j));
+                self.ftran_column(j);
+                let at_r = self.entering.binary_search_by_key(&r, |&(i, _)| i);
+                if let Some(piv) = at_r.ok().map(|k| self.entering[k].1) {
+                    // degenerate pivot: basic artificial sits at 0, so delta = 0
+                    self.pivot(r, j, piv, self.col_value(j))?;
+                }
             }
         }
+        Ok(())
     }
 
-    /// Collects the nonzeros of column `j` into `entering`, in row order.
-    fn gather_entering(&mut self, j: usize) {
+    /// Sets `entering` to the nonzeros of `B⁻¹a_j`.
+    fn ftran_column(&mut self, j: usize) {
+        for (i, a) in self.cols.line(j) {
+            self.work[i] = a;
+            self.touched.push(i);
+        }
+        self.etas.ftran(&mut self.work, &mut self.touched);
         self.entering.clear();
-        let column = &self.t[j * self.m..(j + 1) * self.m];
-        let nonzeros = column.iter().enumerate().filter(|&(_, &a)| a != 0.0);
-        self.entering.extend(nonzeros.map(|(i, &a)| (i, a)));
+        // a position listed twice is taken once; cancelled ones drop out
+        for i in self.touched.drain(..) {
+            let v = std::mem::take(&mut self.work[i]);
+            if v != 0.0 {
+                self.entering.push((i, v));
+            }
+        }
+        self.entering.sort_unstable_by_key(|&(i, _)| i);
     }
 
-    /// Gauss-Jordan pivot bringing column `j` into the basis at row `r`.
-    /// `new_value` is the entering variable's value after the step. Reads
-    /// column `j` from `entering`, which must be current.
-    fn pivot(&mut self, r: usize, j: usize, new_value: f64) {
-        let (m, words) = (self.m, self.words);
-        let piv = self.t[j * m + r];
-        debug_assert!(piv.abs() > PIVOT_TOL * 1e-3, "pivot too small: {piv}");
-        let inv = 1.0 / piv;
-        // scale the pivot row's live nonzeros, ascending
+    /// Sets `pivot_row` to `ρᵀa_j`, `ρ = e_rᵀB⁻¹`, for the nonbasic
+    /// columns `j` it is nonzero in.
+    fn load_pivot_row(&mut self, r: usize) {
+        self.etas.btran_unit(r, &mut self.rho);
         self.pivot_row.clear();
-        for k in 0..words {
-            let mut bits = self.occupied[r * words + k];
-            while bits != 0 {
-                let col = k * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if !self.live[col] {
-                    continue;
-                }
-                let y = self.t[col * m + r] * inv;
-                self.t[col * m + r] = y;
-                if y == 0.0 {
-                    self.occupied[r * words + k] &= !(1 << (col % 64)); // underflow
-                } else if col != j {
-                    self.pivot_row.push((col, y));
+        for &(i, p) in &self.rho {
+            for (j, a) in self.rows.line(i) {
+                if self.basic_row[j] == NONBASIC {
+                    if self.row_work[j] == 0.0 {
+                        self.pivot_row.push((j, 0.0));
+                    }
+                    self.row_work[j] += p * a;
                 }
             }
         }
-        self.t[j * m + r] = 1.0; // exact
+        // a sum that passed through zero listed its column twice; the
+        // second copy takes 0 and is dropped
+        for (j, v) in &mut self.pivot_row {
+            *v = std::mem::take(&mut self.row_work[*j]);
+        }
+        self.pivot_row.retain(|&(_, v)| v != 0.0);
+    }
 
-        // eliminate column j from the other rows it reaches, one pivot-row
-        // column at a time; a bit flips when its entry's zero-state does
-        for &(col, y) in &self.pivot_row {
-            let column = &mut self.t[col * m..(col + 1) * m];
-            let (word, shift) = (col / 64, col % 64);
-            for &(i, f) in &self.entering {
-                if i == r {
-                    continue;
-                }
-                let old = column[i];
-                let new = old - f * y;
-                column[i] = new;
-                self.occupied[i * words + word] ^= u64::from((old == 0.0) != (new == 0.0)) << shift;
-            }
-        }
-        let (w, mask) = (j / 64, 1u64 << (j % 64));
-        for &(i, _) in &self.entering {
-            if i != r {
-                self.t[j * m + i] = 0.0;
-                self.occupied[i * words + w] &= !mask;
-            }
-        }
+    /// Brings column `q` into the basis at position `r`, whose entry of
+    /// the entering column (`entering`, which must be current) is `piv`.
+    /// `new_value` is the entering variable's value after the step.
+    fn pivot(&mut self, r: usize, q: usize, piv: f64, new_value: f64) -> Result<(), &'static str> {
+        debug_assert!(piv.abs() > PIVOT_TOL * 1e-3, "pivot too small: {piv}");
+        self.load_pivot_row(r);
         // reduced costs
-        let f = self.d[j];
+        let f = self.d[q] / piv;
         if f != 0.0 {
-            for &(col, y) in &self.pivot_row {
-                self.d[col] -= f * y;
+            for &(j, a) in &self.pivot_row {
+                self.d[j] -= f * a;
             }
-            self.d[j] = 0.0;
         }
         let old = self.basis[r];
+        self.d[q] = 0.0;
+        self.d[old] = -f;
+        self.etas.push(r, piv, self.entering.iter().copied());
         self.basic_row[old] = NONBASIC;
-        self.basis[r] = j;
-        self.basic_row[j] = r;
+        self.basis[r] = q;
+        self.basic_row[q] = r;
         self.beta[r] = new_value;
-        #[cfg(test)]
-        self.check_occupancy();
-    }
-
-    /// Asserts the bitmap invariant: bit (i, j) is set exactly when entry
-    /// (i, j) is nonzero, for every column (live ones are kept current;
-    /// the others are frozen with their bits).
-    #[cfg(test)]
-    fn check_occupancy(&self) {
-        assert_eq!(self.occupied.len(), self.m * self.words);
-        for j in 0..self.ncols {
-            for i in 0..self.m {
-                let (w, mask) = bit(self.words, i, j);
-                assert_eq!(
-                    self.occupied[w] & mask != 0,
-                    self.t[j * self.m + i] != 0.0,
-                    "bit ({i}, {j}) disagrees with entry {} (live: {})",
-                    self.t[j * self.m + i],
-                    self.live[j]
-                );
-            }
+        for k in 0..self.pivot_row.len() {
+            self.reprice(self.pivot_row[k].0);
         }
-        // and no bit is set past the last column
-        let nonzeros = self.t.iter().filter(|&&a| a != 0.0).count();
-        assert_eq!(self.nonzeros(), nonzeros);
+        self.reprice(q);
+        self.reprice(old);
+        self.updates += 1;
+        if self.updates >= REFACTOR_INTERVAL {
+            self.refactors += 1;
+            self.factor(PIVOT_TOL)?;
+            self.compute_beta();
+            self.price();
+        }
+        Ok(())
     }
 
     /// Primal iterations until optimal / unbounded / iteration limit.
-    fn optimize(&mut self, max_iters: usize, phase1: bool) -> PhaseEnd {
+    fn optimize(&mut self, max_iters: usize) -> PhaseEnd {
         loop {
             if self.iterations >= max_iters {
                 return PhaseEnd::IterLimit;
@@ -717,42 +1107,17 @@ impl Tableau {
             }
             let bland = self.degenerate_streak >= DEGENERATE_STREAK;
             // entering column
-            let mut best: Option<(usize, f64, bool)> = None; // (col, score, increasing)
-            let scan_end = if phase1 {
-                self.ncols
+            let best = if bland {
+                self.pricer.lowest()
             } else {
-                self.n_struct + self.m
+                self.pricer.best()
             };
-            for j in 0..scan_end {
-                if self.basic_row[j] != NONBASIC {
-                    continue;
-                }
-                if self.lb[j] == self.ub[j] {
-                    continue; // fixed column can never improve
-                }
-                let dj = self.d[j];
-                let (eligible, increasing) = if self.at_upper[j] {
-                    (dj > COST_TOL, false)
-                } else {
-                    (dj < -COST_TOL, true)
-                };
-                if !eligible {
-                    continue;
-                }
-                if bland {
-                    best = Some((j, dj.abs(), increasing));
-                    break;
-                }
-                match best {
-                    Some((_, s, _)) if s >= dj.abs() => {}
-                    _ => best = Some((j, dj.abs(), increasing)),
-                }
-            }
-            let Some((j, _, increasing)) = best else {
+            let Some(j) = best else {
                 return PhaseEnd::Ok; // optimal for this phase
             };
+            let increasing = !self.at_upper[j];
 
-            self.gather_entering(j);
+            self.ftran_column(j);
 
             // ratio test
             let range = self.ub[j] - self.lb[j]; // may be inf
@@ -820,8 +1185,9 @@ impl Tableau {
                 None => {
                     // bound flip of the entering column
                     self.at_upper[j] = !self.at_upper[j];
+                    self.reprice(j);
                 }
-                Some((r, leaves_at_upper, _)) => {
+                Some((r, leaves_at_upper, piv)) => {
                     let entering_value = if increasing {
                         (if self.at_upper[j] {
                             self.ub[j]
@@ -833,31 +1199,14 @@ impl Tableau {
                     };
                     let old = self.basis[r];
                     self.at_upper[old] = leaves_at_upper;
-                    self.pivot(r, j, entering_value);
                     self.at_upper[j] = false;
+                    if self.pivot(r, j, piv, entering_value).is_err() {
+                        return PhaseEnd::Singular;
+                    }
                 }
             }
         }
     }
-}
-
-/// Word index and mask of bit (i, j) in a bitmap of `words` words per row.
-fn bit(words: usize, i: usize, j: usize) -> (usize, u64) {
-    (i * words + j / 64, 1 << (j % 64))
-}
-
-/// The indices of the set bits of a bitmap row, ascending.
-fn set_bits(row: &[u64]) -> impl Iterator<Item = usize> + '_ {
-    row.iter().enumerate().flat_map(|(k, &word)| {
-        let mut bits = word;
-        std::iter::from_fn(move || {
-            (bits != 0).then(|| {
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                k * 64 + b
-            })
-        })
-    })
 }
 
 enum PhaseEnd {
@@ -865,6 +1214,8 @@ enum PhaseEnd {
     Unbounded,
     IterLimit,
     TimedOut,
+    /// A refactorization found the basis singular.
+    Singular,
 }
 
 #[cfg(test)]
@@ -1053,14 +1404,14 @@ mod tests {
         assert!((obj - 2.0).abs() < 1e-6);
     }
 
-    // -- the occupancy bitmap --
+    // -- the independent check --
 
-    /// A random LP with small integer coefficients, so that eliminations
-    /// cancel to exact zeros and clear bits: fixed, boxed and
-    /// upper-unbounded columns, repeated terms in a row, and mixed senses,
-    /// each row held by one integral point within the bounds.
-    fn random_lp(rng: &mut columba_prng::Rng) -> Lp {
-        let n = rng.gen_range(1usize..9);
+    /// A random LP with small integer coefficients (so eliminations cancel
+    /// to exact zeros): fixed, boxed and upper-unbounded columns, repeated
+    /// terms in a row, and mixed senses, each row held by one integral
+    /// point within the bounds. Up to `n_max` columns and `m_max` rows.
+    fn random_lp(rng: &mut columba_prng::Rng, n_max: usize, m_max: usize) -> Lp {
+        let n = rng.gen_range(1usize..n_max);
         let (mut lb, mut ub, mut point) = (vec![], vec![], vec![]);
         for _ in 0..n {
             let l = rng.gen_range(-2i64..=1) as f64;
@@ -1075,9 +1426,9 @@ mod tests {
             point.push(x);
         }
         let cost = (0..n).map(|_| rng.gen_range(-3i64..=3) as f64).collect();
-        let rows = (0..rng.gen_range(1usize..8))
+        let rows = (0..rng.gen_range(1usize..m_max))
             .map(|_| {
-                let terms: Vec<(usize, f64)> = (0..rng.gen_range(1usize..=n + 1))
+                let terms: Vec<(usize, f64)> = (0..rng.gen_range(1usize..=n.min(8) + 1))
                     .map(|_| (rng.gen_range(0..n), rng.gen_range(-2i64..=2) as f64))
                     .collect();
                 let act: f64 = terms.iter().map(|&(j, c)| c * point[j]).sum();
@@ -1093,22 +1444,129 @@ mod tests {
         Lp { lb, ub, cost, rows }
     }
 
+    /// A start for `p` other than its optimum: every slack basic except
+    /// row `i`'s, which gives way to structural column `j`, and every other
+    /// column at a random bound. Singular exactly when row `i` does not
+    /// reach column `j`.
+    fn swapped_start(rng: &mut columba_prng::Rng, p: &Lp, i: usize, j: usize) -> Basis {
+        let cols = (0..p.lb.len())
+            .map(|k| match k == j {
+                true => ColStatus::Basic,
+                false if p.ub[k].is_finite() && rng.gen_range(0usize..2) == 0 => ColStatus::AtUpper,
+                false => ColStatus::AtLower,
+            })
+            .collect();
+        let mut slack_basic = vec![true; p.rows.len()];
+        slack_basic[i] = false;
+        Basis { cols, slack_basic }
+    }
+
     #[test]
-    fn occupancy_tracks_nonzeros_on_random_lps() {
-        // every tableau checks its bitmap when built and after each pivot
+    fn random_lps_pass_the_fresh_factorization_check() {
+        // every optimal phase 2 refactors from scratch and checks β and the
+        // reduced costs (`check_optimal`); the larger LPs pass through
+        // periodic refactorizations and non-triangular bases
         let mut rng = columba_prng::Rng::seed_from_u64(0x0cc0_b175);
-        let (mut optimal, mut pivots) = (0, 0);
-        for _ in 0..400 {
-            let p = random_lp(&mut rng);
+        let (mut optimal, mut pivots, mut longest) = (0, 0, 0);
+        let mut starts = [0usize; 3]; // warm, singular, infeasible
+        for k in 0..480 {
+            let p = match k < 400 {
+                true => random_lp(&mut rng, 9, 8),
+                false => random_lp(&mut rng, 240, 160),
+            };
             let cold = solve_lp(&p, None, None);
             pivots += cold.iterations;
-            if let Some(basis) = &cold.basis {
-                optimal += 1;
-                pivots += solve_lp(&p, None, Some(basis)).iterations;
+            longest = longest.max(cold.iterations);
+            let (Some(basis), LpOutcome::Optimal { obj, .. }) = (&cold.basis, &cold.outcome) else {
+                continue;
+            };
+            optimal += 1;
+            let warm = solve_lp(&p, None, Some(basis));
+            assert!(
+                matches!(warm.start, Start::Warm { .. }),
+                "lp {k}: {:?}",
+                warm.start
+            );
+            assert_eq!(warm.iterations, 0, "lp {k}: restart pivoted");
+            let (i, j) = (rng.gen_range(0..p.rows.len()), rng.gen_range(0..p.lb.len()));
+            let reaches = p.rows[i]
+                .terms
+                .iter()
+                .filter(|t| t.0 == j)
+                .map(|t| t.1)
+                .sum::<f64>();
+            let run = solve_lp(&p, None, Some(&swapped_start(&mut rng, &p, i, j)));
+            match run.start {
+                Start::Warm { factored } => {
+                    assert_eq!(factored, 1, "lp {k}");
+                    starts[0] += 1;
+                }
+                Start::Fallback("singular") => {
+                    assert_eq!(reaches, 0.0, "lp {k}: a nonsingular start refused");
+                    starts[1] += 1;
+                }
+                Start::Fallback("infeasible") => starts[2] += 1,
+                other => panic!("lp {k}: {other:?}"),
+            }
+            match run.outcome {
+                LpOutcome::Optimal { obj: o, .. } => {
+                    assert!(
+                        (o - obj).abs() <= 1e-9 * (1.0 + obj.abs()),
+                        "lp {k}: {o} vs {obj}"
+                    )
+                }
+                other => panic!("lp {k}: {other:?} from {:?}", run.start),
             }
         }
-        assert!(optimal >= 250, "only {optimal} optimal LPs");
-        assert!(pivots >= 1000, "only {pivots} pivots");
+        assert!(optimal >= 300, "only {optimal} optimal LPs");
+        assert!(pivots >= 3000, "only {pivots} pivots");
+        assert!(
+            longest > 2 * REFACTOR_INTERVAL,
+            "no LP refactored: {longest}"
+        );
+        assert!(starts.iter().all(|&s| s >= 10), "start mix {starts:?}");
+    }
+
+    #[test]
+    fn factorization_takes_a_bump_and_refuses_parallel_columns() {
+        // at the optimum x = y = 4/3 both rows hold two basic structural
+        // columns: no row singleton, so one column pivots as a bump, and
+        // the other then pivots on the row left, transformed by its eta
+        let p = lp(
+            &[0.0, 0.0],
+            &[10.0, 10.0],
+            &[-1.0, -1.0],
+            vec![
+                row(&[(0, 1.0), (1, 2.0)], Sense::Le, 4.0),
+                row(&[(0, 2.0), (1, 1.0)], Sense::Le, 4.0),
+            ],
+        );
+        let basis = Basis {
+            cols: vec![ColStatus::Basic, ColStatus::Basic],
+            slack_basic: vec![false, false],
+        };
+        let s = Simplex::warm(&p, &basis).expect("nonsingular and feasible");
+        assert_eq!((s.factored, s.bump_columns), (2, 1));
+        for (&c, &v) in s.basis.iter().zip(&s.beta) {
+            assert!((v - 4.0 / 3.0).abs() < 1e-12, "column {c} at {v}");
+        }
+        let run = solve_lp(&p, None, Some(&basis));
+        assert_eq!(
+            (run.start, run.iterations),
+            (Start::Warm { factored: 2 }, 0)
+        );
+
+        // the same rows scaled to parallel columns cannot both be basic
+        let q = lp(
+            &[0.0, 0.0],
+            &[10.0, 10.0],
+            &[-1.0, -1.0],
+            vec![
+                row(&[(0, 1.0), (1, 2.0)], Sense::Le, 4.0),
+                row(&[(0, 2.0), (1, 4.0)], Sense::Le, 10.0),
+            ],
+        );
+        assert_eq!(Simplex::warm(&q, &basis).err(), Some("singular"));
     }
 
     // -- warm starts --
@@ -1166,10 +1624,13 @@ mod tests {
         ];
         for (k, p) in lps.iter().enumerate() {
             let (cold, warm) = restart(p);
-            let Start::Warm { crash_pivots } = warm.start else {
+            let Start::Warm { factored } = warm.start else {
                 panic!("lp {k}: start refused: {:?}", warm.start);
             };
-            assert_eq!(warm.iterations, crash_pivots, "lp {k}: phase 2 pivoted");
+            let basis = warm.basis.as_ref().expect("optimal");
+            let basic = basis.cols.iter().filter(|&&s| s == ColStatus::Basic);
+            assert_eq!(factored, basic.count(), "lp {k}");
+            assert_eq!(warm.iterations, 0, "lp {k}: phase 2 pivoted");
             let (LpOutcome::Optimal { x: xc, .. }, LpOutcome::Optimal { x: xw, .. }) =
                 (&cold.outcome, &warm.outcome)
             else {
@@ -1249,7 +1710,8 @@ mod tests {
         };
         let run = solve_lp(&q, None, Some(&past));
         assert_eq!(run.start, Start::Fallback("infeasible"));
-        assert!(run.iterations >= 1, "the crash pivot counts as work");
+        // factoring the refused start is not an iteration
+        assert_eq!(run.iterations, solve_lp(&q, None, None).iterations);
         assert!(matches!(run.outcome, LpOutcome::Optimal { obj, .. } if (obj + 4.0).abs() < 1e-9));
     }
 }

@@ -684,12 +684,12 @@ pub(crate) fn solve(
         &mut root_iters,
     )?;
     if root_span.is_recording() {
-        let (warm, crash_pivots) = match root.start {
-            Start::Warm { crash_pivots } => (1usize, crash_pivots),
+        let (warm, factored) = match root.start {
+            Start::Warm { factored } => (1usize, factored),
             _ => (0, 0),
         };
         root_span.attr("warm_start", warm);
-        root_span.attr("crash_pivots", crash_pivots);
+        root_span.attr("factored_columns", factored);
         if let Start::Fallback(reason) = root.start {
             root_span.attr("fallback", reason);
         }
