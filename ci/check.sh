@@ -76,9 +76,6 @@ section_test() {
   echo "==> cargo test --offline"
   cargo test --workspace -q --offline
 
-  echo "==> cargo test -p columba-schedule (assay scheduling + storage synthesis)"
-  cargo test -q --offline -p columba-schedule
-
   echo "==> cargo test --features fault-inject (resilience ladder under forced failures)"
   cargo test -q --offline -p columba-milp --features fault-inject
   cargo test -q --offline -p columba-layout --features fault-inject

@@ -80,7 +80,7 @@ use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use crate::batch::BatchId;
-use crate::job::{JobId, QosClass};
+use crate::job::{JobId, JobState, QosClass};
 use crate::service::{ExportError, ExportKind, ProfileError, Service, SubmitError};
 use crate::simenv::clock::{Clock, ClockParty, ClockSuspend};
 use crate::simenv::net::{Conn, TcpTransport, Transport};
@@ -365,68 +365,44 @@ fn write_sse_head(out: &mut impl Write) -> io::Result<()> {
     out.flush()
 }
 
-/// Serves `GET /jobs/<id>/events`: replays the job's trace ring as SSE
-/// frames, blocks on the service's event condvar for new ones,
-/// heartbeats while idle, and ends with an `event: end` frame on
-/// terminal state, stream deadline, or service shutdown. Every write is
-/// bounded by the socket write timeout, so a stalled or vanished client
-/// tears the stream down within one heartbeat; the service is only ever
-/// polled for snapshots, never held across a write.
-fn stream_job_events(service: &Service, out: &mut impl Write, config: HttpConfig, id: JobId) {
+/// Runs one SSE stream: `poll` appends the frames new since its last call
+/// and returns the `end` frame's detail once the stream is over. It also
+/// ends on shutdown or at its deadline, heartbeats while idle, and blocks
+/// on the service's event counter between polls. Writes are bounded by
+/// the socket write timeout, so a vanished client tears the stream down
+/// within one heartbeat; the service is never held across a write.
+fn stream_events(
+    service: &Service,
+    out: &mut impl Write,
+    config: HttpConfig,
+    mut poll: impl FnMut(&mut String) -> Option<String>,
+) {
     if write_sse_head(out).is_err() {
         return;
     }
     let clock = service.clock();
     let mut chunks = ChunkedWriter::new(out);
     let deadline = clock.now().saturating_add(config.sse_deadline);
-    let mut sent = 0usize;
     let mut last_write = clock.now();
     loop {
-        // Snapshot the event counter *before* reading state: anything
-        // arriving after this point pops the wait below immediately, so
-        // no event can fall between the read and the block.
+        // Snapshot the event counter *before* polling: anything arriving
+        // after this point pops the wait below immediately, so no event
+        // can fall between the poll and the block.
         let seen = service.events_seq();
-        let Some(events) = service.job_events(id) else {
-            // pruned mid-stream; nothing more will arrive
-            let _ = chunks.chunk(sse_frame("end", "reason pruned").as_bytes());
-            break;
-        };
         let mut frames = String::new();
-        for event in &events[sent.min(events.len())..] {
-            frames.push_str(&sse_frame(event.kind.as_str(), &event.to_jsonl()));
-        }
-        sent = sent.max(events.len());
+        let end = poll(&mut frames);
         if !frames.is_empty() {
             if chunks.chunk(frames.as_bytes()).is_err() {
                 return; // client gone
             }
             last_write = clock.now();
         }
-        let terminal = service.status(id).is_none_or(|s| s.state.is_terminal());
-        if terminal {
-            // The ring was read before the state: a frame traced between
-            // that read and the state flip (the `solved` event precedes
-            // `state = Done`) would be dropped without a final drain.
-            let mut tail = String::new();
-            if let Some(events) = service.job_events(id) {
-                for event in &events[sent.min(events.len())..] {
-                    tail.push_str(&sse_frame(event.kind.as_str(), &event.to_jsonl()));
-                }
-            }
-            let state = service
-                .status(id)
-                .map_or_else(|| "pruned".to_string(), |s| s.state.as_str().to_string());
-            tail.push_str(&sse_frame("end", &format!("state {state}")));
-            let _ = chunks.chunk(tail.as_bytes());
-            break;
-        }
-        if service.is_shutting_down() {
-            let _ = chunks.chunk(sse_frame("end", "reason shutdown").as_bytes());
-            break;
-        }
         let now = clock.now();
-        if now >= deadline {
-            let _ = chunks.chunk(sse_frame("end", "reason deadline").as_bytes());
+        let end = end
+            .or_else(|| service.is_shutting_down().then(|| "reason shutdown".into()))
+            .or_else(|| (now >= deadline).then(|| "reason deadline".into()));
+        if let Some(end) = end {
+            let _ = chunks.chunk(sse_frame("end", &end).as_bytes());
             break;
         }
         if now.saturating_sub(last_write) >= config.sse_heartbeat {
@@ -447,24 +423,38 @@ fn stream_job_events(service: &Service, out: &mut impl Write, config: HttpConfig
     let _ = chunks.finish();
 }
 
+/// Serves `GET /jobs/<id>/events`: replays the job's trace ring as SSE
+/// frames as it grows, and ends with `event: end` once the job is
+/// terminal.
+fn stream_job_events(service: &Service, out: &mut impl Write, config: HttpConfig, id: JobId) {
+    let mut sent = 0usize;
+    stream_events(service, out, config, |frames| {
+        // Read the state before the ring. A job's terminal event
+        // (`solved`, `cache_hit`, `failed` or `cancelled`) enters its ring
+        // before any reader can see the terminal state, so a ring read
+        // after a terminal state holds it: no final drain is needed.
+        let state = service.status(id).map(|s| s.state);
+        let Some(events) = service.job_events(id) else {
+            // pruned mid-stream; nothing more will arrive
+            return Some("reason pruned".into());
+        };
+        for event in &events[sent.min(events.len())..] {
+            frames.push_str(&sse_frame(event.kind.as_str(), &event.to_jsonl()));
+        }
+        sent = sent.max(events.len());
+        let over = state.is_none_or(JobState::is_terminal);
+        over.then(|| format!("state {}", state.map_or("pruned", JobState::as_str)))
+    });
+}
+
 /// Serves `GET /batch/<id>/events`: emits a `batch` frame carrying the
 /// one-line group summary whenever it changes, then `event: end` when
-/// every member is terminal (or the deadline passes). Same disconnect
-/// and deadline discipline as the per-job stream.
+/// every member is terminal.
 fn stream_batch_events(service: &Service, out: &mut impl Write, config: HttpConfig, id: BatchId) {
-    if write_sse_head(out).is_err() {
-        return;
-    }
-    let clock = service.clock();
-    let mut chunks = ChunkedWriter::new(out);
-    let deadline = clock.now().saturating_add(config.sse_deadline);
     let mut last_line = String::new();
-    let mut last_write = clock.now();
-    loop {
-        let seen = service.events_seq();
+    stream_events(service, out, config, |frames| {
         let Some(status) = service.batch_status(id) else {
-            let _ = chunks.chunk(sse_frame("end", "reason pruned").as_bytes());
-            break;
+            return Some("reason pruned".into());
         };
         let s = status.summary();
         let line = format!(
@@ -472,38 +462,11 @@ fn stream_batch_events(service: &Service, out: &mut impl Write, config: HttpConf
             s.members, s.unique, s.queued, s.running, s.done, s.failed, s.cancelled, s.pruned
         );
         if line != last_line {
-            if chunks.chunk(sse_frame("batch", &line).as_bytes()).is_err() {
-                return;
-            }
+            frames.push_str(&sse_frame("batch", &line));
             last_line = line;
-            last_write = clock.now();
         }
-        if status.is_terminal() {
-            let _ = chunks.chunk(sse_frame("end", "state done").as_bytes());
-            break;
-        }
-        if service.is_shutting_down() {
-            let _ = chunks.chunk(sse_frame("end", "reason shutdown").as_bytes());
-            break;
-        }
-        let now = clock.now();
-        if now >= deadline {
-            let _ = chunks.chunk(sse_frame("end", "reason deadline").as_bytes());
-            break;
-        }
-        if now.saturating_sub(last_write) >= config.sse_heartbeat {
-            if chunks.chunk(b": hb\n\n").is_err() {
-                return;
-            }
-            last_write = now;
-        }
-        let bound = last_write
-            .saturating_add(config.sse_heartbeat)
-            .min(deadline);
-        let timeout = bound.saturating_sub(now).max(Duration::from_millis(1));
-        let _ = service.wait_events(seen, timeout);
-    }
-    let _ = chunks.finish();
+        status.is_terminal().then(|| "state done".into())
+    });
 }
 
 /// Reads and parses one request. Strictly bounded: the header block is
@@ -735,12 +698,20 @@ fn route_inner(service: &Service, req: Request) -> Result<Response, Routed> {
         .filter(|s| !s.is_empty())
         .collect();
     Ok(match (req.method, segments.as_slice()) {
-        (Method::Post, ["synthesize"]) => {
+        (Method::Post, [route @ ("synthesize" | "synthesize-assay")]) => {
+            let what = if *route == "synthesize" {
+                "netlist"
+            } else {
+                "assay"
+            };
             let Ok(text) = String::from_utf8(req.body) else {
-                return Ok(Response::text(400, "error netlist body is not UTF-8\n"));
+                return Ok(Response::text(
+                    400,
+                    format!("error {what} body is not UTF-8\n"),
+                ));
             };
             if text.trim().is_empty() {
-                return Ok(Response::text(400, "error empty netlist body\n"));
+                return Ok(Response::text(400, format!("error empty {what} body\n")));
             }
             let Some(class) = parse_class(query, QosClass::Interactive) else {
                 return Ok(Response::text(
@@ -748,29 +719,13 @@ fn route_inner(service: &Service, req: Request) -> Result<Response, Routed> {
                     "error class must be interactive or bulk\n",
                 ));
             };
-            match service.submit_text_as(text, class) {
-                Ok(id) => Response::text(202, format!("id {id}\n")),
-                Err(e) => submit_error_response(service, &e),
-            }
-        }
-        (Method::Post, ["synthesize-assay"]) => {
-            let Ok(text) = String::from_utf8(req.body) else {
-                return Ok(Response::text(400, "error assay body is not UTF-8\n"));
-            };
-            if text.trim().is_empty() {
-                return Ok(Response::text(400, "error empty assay body\n"));
-            }
-            let Some(class) = parse_class(query, QosClass::Interactive) else {
-                return Ok(Response::text(
-                    400,
-                    "error class must be interactive or bulk\n",
-                ));
-            };
-            // Eager validation so malformed bodies and cyclic graphs are
-            // structured 4xx at the boundary (the worker re-parses the
+            // Eager assay validation so malformed bodies and cyclic graphs
+            // are structured 4xx at the boundary (the worker re-parses the
             // journaled text, which by then is known good).
-            if let Err(e) = columba_schedule::Assay::parse(&text) {
-                return Ok(Response::text(400, format!("error assay error: {e}\n")));
+            if what == "assay" {
+                if let Err(e) = columba_schedule::Assay::parse(&text) {
+                    return Ok(Response::text(400, format!("error assay error: {e}\n")));
+                }
             }
             match service.submit_text_as(text, class) {
                 Ok(id) => Response::text(202, format!("id {id}\n")),

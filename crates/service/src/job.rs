@@ -7,7 +7,7 @@ use std::time::Duration;
 use crate::cache::CompletedDesign;
 
 /// Handle to one submitted synthesis job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct JobId(pub u64);
 
 impl fmt::Display for JobId {
@@ -72,9 +72,10 @@ impl fmt::Display for QosClass {
 
 /// Lifecycle state of a job. Terminal states are `Done`, `Failed` and
 /// `Cancelled`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum JobState {
     /// Admitted, waiting for a worker.
+    #[default]
     Queued,
     /// A worker is synthesizing it.
     Running,
@@ -117,7 +118,7 @@ impl fmt::Display for JobState {
 
 /// A point-in-time snapshot of one job, as returned by `Service::status`
 /// and rendered by `GET /jobs/<id>`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct JobStatus {
     /// The job.
     pub id: JobId,

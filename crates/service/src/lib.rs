@@ -52,6 +52,7 @@ pub mod cache;
 pub mod hash;
 pub mod http;
 pub mod job;
+mod lifecycle;
 pub mod metrics;
 pub mod persist;
 pub mod service;

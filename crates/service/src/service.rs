@@ -26,8 +26,7 @@ use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use columba_obs::{
-    Histogram, RecorderGuard, SloDef, SloEngine, SloSnapshot, SloTransition, SpanEvent,
-    SpanRecorder,
+    Histogram, RecorderGuard, SloDef, SloEngine, SloSnapshot, SloTransition, SpanRecorder,
 };
 use columba_s::{CancelToken, Columba, Netlist, Rung, SolveStats, SynthesisOptions};
 
@@ -35,6 +34,9 @@ use crate::batch::{BatchId, BatchStatus, MemberStatus};
 use crate::cache::{entry_cost, CacheConfig, CompletedDesign, DesignCache, DesignSummary};
 use crate::hash::ContentKey;
 use crate::job::{JobId, JobState, JobStatus, QosClass};
+use crate::lifecycle::{
+    transition, withdrawn, Canceller, Counter, Effects, Event, Finish, Folded, JobEnd, JobRecord,
+};
 use crate::metrics::MetricsSnapshot;
 use crate::persist::{
     BreakerConfig, BreakerState, JournalRecord, Persist, PersistConfig, PersistSupervisor,
@@ -106,7 +108,7 @@ pub struct ServiceConfig {
     /// cancelled and watchdog-fired jobs are always kept.
     pub trace_keep_slow: Duration,
     /// Head-sampling rate for fast, clean jobs: 1 in this many such jobs
-    /// keeps its trace/profile; the rest are discarded at finalize and
+    /// keeps its trace/profile; the rest are discarded as they finish and
     /// counted in `/metrics` as `traces_sampled_out`. `1` (the default)
     /// keeps everything; `0` is treated as `1`.
     pub trace_head_sample: u64,
@@ -309,57 +311,6 @@ impl HealthReport {
     }
 }
 
-struct JobRecord {
-    text: Arc<String>,
-    token: CancelToken,
-    state: JobState,
-    class: QosClass,
-    cancel_requested: bool,
-    elapsed: Option<Duration>,
-    from_cache: bool,
-    rung: Option<String>,
-    error: Option<String>,
-    design: Option<Arc<CompletedDesign>>,
-    /// Finished span events captured while the job ran; the source of
-    /// `GET /jobs/<id>/profile`. `None` until terminal, or forever when
-    /// profiling is off.
-    profile: Option<Arc<Vec<SpanEvent>>>,
-    /// Whether this job's submission record reached the journal. `false`
-    /// for jobs accepted while the persist breaker was open (volatile
-    /// degraded mode) and for in-memory-only services; flips back to
-    /// `true` when the breaker heals and the job is re-journaled.
-    durable: bool,
-    /// Clock timestamp at which a worker claimed the job; the stuck-job
-    /// watchdog measures deadline + grace against it.
-    started_at: Option<Duration>,
-    /// The watchdog already cancelled this job (it fires once per job).
-    watchdog_fired: bool,
-    /// Scheduling stats when the submission was an assay text.
-    schedule: Option<columba_schedule::ScheduleStats>,
-    /// Peak bytes the worker thread held live while running this job
-    /// (tracking allocator watermark); `None` until the job ran or when
-    /// the `alloc-track` feature is compiled out.
-    peak_alloc: Option<u64>,
-}
-
-impl JobRecord {
-    fn snapshot(&self, id: u64) -> JobStatus {
-        JobStatus {
-            id: JobId(id),
-            state: self.state,
-            class: self.class,
-            from_cache: self.from_cache,
-            elapsed: self.elapsed,
-            rung: self.rung.clone(),
-            error: self.error.clone(),
-            design: self.design.clone(),
-            durable: self.durable,
-            schedule: self.schedule,
-            peak_alloc_bytes: self.peak_alloc,
-        }
-    }
-}
-
 /// A batch group's membership: the job id backing each member, in
 /// submission order (duplicate members repeat their representative's id).
 struct BatchRecord {
@@ -388,6 +339,11 @@ impl State {
     fn depth(&self, class: QosClass) -> usize {
         let i = class.idx();
         self.queues[i].len() + self.reserved[i]
+    }
+
+    /// Jobs currently in `state`.
+    fn count(&self, state: JobState) -> usize {
+        self.jobs.values().filter(|r| r.state() == state).count()
     }
 }
 
@@ -441,7 +397,6 @@ struct Inner {
     tick: Mutex<()>,
     tick_cv: Condvar,
     watchdog_grace: Duration,
-    watchdog_cancels: AtomicU64,
     rejected: AtomicU64,
     panics: AtomicU64,
     /// Batch groups admitted.
@@ -456,9 +411,8 @@ struct Inner {
     assay_jobs: AtomicU64,
     /// Storage ops the scheduler inserted across all assay jobs.
     storage_ops_inserted: AtomicU64,
-    done_count: AtomicU64,
-    failed_count: AtomicU64,
-    cancelled_count: AtomicU64,
+    /// The lifecycle counters, indexed by [`Counter`].
+    counts: [AtomicU64; 4],
     profile_spans: bool,
     profile_capacity: usize,
     /// Span events evicted from per-job profile recorders (and the
@@ -478,8 +432,8 @@ struct Inner {
     /// connection: request spans land here, served by `GET /profile`.
     http_recorder: SpanRecorder,
     /// The SLO/error-budget engine: availability and latency burn rates
-    /// over 5m/1h/6h windows, fed by [`Service::observe_http`] and
-    /// `finalize`, evaluated every supervisor tick and on `GET /slo`.
+    /// over 5m/1h/6h windows, fed by [`Service::observe_http`] and each
+    /// finished solve, evaluated every supervisor tick and on `GET /slo`.
     /// Pure `Duration` arithmetic over [`Inner::clock`], so burn math is
     /// deterministic under a [`crate::simenv::SimClock`].
     slo: Mutex<SloEngine>,
@@ -526,6 +480,96 @@ impl Inner {
         self.notify_events();
     }
 
+    /// Runs `event` through [`transition`] on a record of the locked job
+    /// table; `None` when the record refused it. The lifecycle event goes
+    /// into the job's trace ring here, under the state lock, so no reader
+    /// sees a terminal state before its event. Everything else waits for
+    /// [`Inner::apply`].
+    fn step(&self, r: &mut JobRecord, event: Event) -> Option<Effects> {
+        let mut fx = transition(r, event)?;
+        if let Some((_, elapsed)) = fx.solve {
+            self.solve_hist.record(elapsed);
+        }
+        if let Some(event) = &mut fx.event {
+            event.ts = self.clock.now().saturating_sub(self.epoch);
+            self.ring.record(event);
+        }
+        Some(fx)
+    }
+
+    /// Applies a transition's effects, outside the state lock: the trace
+    /// sink, event-stream wakeups, tail sampling, the solve SLO and
+    /// exemplar feeds, the journal append, the lifecycle counter, and
+    /// finally the wakeup of the job's waiters.
+    fn apply(&self, fx: Effects) {
+        if let Some(event) = &fx.event {
+            self.trace_sink.record(event);
+        }
+        // A final state is an event of its own: a stream that already read
+        // the job's last trace event while it still ran waits on the
+        // counter, not on the job table.
+        if fx.event.is_some() || fx.terminal {
+            self.notify_events();
+        }
+        if fx.sampled_out {
+            self.ring.forget(&[fx.id]);
+            self.traces_sampled_out.fetch_add(1, Ordering::Relaxed);
+        }
+        if let Some((class, elapsed)) = fx.solve {
+            // Feed the solve-latency SLO (per QoS class), and pin this job
+            // as its latency bucket's exemplar — but only when its trace
+            // was retained, so `/metrics` exemplars always resolve.
+            let now = self.clock.now().saturating_sub(self.epoch);
+            lock(&self.slo).observe_latency(SLO_SOLVE_LATENCY, class.as_str(), now, elapsed);
+            if !fx.sampled_out {
+                #[allow(clippy::cast_precision_loss)]
+                let bucket = columba_obs::bucket_index(elapsed.as_micros() as f64);
+                lock(&self.solve_exemplars).insert(bucket, (fx.id, elapsed.as_secs_f64()));
+            }
+        }
+        if let Some(record) = &fx.journal {
+            self.journal_best_effort(record);
+        }
+        if let Some(counter) = fx.counter {
+            self.counts[counter as usize].fetch_add(1, Ordering::Relaxed);
+        }
+        if fx.terminal {
+            self.clock.mark_wake();
+            self.done.notify_all();
+        }
+    }
+
+    fn count(&self, counter: Counter) -> u64 {
+        self.counts[counter as usize].load(Ordering::Relaxed)
+    }
+
+    /// Blocks on the `done` condvar until `snap` reports its snapshot
+    /// final or `timeout` passes, and returns the last snapshot; `None`
+    /// once `snap` does not know its subject.
+    fn wait_until<T>(
+        &self,
+        timeout: Duration,
+        snap: impl Fn(&State) -> Option<(T, bool)>,
+    ) -> Option<T> {
+        self.wait_ready();
+        let deadline = self.clock.now() + timeout;
+        let mut st = lock(&self.state);
+        loop {
+            let (snapshot, last) = snap(&st)?;
+            let now = self.clock.now();
+            if last || now >= deadline {
+                return Some(snapshot);
+            }
+            st = clock_wait(&*self.clock, &self.done, st, deadline - now).0;
+        }
+    }
+
+    /// A fresh job's cancel token, carrying the per-job deadline.
+    fn job_token(&self) -> CancelToken {
+        self.job_deadline
+            .map_or_else(CancelToken::new, CancelToken::with_timeout)
+    }
+
     /// Advances the event counter and wakes every event-stream waiter.
     fn notify_events(&self) {
         *lock(&self.events_seq) += 1;
@@ -560,15 +604,9 @@ impl Inner {
         let Some(persist) = &self.persist else {
             return;
         };
-        match self.supervisor.run(|| persist.append(record)) {
-            WriteOutcome::Done(true) => self.trace(None, TraceKind::Compacted, "journal compacted"),
-            WriteOutcome::Done(false) | WriteOutcome::Skipped => {}
-            WriteOutcome::Failed(e) => self.trace(
-                Some(record.id()),
-                TraceKind::PersistError,
-                format!("journal append failed: {e}"),
-            ),
-            WriteOutcome::Tripped(e) => self.trace_breaker_open(Some(record.id()), &e),
+        if let Err(e) = self.journal_admission(persist, record) {
+            let detail = format!("journal append failed: {e}");
+            self.trace(Some(record.id()), TraceKind::PersistError, detail);
         }
     }
 
@@ -578,40 +616,189 @@ impl Inner {
     /// `Err` refuses the submission — the write failed but the breaker is
     /// still closed, and while healthy, acked means journaled.
     fn journal_admission(&self, persist: &Persist, record: &JournalRecord) -> io::Result<bool> {
-        match self.supervisor.run(|| persist.append(record)) {
-            WriteOutcome::Done(compacted) => {
-                if compacted {
-                    self.trace(None, TraceKind::Compacted, "journal compacted");
-                }
-                Ok(true)
-            }
-            WriteOutcome::Skipped => Ok(false),
-            WriteOutcome::Tripped(e) => {
-                self.trace_breaker_open(Some(record.id()), &e);
-                Ok(false)
+        let compacted = self.persist_write(Some(record.id()), || persist.append(record))?;
+        if compacted == Some(true) {
+            self.trace(None, TraceKind::Compacted, "journal compacted");
+        }
+        Ok(compacted.is_some())
+    }
+
+    /// Runs one persist write through the breaker. `Ok(Some(_))`: the
+    /// write is durable. `Ok(None)`: the breaker is open, or this very
+    /// failure tripped it, and the write was skipped. `Err`: the write
+    /// failed with the breaker still closed.
+    fn persist_write<T>(
+        &self,
+        job: Option<u64>,
+        write: impl FnMut() -> io::Result<T>,
+    ) -> io::Result<Option<T>> {
+        match self.supervisor.run(write) {
+            WriteOutcome::Done(out) => Ok(Some(out)),
+            WriteOutcome::Skipped => Ok(None),
+            WriteOutcome::Tripped(cause) => {
+                let detail =
+                    format!("persist breaker opened; serving volatile from memory: {cause}");
+                self.trace(job, TraceKind::BreakerOpen, detail);
+                Ok(None)
             }
             WriteOutcome::Failed(e) => Err(e),
         }
     }
 
-    fn trace_breaker_open(&self, job: Option<u64>, cause: &io::Error) {
-        self.trace(
-            job,
-            TraceKind::BreakerOpen,
-            format!("persist breaker opened; serving volatile from memory: {cause}"),
-        );
+    /// Counts and traces a refused submission; returns the reason.
+    fn reject(&self, err: SubmitError) -> SubmitError {
+        self.rejected.fetch_add(1, Ordering::Relaxed);
+        self.trace(None, TraceKind::Rejected, err.to_string());
+        err
     }
-}
 
-enum JobEnd {
-    Done {
-        design: Arc<CompletedDesign>,
-        from_cache: bool,
-        /// The key the design was cached under (in memory and on disk);
-        /// `None` for degraded, uncached results.
-        key: Option<ContentKey>,
-    },
-    Failed(String),
+    /// Admits `texts` under `class`, atomically: every one or none. A
+    /// batch passes each member's slot in `texts`. Returns the batch's
+    /// group id and the member job ids (a single submission's one id).
+    fn admit(
+        &self,
+        class: QosClass,
+        texts: Vec<Arc<String>>,
+        member_of: Option<&[usize]>,
+    ) -> Result<(Option<u64>, Vec<u64>), SubmitError> {
+        let n = texts.len();
+        let capacity = self.queue_capacity[class.idx()];
+        // Phase 1 — admission + id reservation under the state lock. The
+        // reservation counts against capacity so concurrent submissions
+        // cannot overshoot the bound while phase 2 runs the (possibly
+        // slow, fsyncing) journal appends outside the lock.
+        let (ids, batch_id) = {
+            let mut st = lock(&self.state);
+            // Check the flag *under the state lock*: shutdown() drains the
+            // queues under this same lock after setting the flag, so either
+            // this submission sees the flag and is rejected, or it enqueues
+            // before the drain and the drain cancels it. Checking before
+            // taking the lock would leave a window where a job lands in a
+            // queue whose workers have already been joined and stays
+            // `Queued` forever.
+            if self.shutting_down.load(Ordering::Acquire) {
+                drop(st);
+                return Err(self.reject(SubmitError::ShuttingDown));
+            }
+            let depth = st.depth(class);
+            if depth + n > capacity {
+                drop(st);
+                return Err(self.reject(SubmitError::QueueFull { depth, capacity }));
+            }
+            let ids: Vec<u64> = (st.next_id..).take(n).collect();
+            st.next_id += n as u64;
+            st.reserved[class.idx()] += n;
+            let batch_id = member_of.map(|_| {
+                st.next_batch_id += 1;
+                st.next_batch_id - 1
+            });
+            (ids, batch_id)
+        };
+        let members: Vec<u64> = member_of.map_or_else(
+            || ids.clone(),
+            |slots| slots.iter().map(|&slot| ids[slot]).collect(),
+        );
+        // Phase 2 — journal every `submitted` record, then a batch's group
+        // record, before the ack. While the breaker is closed a failed
+        // append refuses the whole submission and withdraws what was
+        // journaled. Once it is open — or this very failure trips it —
+        // the jobs are accepted *volatile*: solved and served from memory,
+        // non-durable until the breaker heals.
+        let mut durable = false;
+        if let Some(persist) = &self.persist {
+            let mut records: Vec<JournalRecord> = ids
+                .iter()
+                .zip(&texts)
+                .map(|(&id, text)| JournalRecord::Submitted {
+                    id,
+                    class,
+                    text: Arc::clone(text),
+                })
+                .collect();
+            if let Some(id) = batch_id {
+                records.push(JournalRecord::Batch {
+                    id,
+                    members: members.clone(),
+                });
+            }
+            durable = true;
+            let mut journaled = Vec::new();
+            for record in &records {
+                match self.journal_admission(persist, record) {
+                    Ok(true) => journaled.push(record.id()),
+                    Ok(false) => durable = false,
+                    Err(e) => {
+                        lock(&self.state).reserved[class.idx()] -= n;
+                        for id in journaled {
+                            self.apply(withdrawn(id));
+                        }
+                        self.rejected.fetch_add(1, Ordering::Relaxed);
+                        let (job, what) = match batch_id {
+                            Some(_) => (None, "batch journal append failed"),
+                            None => (Some(ids[0]), "journal append failed"),
+                        };
+                        self.trace(job, TraceKind::PersistError, format!("{what}: {e}"));
+                        return Err(SubmitError::Persist {
+                            detail: e.to_string(),
+                        });
+                    }
+                }
+            }
+        }
+        // Phase 3 — enqueue. Shutdown may have raced phase 2; re-check
+        // under the lock and withdraw the journaled submissions so they
+        // are not re-enqueued on the next startup.
+        {
+            let mut st = lock(&self.state);
+            st.reserved[class.idx()] -= n;
+            if self.shutting_down.load(Ordering::Acquire) {
+                drop(st);
+                for &id in &ids {
+                    self.apply(withdrawn(id));
+                }
+                return Err(self.reject(SubmitError::ShuttingDown));
+            }
+            for (&id, text) in ids.iter().zip(texts) {
+                let token = self.job_token();
+                st.jobs
+                    .insert(id, JobRecord::new(id, class, text, token, durable));
+                st.queues[class.idx()].push_back(id);
+            }
+            if let Some(id) = batch_id {
+                let group = BatchRecord {
+                    class,
+                    members: members.clone(),
+                };
+                st.batches.insert(id, group);
+                prune_batches(&mut st, self.max_records);
+            }
+            let pruned = prune_records(&mut st, self.max_records);
+            drop(st);
+            self.ring.forget(&pruned);
+        }
+        if let Some(b) = batch_id {
+            self.batches_submitted.fetch_add(1, Ordering::Relaxed);
+            self.trace(
+                None,
+                TraceKind::Batch,
+                format!(
+                    "batch {b} admitted: {} members, {n} unique, class {class}",
+                    members.len()
+                ),
+            );
+        }
+        for &id in &ids {
+            let detail = batch_id.map_or(String::new(), |b| format!("batch {b}"));
+            self.trace(Some(id), TraceKind::Admitted, detail);
+        }
+        self.clock.mark_wake();
+        if batch_id.is_some() {
+            self.work.notify_all();
+        } else {
+            self.work.notify_one();
+        }
+        Ok((batch_id, members))
+    }
 }
 
 /// A running synthesis service. Construct with [`Service::start`]; share
@@ -666,15 +853,14 @@ impl Service {
             config.workers
         };
         let clock: Arc<dyn Clock> = config.clock.clone().unwrap_or_else(RealClock::shared);
-        let opened = match &config.persist {
-            Some(pc) => Some(match &config.storage {
-                Some(fs) => Persist::open_on(Arc::clone(fs), pc)?,
-                None => Persist::open(pc)?,
-            }),
-            None => None,
-        };
-        let (persist, recovery) = match opened {
-            Some((p, r)) => (Some(p), Some(r)),
+        let (persist, recovery) = match &config.persist {
+            Some(pc) => {
+                let (p, r) = match &config.storage {
+                    Some(fs) => Persist::open_on(Arc::clone(fs), pc)?,
+                    None => Persist::open(pc)?,
+                };
+                (Some(p), Some(r))
+            }
             None => (None, None),
         };
         if config.profile_spans {
@@ -719,7 +905,6 @@ impl Service {
             tick: Mutex::new(()),
             tick_cv: Condvar::new(),
             watchdog_grace: config.watchdog_grace,
-            watchdog_cancels: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             panics: AtomicU64::new(0),
             batches_submitted: AtomicU64::new(0),
@@ -728,9 +913,7 @@ impl Service {
             drc_rejected: AtomicU64::new(0),
             assay_jobs: AtomicU64::new(0),
             storage_ops_inserted: AtomicU64::new(0),
-            done_count: AtomicU64::new(0),
-            failed_count: AtomicU64::new(0),
-            cancelled_count: AtomicU64::new(0),
+            counts: Default::default(),
             profile_spans: config.profile_spans,
             profile_capacity: config.profile_capacity.max(64),
             profile_dropped: AtomicU64::new(0),
@@ -839,91 +1022,8 @@ impl Service {
         let inner = &self.inner;
         inner.wait_ready();
         inner.trace(None, TraceKind::Received, format!("{} bytes", text.len()));
-        // Phase 1 — admission + id reservation under the state lock. The
-        // reservation counts against capacity so concurrent submissions
-        // cannot overshoot the bound while phase 2 runs the (possibly
-        // slow, fsyncing) journal append outside the lock.
-        let id = {
-            let mut st = lock(&inner.state);
-            // Check the flag *under the state lock*: shutdown() drains the
-            // queues under this same lock after setting the flag, so either
-            // this submission sees the flag and is rejected, or it enqueues
-            // before the drain and the drain cancels it. Checking before
-            // taking the lock would leave a window where a job lands in a
-            // queue whose workers have already been joined and stays
-            // `Queued` forever.
-            if inner.shutting_down.load(Ordering::Acquire) {
-                drop(st);
-                inner.rejected.fetch_add(1, Ordering::Relaxed);
-                inner.trace(None, TraceKind::Rejected, "service is shutting down");
-                return Err(SubmitError::ShuttingDown);
-            }
-            let depth = st.depth(class);
-            if depth >= inner.queue_capacity[class.idx()] {
-                drop(st);
-                inner.rejected.fetch_add(1, Ordering::Relaxed);
-                let err = SubmitError::QueueFull {
-                    depth,
-                    capacity: inner.queue_capacity[class.idx()],
-                };
-                inner.trace(None, TraceKind::Rejected, err.to_string());
-                return Err(err);
-            }
-            let id = st.next_id;
-            st.next_id += 1;
-            st.reserved[class.idx()] += 1;
-            id
-        };
-        // Phase 2 — make the submission durable before acking it. While
-        // the breaker is closed a failed append refuses the submission
-        // (acked means journaled); once it is open — or this very failure
-        // trips it — the job is accepted *volatile* instead: solved and
-        // served from memory, marked non-durable until the breaker heals.
-        let mut durable = false;
-        if let Some(persist) = &inner.persist {
-            let record = JournalRecord::Submitted {
-                id,
-                class,
-                text: Arc::clone(&text),
-            };
-            match inner.journal_admission(persist, &record) {
-                Ok(d) => durable = d,
-                Err(e) => {
-                    lock(&inner.state).reserved[class.idx()] -= 1;
-                    inner.rejected.fetch_add(1, Ordering::Relaxed);
-                    inner.trace(
-                        Some(id),
-                        TraceKind::PersistError,
-                        format!("journal append failed: {e}"),
-                    );
-                    return Err(SubmitError::Persist {
-                        detail: e.to_string(),
-                    });
-                }
-            }
-        }
-        // Phase 3 — enqueue. Shutdown may have raced phase 2; re-check
-        // under the lock and journal a cancel so the record is not
-        // re-enqueued on the next startup.
-        {
-            let mut st = lock(&inner.state);
-            st.reserved[class.idx()] -= 1;
-            if inner.shutting_down.load(Ordering::Acquire) {
-                drop(st);
-                inner.journal_best_effort(&JournalRecord::Cancelled { id });
-                inner.rejected.fetch_add(1, Ordering::Relaxed);
-                inner.trace(None, TraceKind::Rejected, "service is shutting down");
-                return Err(SubmitError::ShuttingDown);
-            }
-            enqueue_job(&mut st, inner, id, class, text, durable);
-            let pruned = prune_records(&mut st, inner.max_records);
-            drop(st);
-            inner.ring.forget(&pruned);
-        }
-        inner.trace(Some(id), TraceKind::Admitted, "");
-        inner.clock.mark_wake();
-        inner.work.notify_one();
-        Ok(JobId(id))
+        let (_, ids) = inner.admit(class, vec![text], None)?;
+        Ok(JobId(ids[0]))
     }
 
     /// Submits many netlists as one batch group under `class`
@@ -996,134 +1096,9 @@ impl Service {
         inner
             .batch_dedup_hits
             .fetch_add((texts.len() - unique.len()) as u64, Ordering::Relaxed);
-        // Phase 1 — atomic admission of every unique member + the batch
-        // id, under the state lock (see submit_text_as for the shutdown
-        // ordering argument).
-        let (batch_id, ids) = {
-            let mut st = lock(&inner.state);
-            if inner.shutting_down.load(Ordering::Acquire) {
-                drop(st);
-                inner.rejected.fetch_add(1, Ordering::Relaxed);
-                inner.trace(None, TraceKind::Rejected, "service is shutting down");
-                return Err(SubmitError::ShuttingDown);
-            }
-            let depth = st.depth(class);
-            if depth + unique.len() > inner.queue_capacity[class.idx()] {
-                drop(st);
-                inner.rejected.fetch_add(1, Ordering::Relaxed);
-                let err = SubmitError::QueueFull {
-                    depth,
-                    capacity: inner.queue_capacity[class.idx()],
-                };
-                inner.trace(None, TraceKind::Rejected, err.to_string());
-                return Err(err);
-            }
-            let ids: Vec<u64> = (0..unique.len() as u64).map(|i| st.next_id + i).collect();
-            st.next_id += unique.len() as u64;
-            st.reserved[class.idx()] += unique.len();
-            let batch_id = st.next_batch_id;
-            st.next_batch_id += 1;
-            (batch_id, ids)
+        let (Some(batch_id), members) = inner.admit(class, unique, Some(&member_of))? else {
+            unreachable!("a batch admission returns its group id");
         };
-        let members: Vec<u64> = member_of.iter().map(|&slot| ids[slot]).collect();
-        // Phase 2 — journal every unique member, then the group record.
-        // A closed-breaker failure refuses the whole batch (nothing was
-        // enqueued yet); already-journaled members are cancelled
-        // best-effort so the next startup does not resurrect half a
-        // batch. A breaker trip (or an already-open breaker) accepts the
-        // whole batch volatile instead.
-        let mut durable = false;
-        if let Some(persist) = &inner.persist {
-            durable = true;
-            let mut journaled: Vec<u64> = Vec::new();
-            let mut fail = None;
-            for (i, text) in unique.iter().enumerate() {
-                let record = JournalRecord::Submitted {
-                    id: ids[i],
-                    class,
-                    text: Arc::clone(text),
-                };
-                match inner.journal_admission(persist, &record) {
-                    Ok(true) => journaled.push(ids[i]),
-                    Ok(false) => durable = false,
-                    Err(e) => {
-                        fail = Some(e);
-                        break;
-                    }
-                }
-            }
-            if fail.is_none() {
-                match inner.journal_admission(
-                    persist,
-                    &JournalRecord::Batch {
-                        id: batch_id,
-                        members: members.clone(),
-                    },
-                ) {
-                    Ok(true) => {}
-                    Ok(false) => durable = false,
-                    Err(e) => fail = Some(e),
-                }
-            }
-            if let Some(e) = fail {
-                lock(&inner.state).reserved[class.idx()] -= unique.len();
-                for id in journaled {
-                    inner.journal_best_effort(&JournalRecord::Cancelled { id });
-                }
-                inner.rejected.fetch_add(1, Ordering::Relaxed);
-                inner.trace(
-                    None,
-                    TraceKind::PersistError,
-                    format!("batch journal append failed: {e}"),
-                );
-                return Err(SubmitError::Persist {
-                    detail: e.to_string(),
-                });
-            }
-        }
-        // Phase 3 — enqueue every unique member and record the group.
-        {
-            let mut st = lock(&inner.state);
-            st.reserved[class.idx()] -= unique.len();
-            if inner.shutting_down.load(Ordering::Acquire) {
-                drop(st);
-                for &id in &ids {
-                    inner.journal_best_effort(&JournalRecord::Cancelled { id });
-                }
-                inner.rejected.fetch_add(1, Ordering::Relaxed);
-                inner.trace(None, TraceKind::Rejected, "service is shutting down");
-                return Err(SubmitError::ShuttingDown);
-            }
-            for (i, text) in unique.into_iter().enumerate() {
-                enqueue_job(&mut st, inner, ids[i], class, text, durable);
-            }
-            st.batches.insert(
-                batch_id,
-                BatchRecord {
-                    class,
-                    members: members.clone(),
-                },
-            );
-            prune_batches(&mut st, inner.max_records);
-            let pruned = prune_records(&mut st, inner.max_records);
-            drop(st);
-            inner.ring.forget(&pruned);
-        }
-        inner.batches_submitted.fetch_add(1, Ordering::Relaxed);
-        inner.trace(
-            None,
-            TraceKind::Batch,
-            format!(
-                "batch {batch_id} admitted: {} members, {} unique, class {class}",
-                members.len(),
-                ids.len()
-            ),
-        );
-        for &id in &ids {
-            inner.trace(Some(id), TraceKind::Admitted, format!("batch {batch_id}"));
-        }
-        inner.clock.mark_wake();
-        inner.work.notify_all();
         Ok((BatchId(batch_id), members.into_iter().map(JobId).collect()))
     }
 
@@ -1142,22 +1117,11 @@ impl Service {
     /// unknown id).
     #[must_use]
     pub fn wait_batch(&self, id: BatchId, timeout: Duration) -> Option<BatchStatus> {
-        self.inner.wait_ready();
-        let deadline = self.inner.clock.now() + timeout;
-        let mut st = lock(&self.inner.state);
-        loop {
-            let batch = st.batches.get(&id.0)?;
-            let snap = batch_snapshot(id, batch, &st.jobs);
-            if snap.is_terminal() {
-                return Some(snap);
-            }
-            let now = self.inner.clock.now();
-            if now >= deadline {
-                return Some(snap);
-            }
-            let (g, _) = clock_wait(&*self.inner.clock, &self.inner.done, st, deadline - now);
-            st = g;
-        }
+        self.inner.wait_until(timeout, |st| {
+            let snap = batch_snapshot(id, st.batches.get(&id.0)?, &st.jobs);
+            let terminal = snap.is_terminal();
+            Some((snap, terminal))
+        })
     }
 
     /// The lifecycle trace events of one job, oldest first — the data
@@ -1218,7 +1182,7 @@ impl Service {
     pub fn status(&self, id: JobId) -> Option<JobStatus> {
         self.inner.wait_ready();
         let st = lock(&self.inner.state);
-        st.jobs.get(&id.0).map(|r| r.snapshot(id.0))
+        st.jobs.get(&id.0).map(JobRecord::snapshot)
     }
 
     /// Blocks until the job reaches a terminal state or `timeout`
@@ -1226,21 +1190,10 @@ impl Service {
     /// unknown id).
     #[must_use]
     pub fn wait(&self, id: JobId, timeout: Duration) -> Option<JobStatus> {
-        self.inner.wait_ready();
-        let deadline = self.inner.clock.now() + timeout;
-        let mut st = lock(&self.inner.state);
-        loop {
+        self.inner.wait_until(timeout, |st| {
             let r = st.jobs.get(&id.0)?;
-            if r.state.is_terminal() {
-                return Some(r.snapshot(id.0));
-            }
-            let now = self.inner.clock.now();
-            if now >= deadline {
-                return Some(r.snapshot(id.0));
-            }
-            let (g, _) = clock_wait(&*self.inner.clock, &self.inner.done, st, deadline - now);
-            st = g;
-        }
+            Some((r.snapshot(), r.state().is_terminal()))
+        })
     }
 
     /// Requests cancellation. A queued job becomes `Cancelled`
@@ -1251,32 +1204,19 @@ impl Service {
     pub fn cancel(&self, id: JobId) -> bool {
         let inner = &self.inner;
         inner.wait_ready();
-        let was_queued = {
-            let mut st = lock(&inner.state);
-            let Some(r) = st.jobs.get_mut(&id.0) else {
-                return false;
-            };
-            if r.state.is_terminal() {
-                return false;
-            }
-            r.cancel_requested = true;
-            r.token.cancel();
-            let was_queued = r.state == JobState::Queued;
-            if was_queued {
-                r.state = JobState::Cancelled;
-                r.elapsed = Some(Duration::ZERO);
-                let class = r.class;
-                st.queues[class.idx()].retain(|&q| q != id.0);
-            }
-            was_queued
+        let mut st = lock(&inner.state);
+        let Some(r) = st.jobs.get_mut(&id.0) else {
+            return false;
         };
-        if was_queued {
-            inner.journal_best_effort(&JournalRecord::Cancelled { id: id.0 });
-            inner.cancelled_count.fetch_add(1, Ordering::Relaxed);
-            inner.trace(Some(id.0), TraceKind::Cancelled, "while queued");
-            inner.clock.mark_wake();
-            inner.done.notify_all();
+        let class = r.class();
+        let Some(fx) = inner.step(r, Event::Cancel(Canceller::Client)) else {
+            return false;
+        };
+        if fx.terminal {
+            st.queues[class.idx()].retain(|&q| q != id.0);
         }
+        drop(st);
+        inner.apply(fx);
         true
     }
 
@@ -1292,7 +1232,9 @@ impl Service {
         let design = {
             let st = lock(&self.inner.state);
             let r = st.jobs.get(&id.0).ok_or(ExportError::NotFound)?;
-            r.design.clone().ok_or(ExportError::NotReady(r.state))?
+            r.design()
+                .cloned()
+                .ok_or(ExportError::NotReady(r.state()))?
         };
         let what = match kind {
             ExportKind::Svg => "svg",
@@ -1312,15 +1254,10 @@ impl Service {
         let shutting_down = inner.shutting_down.load(Ordering::Acquire);
         let (queue_depth_interactive, queue_depth_bulk, jobs_running) = {
             let st = lock(&inner.state);
-            let running = st
-                .jobs
-                .values()
-                .filter(|r| r.state == JobState::Running)
-                .count();
             (
                 st.depth(QosClass::Interactive),
                 st.depth(QosClass::Bulk),
-                running,
+                st.count(JobState::Running),
             )
         };
         let breaker = inner.supervisor.state();
@@ -1334,7 +1271,7 @@ impl Service {
             queue_depth_bulk,
             jobs_running,
             workers: inner.worker_count,
-            watchdog_cancels: inner.watchdog_cancels.load(Ordering::Relaxed),
+            watchdog_cancels: inner.count(Counter::WatchdogCancels),
         }
     }
 
@@ -1345,21 +1282,11 @@ impl Service {
         inner.wait_ready();
         let (queue_depths, batches_live, jobs_queued, jobs_running) = {
             let st = lock(&inner.state);
-            let queued = st
-                .jobs
-                .values()
-                .filter(|r| r.state == JobState::Queued)
-                .count();
-            let running = st
-                .jobs
-                .values()
-                .filter(|r| r.state == JobState::Running)
-                .count();
             (
                 [st.queues[0].len(), st.queues[1].len()],
                 st.batches.len(),
-                queued,
-                running,
+                st.count(JobState::Queued),
+                st.count(JobState::Running),
             )
         };
         let (replayed, corrupt_journal, files_loaded, corrupt_cache, compactions, persist_errors) =
@@ -1403,10 +1330,9 @@ impl Service {
             rejected: inner.rejected.load(Ordering::Relaxed),
             jobs_queued,
             jobs_running,
-            jobs_done: usize::try_from(inner.done_count.load(Ordering::Relaxed)).unwrap_or(0),
-            jobs_failed: usize::try_from(inner.failed_count.load(Ordering::Relaxed)).unwrap_or(0),
-            jobs_cancelled: usize::try_from(inner.cancelled_count.load(Ordering::Relaxed))
-                .unwrap_or(0),
+            jobs_done: usize::try_from(inner.count(Counter::Done)).unwrap_or(0),
+            jobs_failed: usize::try_from(inner.count(Counter::Failed)).unwrap_or(0),
+            jobs_cancelled: usize::try_from(inner.count(Counter::Cancelled)).unwrap_or(0),
             worker_panics: inner.panics.load(Ordering::Relaxed),
             workers: inner.worker_count,
             drc_rejected: inner.drc_rejected.load(Ordering::Relaxed),
@@ -1422,7 +1348,7 @@ impl Service {
             breaker_trips: inner.supervisor.trips(),
             breaker_state: inner.supervisor.state().as_gauge(),
             degraded_seconds: inner.supervisor.degraded_time().as_secs_f64(),
-            watchdog_cancels: inner.watchdog_cancels.load(Ordering::Relaxed),
+            watchdog_cancels: inner.count(Counter::WatchdogCancels),
             solve: lock(&inner.agg).clone(),
             uptime,
             worker_busy,
@@ -1449,18 +1375,8 @@ impl Service {
     /// renders as an empty document.
     #[must_use]
     pub fn job_trace(&self, id: JobId) -> Option<String> {
-        self.inner.wait_ready();
-        let known = lock(&self.inner.state).jobs.contains_key(&id.0);
-        let events = self.inner.ring.job_events(id.0);
-        if !known && events.is_none() {
-            return None;
-        }
-        let mut s = String::new();
-        for event in events.unwrap_or_default() {
-            s.push_str(&event.to_jsonl());
-            s.push('\n');
-        }
-        Some(s)
+        let events = self.job_events(id)?;
+        Some(events.iter().map(|e| e.to_jsonl() + "\n").collect())
     }
 
     /// The captured solver/layout span profile of one finished job as a
@@ -1478,7 +1394,7 @@ impl Service {
         let (state, profile) = {
             let st = lock(&self.inner.state);
             let r = st.jobs.get(&id.0).ok_or(ProfileError::NotFound)?;
-            (r.state, r.profile.clone())
+            (r.state(), r.profile().cloned())
         };
         match profile {
             Some(events) => Ok(columba_obs::chrome_trace(&events)),
@@ -1563,33 +1479,9 @@ impl Service {
         inner.ready_cv.notify_all();
         inner.tick_cv.notify_all();
         inner.events_cv.notify_all();
-        let drained: Vec<u64> = {
-            let mut st = lock(&inner.state);
-            for r in st.jobs.values_mut() {
-                if !r.state.is_terminal() {
-                    r.token.cancel();
-                }
-            }
-            let drained: Vec<u64> = st.queues.iter_mut().flat_map(|q| q.drain(..)).collect();
-            for &id in &drained {
-                if let Some(r) = st.jobs.get_mut(&id) {
-                    if r.state == JobState::Queued {
-                        r.state = JobState::Cancelled;
-                        r.elapsed = Some(Duration::ZERO);
-                        r.error = Some("service shut down before the job ran".into());
-                    }
-                }
-            }
-            drained
-        };
-        for id in drained {
-            inner.journal_best_effort(&JournalRecord::Cancelled { id });
-            inner.cancelled_count.fetch_add(1, Ordering::Relaxed);
-            inner.trace(Some(id), TraceKind::Cancelled, "shutdown drained the queue");
-        }
+        drain_for_shutdown(inner);
         inner.clock.mark_wake();
         inner.work.notify_all();
-        inner.done.notify_all();
         let handles: Vec<JoinHandle<()>> = lock(&self.workers).drain(..).collect();
         // Joining sim threads from a sim party pins virtual time (a join
         // is invisible to the clock); suspend so a joined worker can
@@ -1599,33 +1491,10 @@ impl Service {
             let _ = h.join();
         }
         drop(suspend);
-        // Re-drain after the join: with no workers left, any job still
-        // non-terminal (a submission that raced the first drain) would
-        // otherwise stay `Queued` forever and block its waiters.
-        let stragglers: Vec<u64> = {
-            let mut st = lock(&inner.state);
-            for q in &mut st.queues {
-                q.clear();
-            }
-            let mut ids = Vec::new();
-            for (&id, r) in &mut st.jobs {
-                if !r.state.is_terminal() {
-                    r.token.cancel();
-                    r.state = JobState::Cancelled;
-                    r.elapsed.get_or_insert(Duration::ZERO);
-                    r.error = Some("service shut down before the job ran".into());
-                    ids.push(id);
-                }
-            }
-            ids
-        };
-        for id in stragglers {
-            inner.journal_best_effort(&JournalRecord::Cancelled { id });
-            inner.cancelled_count.fetch_add(1, Ordering::Relaxed);
-            inner.trace(Some(id), TraceKind::Cancelled, "shutdown drained the queue");
-        }
-        inner.clock.mark_wake();
-        inner.done.notify_all();
+        // Drain again after the join: a job that landed after the first
+        // drain (re-enqueued by a recovery replay that was still running)
+        // would otherwise stay `Queued` forever and block its waiters.
+        drain_for_shutdown(inner);
         inner.trace(None, TraceKind::Shutdown, "");
         inner.trace_sink.flush();
     }
@@ -1637,41 +1506,26 @@ impl Drop for Service {
     }
 }
 
-/// Inserts a fresh `Queued` record for `id` and pushes it onto its class
-/// queue. Callers hold the state lock.
-fn enqueue_job(
-    st: &mut State,
-    inner: &Inner,
-    id: u64,
-    class: QosClass,
-    text: Arc<String>,
-    durable: bool,
-) {
-    let token = inner
-        .job_deadline
-        .map_or_else(CancelToken::new, CancelToken::with_timeout);
-    st.jobs.insert(
-        id,
-        JobRecord {
-            text,
-            token,
-            state: JobState::Queued,
-            class,
-            cancel_requested: false,
-            elapsed: None,
-            from_cache: false,
-            rung: None,
-            error: None,
-            design: None,
-            profile: None,
-            durable,
-            started_at: None,
-            watchdog_fired: false,
-            schedule: None,
-            peak_alloc: None,
-        },
-    );
-    st.queues[class.idx()].push_back(id);
+/// Shutdown's drain, in id order: every queued job ends `Cancelled` and
+/// every running job's token fires (see [`Canceller::Shutdown`]).
+fn drain_for_shutdown(inner: &Inner) {
+    let mut guard = lock(&inner.state);
+    let st = &mut *guard;
+    st.queues.iter_mut().for_each(VecDeque::clear);
+    let mut live: Vec<(&u64, &mut JobRecord)> = st
+        .jobs
+        .iter_mut()
+        .filter(|(_, r)| !r.state().is_terminal())
+        .collect();
+    live.sort_unstable_by_key(|&(&id, _)| id);
+    let drained: Vec<Effects> = live
+        .into_iter()
+        .filter_map(|(_, r)| inner.step(r, Event::Cancel(Canceller::Shutdown)))
+        .collect();
+    drop(guard);
+    for fx in drained {
+        inner.apply(fx);
+    }
 }
 
 /// Assembles the client-facing snapshot of one batch from the job table.
@@ -1686,7 +1540,7 @@ fn batch_snapshot(id: BatchId, batch: &BatchRecord, jobs: &HashMap<u64, JobRecor
             .map(|(index, &job)| MemberStatus {
                 index,
                 job: JobId(job),
-                status: jobs.get(&job).map(|r| r.snapshot(job)),
+                status: jobs.get(&job).map(JobRecord::snapshot),
             })
             .collect(),
     }
@@ -1706,7 +1560,7 @@ fn prune_batches(st: &mut State, max_batches: usize) {
         .filter(|(_, b)| {
             b.members
                 .iter()
-                .all(|m| st.jobs.get(m).is_none_or(|r| r.state.is_terminal()))
+                .all(|m| st.jobs.get(m).is_none_or(|r| r.state().is_terminal()))
         })
         .map(|(&id, _)| id)
         .take(excess)
@@ -1733,7 +1587,7 @@ fn prune_records(st: &mut State, max_records: usize) -> Vec<u64> {
     let mut terminal: Vec<u64> = st
         .jobs
         .iter()
-        .filter(|(id, r)| r.state.is_terminal() && !referenced.contains(id))
+        .filter(|(id, r)| r.state().is_terminal() && !referenced.contains(id))
         .map(|(&id, _)| id)
         .collect();
     terminal.sort_unstable();
@@ -1743,24 +1597,6 @@ fn prune_records(st: &mut State, max_records: usize) -> Vec<u64> {
         st.jobs.remove(id);
     }
     terminal
-}
-
-/// What the journal fold knows about one job after replay. Later records
-/// overwrite earlier ones, so the map ends holding each job's final
-/// journaled state.
-enum Folded {
-    /// Submitted (possibly started) but never terminal: re-enqueue it
-    /// into its class's queue.
-    Live(QosClass, Arc<String>),
-    /// Completed with a design, cached under `key` when `Some`.
-    Done {
-        key: Option<ContentKey>,
-        rung: String,
-    },
-    /// Failed with an error.
-    Failed(String),
-    /// Cancelled.
-    Cancelled,
 }
 
 /// Applies recovered persistent state before the first worker runs: warms
@@ -1777,6 +1613,20 @@ fn apply_recovery(inner: &Inner, recovery: Recovery, throttle: Option<Duration>)
         .chain(recovery.cache.notes.iter())
     {
         inner.trace(None, TraceKind::Corrupt, note.clone());
+    }
+    // Warm the cache first, so the fold resolves `completed` keys to
+    // their recovered designs. Workers have not been spawned yet.
+    {
+        let mut cache = lock(&inner.cache);
+        for stored in &recovery.cache.designs {
+            let cost = entry_cost(&stored.design, &stored.canon);
+            cache.insert(
+                stored.key,
+                Arc::clone(&stored.design),
+                stored.canon.clone(),
+                cost,
+            );
+        }
     }
     let replayed_good = recovery.replay.records.len();
     let mut folded: BTreeMap<u64, Folded> = BTreeMap::new();
@@ -1797,9 +1647,9 @@ fn apply_recovery(inner: &Inner, recovery: Recovery, throttle: Option<Duration>)
         }
         match record {
             JournalRecord::Submitted { id, class, text } => {
-                texts.insert(id, Arc::clone(&text));
+                texts.insert(id, text);
                 classes.insert(id, class);
-                folded.insert(id, Folded::Live(class, text));
+                folded.insert(id, Folded::Live);
             }
             JournalRecord::Started { id } => {
                 // advisory; but a started record with no submitted record
@@ -1814,7 +1664,10 @@ fn apply_recovery(inner: &Inner, recovery: Recovery, throttle: Option<Duration>)
                 }
             }
             JournalRecord::Completed { id, key, rung } => {
-                folded.insert(id, Folded::Done { key, rung });
+                // a dropped (corrupt/evicted) design file leaves the job
+                // Done with no exportable design
+                let design = key.and_then(|k| lock(&inner.cache).peek_key(k));
+                folded.insert(id, Folded::Done { design, rung });
             }
             JournalRecord::Failed { id, error } => {
                 folded.insert(id, Folded::Failed(error));
@@ -1841,77 +1694,21 @@ fn apply_recovery(inner: &Inner, recovery: Recovery, throttle: Option<Duration>)
     let mut restored_terminal = 0usize;
     let restored_batches;
     {
-        // Workers have not been spawned yet, so holding both locks is
-        // uncontended; the cache lock spans the loop to warm entries and
-        // resolve `completed` keys in one pass.
-        let mut cache = lock(&inner.cache);
-        for stored in &recovery.cache.designs {
-            let cost = entry_cost(&stored.design, &stored.canon);
-            cache.insert(
-                stored.key,
-                Arc::clone(&stored.design),
-                stored.canon.clone(),
-                cost,
-            );
-        }
         let mut st = lock(&inner.state);
-        for (id, state) in folded {
+        for (id, folded) in folded {
             st.next_id = st.next_id.max(id + 1);
-            let stub = |state: JobState| JobRecord {
-                text: texts
-                    .get(&id)
-                    .cloned()
-                    .unwrap_or_else(|| Arc::new(String::new())),
-                token: CancelToken::new(),
-                state,
-                class: classes.get(&id).copied().unwrap_or_default(),
-                cancel_requested: false,
-                elapsed: None,
-                from_cache: false,
-                rung: None,
-                error: None,
-                design: None,
-                profile: None,
-                // it came out of the journal, so it is in the journal
-                durable: true,
-                started_at: None,
-                watchdog_fired: false,
-                peak_alloc: None,
-                schedule: None,
-            };
-            match state {
-                Folded::Live(class, text) => {
-                    let token = inner
-                        .job_deadline
-                        .map_or_else(CancelToken::new, CancelToken::with_timeout);
-                    let mut r = stub(JobState::Queued);
-                    r.text = text;
-                    r.token = token;
-                    st.jobs.insert(id, r);
-                    st.queues[class.idx()].push_back(id);
-                    requeued.push(id);
-                }
-                Folded::Done { key, rung } => {
-                    let mut r = stub(JobState::Done);
-                    r.rung = Some(rung);
-                    // the design itself lives in the recovered disk cache;
-                    // a dropped (corrupt/evicted) file leaves the record
-                    // Done with no exportable design
-                    r.design = key.and_then(|k| cache.peek_key(k));
-                    st.jobs.insert(id, r);
-                    restored_terminal += 1;
-                }
-                Folded::Failed(error) => {
-                    let mut r = stub(JobState::Failed);
-                    r.error = Some(error);
-                    st.jobs.insert(id, r);
-                    restored_terminal += 1;
-                }
-                Folded::Cancelled => {
-                    st.jobs.insert(id, stub(JobState::Cancelled));
-                    restored_terminal += 1;
-                }
+            let class = classes.get(&id).copied().unwrap_or_default();
+            let text = texts.get(&id).cloned().unwrap_or_default();
+            // it came out of the journal, so it is in the journal
+            let mut r = JobRecord::new(id, class, text, inner.job_token(), true);
+            let _ = transition(&mut r, Event::Restore(folded));
+            if r.state() == JobState::Queued {
+                st.queues[class.idx()].push_back(id);
+                requeued.push(id);
+            } else {
+                restored_terminal += 1;
             }
+            st.jobs.insert(id, r);
         }
         for (id, members) in batches {
             st.next_batch_id = st.next_batch_id.max(id + 1);
@@ -2018,38 +1815,25 @@ fn trace_slo_transitions(inner: &Inner, transitions: &[SloTransition]) {
 /// Cancels running jobs that have outlived deadline + grace. The
 /// deadline token normally fires on its own and the ladder winds down
 /// cooperatively; the watchdog is the backstop for a solve that ignored
-/// it — it re-fires the token, marks the job cancel-requested so it
-/// finalizes as `Cancelled`, counts it, and traces it — once per job.
+/// it: [`Canceller::Watchdog`] re-fires the token and marks the job
+/// cancel-requested so it finishes as `Cancelled`, once per job.
 fn watchdog_sweep(inner: &Inner) {
     let Some(deadline) = inner.job_deadline else {
         return;
     };
     let limit = deadline + inner.watchdog_grace;
     let now = inner.clock.now();
-    let fired: Vec<u64> = {
-        let mut st = lock(&inner.state);
-        let mut fired = Vec::new();
-        for (&id, r) in &mut st.jobs {
-            if r.state == JobState::Running
-                && !r.watchdog_fired
-                && r.started_at
-                    .is_some_and(|t0| now.saturating_sub(t0) > limit)
-            {
-                r.watchdog_fired = true;
-                r.cancel_requested = true;
-                r.token.cancel();
-                fired.push(id);
-            }
-        }
-        fired
-    };
-    for id in fired {
-        inner.watchdog_cancels.fetch_add(1, Ordering::Relaxed);
-        inner.trace(
-            Some(id),
-            TraceKind::Watchdog,
-            "running past deadline + grace; cancelled",
-        );
+    let fired: Vec<Effects> = lock(&inner.state)
+        .jobs
+        .values_mut()
+        .filter(|r| {
+            r.started_at()
+                .is_some_and(|t0| now.saturating_sub(t0) > limit)
+        })
+        .filter_map(|r| inner.step(r, Event::Cancel(Canceller::Watchdog)))
+        .collect();
+    for staged in fired {
+        inner.apply(staged);
     }
 }
 
@@ -2102,8 +1886,8 @@ fn rejournal_volatile(inner: &Inner, persist: &Persist) {
         let st = lock(&inner.state);
         st.jobs
             .iter()
-            .filter(|(_, r)| !r.durable && !r.state.is_terminal())
-            .map(|(&id, r)| (id, r.class, Arc::clone(&r.text)))
+            .filter(|(_, r)| !r.durable() && !r.state().is_terminal())
+            .map(|(&id, r)| (id, r.class(), Arc::clone(&r.text)))
             .collect()
     };
     let mut healed = Vec::new();
@@ -2120,7 +1904,7 @@ fn rejournal_volatile(inner: &Inner, persist: &Persist) {
     let mut st = lock(&inner.state);
     for id in &healed {
         if let Some(r) = st.jobs.get_mut(id) {
-            r.durable = true;
+            r.make_durable();
         }
     }
 }
@@ -2146,14 +1930,11 @@ fn worker_loop(inner: &Arc<Inner>, index: usize) {
                     let Some(r) = st.jobs.get_mut(&id) else {
                         continue;
                     };
-                    if r.state != JobState::Queued {
+                    let now = inner.clock.now();
+                    let Some(started) = inner.step(r, Event::Claim { now }) else {
                         continue;
-                    }
-                    r.state = JobState::Running;
-                    r.started_at = Some(inner.clock.now());
-                    let text = Arc::clone(&r.text);
-                    let token = r.token.clone();
-                    break Some((id, text, token));
+                    };
+                    break Some((id, Arc::clone(&r.text), r.token.clone(), started));
                 }
                 if inner.shutting_down.load(Ordering::Acquire) {
                     break None;
@@ -2162,13 +1943,12 @@ fn worker_loop(inner: &Arc<Inner>, index: usize) {
                 st = g;
             }
         };
-        let Some((id, text, token)) = claimed else {
+        let Some((id, text, token, started)) = claimed else {
             return;
         };
-        // Advisory progress record: recovery re-enqueues a started-but-
-        // unfinished job either way, so losing this append is harmless.
-        inner.journal_best_effort(&JournalRecord::Started { id });
-        inner.trace(Some(id), TraceKind::Started, "");
+        // The `started` journal record is advisory: recovery re-enqueues a
+        // started-but-unfinished job either way, so losing it is harmless.
+        inner.apply(started);
         let t0 = inner.clock.now();
         // Watermark the tracking allocator so the job's peak live bytes
         // on this thread (solver arenas included) land in its status.
@@ -2220,9 +2000,19 @@ fn worker_loop(inner: &Arc<Inner>, index: usize) {
                 .fetch_add(rec.evicted(), Ordering::Relaxed);
             Arc::new(rec.finished())
         });
-        finalize(inner, id, elapsed, end, profile, peak_alloc);
-        inner.clock.mark_wake();
-        inner.done.notify_all();
+        let finish = Event::Finish(Finish {
+            end,
+            elapsed,
+            profile,
+            peak_alloc,
+            keep_slow: inner.trace_keep_slow,
+            head_sample: inner.trace_head_sample,
+        });
+        let mut st = lock(&inner.state);
+        if let Some(fx) = st.jobs.get_mut(&id).and_then(|r| inner.step(r, finish)) {
+            drop(st);
+            inner.apply(fx);
+        }
     }
 }
 
@@ -2289,7 +2079,7 @@ fn run_assay_front_end(inner: &Inner, id: u64, text: &str) -> Result<(Netlist, S
         );
     }
     if let Some(r) = lock(&inner.state).jobs.get_mut(&id) {
-        r.schedule = Some(stats);
+        r.set_schedule(stats);
     }
     let canonical = format!("{}\u{1f}{}", assay.canonical_text(), inner.schedule_canon);
     Ok((report.netlist, canonical))
@@ -2375,17 +2165,10 @@ fn run_job(inner: &Inner, id: u64, text: &str, token: &CancelToken) -> JobEnd {
                 let cost = entry_cost(&design, &record);
                 lock(&inner.cache).insert(key, Arc::clone(&design), record.clone(), cost);
                 if let Some(persist) = &inner.persist {
-                    match inner
-                        .supervisor
-                        .run(|| persist.store_design(key, &record, &design))
-                    {
-                        WriteOutcome::Done(()) | WriteOutcome::Skipped => {}
-                        WriteOutcome::Failed(e) => inner.trace(
-                            Some(id),
-                            TraceKind::PersistError,
-                            format!("design store failed: {e}"),
-                        ),
-                        WriteOutcome::Tripped(e) => inner.trace_breaker_open(Some(id), &e),
+                    let store = || persist.store_design(key, &record, &design);
+                    if let Err(e) = inner.persist_write(Some(id), store) {
+                        let detail = format!("design store failed: {e}");
+                        inner.trace(Some(id), TraceKind::PersistError, detail);
                     }
                 }
             }
@@ -2438,120 +2221,6 @@ fn summarize(attempt: &columba_s::Attempt) -> String {
         AttemptOutcome::Produced(status) => format!("produced ({status:?})"),
         AttemptOutcome::Failed(why) => format!("failed: {why}"),
         AttemptOutcome::Skipped(why) => format!("skipped: {why}"),
-    }
-}
-
-fn finalize(
-    inner: &Inner,
-    id: u64,
-    elapsed: Duration,
-    end: JobEnd,
-    profile: Option<Arc<Vec<SpanEvent>>>,
-    peak_alloc: Option<u64>,
-) {
-    let (final_state, journal_record, keep, class, from_cache) = {
-        let mut st = lock(&inner.state);
-        let Some(r) = st.jobs.get_mut(&id) else {
-            return;
-        };
-        r.elapsed = Some(elapsed);
-        r.profile = profile;
-        r.peak_alloc = peak_alloc;
-        let (state, record) = match end {
-            JobEnd::Done {
-                design,
-                from_cache,
-                key,
-            } => {
-                r.from_cache = from_cache;
-                r.rung = Some(design.rung.clone());
-                let rung = design.rung.clone();
-                r.design = Some(design);
-                r.state = if r.cancel_requested {
-                    JobState::Cancelled
-                } else {
-                    JobState::Done
-                };
-                if r.state == JobState::Done && !from_cache {
-                    inner.solve_hist.record(elapsed);
-                }
-                let record = if r.state == JobState::Done {
-                    JournalRecord::Completed { id, key, rung }
-                } else {
-                    JournalRecord::Cancelled { id }
-                };
-                (r.state, record)
-            }
-            JobEnd::Failed(msg) => {
-                r.error = Some(msg.clone());
-                r.state = if r.cancel_requested {
-                    JobState::Cancelled
-                } else {
-                    JobState::Failed
-                };
-                let record = if r.state == JobState::Failed {
-                    JournalRecord::Failed { id, error: msg }
-                } else {
-                    JournalRecord::Cancelled { id }
-                };
-                (r.state, record)
-            }
-        };
-        // Tail-sampling decision: errors, cancellations, watchdog
-        // victims, degraded rungs and slow solves always keep their full
-        // trace and profile; fast clean jobs keep theirs 1-in-N.
-        let degraded = r.rung.as_deref().is_some_and(|g| g != "full MILP");
-        let keep = state != JobState::Done
-            || r.watchdog_fired
-            || degraded
-            || elapsed >= inner.trace_keep_slow
-            || id.is_multiple_of(inner.trace_head_sample);
-        if !keep {
-            r.profile = None;
-        }
-        (state, record, keep, r.class, r.from_cache)
-    };
-    // The flip is an event of its own: a stream that already read the
-    // job's last trace event while it was still running waits on the
-    // counter, not on the job table.
-    inner.notify_events();
-    if !keep {
-        inner.ring.forget(&[id]);
-        inner.traces_sampled_out.fetch_add(1, Ordering::Relaxed);
-    }
-    if final_state == JobState::Done && !from_cache {
-        // Feed the solve-latency SLO (per QoS class), and pin this job
-        // as its latency bucket's exemplar — but only when its trace was
-        // retained, so `/metrics` exemplars always resolve.
-        let now = inner.clock.now().saturating_sub(inner.epoch);
-        lock(&inner.slo).observe_latency(SLO_SOLVE_LATENCY, class.as_str(), now, elapsed);
-        if keep {
-            #[allow(clippy::cast_precision_loss)]
-            let bucket = columba_obs::bucket_index(elapsed.as_micros() as f64);
-            lock(&inner.solve_exemplars).insert(bucket, (id, elapsed.as_secs_f64()));
-        }
-    }
-    inner.journal_best_effort(&journal_record);
-    match final_state {
-        JobState::Done => {
-            inner.done_count.fetch_add(1, Ordering::Relaxed);
-        }
-        JobState::Failed => {
-            inner.failed_count.fetch_add(1, Ordering::Relaxed);
-            let detail = {
-                let st = lock(&inner.state);
-                st.jobs
-                    .get(&id)
-                    .and_then(|r| r.error.clone())
-                    .unwrap_or_default()
-            };
-            inner.trace(Some(id), TraceKind::Failed, detail);
-        }
-        JobState::Cancelled => {
-            inner.cancelled_count.fetch_add(1, Ordering::Relaxed);
-            inner.trace(Some(id), TraceKind::Cancelled, "while running");
-        }
-        JobState::Queued | JobState::Running => {}
     }
 }
 

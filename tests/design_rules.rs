@@ -6,10 +6,16 @@ use columba_s::geom::Orientation;
 use columba_s::netlist::{generators, MuxCount};
 use columba_s::{Columba, LayoutOptions, SynthesisOptions};
 
+/// Branch & bound nodes per solve: the root alone, since these checks
+/// hold for any solved layout. The search is bounded by work, with no
+/// effective clock, so the outcome does not depend on machine load.
+const NODE_LIMIT: usize = 1;
+
 fn synth(netlist: &columba_s::Netlist) -> columba_s::SynthesisOutcome {
     Columba::with_options(SynthesisOptions {
         layout: LayoutOptions {
-            time_limit: std::time::Duration::from_secs(2),
+            time_limit: std::time::Duration::from_secs(3600),
+            node_limit: NODE_LIMIT,
             ..LayoutOptions::default()
         },
         ..SynthesisOptions::default()

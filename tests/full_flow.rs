@@ -9,10 +9,15 @@ use columba_s::netlist::{generators, MuxCount};
 use columba_s::sim::Simulator;
 use columba_s::{Columba, LayoutOptions, SynthesisOptions};
 
+/// Branch & bound nodes per solve. The search is bounded by work, with
+/// no effective clock, so the outcome does not depend on machine load.
+const NODE_LIMIT: usize = 4;
+
 fn quick_flow() -> Columba {
     Columba::with_options(SynthesisOptions {
         layout: LayoutOptions {
-            time_limit: std::time::Duration::from_secs(3),
+            time_limit: std::time::Duration::from_secs(3600),
+            node_limit: NODE_LIMIT,
             ..LayoutOptions::default()
         },
         ..SynthesisOptions::default()

@@ -7,6 +7,10 @@ use columba_s::netlist::generators::random_netlist;
 use columba_s::sim::Simulator;
 use columba_s::{Columba, LayoutOptions, SynthesisOptions};
 
+/// Branch & bound nodes per solve. The search is bounded by work, with
+/// no effective clock, so the outcome does not depend on machine load.
+const NODE_LIMIT: usize = 4;
+
 #[test]
 fn random_netlists_full_flow() {
     let mut seed_rng = Rng::seed_from_u64(0xF10);
@@ -17,8 +21,8 @@ fn random_netlists_full_flow() {
         let netlist = random_netlist(&mut rng, units);
         let flow = Columba::with_options(SynthesisOptions {
             layout: LayoutOptions {
-                time_limit: std::time::Duration::from_secs(2),
-                node_limit: 200,
+                time_limit: std::time::Duration::from_secs(3600),
+                node_limit: NODE_LIMIT,
                 ..LayoutOptions::default()
             },
             ..SynthesisOptions::default()
