@@ -663,7 +663,7 @@ pub(crate) fn generate_constructive(plan: &Plan) -> Result<GeneratedLayout, Layo
     let placement = constructive::place(plan)?;
     if !placement.feasible {
         return Err(LayoutError::milp(
-            "constructive placement failed its self-check; no layout exists at any rung",
+            "no layout found within budget at any rung: the constructive placement failed its self-check",
         ));
     }
     Ok(constructive_layout(

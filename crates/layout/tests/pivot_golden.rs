@@ -4,14 +4,18 @@
 //! branch & bound nodes on the small cases, the LP polish alone on the
 //! large ones), so its simplex iteration count and node count are a pure
 //! function of the kernel's pivot rule, its start bases and its
-//! arithmetic, and are pinned exactly. The four-node rows add phase 1 with
-//! artificials, `drive_out_artificials` and the cold child LPs to the
-//! pinned path. An iteration is a pivot or a bound flip: factoring the
-//! root's start basis is not one. The objective is pinned to 1e-9
-//! relative of the value the dense-tableau kernel reached, whose bits are
-//! kept here. A kernel optimisation that claims "same pivots" must leave
-//! every count unchanged; a change to the pivot rule, to the basis
-//! factorization or to how an LP starts must update the counts on purpose.
+//! arithmetic, and are pinned exactly. Every solve starts with the hint LP
+//! (every binary fixed at the constructive placement), whose rows are
+//! difference rows: it starts from the crash basis of their least
+//! solution, not from phase 1, and its optimal basis starts the root LP.
+//! The four-node rows add phase 1 with artificials, `drive_out_artificials`
+//! and the cold child LPs to the pinned path. An iteration is a pivot or a
+//! bound flip: factoring a start basis (crash or handed) is not one. The
+//! objective is pinned to 1e-9 relative of the value the dense-tableau
+//! kernel reached, whose bits are kept here. A kernel optimisation that
+//! claims "same pivots" must leave every count unchanged; a change to the
+//! pivot rule, to the basis factorization or to how an LP starts must
+//! update the counts on purpose.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -60,7 +64,8 @@ fn assert_pinned(case: &str, got: Pinned, want: Pinned) {
 }
 
 /// One branch & bound node on a single worker with no effective clock
-/// limit: the hint LP, then the root LP warm-started from its basis. Layout
+/// limit: the crash-started hint LP, then the root LP warm-started from its
+/// basis. Layout
 /// turns the rounding heuristic off, and node 0 branches on the root
 /// solution without solving again.
 fn one_node() -> LayoutOptions {
@@ -78,27 +83,27 @@ fn assert_one_node(case: &str, want: Pinned) {
 
 #[test]
 fn chip4ip_one_node() {
-    assert_one_node("chip4ip", (472, 1, 0x4051_82e1_47ae_147b));
+    assert_one_node("chip4ip", (301, 1, 0x4051_82e1_47ae_147b));
 }
 
 #[test]
 fn kinase_activity_one_node() {
-    assert_one_node("kinase_activity", (459, 1, 0x404f_17ae_147a_e145));
+    assert_one_node("kinase_activity", (300, 1, 0x404f_17ae_147a_e145));
 }
 
 #[test]
 fn columba2_21u_one_node() {
-    assert_one_node("columba2_21u", (225, 1, 0x4053_0028_f5c2_8f5f));
+    assert_one_node("columba2_21u", (124, 1, 0x4053_0028_f5c2_8f5f));
 }
 
 #[test]
 fn mrna_isolation_one_node() {
-    assert_one_node("mrna_isolation", (378, 1, 0x4049_9a8f_5c28_f5c1));
+    assert_one_node("mrna_isolation", (210, 1, 0x4049_9a8f_5c28_f5c1));
 }
 
 #[test]
 fn nucleic_acid_processor_one_node() {
-    assert_one_node("nucleic_acid_processor", (294, 1, 0x4046_62e1_47ae_1479));
+    assert_one_node("nucleic_acid_processor", (152, 1, 0x4046_62e1_47ae_1479));
 }
 
 #[test]
@@ -110,7 +115,7 @@ fn chip64_one_mux_heuristic_polish() {
     assert_pinned(
         "chip_ip(64, One)",
         pinned(&generated),
-        (216, 0, 0x4083_9f85_1eb8_51eb),
+        (11, 0, 0x4083_9f85_1eb8_51eb),
     );
 }
 
@@ -123,7 +128,7 @@ fn chip128_two_mux_heuristic_polish() {
     assert_pinned(
         "chip_ip(128, Two)",
         pinned(&generated),
-        (252, 0, 0x4093_4002_8f5c_28f5),
+        (12, 0, 0x4093_4002_8f5c_28f5),
     );
 }
 
@@ -143,10 +148,10 @@ fn assert_four_nodes(case: &str, want: Pinned) {
 
 #[test]
 fn chip4ip_four_nodes() {
-    assert_four_nodes("chip4ip", (5426, 4, 0x4051_82e1_47ae_147b));
+    assert_four_nodes("chip4ip", (5255, 4, 0x4051_82e1_47ae_147b));
 }
 
 #[test]
 fn columba2_21u_four_nodes() {
-    assert_four_nodes("columba2_21u", (1857, 4, 0x4053_0028_f5c2_8f5f));
+    assert_four_nodes("columba2_21u", (1756, 4, 0x4053_0028_f5c2_8f5f));
 }

@@ -10,7 +10,8 @@
 //!   relaxations: sparse `A`, an eta-file basis inverse factored in
 //!   triangular order and refactored periodically, hypersparse BTRAN,
 //!   tournament-tree Dantzig pricing with a Bland's-rule anti-cycling
-//!   fallback; it can also factor a given basis and skip phase 1;
+//!   fallback; it can also factor a given basis and skip phase 1, and an
+//!   LP of difference rows starts from its least solution's crash basis;
 //! * branch & bound with best-bound node selection, most-fractional
 //!   branching, warm-start incumbents, a root relaxation started from the
 //!   hint LP's optimal basis, and time/node limits;
@@ -40,6 +41,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 mod cancel;
+mod crash;
 mod diagnose;
 mod expr;
 #[cfg(feature = "fault-inject")]

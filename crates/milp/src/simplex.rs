@@ -4,8 +4,10 @@
 //! obtained by adding one slack column per constraint row. Phase 1 introduces
 //! one artificial column per row whose slack cannot start within its bounds
 //! and minimises their sum; phase 2 optimises the true objective. Given a
-//! start [`Basis`] (an earlier solve's optimal basis), the solve factors it
-//! directly, checks that it is primal feasible and runs phase 2 alone.
+//! start [`Basis`] (an earlier solve's optimal basis, or the crash basis of
+//! a difference system's least solution, [`crate::crash`]), the solve
+//! factors it directly, checks that it is primal feasible and runs phase 2
+//! alone; a singular or infeasible start runs the cold two phases.
 //! Nonbasic variables rest at a finite bound; entering variables may
 //! *bound-flip* without a basis change. Dantzig pricing is used until a long
 //! degenerate streak triggers Bland's rule, which guarantees termination.
@@ -138,7 +140,8 @@ pub(crate) enum Start {
     /// columns; phase 1 skipped.
     Warm { factored: usize },
     /// The given basis was refused for the stated reason (`"singular"` or
-    /// `"infeasible"`), and the solve ran cold.
+    /// `"infeasible"`; the caller also reports a start it could not build,
+    /// such as a crash refusal, this way), and the solve ran cold.
     Fallback(&'static str),
 }
 

@@ -7,6 +7,15 @@
 //! Node identity breaks heap ties in a fixed order, so a single worker
 //! reproduces the classic sequential best-bound search exactly, and any
 //! worker count returns the same objective on a run to completion.
+//!
+//! Every relaxation goes through [`presolved_lp`], which starts the simplex
+//! one of three ways. *Warm*: from a handed basis, as the root relaxation
+//! starts from the hint LP's optimal basis. *Crash*: from the least solution
+//! of a difference system ([`crash`]), for any LP whose kept rows are all
+//! difference or single-variable rows: the hint LP (the heuristic-mode
+//! polish), the rounding-heuristic LP and a node LP with every binary fixed.
+//! *Cold*: two phases from the slack/artificial basis, for everything else
+//! and for any start refused.
 
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -16,6 +25,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::cancel::CancelToken;
+use crate::crash;
 use crate::model::{Model, VarId, VarKind};
 use crate::simplex::{self, Basis, ColStatus, Lp, LpOutcome, Row, Start};
 use crate::solution::{MipResult, Solution, SolveStatus};
@@ -656,6 +666,15 @@ pub(crate) fn solve(
         }
         if valid {
             let relax = ctx.lp(&lb, &ub, None, &mut root_iters)?;
+            if root_span.is_recording() {
+                let label = match relax.start {
+                    Start::Warm { .. } => "crash",
+                    Start::Cold => "cold",
+                    Start::Fallback(reason) => reason,
+                };
+                root_span.attr("hint_start", label);
+                root_span.attr("hint_iterations", relax.iterations);
+            }
             if let LpOutcome::Optimal { x, obj } = relax.outcome {
                 offer_root(&mut incumbent, &mut events, x, obj + ctx.obj_constant)?;
                 hint_basis = relax.handoff;
@@ -957,7 +976,8 @@ struct Relaxation {
     /// The final basis, when the outcome is optimal.
     handoff: Option<Handoff>,
     /// How the simplex began; [`Start::Fallback`]`("unmapped")` when a
-    /// start was given but does not map onto this LP.
+    /// start was given but does not map onto this LP, and the crash's
+    /// refusal reason when none was given and the crash refused.
     start: Start,
 }
 
@@ -971,7 +991,9 @@ struct Relaxation {
 /// 4. compresses away columns that no remaining row or objective term uses.
 ///
 /// A `start` from an earlier relaxation is mapped through the same row and
-/// column maps and passed to the simplex as its start basis. Returns the
+/// column maps and passed to the simplex as its start basis. Without one,
+/// a presolved LP of difference and single-variable rows starts from its
+/// least solution's crash basis; any other LP runs cold. Returns the
 /// outcome, and on an optimum the final basis, in the *full* variable
 /// space.
 fn presolved_lp(
@@ -1068,11 +1090,16 @@ fn presolved_lp(
     };
     let fixed_cost: f64 = (0..n).filter(|&j| fixed(j)).map(|j| cost[j] * lb[j]).sum();
 
-    let mapped = start.map(|h| map_start(h, &keep, &kept_idx, lb, ub));
-    let run = simplex::solve_lp(&small, cancel, mapped.as_ref().and_then(Option::as_ref));
-    let start = match mapped {
-        Some(None) => Start::Fallback("unmapped"),
-        _ => run.start,
+    // a handed basis maps through the presolve; without one, a difference
+    // system starts from its least solution
+    let begin = match start {
+        Some(h) => map_start(h, &keep, &kept_idx, lb, ub).ok_or("unmapped"),
+        None => crash::least_solution(&small).map(|(basis, _)| basis),
+    };
+    let run = simplex::solve_lp(&small, cancel, begin.as_ref().ok());
+    let start = match begin {
+        Err(reason) => Start::Fallback(reason),
+        Ok(_) => run.start,
     };
     let (outcome, handoff) = match (run.outcome, run.basis) {
         (LpOutcome::Optimal { x, obj }, Some(basis)) => {
@@ -1184,6 +1211,7 @@ mod tests {
     use super::*;
     use crate::model::Sense;
     use crate::Model;
+    use columba_obs::AttrValue;
 
     fn p() -> SolveParams {
         SolveParams::default()
@@ -1322,6 +1350,115 @@ mod tests {
         assert!((v1 - v2).abs() >= 1.0 - 1e-6, "x1={v1} x2={v2}");
         // optimal keeps x2 at 0 and pushes x1 to 1: objective 1
         assert!((sol.objective() - 1.0).abs() < 1e-6);
+    }
+
+    /// The hint LP's `hint_start` and `hint_iterations`, from the
+    /// `milp.root` span of a solve of `m` with `hint` at a zero node budget.
+    fn hint_start(m: &Model, hint: &[(VarId, f64)]) -> (Option<AttrValue>, Option<AttrValue>) {
+        let rec = columba_obs::SpanRecorder::new(64);
+        columba_obs::set_enabled(true);
+        let guard = rec.install();
+        let params = SolveParams {
+            node_limit: 0,
+            ..p()
+        };
+        m.solve_with_hint(&params, hint).unwrap();
+        drop(guard);
+        columba_obs::set_enabled(false);
+        let root = (rec.finished().into_iter())
+            .find(|e| e.name == "milp.root")
+            .expect("milp.root span");
+        let attr = |key: &str| {
+            (root.attrs.iter())
+                .find(|(k, _)| *k == key)
+                .map(|(_, v)| v.clone())
+        };
+        (attr("hint_start"), attr("hint_iterations"))
+    }
+
+    #[test]
+    fn root_span_reports_how_the_hint_lp_started() {
+        // with q fixed, each big-M row is a difference row or redundant
+        let mut m = Model::new();
+        let x1 = m.num_var("x1", 0.0, 10.0);
+        let x2 = m.num_var("x2", 0.0, 10.0);
+        let x3 = m.num_var("x3", 0.0, 10.0);
+        let q = m.bin_var("q");
+        let row = |a: f64, b: f64, c: f64| Model::expr().term(a, x1).term(b, x2).term(c, q);
+        m.constraint(row(1.0, -1.0, -100.0), Sense::Le, -1.0);
+        m.constraint(row(-1.0, 1.0, 100.0), Sense::Le, 99.0);
+        m.minimize(Model::expr().term(1.0, x1).term(2.0, x2).term(1.0, x3));
+        let (start, iterations) = hint_start(&m, &[(q, 0.0)]);
+        assert_eq!(start, Some(AttrValue::from("crash")));
+        assert!(iterations.is_some());
+        // a row over three free columns is not a difference row
+        m.constraint(
+            Model::expr().term(1.0, x1).term(1.0, x2).term(1.0, x3),
+            Sense::Ge,
+            2.0,
+        );
+        let (start, _) = hint_start(&m, &[(q, 1.0)]);
+        assert_eq!(start, Some(AttrValue::from("shape")));
+    }
+
+    #[test]
+    fn lps_the_crash_refuses_run_the_cold_path() {
+        let row = |terms: &[(usize, f64)], sense: Sense, rhs: f64| Row {
+            terms: terms.to_vec(),
+            sense,
+            rhs,
+        };
+        let ge = |p: usize, q: usize, w: f64| row(&[(p, 1.0), (q, -1.0)], Sense::Ge, w);
+        let cases = [
+            // a three-term row
+            (
+                vec![row(&[(0, 1.0), (1, 1.0), (2, -1.0)], Sense::Le, 4.0)],
+                [5.0; 3],
+                "shape",
+            ),
+            // unequal coefficients are not a difference
+            (
+                vec![row(&[(0, 1.0), (1, -2.0)], Sense::Ge, 1.0)],
+                [5.0; 3],
+                "shape",
+            ),
+            // x1 ≥ x0 + 1, x2 ≥ x1 + 1, x0 ≥ x2 − 1: a positive cycle
+            (
+                vec![ge(1, 0, 1.0), ge(2, 1, 1.0), ge(0, 2, -1.0)],
+                [f64::INFINITY; 3],
+                "cycle",
+            ),
+            // x2 ≥ x1 + 3 ≥ x0 + 6, above x2's upper bound 5
+            (vec![ge(1, 0, 3.0), ge(2, 1, 3.0)], [5.0; 3], "upper"),
+            // x0 ≥ 2 and x0 ≤ 1 as single-variable rows
+            (
+                vec![
+                    row(&[(0, 2.0)], Sense::Ge, 4.0),
+                    row(&[(0, -1.0)], Sense::Ge, -1.0),
+                ],
+                [f64::INFINITY; 3],
+                "upper",
+            ),
+        ];
+        for (rows, ub, reason) in cases {
+            let lp = Lp {
+                lb: vec![0.0; 3],
+                ub: ub.to_vec(),
+                cost: vec![1.0, -1.0, 1.0],
+                rows,
+            };
+            assert_eq!(crash::least_solution(&lp).err(), Some(reason));
+            let relax = presolved_lp(&lp.rows, &lp.cost, &lp.lb, &lp.ub, None, None);
+            assert_eq!(relax.start, Start::Fallback(reason));
+            let cold = simplex::solve_lp(&lp, None, None);
+            assert_eq!(cold.start, Start::Cold);
+            assert_eq!(relax.iterations, cold.iterations, "{reason}");
+            assert_eq!(
+                format!("{:?}", relax.outcome),
+                format!("{:?}", cold.outcome),
+                "{reason}"
+            );
+        }
     }
 
     #[test]

@@ -1393,7 +1393,9 @@ mod tests {
     fn quick_service(workers: usize, queue_capacity: usize) -> Service {
         use crate::service::ServiceConfig;
         let mut options = columba_s::SynthesisOptions::default();
-        options.layout.time_limit = Duration::from_secs(5);
+        // bounded by work: four nodes, with a clock that never fires
+        options.layout.node_limit = 4;
+        options.layout.time_limit = Duration::from_secs(3600);
         options.layout.threads = 1;
         Service::start(ServiceConfig {
             workers,

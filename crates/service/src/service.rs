@@ -2234,7 +2234,9 @@ mod tests {
 
     fn quick_config(trace: Arc<dyn TraceSink>) -> ServiceConfig {
         let mut options = SynthesisOptions::default();
-        options.layout.time_limit = Duration::from_secs(5);
+        // bounded by work: four nodes, with a clock that never fires
+        options.layout.node_limit = 4;
+        options.layout.time_limit = Duration::from_secs(3600);
         options.layout.threads = 1;
         ServiceConfig {
             workers: 2,
