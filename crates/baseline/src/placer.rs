@@ -124,8 +124,8 @@ pub fn synthesize_baseline(
     let bound_mm: f64 = units.iter().map(|u| (u.w + u.h).to_mm()).sum::<f64>() + 20.0;
     let big_m = bound_mm;
     let mut model = Model::new();
-    let w_max = model.num_var("w", 0.0, bound_mm);
-    let h_max = model.num_var("h", 0.0, bound_mm);
+    let w_max = model.num_var(0.0, bound_mm);
+    let h_max = model.num_var(0.0, bound_mm);
 
     struct UnitVars {
         xl: VarId,
@@ -133,10 +133,10 @@ pub fn synthesize_baseline(
         rot: VarId,
     }
     let mut uv: Vec<UnitVars> = Vec::with_capacity(n);
-    for (i, u) in units.iter().enumerate() {
-        let xl = model.num_var(format!("x{i}"), 0.0, bound_mm);
-        let yb = model.num_var(format!("y{i}"), 0.0, bound_mm);
-        let rot = model.bin_var(format!("r{i}"));
+    for u in &units {
+        let xl = model.num_var(0.0, bound_mm);
+        let yb = model.num_var(0.0, bound_mm);
+        let rot = model.bin_var();
         // confinement with rotation: xl + w + (h-w)rot <= W
         let (w, h) = (u.w.to_mm(), u.h.to_mm());
         model.constraint(
@@ -158,12 +158,14 @@ pub fn synthesize_baseline(
         uv.push(UnitVars { xl, yb, rot });
     }
 
-    // all-pairs non-overlap (no order pruning: this is the point)
+    // all-pairs non-overlap (no order pruning: this is the point); the
+    // relation binaries of each pair, in (i, j) order
+    let mut pair_qs: Vec<[VarId; 4]> = Vec::with_capacity(n * n.saturating_sub(1) / 2);
     for i in 0..n {
         for j in (i + 1)..n {
             let (wi, hi) = (units[i].w.to_mm(), units[i].h.to_mm());
             let (wj, hj) = (units[j].w.to_mm(), units[j].h.to_mm());
-            let q: [VarId; 4] = std::array::from_fn(|k| model.bin_var(format!("q{i}_{j}_{k}")));
+            let q: [VarId; 4] = std::array::from_fn(|_| model.bin_var());
             // i left of j: xi + wi_eff <= xj + qM
             model.constraint(
                 Model::expr()
@@ -206,6 +208,7 @@ pub fn synthesize_baseline(
                 sum = sum.term(1.0, qv);
             }
             model.constraint(sum, Sense::Eq, 3.0);
+            pair_qs.push(q);
         }
     }
 
@@ -220,17 +223,17 @@ pub fn synthesize_baseline(
         let (w, h) = (units[i].w.to_mm(), units[i].h.to_mm());
         (uv[i].yb, uv[i].rot, h / 2.0, (w - h) / 2.0)
     };
-    for (ci, conn) in netlist.connections().iter().enumerate() {
+    for conn in netlist.connections() {
         let (Endpoint::Unit { component: a, .. }, Endpoint::Unit { component: b, .. }) =
             (&conn.from, &conn.to)
         else {
             continue; // port nets priced at routing time
         };
-        for (axis, (pa, pb)) in [
-            (0, (center_x(a.0), center_x(b.0))),
-            (1, (center_y(a.0), center_y(b.0))),
+        for (pa, pb) in [
+            (center_x(a.0), center_x(b.0)),
+            (center_y(a.0), center_y(b.0)),
         ] {
-            let d = model.num_var(format!("d{axis}_{ci}"), 0.0, bound_mm);
+            let d = model.num_var(0.0, bound_mm);
             let (va, ra, ca, sa) = pa;
             let (vb, rb, cb, sb) = pb;
             // d >= (ca_expr) - (cb_expr) and the reverse
@@ -267,7 +270,7 @@ pub fn synthesize_baseline(
     // greedy row-packing incumbent (rot = 0)
     let dims: Vec<(f64, f64)> = units.iter().map(|u| (u.w.to_mm(), u.h.to_mm())).collect();
     let rots: Vec<VarId> = uv.iter().map(|u| u.rot).collect();
-    let hint = row_pack_hint(&dims, &rots, &model);
+    let hint = row_pack_hint(&dims, &rots, &pair_qs);
 
     let params = SolveParams {
         time_limit: options.time_limit,
@@ -364,8 +367,9 @@ pub fn synthesize_baseline(
 }
 
 /// Greedy shelf packing for the warm-start incumbent: rows of units, no
-/// rotation, disjunction binaries fixed accordingly.
-fn row_pack_hint(dims: &[(f64, f64)], rots: &[VarId], model: &Model) -> Vec<(VarId, f64)> {
+/// rotation, disjunction binaries fixed accordingly. `pair_qs` holds the
+/// relation binaries of every unit pair `(i, j)`, `i < j`, in order.
+fn row_pack_hint(dims: &[(f64, f64)], rots: &[VarId], pair_qs: &[[VarId; 4]]) -> Vec<(VarId, f64)> {
     let n = dims.len();
     let total_w: f64 = dims.iter().map(|&(w, _)| w).sum();
     let shelf_w =
@@ -387,12 +391,7 @@ fn row_pack_hint(dims: &[(f64, f64)], rots: &[VarId], model: &Model) -> Vec<(Var
         (px, px + dims[i].0, py, py + dims[i].1)
     };
     let mut hint: Vec<(VarId, f64)> = rots.iter().map(|&r| (r, 0.0)).collect();
-    // q variables were created in (i, j) order with names q{i}_{j}_{k};
-    // recover them by scanning the model's integer vars in order
-    let mut q_iter = model
-        .integer_vars()
-        .into_iter()
-        .filter(|&v| model.var_name(v).starts_with('q'));
+    let mut pairs = pair_qs.iter();
     for i in 0..n {
         for j in (i + 1)..n {
             let a = rect(i);
@@ -406,8 +405,8 @@ fn row_pack_hint(dims: &[(f64, f64)], rots: &[VarId], model: &Model) -> Vec<(Var
             } else {
                 3
             };
-            for k in 0..4 {
-                let v = q_iter.next().expect("one q per (pair, relation)");
+            let q = pairs.next().expect("one q set per pair");
+            for (k, &v) in q.iter().enumerate() {
                 hint.push((v, if k == zero { 0.0 } else { 1.0 }));
             }
         }
@@ -421,17 +420,18 @@ mod tests {
     use columba_netlist::{generators, MuxCount};
     use columba_planar::planarize;
 
-    fn opts(secs: u64) -> BaselineOptions {
+    /// A search pinned by its node count, with a clock that never fires.
+    fn opts() -> BaselineOptions {
         BaselineOptions {
-            time_limit: Duration::from_secs(secs),
-            node_limit: 50_000,
+            time_limit: Duration::from_secs(3600),
+            node_limit: 64,
         }
     }
 
     #[test]
     fn small_case_places_and_routes() {
         let (n, _) = planarize(&generators::nucleic_acid_processor(MuxCount::One));
-        let r = synthesize_baseline(&n, &opts(10)).unwrap();
+        let r = synthesize_baseline(&n, &opts()).unwrap();
         assert!(r.status.has_solution());
         assert_eq!(r.placements.len(), n.components().len());
         assert!(r.width > Um::ZERO && r.height > Um::ZERO);
@@ -447,7 +447,7 @@ mod tests {
     #[test]
     fn pressure_sharing_counts_linear() {
         let (n, _) = planarize(&generators::chip_ip(4, MuxCount::One));
-        let r = synthesize_baseline(&n, &opts(5)).unwrap();
+        let r = synthesize_baseline(&n, &opts()).unwrap();
         // 42 lines paired -> 21 inlets: linear in design size, far above the
         // 13 of the Columba S multiplexer
         assert_eq!(r.control_inlets, 21);
@@ -457,7 +457,7 @@ mod tests {
     fn unplanarized_rejected() {
         let n = generators::chip_ip(4, MuxCount::One);
         assert!(matches!(
-            synthesize_baseline(&n, &opts(1)),
+            synthesize_baseline(&n, &opts()),
             Err(BaselineError::Netlist(_))
         ));
     }

@@ -14,6 +14,10 @@
 //! (default `bench/` — the committed perf-gate baseline location). The
 //! work-pinned solver cases also record their simplex iterations, node
 //! count and termination status there, which `perf_gate` holds exactly.
+//! `layout chip4 (one node)` and `layout chip64 (heuristic)` also record
+//! `allocations`: the heap allocations of one layout generation
+//! ([`layout::generate_only`]: entity plan, MILP model, solve) of the case
+//! on one thread, the same on every run; validation is not counted.
 
 use std::time::Duration;
 
@@ -80,17 +84,15 @@ fn main() {
         node_limit: 1,
         ..four_nodes.clone()
     };
-    cases.push(pinned_layout(
-        "layout chip4 (one node)",
-        iters,
+    cases.push(with_allocations(
+        pinned_layout("layout chip4 (one node)", iters, &planar4, &one_node),
         &planar4,
         &one_node,
     ));
 
     let (planar64, _) = planarize(&chip64);
-    cases.push(pinned_layout(
-        "layout chip64 (heuristic)",
-        iters,
+    cases.push(with_allocations(
+        pinned_layout("layout chip64 (heuristic)", iters, &planar64, &heuristic),
         &planar64,
         &heuristic,
     ));
@@ -135,6 +137,32 @@ fn pinned_layout(name: &str, iters: usize, planar: &Netlist, options: &LayoutOpt
             .expect("case synthesizes")
             .laygen
     })
+}
+
+/// Adds the `allocations` counter to a layout case: the allocations of one
+/// [`layout::generate_only`] of `planar` under `options` on one thread.
+/// Two runs must agree.
+fn with_allocations(mut case: CaseStats, planar: &Netlist, options: &LayoutOptions) -> CaseStats {
+    let options = LayoutOptions {
+        threads: 1,
+        ..options.clone()
+    };
+    let count = || {
+        let before = columba_obs::alloc::stats().total_allocs;
+        let generated = layout::generate_only(planar, &options).expect("case generates");
+        let after = columba_obs::alloc::stats().total_allocs;
+        drop(generated);
+        after - before
+    };
+    let allocations = count();
+    assert_eq!(
+        allocations,
+        count(),
+        "{}: allocations differ between runs",
+        case.name
+    );
+    case.counters.push(("allocations".to_string(), allocations));
+    case
 }
 
 /// Times a work-pinned run and records its exact work from the layout

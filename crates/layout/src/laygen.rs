@@ -103,9 +103,9 @@ pub(crate) fn generate(
     let g_boundary = model.add_group("boundary attachment (eqs 6-11)");
     let g_switch = model.add_group("switch coverage (eq 12)");
     let g_pitch = model.add_group("inlet pitch (d')");
-    let x_max = model.num_var("x_max", 0.0, bound_mm);
-    let y_max = model.num_var("y_max", 0.0, bound_mm);
-    let xy_max = model.num_var("xy_max", 0.0, bound_mm);
+    let x_max = model.num_var(0.0, bound_mm);
+    let y_max = model.num_var(0.0, bound_mm);
+    let xy_max = model.num_var(0.0, bound_mm);
     model.constraint(
         Model::expr().term(1.0, xy_max).term(-1.0, x_max),
         Sense::Ge,
@@ -126,18 +126,13 @@ pub(crate) fn generate(
     }
 
     let mut ents: Vec<Ent> = Vec::new();
-    let new_rect_vars = |model: &mut Model, tag: &str, i: usize| -> [VarId; 4] {
-        [
-            model.num_var(format!("{tag}{i}_xl"), 0.0, bound_mm),
-            model.num_var(format!("{tag}{i}_xr"), 0.0, bound_mm),
-            model.num_var(format!("{tag}{i}_yb"), 0.0, bound_mm),
-            model.num_var(format!("{tag}{i}_yt"), 0.0, bound_mm),
-        ]
-    };
+    // x_l, x_r, y_b, y_t of one rectangle
+    let new_rect_vars =
+        |model: &mut Model| -> [VarId; 4] { std::array::from_fn(|_| model.num_var(0.0, bound_mm)) };
 
     // ---- blocks ----
     for (i, b) in plan.blocks.iter().enumerate() {
-        let v = new_rect_vars(&mut model, "b", i);
+        let v = new_rect_vars(&mut model);
         // eq 1: coupling
         model.constraint_in(
             g_coupling,
@@ -183,8 +178,8 @@ pub(crate) fn generate(
 
     // ---- flow entities ----
     let flow_base = ents.len();
-    for (i, f) in plan.flows.iter().enumerate() {
-        let v = new_rect_vars(&mut model, "f", i);
+    for f in &plan.flows {
+        let v = new_rect_vars(&mut model);
         model.constraint_in(
             g_coupling,
             Model::expr().term(1.0, v[1]).term(-1.0, v[0]),
@@ -339,8 +334,8 @@ pub(crate) fn generate(
 
     // ---- control entities (rule 1 rectangles) ----
     let control_base = ents.len();
-    for (i, c) in plan.controls.iter().enumerate() {
-        let v = new_rect_vars(&mut model, "c", i);
+    for c in &plan.controls {
+        let v = new_rect_vars(&mut model);
         let bv = ents[c.block.0].vars;
         model.constraint_in(
             g_boundary,
@@ -422,7 +417,7 @@ pub(crate) fn generate(
                 pruned += 1;
                 continue;
             }
-            let q: [VarId; 4] = std::array::from_fn(|k| model.bin_var(format!("q{i}_{j}_{k}")));
+            let q: [VarId; 4] = std::array::from_fn(|_| model.bin_var());
             let (av, bv) = (a.vars, b.vars);
             // a left of b / b left of a / a below b / b below a
             model.constraint_in(
@@ -493,10 +488,7 @@ pub(crate) fn generate(
                 let (i, j) = (members[a], members[b]);
                 let vi = ents[flow_base + i].vars;
                 let vj = ents[flow_base + j].vars;
-                let q = [
-                    model.bin_var(format!("p{i}_{j}_0")),
-                    model.bin_var(format!("p{i}_{j}_1")),
-                ];
+                let q = [model.bin_var(), model.bin_var()];
                 model.constraint_in(
                     g_pitch,
                     Model::expr()
@@ -954,12 +946,20 @@ mod tests {
         }
     }
 
+    /// A branch & bound pinned by its node count on one worker, with a
+    /// clock that never fires: the same work on every run and machine.
+    fn pinned_search(nodes: usize) -> LayoutOptions {
+        LayoutOptions {
+            threads: 1,
+            node_limit: nodes,
+            time_limit: Duration::from_secs(3600),
+            ..LayoutOptions::default()
+        }
+    }
+
     #[test]
     fn chip4_generates_with_search() {
-        let options = LayoutOptions {
-            time_limit: Duration::from_secs(10),
-            ..LayoutOptions::default()
-        };
+        let options = pinned_search(4);
         let (plan, g) = gen(4, &options);
         assert!(g.report.status.has_solution(), "{:?}", g.report.status);
         assert!(!g.report.used_fallback);
@@ -1008,9 +1008,8 @@ mod tests {
         let plan = build_plan(&n).unwrap();
         let options = LayoutOptions {
             warm_start: false,
-            node_limit: 0, // no search either: nothing can produce a layout
-            time_limit: Duration::from_secs(1),
-            ..LayoutOptions::default()
+            // no search either: nothing can produce a layout
+            ..pinned_search(0)
         };
         let e = generate(&plan, &options).unwrap_err();
         assert!(e.to_string().contains("warm starting is disabled"), "{e}");
@@ -1021,11 +1020,7 @@ mod tests {
         // with search, the objective must be no worse than the pure
         // constructive layout's extent-driven objective
         let (_, fast) = gen(4, &LayoutOptions::heuristic_only());
-        let options = LayoutOptions {
-            time_limit: Duration::from_secs(10),
-            ..LayoutOptions::default()
-        };
-        let (_, slow) = gen(4, &options);
+        let (_, slow) = gen(4, &pinned_search(24));
         let (a, b) = (
             fast.report.objective.unwrap(),
             slow.report.objective.unwrap(),

@@ -54,8 +54,8 @@ pub(crate) fn least_solution(lp: &Lp) -> Result<(Basis, Vec<f64>), &'static str>
     // (from, to, weight, row): x_to ≥ x_from + weight
     let mut arcs: Vec<(usize, usize, f64, usize)> = Vec::new();
     for (i, row) in lp.rows.iter().enumerate() {
-        match *row.terms.as_slice() {
-            [(p, a)] if a != 0.0 => {
+        match (row.cols, row.coefs) {
+            (&[p], &[a]) if a != 0.0 => {
                 let v = row.rhs / a;
                 let (lower, upper) = directions(row.sense, a);
                 if lower && improves(v, x[p]) {
@@ -66,7 +66,7 @@ pub(crate) fn least_solution(lp: &Lp) -> Result<(Basis, Vec<f64>), &'static str>
                     ub[p] = ub[p].min(v);
                 }
             }
-            [(p, a), (q, b)] if p != q && a != 0.0 && b == -a => {
+            (&[p, q], &[a, b]) if p != q && a != 0.0 && b == -a => {
                 let w = row.rhs / a;
                 let (lower, upper) = directions(row.sense, a);
                 if lower {
@@ -141,15 +141,11 @@ pub(crate) fn least_solution(lp: &Lp) -> Result<(Basis, Vec<f64>), &'static str>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simplex::{solve_lp, LpOutcome, Row, Start};
+    use crate::simplex::{solve_lp, LpOutcome, Start};
     use columba_prng::Rng;
 
-    fn row(terms: &[(usize, f64)], sense: Sense, rhs: f64) -> Row {
-        Row {
-            terms: terms.to_vec(),
-            sense,
-            rhs,
-        }
+    fn row(terms: &[(usize, f64)], sense: Sense, rhs: f64) -> (Vec<(usize, f64)>, Sense, f64) {
+        (terms.to_vec(), sense, rhs)
     }
 
     /// A random difference system held by an integral point: scaled
@@ -191,7 +187,7 @@ mod tests {
                     1 | 2 => (Sense::Le, act + slack),
                     _ => (Sense::Ge, act - slack),
                 };
-                Row { terms, sense, rhs }
+                (terms, sense, rhs)
             })
             .collect();
         Lp { lb, ub, cost, rows }
@@ -210,7 +206,7 @@ mod tests {
         let mut scaled = 0;
         for case in 0..400 {
             let lp = random_system(&mut rng);
-            scaled += lp.rows.iter().filter(|r| r.terms[0].1.abs() > 1.0).count();
+            scaled += lp.rows.iter().filter(|r| r.coefs[0].abs() > 1.0).count();
             let (basis, least) = least_solution(&lp).unwrap_or_else(|e| panic!("case {case}: {e}"));
             let cold = solve_lp(&lp, None, None);
             let warm = solve_lp(&lp, None, Some(&basis));
@@ -241,12 +237,14 @@ mod tests {
             lb: vec![0.0, 0.0, 0.0, 1.0],
             ub: vec![f64::INFINITY, 10.0, f64::INFINITY, 8.0],
             cost: vec![1.0, 1.0, 1.0, 1.0],
-            rows: vec![
+            rows: [
                 row(&[(1, 2.0), (0, -2.0)], Sense::Ge, 4.0),
                 row(&[(2, -1.0), (1, 1.0)], Sense::Eq, -1.0),
                 row(&[(3, -3.0)], Sense::Le, -15.0),
                 row(&[(0, 1.0)], Sense::Le, 4.0),
-            ],
+            ]
+            .into_iter()
+            .collect(),
         };
         let (basis, least) = least_solution(&lp).expect("difference system");
         assert_eq!(least, vec![0.0, 2.0, 3.0, 5.0]);

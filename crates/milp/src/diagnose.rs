@@ -76,23 +76,17 @@ impl Model {
         }
 
         // groups that actually tag at least one constraint, in id order
-        let mut present: Vec<GroupId> = Vec::new();
-        for c in &self.constraints {
-            if let Some(g) = c.group {
-                if !present.contains(&g) {
-                    present.push(g);
-                }
-            }
-        }
+        let mut present: Vec<GroupId> = self.group.iter().flatten().copied().collect();
         present.sort_unstable();
+        present.dedup();
 
         let mut excluded: Vec<GroupId> = Vec::new();
         for &candidate in &present {
+            let keep =
+                |g: &Option<GroupId>| g.is_none_or(|g| g != candidate && !excluded.contains(&g));
             let mut sub = self.clone();
-            sub.constraints.retain(|c| {
-                c.group
-                    .is_none_or(|g| g != candidate && !excluded.contains(&g))
-            });
+            sub.rows = self.rows.filtered(|i| keep(&self.group[i]));
+            sub.group.retain(keep);
             probes += 1;
             if sub.solve(params)?.status() == SolveStatus::Infeasible {
                 // still infeasible without it: not part of the conflict
@@ -118,10 +112,12 @@ mod tests {
     use super::*;
     use crate::model::Sense;
 
+    /// Probes pinned by their node count, with a clock that never fires.
     fn probe_params() -> SolveParams {
         SolveParams {
-            time_limit: Duration::from_secs(5),
+            time_limit: Duration::from_secs(3600),
             node_limit: 10_000,
+            threads: 1,
             ..SolveParams::default()
         }
     }
@@ -129,7 +125,7 @@ mod tests {
     #[test]
     fn feasible_model_yields_none() {
         let mut m = Model::new();
-        let x = m.num_var("x", 0.0, 1.0);
+        let x = m.num_var(0.0, 1.0);
         let g = m.add_group("bound");
         m.constraint_in(g, Model::expr().term(1.0, x), Sense::Le, 0.5);
         assert!(m
@@ -143,7 +139,7 @@ mod tests {
         // x >= 3 (floor) conflicts with x <= 2 (ceiling); x <= 10 (slack)
         // is irrelevant and must be filtered out of the conflict.
         let mut m = Model::new();
-        let x = m.num_var("x", 0.0, 100.0);
+        let x = m.num_var(0.0, 100.0);
         let floor = m.add_group("floor");
         let ceiling = m.add_group("ceiling");
         let slack = m.add_group("slack");
@@ -163,7 +159,7 @@ mod tests {
     #[test]
     fn ungrouped_infeasibility_reports_empty_conflict() {
         let mut m = Model::new();
-        let x = m.num_var("x", 0.0, 1.0);
+        let x = m.num_var(0.0, 1.0);
         m.constraint(Model::expr().term(1.0, x), Sense::Ge, 2.0);
         let labelled = m.add_group("labelled but satisfiable");
         m.constraint_in(labelled, Model::expr().term(1.0, x), Sense::Ge, 0.0);
@@ -180,8 +176,8 @@ mod tests {
         // feasible in the LP relaxation, infeasible over the integers: the
         // probes must run full branch & bound, not just the root LP
         let mut m = Model::new();
-        let a = m.bin_var("a");
-        let b = m.bin_var("b");
+        let a = m.bin_var();
+        let b = m.bin_var();
         let lo = m.add_group("at least 1.5 chosen");
         let hi = m.add_group("at most half chosen");
         m.constraint_in(lo, Model::expr().term(1.0, a).term(1.0, b), Sense::Ge, 1.5);

@@ -4,10 +4,15 @@ use std::fmt;
 
 use crate::model::VarId;
 
+/// Terms an [`Expr`] holds without a heap allocation: every row of the
+/// layout models fits.
+const INLINE: usize = 4;
+
 /// A linear expression `Σ cᵢ·xᵢ + constant`.
 ///
 /// Built incrementally with [`Expr::term`]; duplicate variables are merged
-/// when the expression is compiled into a constraint row.
+/// when the expression is compiled into a constraint row. The first few
+/// terms are held inline, so building a short row allocates nothing.
 ///
 /// # Examples
 ///
@@ -15,15 +20,40 @@ use crate::model::VarId;
 /// use columba_milp::{Expr, Model};
 ///
 /// let mut m = Model::new();
-/// let x = m.num_var("x", 0.0, 1.0);
+/// let x = m.num_var(0.0, 1.0);
 /// let e = Expr::new().term(2.0, x).term(3.0, x).plus(1.0);
 /// assert_eq!(e.constant(), 1.0);
 /// assert_eq!(e.compiled().as_slice(), &[(x, 5.0)]);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Clone, PartialEq)]
 pub struct Expr {
-    terms: Vec<(VarId, f64)>,
+    /// The terms while there are at most [`INLINE`] of them; the slots
+    /// past them keep their default, so derived equality compares terms.
+    inline: [(VarId, f64); INLINE],
+    /// Every term once there are more.
+    spill: Vec<(VarId, f64)>,
+    len: usize,
     constant: f64,
+}
+
+impl Default for Expr {
+    fn default() -> Expr {
+        Expr {
+            inline: [(VarId(0), 0.0); INLINE],
+            spill: Vec::new(),
+            len: 0,
+            constant: 0.0,
+        }
+    }
+}
+
+impl fmt::Debug for Expr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Expr")
+            .field("terms", &self.terms())
+            .field("constant", &self.constant)
+            .finish()
+    }
 }
 
 impl Expr {
@@ -36,8 +66,20 @@ impl Expr {
     /// Adds `coefficient · var` and returns the updated expression.
     #[must_use]
     pub fn term(mut self, coefficient: f64, var: VarId) -> Expr {
-        self.terms.push((var, coefficient));
+        self.push(var, coefficient);
         self
+    }
+
+    fn push(&mut self, var: VarId, coefficient: f64) {
+        if self.len < INLINE {
+            self.inline[self.len] = (var, coefficient);
+        } else {
+            if self.len == INLINE {
+                self.spill.extend_from_slice(&self.inline);
+            }
+            self.spill.push((var, coefficient));
+        }
+        self.len += 1;
     }
 
     /// Adds a constant offset and returns the updated expression.
@@ -50,7 +92,9 @@ impl Expr {
     /// Adds every term of `other` (and its constant) to this expression.
     #[must_use]
     pub fn add_expr(mut self, other: &Expr) -> Expr {
-        self.terms.extend_from_slice(&other.terms);
+        for &(v, c) in other.terms() {
+            self.push(v, c);
+        }
         self.constant += other.constant;
         self
     }
@@ -64,14 +108,28 @@ impl Expr {
     /// The raw (unmerged) terms in insertion order.
     #[must_use]
     pub fn terms(&self) -> &[(VarId, f64)] {
-        &self.terms
+        match self.len <= INLINE {
+            true => &self.inline[..self.len],
+            false => &self.spill,
+        }
+    }
+
+    /// The terms sorted by variable id, in place; equal ids keep their
+    /// insertion order. A short expression sorts without allocating.
+    pub(crate) fn sorted_terms(&mut self) -> &[(VarId, f64)] {
+        let terms = match self.len <= INLINE {
+            true => &mut self.inline[..self.len],
+            false => &mut self.spill[..],
+        };
+        terms.sort_by_key(|&(v, _)| v);
+        terms
     }
 
     /// The terms with duplicate variables merged, zero coefficients dropped,
     /// sorted by variable id.
     #[must_use]
     pub fn compiled(&self) -> Vec<(VarId, f64)> {
-        let mut terms = self.terms.clone();
+        let mut terms = self.terms().to_vec();
         terms.sort_by_key(|&(v, _)| v);
         let mut out: Vec<(VarId, f64)> = Vec::with_capacity(terms.len());
         for (v, c) in terms {
@@ -125,8 +183,8 @@ mod tests {
     #[test]
     fn merging_and_zero_elimination() {
         let mut m = Model::new();
-        let x = m.num_var("x", 0.0, 1.0);
-        let y = m.num_var("y", 0.0, 1.0);
+        let x = m.num_var(0.0, 1.0);
+        let y = m.num_var(0.0, 1.0);
         let e = Expr::new().term(1.0, y).term(2.0, x).term(-1.0, y);
         assert_eq!(e.compiled(), vec![(x, 2.0)]);
     }
@@ -134,7 +192,7 @@ mod tests {
     #[test]
     fn add_expr_combines_constants() {
         let mut m = Model::new();
-        let x = m.num_var("x", 0.0, 1.0);
+        let x = m.num_var(0.0, 1.0);
         let a = Expr::new().term(1.0, x).plus(2.0);
         let b = Expr::new().term(3.0, x).plus(-1.0);
         let c = a.add_expr(&b);
@@ -145,7 +203,7 @@ mod tests {
     #[test]
     fn from_var_is_identity_term() {
         let mut m = Model::new();
-        let x = m.num_var("x", 0.0, 1.0);
+        let x = m.num_var(0.0, 1.0);
         let e: Expr = x.into();
         assert_eq!(e.compiled(), vec![(x, 1.0)]);
     }
@@ -153,8 +211,8 @@ mod tests {
     #[test]
     fn display_is_readable() {
         let mut m = Model::new();
-        let x = m.num_var("x", 0.0, 1.0);
-        let y = m.num_var("y", 0.0, 1.0);
+        let x = m.num_var(0.0, 1.0);
+        let y = m.num_var(0.0, 1.0);
         let e = Expr::new().term(1.0, x).term(-2.0, y).plus(3.0);
         let s = e.to_string();
         assert!(s.contains("- 2"));

@@ -4,8 +4,9 @@
 //! equivalent is available as an offline Rust crate, so this crate implements
 //! the full solver stack from scratch:
 //!
-//! * a [`Model`] builder with continuous, integer and binary variables,
-//!   linear constraints and a linear objective;
+//! * a [`Model`] builder with continuous, integer and binary variables
+//!   (unnamed: a variable is its [`VarId`], printed `x17`), linear
+//!   constraints held in one flat row store, and a linear objective;
 //! * a bounded-variable two-phase revised primal simplex for the LP
 //!   relaxations: sparse `A`, an eta-file basis inverse factored in
 //!   triangular order and refactored periodically, hypersparse BTRAN,
@@ -26,8 +27,8 @@
 //!
 //! // maximize x + 2y  s.t.  x + y <= 4, x <= 3, y <= 2, x,y >= 0 integer
 //! let mut m = Model::new();
-//! let x = m.int_var("x", 0.0, 3.0);
-//! let y = m.int_var("y", 0.0, 2.0);
+//! let x = m.int_var(0.0, 3.0);
+//! let y = m.int_var(0.0, 2.0);
 //! m.constraint(Model::expr().term(1.0, x).term(1.0, y), Sense::Le, 4.0);
 //! m.maximize(Model::expr().term(1.0, x).term(2.0, y));
 //! let result = m.solve(&SolveParams::default())?;
@@ -47,6 +48,7 @@ mod expr;
 #[cfg(feature = "fault-inject")]
 pub mod fault;
 mod model;
+mod rows;
 mod simplex;
 mod solution;
 mod solver;
@@ -55,7 +57,7 @@ mod stats;
 pub use cancel::CancelToken;
 pub use diagnose::Diagnosis;
 pub use expr::Expr;
-pub use model::{Constraint, GroupId, Model, ModelStats, Sense, VarId, VarKind};
+pub use model::{GroupId, Model, ModelStats, Sense, VarId, VarKind};
 pub use solution::{MipResult, Solution, SolveStatus};
 pub use solver::{SolveError, SolveParams};
 pub use stats::{IncumbentEvent, SolveStats};
@@ -67,7 +69,7 @@ mod tests {
     #[test]
     fn crate_example_solves() {
         let mut m = Model::new();
-        let x = m.num_var("x", 0.0, f64::INFINITY);
+        let x = m.num_var(0.0, f64::INFINITY);
         m.constraint(Model::expr().term(2.0, x), Sense::Le, 10.0);
         m.minimize(Model::expr().term(-1.0, x));
         let r = m.solve(&SolveParams::default()).unwrap();

@@ -3,6 +3,7 @@
 use std::fmt;
 
 use crate::expr::Expr;
+use crate::rows::Rows;
 use crate::solution::MipResult;
 use crate::solver::{self, SolveError, SolveParams};
 
@@ -56,14 +57,6 @@ impl fmt::Display for Sense {
     }
 }
 
-#[derive(Debug, Clone)]
-pub(crate) struct Var {
-    pub(crate) name: String,
-    pub(crate) kind: VarKind,
-    pub(crate) lb: f64,
-    pub(crate) ub: f64,
-}
-
 /// Handle to a named constraint group (see [`Model::add_group`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GroupId(pub(crate) u32);
@@ -74,20 +67,6 @@ impl GroupId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
-}
-
-/// A compiled linear constraint `Σ cᵢ xᵢ (≤ | = | ≥) rhs`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Constraint {
-    /// Merged, sorted coefficient terms.
-    pub terms: Vec<(VarId, f64)>,
-    /// Comparison sense.
-    pub sense: Sense,
-    /// Right-hand side (the expression's constant already folded in).
-    pub rhs: f64,
-    /// The constraint group this row belongs to, if any. Groups carry the
-    /// human-readable labels used by infeasibility diagnosis.
-    pub group: Option<GroupId>,
 }
 
 /// Summary counts for a model.
@@ -128,8 +107,8 @@ impl fmt::Display for ModelStats {
 /// use columba_milp::{Model, Sense, SolveParams};
 ///
 /// let mut m = Model::new();
-/// let x = m.num_var("x", 0.0, 4.0);
-/// let b = m.bin_var("b");
+/// let x = m.num_var(0.0, 4.0);
+/// let b = m.bin_var();
 /// // x <= 4b  (x can only be positive when b is chosen)
 /// m.constraint(Model::expr().term(1.0, x).term(-4.0, b), Sense::Le, 0.0);
 /// m.maximize(Model::expr().term(1.0, x).term(-0.5, b));
@@ -139,8 +118,18 @@ impl fmt::Display for ModelStats {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Model {
-    pub(crate) vars: Vec<Var>,
-    pub(crate) constraints: Vec<Constraint>,
+    /// Integrality class, dense by variable index.
+    pub(crate) kind: Vec<VarKind>,
+    /// Lower bounds (finite), dense by variable index.
+    pub(crate) lb: Vec<f64>,
+    /// Upper bounds, dense by variable index.
+    pub(crate) ub: Vec<f64>,
+    /// Every constraint row, its expression's terms merged and its
+    /// constant folded into the right-hand side.
+    pub(crate) rows: Rows,
+    /// The constraint group of each row, if any. Groups carry the
+    /// human-readable labels used by infeasibility diagnosis.
+    pub(crate) group: Vec<Option<GroupId>>,
     /// Minimisation objective coefficients, dense by variable index.
     pub(crate) objective: Vec<f64>,
     /// Constant added to the (minimisation) objective.
@@ -170,8 +159,8 @@ impl Model {
     ///
     /// Panics if `lb > ub`, `lb` is not finite (free variables are not
     /// supported; shift your model), or `lb`/`ub` is NaN.
-    pub fn num_var(&mut self, name: impl Into<String>, lb: f64, ub: f64) -> VarId {
-        self.add_var(name.into(), VarKind::Continuous, lb, ub)
+    pub fn num_var(&mut self, lb: f64, ub: f64) -> VarId {
+        self.add_var(VarKind::Continuous, lb, ub)
     }
 
     /// Adds an integer variable with bounds `[lb, ub]`.
@@ -179,27 +168,26 @@ impl Model {
     /// # Panics
     ///
     /// Same conditions as [`Model::num_var`].
-    pub fn int_var(&mut self, name: impl Into<String>, lb: f64, ub: f64) -> VarId {
-        self.add_var(name.into(), VarKind::Integer, lb, ub)
+    pub fn int_var(&mut self, lb: f64, ub: f64) -> VarId {
+        self.add_var(VarKind::Integer, lb, ub)
     }
 
     /// Adds a binary variable.
-    pub fn bin_var(&mut self, name: impl Into<String>) -> VarId {
-        self.add_var(name.into(), VarKind::Binary, 0.0, 1.0)
+    pub fn bin_var(&mut self) -> VarId {
+        self.add_var(VarKind::Binary, 0.0, 1.0)
     }
 
-    fn add_var(&mut self, name: String, kind: VarKind, lb: f64, ub: f64) -> VarId {
-        assert!(
-            !lb.is_nan() && !ub.is_nan(),
-            "variable {name} has NaN bound"
-        );
-        assert!(lb <= ub, "variable {name} has lb {lb} > ub {ub}");
+    fn add_var(&mut self, kind: VarKind, lb: f64, ub: f64) -> VarId {
+        let id = VarId(u32::try_from(self.kind.len()).expect("too many variables"));
+        assert!(!lb.is_nan() && !ub.is_nan(), "variable {id} has NaN bound");
+        assert!(lb <= ub, "variable {id} has lb {lb} > ub {ub}");
         assert!(
             lb.is_finite(),
-            "variable {name} has infinite lower bound; shift the model so lb is finite"
+            "variable {id} has infinite lower bound; shift the model so lb is finite"
         );
-        let id = VarId(u32::try_from(self.vars.len()).expect("too many variables"));
-        self.vars.push(Var { name, kind, lb, ub });
+        self.kind.push(kind);
+        self.lb.push(lb);
+        self.ub.push(ub);
         self.objective.push(0.0);
         id
     }
@@ -231,14 +219,13 @@ impl Model {
         self.push_constraint(expr, sense, rhs, Some(group));
     }
 
-    fn push_constraint(&mut self, expr: Expr, sense: Sense, rhs: f64, group: Option<GroupId>) {
-        let terms = expr.compiled();
-        self.constraints.push(Constraint {
-            terms,
-            sense,
-            rhs: rhs - expr.constant(),
-            group,
-        });
+    /// The one place a row's terms are merged: the expression's own terms
+    /// are sorted in place and merged straight into the row store.
+    fn push_constraint(&mut self, mut expr: Expr, sense: Sense, rhs: f64, group: Option<GroupId>) {
+        let rhs = rhs - expr.constant();
+        let terms = expr.sorted_terms().iter().map(|&(v, c)| (v.index(), c));
+        self.rows.push_merged(terms, sense, rhs);
+        self.group.push(group);
     }
 
     /// The name given to `group`.
@@ -260,23 +247,20 @@ impl Model {
     /// Panics if `value` lies outside the variable's current bounds by more
     /// than `1e-9`.
     pub fn fix_var(&mut self, var: VarId, value: f64) {
-        let v = &mut self.vars[var.index()];
+        let (lb, ub) = self.var_bounds(var);
         assert!(
-            value >= v.lb - 1e-9 && value <= v.ub + 1e-9,
-            "cannot fix {} to {value}: bounds [{}, {}]",
-            v.name,
-            v.lb,
-            v.ub
+            value >= lb - 1e-9 && value <= ub + 1e-9,
+            "cannot fix {var} to {value}: bounds [{lb}, {ub}]"
         );
-        v.lb = value;
-        v.ub = value;
+        self.lb[var.index()] = value;
+        self.ub[var.index()] = value;
     }
 
     /// Tightens the bounds of `var` to the intersection with `[lb, ub]`.
     pub fn tighten_bounds(&mut self, var: VarId, lb: f64, ub: f64) {
-        let v = &mut self.vars[var.index()];
-        v.lb = v.lb.max(lb);
-        v.ub = v.ub.min(ub);
+        let i = var.index();
+        self.lb[i] = self.lb[i].max(lb);
+        self.ub[i] = self.ub[i].min(ub);
     }
 
     /// Sets a minimisation objective.
@@ -293,8 +277,9 @@ impl Model {
         self.maximize = maximize;
         let sign = if maximize { -1.0 } else { 1.0 };
         self.objective.iter_mut().for_each(|c| *c = 0.0);
-        for (v, c) in expr.compiled() {
-            self.objective[v.index()] = sign * c;
+        // summed in insertion order per variable, as a merged row would be
+        for &(v, c) in expr.terms() {
+            self.objective[v.index()] += sign * c;
         }
         self.obj_constant = sign * expr.constant();
     }
@@ -302,39 +287,32 @@ impl Model {
     /// Number of variables.
     #[must_use]
     pub fn num_vars(&self) -> usize {
-        self.vars.len()
+        self.kind.len()
     }
 
     /// Number of constraints.
     #[must_use]
     pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
-    }
-
-    /// The name given to `var`.
-    #[must_use]
-    pub fn var_name(&self, var: VarId) -> &str {
-        &self.vars[var.index()].name
+        self.rows.len()
     }
 
     /// The integrality class of `var`.
     #[must_use]
     pub fn var_kind(&self, var: VarId) -> VarKind {
-        self.vars[var.index()].kind
+        self.kind[var.index()]
     }
 
     /// The current bounds of `var`.
     #[must_use]
     pub fn var_bounds(&self, var: VarId) -> (f64, f64) {
-        let v = &self.vars[var.index()];
-        (v.lb, v.ub)
+        (self.lb[var.index()], self.ub[var.index()])
     }
 
     /// Ids of all integer and binary variables.
     #[must_use]
     pub fn integer_vars(&self) -> Vec<VarId> {
-        (0..self.vars.len())
-            .filter(|&i| self.vars[i].kind != VarKind::Continuous)
+        (0..self.kind.len())
+            .filter(|&i| self.kind[i] != VarKind::Continuous)
             .map(|i| VarId(i as u32))
             .collect()
     }
@@ -342,20 +320,13 @@ impl Model {
     /// Summary counts.
     #[must_use]
     pub fn stats(&self) -> ModelStats {
+        let count = |kind: VarKind| self.kind.iter().filter(|&&k| k == kind).count();
         ModelStats {
-            vars: self.vars.len(),
-            binaries: self
-                .vars
-                .iter()
-                .filter(|v| v.kind == VarKind::Binary)
-                .count(),
-            integers: self
-                .vars
-                .iter()
-                .filter(|v| v.kind == VarKind::Integer)
-                .count(),
-            constraints: self.constraints.len(),
-            nonzeros: self.constraints.iter().map(|c| c.terms.len()).sum(),
+            vars: self.kind.len(),
+            binaries: count(VarKind::Binary),
+            integers: count(VarKind::Integer),
+            constraints: self.rows.len(),
+            nonzeros: self.rows.nonzeros(),
         }
     }
 
@@ -394,47 +365,48 @@ impl Model {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SolveStatus;
 
     #[test]
     fn var_accessors() {
         let mut m = Model::new();
-        let x = m.num_var("x", -1.0, 2.0);
-        let b = m.bin_var("flag");
-        let k = m.int_var("k", 0.0, 9.0);
+        let x = m.num_var(-1.0, 2.0);
+        let b = m.bin_var();
+        let k = m.int_var(0.0, 9.0);
         assert_eq!(m.num_vars(), 3);
-        assert_eq!(m.var_name(x), "x");
+        assert_eq!(x.to_string(), "x0");
         assert_eq!(m.var_kind(b), VarKind::Binary);
         assert_eq!(m.var_bounds(k), (0.0, 9.0));
         assert_eq!(m.integer_vars(), vec![b, k]);
     }
 
     #[test]
-    #[should_panic(expected = "lb")]
+    #[should_panic(expected = "variable x0 has lb")]
     fn inverted_bounds_panic() {
         let mut m = Model::new();
-        let _ = m.num_var("x", 1.0, 0.0);
+        let _ = m.num_var(1.0, 0.0);
     }
 
     #[test]
     #[should_panic(expected = "infinite lower bound")]
     fn free_variable_rejected() {
         let mut m = Model::new();
-        let _ = m.num_var("x", f64::NEG_INFINITY, 0.0);
+        let _ = m.num_var(f64::NEG_INFINITY, 0.0);
     }
 
     #[test]
     fn constraint_folds_constant() {
         let mut m = Model::new();
-        let x = m.num_var("x", 0.0, 10.0);
+        let x = m.num_var(0.0, 10.0);
         m.constraint(Model::expr().term(1.0, x).plus(3.0), Sense::Le, 5.0);
-        assert_eq!(m.constraints[0].rhs, 2.0);
-        assert_eq!(m.constraints[0].sense, Sense::Le);
+        assert_eq!(m.rows.row(0).rhs, 2.0);
+        assert_eq!(m.rows.row(0).sense, Sense::Le);
     }
 
     #[test]
     fn maximize_flips_signs_internally() {
         let mut m = Model::new();
-        let x = m.num_var("x", 0.0, 10.0);
+        let x = m.num_var(0.0, 10.0);
         m.maximize(Model::expr().term(2.0, x).plus(1.0));
         assert_eq!(m.objective[x.index()], -2.0);
         assert_eq!(m.obj_constant, -1.0);
@@ -444,7 +416,7 @@ mod tests {
     #[test]
     fn fix_and_tighten() {
         let mut m = Model::new();
-        let x = m.num_var("x", 0.0, 10.0);
+        let x = m.num_var(0.0, 10.0);
         m.tighten_bounds(x, 2.0, 20.0);
         assert_eq!(m.var_bounds(x), (2.0, 10.0));
         m.fix_var(x, 4.0);
@@ -454,12 +426,11 @@ mod tests {
     #[test]
     fn groups_tag_constraints() {
         let mut m = Model::new();
-        let x = m.num_var("x", 0.0, 1.0);
+        let x = m.num_var(0.0, 1.0);
         let g = m.add_group("chip confinement (eq 2)");
         m.constraint_in(g, Model::expr().term(1.0, x), Sense::Le, 0.5);
         m.constraint(Model::expr().term(1.0, x), Sense::Ge, 0.0);
-        assert_eq!(m.constraints[0].group, Some(g));
-        assert_eq!(m.constraints[1].group, None);
+        assert_eq!(m.group, [Some(g), None]);
         assert_eq!(m.group_name(g), "chip confinement (eq 2)");
         assert_eq!(m.group_names(), ["chip confinement (eq 2)"]);
     }
@@ -467,8 +438,8 @@ mod tests {
     #[test]
     fn stats_count_everything() {
         let mut m = Model::new();
-        let x = m.num_var("x", 0.0, 1.0);
-        let b = m.bin_var("b");
+        let x = m.num_var(0.0, 1.0);
+        let b = m.bin_var();
         m.constraint(Model::expr().term(1.0, x).term(1.0, b), Sense::Le, 1.0);
         let s = m.stats();
         assert_eq!(s.vars, 2);
@@ -476,5 +447,142 @@ mod tests {
         assert_eq!(s.constraints, 1);
         assert_eq!(s.nonzeros, 2);
         assert!(s.to_string().contains("2 vars"));
+    }
+
+    /// A random expression over `vars`: repeated variables, terms that
+    /// cancel, zero coefficients, non-integral coefficients, sometimes more
+    /// terms than an expression holds inline, and a constant.
+    fn random_expr(rng: &mut columba_prng::Rng, vars: &[VarId]) -> Expr {
+        let mut e = Model::expr().plus(rng.gen_range(-8i64..=8) as f64 * 0.375);
+        for _ in 0..rng.gen_range(0usize..10) {
+            let v = vars[rng.gen_range(0..vars.len())];
+            let c = match rng.gen_range(0usize..5) {
+                0 => 0.0,
+                1 => rng.gen_range(-4i64..=4) as f64,
+                _ => rng.gen_range(-1000i64..=1000) as f64 / 7.0,
+            };
+            e = e.term(c, v);
+            if rng.gen_bool(0.2) {
+                e = e.term(-c, v); // cancels what came before
+            }
+        }
+        if rng.gen_bool(0.2) {
+            let other = Model::expr().term(1.5, vars[0]).plus(2.0);
+            e = e.add_expr(&other);
+        }
+        e
+    }
+
+    #[test]
+    fn stored_rows_match_the_compiled_expressions() {
+        let mut rng = columba_prng::Rng::seed_from_u64(0x0005_70AE);
+        let mut m = Model::new();
+        let vars: Vec<VarId> = (0..6).map(|_| m.num_var(0.0, 10.0)).collect();
+        let g = m.add_group("g");
+        let mut expected = Vec::new();
+        let (mut dropped, mut spilled) = (0, 0);
+        for k in 0..2000 {
+            let e = random_expr(&mut rng, &vars);
+            let sense = [Sense::Le, Sense::Eq, Sense::Ge][k % 3];
+            let rhs = rng.gen_range(-50i64..=50) as f64 / 3.0;
+            let compiled = e.compiled();
+            dropped += usize::from(compiled.len() < e.terms().len());
+            spilled += usize::from(e.terms().len() > 4);
+            expected.push((compiled, sense, rhs - e.constant()));
+            match k % 2 {
+                0 => m.constraint(e, sense, rhs),
+                _ => m.constraint_in(g, e, sense, rhs),
+            }
+        }
+        assert!(
+            dropped > 500 && spilled > 200,
+            "{dropped} merged, {spilled} spilled"
+        );
+        assert_eq!(m.num_constraints(), expected.len());
+        let bits = |c: &[f64]| c.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        for (i, (compiled, sense, rhs)) in expected.iter().enumerate() {
+            let row = m.rows.row(i);
+            let cols: Vec<usize> = compiled.iter().map(|&(v, _)| v.index()).collect();
+            let coefs: Vec<f64> = compiled.iter().map(|&(_, c)| c).collect();
+            assert_eq!(row.cols, cols, "row {i}");
+            assert_eq!(bits(row.coefs), bits(&coefs), "row {i}");
+            assert_eq!(
+                (row.sense, row.rhs.to_bits()),
+                (*sense, rhs.to_bits()),
+                "row {i}"
+            );
+        }
+        assert_eq!(m.stats().nonzeros, expected.iter().map(|e| e.0.len()).sum());
+    }
+
+    #[test]
+    fn repeated_terms_solve_like_their_merged_twin() {
+        // the same knapsack-with-a-continuous-part, once with every row and
+        // the objective written with repeated, cancelling and zero terms
+        let build = |raw: bool| {
+            let mut m = Model::new();
+            let x = m.num_var(0.0, 4.0);
+            let a = m.bin_var();
+            let b = m.bin_var();
+            let y = m.int_var(0.0, 5.0);
+            let (r1, r2, obj) = match raw {
+                true => (
+                    Model::expr()
+                        .term(1.0, x)
+                        .term(2.0, a)
+                        .term(1.0, a)
+                        .term(0.0, y)
+                        .term(4.0, b)
+                        .term(1.0, y)
+                        .term(-1.0, y)
+                        .plus(1.0),
+                    Model::expr()
+                        .term(1.0, y)
+                        .term(-3.0, x)
+                        .term(2.0, x)
+                        .term(2.0, b)
+                        .term(-1.0, b)
+                        .term(-1.0, b),
+                    Model::expr()
+                        .term(2.0, x)
+                        .term(1.0, x)
+                        .term(5.0, a)
+                        .term(6.0, b)
+                        .term(1.0, y)
+                        .term(1.0, y),
+                ),
+                false => (
+                    Model::expr().term(1.0, x).term(3.0, a).term(4.0, b),
+                    Model::expr().term(1.0, y).term(-1.0, x),
+                    Model::expr()
+                        .term(3.0, x)
+                        .term(5.0, a)
+                        .term(6.0, b)
+                        .term(2.0, y),
+                ),
+            };
+            let rhs1 = if raw { 7.0 + 1.0 } else { 7.0 };
+            m.constraint(r1, Sense::Le, rhs1);
+            m.constraint(r2, Sense::Le, 1.5);
+            m.maximize(obj);
+            m
+        };
+        let (raw, merged) = (build(true), build(false));
+        assert_eq!(raw.rows, merged.rows);
+        assert_eq!(raw.objective, merged.objective);
+        let params = SolveParams {
+            threads: 1,
+            ..SolveParams::default()
+        };
+        let (r, t) = (raw.solve(&params).unwrap(), merged.solve(&params).unwrap());
+        assert_eq!(r.status(), SolveStatus::Optimal);
+        assert_eq!(r.status(), t.status());
+        let (rs, ts) = (r.solution().unwrap(), t.solution().unwrap());
+        assert_eq!(rs.objective().to_bits(), ts.objective().to_bits());
+        assert_eq!(rs.values(), ts.values());
+        assert_eq!(
+            (r.stats().simplex_iterations, r.stats().nodes_processed),
+            (t.stats().simplex_iterations, t.stats().nodes_processed)
+        );
     }
 }

@@ -39,6 +39,7 @@ use std::collections::BinaryHeap;
 
 use crate::cancel::CancelToken;
 use crate::model::Sense;
+use crate::rows::Rows;
 
 /// Pivot magnitude tolerance.
 const PIVOT_TOL: f64 = 1e-9;
@@ -57,30 +58,6 @@ const START_PIVOT_TOL: f64 = 1e-7;
 /// Pivots between two factorizations of the basis.
 const REFACTOR_INTERVAL: usize = 64;
 
-/// One constraint row in sparse form, already brought to `Σ aᵢxᵢ (sense) rhs`.
-#[derive(Debug, Clone)]
-pub(crate) struct Row {
-    pub terms: Vec<(usize, f64)>,
-    pub sense: Sense,
-    pub rhs: f64,
-}
-
-impl Row {
-    /// How far `x` violates this row, when that exceeds the residual
-    /// tolerance `1e-5 · (1 + max |coef| + |rhs|)`; `None` when the row holds.
-    pub(crate) fn violation(&self, x: &[f64]) -> Option<f64> {
-        let act: f64 = self.terms.iter().map(|&(j, c)| c * x[j]).sum();
-        let scale =
-            1.0 + self.terms.iter().map(|&(_, c)| c.abs()).fold(0.0, f64::max) + self.rhs.abs();
-        let viol = match self.sense {
-            Sense::Le => act - self.rhs,
-            Sense::Ge => self.rhs - act,
-            Sense::Eq => (act - self.rhs).abs(),
-        };
-        (viol > 1e-5 * scale).then_some(viol)
-    }
-}
-
 /// An LP instance: structural columns with bounds and costs, plus rows.
 #[derive(Debug, Clone)]
 pub(crate) struct Lp {
@@ -90,7 +67,8 @@ pub(crate) struct Lp {
     pub ub: Vec<f64>,
     /// Minimisation cost per structural column.
     pub cost: Vec<f64>,
-    pub rows: Vec<Row>,
+    /// The rows, each with ascending, distinct columns.
+    pub rows: Rows,
 }
 
 /// Result of an LP solve.
@@ -565,21 +543,21 @@ impl Simplex {
     fn new(lp: &Lp, x0: &[f64], at_upper_struct: &[bool], artificials: bool) -> Simplex {
         let m = lp.rows.len();
         let n_struct = lp.lb.len();
-        let mut rows = Sparse {
-            start: vec![0],
-            index: Vec::new(),
-            value: Vec::new(),
-        };
         let mut basis = Vec::with_capacity(m);
         let mut art_rows = Vec::new();
         let mut lb = lp.lb.clone();
         let mut ub = lp.ub.clone();
-        let mut terms = Vec::new();
+        let mut rows = Sparse {
+            start: Vec::with_capacity(m + 1),
+            index: Vec::with_capacity(lp.rows.nonzeros() + 2 * m),
+            value: Vec::with_capacity(lp.rows.nonzeros() + 2 * m),
+        };
+        rows.start.push(0);
         for (i, row) in lp.rows.iter().enumerate() {
             // residual with the slack at its bound (0): which rows can start
             // feasibly on their own slack? Le: slack = residual ≥ 0; Ge:
             // slack = −residual ≥ 0; Eq: slack fixed at 0, residual == 0
-            let act: f64 = row.terms.iter().map(|&(j, c)| c * x0[j]).sum();
+            let act: f64 = row.terms().map(|(j, c)| c * x0[j]).sum();
             let residual = row.rhs - act;
             let slack_ok = !artificials
                 || match row.sense {
@@ -587,22 +565,15 @@ impl Simplex {
                     Sense::Ge => residual <= 0.0,
                     Sense::Eq => residual == 0.0,
                 };
-            // a repeated term is summed, and may cancel
-            terms.clone_from(&row.terms);
-            terms.sort_by_key(|&(j, _)| j);
-            terms.dedup_by(|next, kept| {
-                let same = next.0 == kept.0;
-                if same {
-                    kept.1 += next.1;
-                }
-                same
-            });
-            terms.retain(|&(_, c)| c != 0.0);
+            // the row's own terms, then its slack and any artificial
+            rows.index.extend_from_slice(row.cols);
+            rows.value.extend_from_slice(row.coefs);
             let slack_coef = match row.sense {
                 Sense::Le | Sense::Eq => 1.0,
                 Sense::Ge => -1.0,
             };
-            terms.push((n_struct + i, slack_coef));
+            rows.index.push(n_struct + i);
+            rows.value.push(slack_coef);
             lb.push(0.0);
             ub.push(match row.sense {
                 Sense::Le | Sense::Ge => f64::INFINITY,
@@ -613,12 +584,11 @@ impl Simplex {
             } else {
                 // an artificial column, signed so it starts at |residual|
                 let art_col = n_struct + m + art_rows.len();
-                terms.push((art_col, if residual >= 0.0 { 1.0 } else { -1.0 }));
+                rows.index.push(art_col);
+                rows.value.push(if residual >= 0.0 { 1.0 } else { -1.0 });
                 art_rows.push(i);
                 art_col
             });
-            rows.index.extend(terms.iter().map(|&(j, _)| j));
-            rows.value.extend(terms.iter().map(|&(_, c)| c));
             rows.start.push(rows.index.len());
         }
         let ncols = n_struct + m + art_rows.len();
@@ -926,7 +896,7 @@ impl Simplex {
             *xj = self.col_value(j);
         }
         // verify against original rows (guards against drift)
-        for row in &lp.rows {
+        for row in lp.rows.iter() {
             if let Some(viol) = row.violation(&x) {
                 return fail(
                     LpOutcome::Numerical(format!("residual {viol:.2e} exceeds tolerance")),
@@ -1225,21 +1195,19 @@ enum PhaseEnd {
 mod tests {
     use super::*;
 
+    type Row = (Vec<(usize, f64)>, Sense, f64);
+
     fn lp(lb: &[f64], ub: &[f64], cost: &[f64], rows: Vec<Row>) -> Lp {
         Lp {
             lb: lb.to_vec(),
             ub: ub.to_vec(),
             cost: cost.to_vec(),
-            rows,
+            rows: rows.into_iter().collect(),
         }
     }
 
     fn row(terms: &[(usize, f64)], sense: Sense, rhs: f64) -> Row {
-        Row {
-            terms: terms.to_vec(),
-            sense,
-            rhs,
-        }
+        (terms.to_vec(), sense, rhs)
     }
 
     fn optimal(lp: &Lp) -> (Vec<f64>, f64) {
@@ -1441,7 +1409,7 @@ mod tests {
                     1 | 2 => (Sense::Le, act + slack),
                     _ => (Sense::Ge, act - slack),
                 };
-                Row { terms, sense, rhs }
+                (terms, sense, rhs)
             })
             .collect();
         Lp { lb, ub, cost, rows }
@@ -1492,9 +1460,10 @@ mod tests {
             );
             assert_eq!(warm.iterations, 0, "lp {k}: restart pivoted");
             let (i, j) = (rng.gen_range(0..p.rows.len()), rng.gen_range(0..p.lb.len()));
-            let reaches = p.rows[i]
-                .terms
-                .iter()
+            let reaches = p
+                .rows
+                .row(i)
+                .terms()
                 .filter(|t| t.0 == j)
                 .map(|t| t.1)
                 .sum::<f64>();

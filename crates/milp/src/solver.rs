@@ -26,8 +26,9 @@ use std::time::{Duration, Instant};
 
 use crate::cancel::CancelToken;
 use crate::crash;
-use crate::model::{Model, VarId, VarKind};
-use crate::simplex::{self, Basis, ColStatus, Lp, LpOutcome, Row, Start};
+use crate::model::{Model, Sense, VarId, VarKind};
+use crate::rows::Rows;
+use crate::simplex::{self, Basis, ColStatus, Lp, LpOutcome, Start};
 use crate::solution::{MipResult, Solution, SolveStatus};
 use crate::stats::{IncumbentEvent, SolveStats};
 
@@ -171,12 +172,13 @@ impl Ord for OpenNode {
     }
 }
 
-/// Immutable data shared by the root phase and every search worker.
+/// Immutable data shared by the root phase and every search worker. The
+/// rows, bounds and costs are the model's own, borrowed.
 struct SearchCtx<'a> {
-    base_rows: Vec<Row>,
-    base_lb: Vec<f64>,
-    base_ub: Vec<f64>,
-    cost: Vec<f64>,
+    base_rows: &'a Rows,
+    base_lb: &'a [f64],
+    base_ub: &'a [f64],
+    cost: &'a [f64],
     int_vars: Vec<usize>,
     obj_constant: f64,
     sign: f64,
@@ -190,26 +192,15 @@ struct SearchCtx<'a> {
 impl<'a> SearchCtx<'a> {
     /// The search data of `model`, with the stop token's deadline capped at
     /// `start + params.time_limit`.
-    fn new(model: &Model, params: &'a SolveParams, start: Instant) -> SearchCtx<'a> {
+    fn new(model: &'a Model, params: &'a SolveParams, start: Instant) -> SearchCtx<'a> {
         let solve_deadline = start + params.time_limit;
         SearchCtx {
-            base_rows: model
-                .constraints
-                .iter()
-                .map(|c| Row {
-                    terms: c.terms.iter().map(|&(v, coef)| (v.index(), coef)).collect(),
-                    sense: c.sense,
-                    rhs: c.rhs,
-                })
-                .collect(),
-            base_lb: model.vars.iter().map(|v| v.lb).collect(),
-            base_ub: model.vars.iter().map(|v| v.ub).collect(),
-            cost: model.objective.clone(),
-            int_vars: model
-                .vars
-                .iter()
-                .enumerate()
-                .filter(|(_, v)| v.kind != VarKind::Continuous)
+            base_rows: &model.rows,
+            base_lb: &model.lb,
+            base_ub: &model.ub,
+            cost: &model.objective,
+            int_vars: (model.kind.iter().enumerate())
+                .filter(|(_, &k)| k != VarKind::Continuous)
                 .map(|(i, _)| i)
                 .collect(),
             obj_constant: model.obj_constant,
@@ -269,8 +260,8 @@ impl<'a> SearchCtx<'a> {
         iters: &mut usize,
     ) -> Result<Relaxation, SolveError> {
         let relax = presolved_lp(
-            &self.base_rows,
-            &self.cost,
+            self.base_rows,
+            self.cost,
             lb,
             ub,
             Some(&self.stop_token),
@@ -499,8 +490,8 @@ impl Search<'_> {
             Some(x) => (x, open.lp_bound),
             None => {
                 // reconstruct bounds along the branch path
-                let mut lb = ctx.base_lb.clone();
-                let mut ub = ctx.base_ub.clone();
+                let mut lb = ctx.base_lb.to_vec();
+                let mut ub = ctx.base_ub.to_vec();
                 let mut link = open.path.as_deref();
                 while let Some(l) = link {
                     lb[l.bc.var] = lb[l.bc.var].max(l.bc.lb);
@@ -514,8 +505,8 @@ impl Search<'_> {
                 }
 
                 let relax = presolved_lp(
-                    &ctx.base_rows,
-                    &ctx.cost,
+                    ctx.base_rows,
+                    ctx.cost,
                     &lb,
                     &ub,
                     Some(&ctx.stop_token),
@@ -601,19 +592,19 @@ pub(crate) fn solve(
     let sign = ctx.sign;
     let threads = params.resolved_threads();
     if solve_span.is_recording() {
-        solve_span.attr("vars", model.vars.len());
-        solve_span.attr("constraints", model.constraints.len());
+        solve_span.attr("vars", model.num_vars());
+        solve_span.attr("constraints", model.num_constraints());
         solve_span.attr("threads", threads);
     }
 
     // Constant-only constraints that are unsatisfiable make the model
     // trivially infeasible; satisfied ones are dropped by the presolve.
-    for r in &ctx.base_rows {
-        if r.terms.is_empty() {
+    for r in ctx.base_rows.iter() {
+        if r.cols.is_empty() {
             let ok = match r.sense {
-                crate::model::Sense::Le => 0.0 <= r.rhs + 1e-9,
-                crate::model::Sense::Ge => 0.0 >= r.rhs - 1e-9,
-                crate::model::Sense::Eq => r.rhs.abs() <= 1e-9,
+                Sense::Le => 0.0 <= r.rhs + 1e-9,
+                Sense::Ge => 0.0 >= r.rhs - 1e-9,
+                Sense::Eq => r.rhs.abs() <= 1e-9,
             };
             if !ok {
                 let stats = root_stats(threads, 0, Vec::new(), start);
@@ -651,8 +642,8 @@ pub(crate) fn solve(
     // the root relaxation's start --
     let mut hint_basis: Option<Handoff> = None;
     if let Some(hint) = hint {
-        let mut lb = ctx.base_lb.clone();
-        let mut ub = ctx.base_ub.clone();
+        let mut lb = ctx.base_lb.to_vec();
+        let mut ub = ctx.base_ub.to_vec();
         let mut valid = true;
         for &(v, val) in hint {
             let i = v.index();
@@ -697,8 +688,8 @@ pub(crate) fn solve(
 
     // -- root relaxation --
     let root = ctx.lp(
-        &ctx.base_lb,
-        &ctx.base_ub,
+        ctx.base_lb,
+        ctx.base_ub,
         hint_basis.as_ref(),
         &mut root_iters,
     )?;
@@ -767,8 +758,8 @@ pub(crate) fn solve(
 
     // -- rounding heuristic --
     if params.rounding_heuristic && incumbent.is_none() {
-        let mut lb = ctx.base_lb.clone();
-        let mut ub = ctx.base_ub.clone();
+        let mut lb = ctx.base_lb.to_vec();
+        let mut ub = ctx.base_ub.to_vec();
         for &i in &ctx.int_vars {
             let r = root_x[i].round().clamp(ctx.base_lb[i], ctx.base_ub[i]);
             lb[i] = r;
@@ -997,7 +988,7 @@ struct Relaxation {
 /// outcome, and on an optimum the final basis, in the *full* variable
 /// space.
 fn presolved_lp(
-    base_rows: &[Row],
+    base_rows: &Rows,
     cost: &[f64],
     lb: &[f64],
     ub: &[f64],
@@ -1006,24 +997,21 @@ fn presolved_lp(
 ) -> Relaxation {
     let n = lb.len();
     let fixed = |j: usize| ub[j] - lb[j] <= 0.0;
-    let mut kept_rows: Vec<Row> = Vec::with_capacity(base_rows.len());
+    // the kept rows in base columns, written straight into one store
+    let mut kept = Rows::with_capacity(base_rows.len(), base_rows.nonzeros());
     // base index of each kept row
     let mut kept_idx: Vec<usize> = Vec::with_capacity(base_rows.len());
-    let mut used = vec![false; n];
 
     for (i, row) in base_rows.iter().enumerate() {
-        let mut terms: Vec<(usize, f64)> = Vec::with_capacity(row.terms.len());
         let mut rhs = row.rhs;
-        for &(j, c) in &row.terms {
+        // activity bounds over the terms that stay
+        let (mut min_act, mut max_act) = (0.0f64, 0.0f64);
+        for (j, c) in row.terms() {
             if fixed(j) {
                 rhs -= c * lb[j];
-            } else {
-                terms.push((j, c));
+                continue;
             }
-        }
-        // activity bounds over the remaining terms
-        let (mut min_act, mut max_act) = (0.0f64, 0.0f64);
-        for &(j, c) in &terms {
+            kept.push_term(j, c);
             if c > 0.0 {
                 min_act += c * lb[j];
                 max_act += c * ub[j];
@@ -1034,9 +1022,9 @@ fn presolved_lp(
         }
         let tol = 1e-7 * (1.0 + rhs.abs());
         let (redundant, infeasible) = match row.sense {
-            crate::model::Sense::Le => (max_act <= rhs + tol, min_act > rhs + tol),
-            crate::model::Sense::Ge => (min_act >= rhs - tol, max_act < rhs - tol),
-            crate::model::Sense::Eq => (
+            Sense::Le => (max_act <= rhs + tol, min_act > rhs + tol),
+            Sense::Ge => (min_act >= rhs - tol, max_act < rhs - tol),
+            Sense::Eq => (
                 (max_act - rhs).abs() <= tol && (min_act - rhs).abs() <= tol,
                 min_act > rhs + tol || max_act < rhs - tol,
             ),
@@ -1050,19 +1038,16 @@ fn presolved_lp(
             };
         }
         if redundant {
+            kept.discard_row();
             continue;
         }
-        for &(j, _) in &terms {
-            used[j] = true;
-        }
-        kept_rows.push(Row {
-            terms,
-            sense: row.sense,
-            rhs,
-        });
+        kept.finish_row(row.sense, rhs);
         kept_idx.push(i);
     }
-    // objective terms over unfixed variables must survive compression
+    // columns of kept rows, and objective terms over unfixed variables,
+    // must survive compression
+    let mut used = vec![false; n];
+    kept.columns().iter().for_each(|&j| used[j] = true);
     for (j, &c) in cost.iter().enumerate() {
         if c != 0.0 && !fixed(j) {
             used[j] = true;
@@ -1075,18 +1060,12 @@ fn presolved_lp(
     for (new, &old) in keep.iter().enumerate() {
         pos[old] = new;
     }
+    kept.renumber(&pos);
     let small = Lp {
         lb: keep.iter().map(|&j| lb[j]).collect(),
         ub: keep.iter().map(|&j| ub[j]).collect(),
         cost: keep.iter().map(|&j| cost[j]).collect(),
-        rows: kept_rows
-            .into_iter()
-            .map(|r| Row {
-                terms: r.terms.into_iter().map(|(j, c)| (pos[j], c)).collect(),
-                sense: r.sense,
-                rhs: r.rhs,
-            })
-            .collect(),
+        rows: kept,
     };
     let fixed_cost: f64 = (0..n).filter(|&j| fixed(j)).map(|j| cost[j] * lb[j]).sum();
 
@@ -1220,8 +1199,8 @@ mod tests {
     #[test]
     fn pure_lp_optimal() {
         let mut m = Model::new();
-        let x = m.num_var("x", 0.0, 10.0);
-        let y = m.num_var("y", 0.0, 10.0);
+        let x = m.num_var(0.0, 10.0);
+        let y = m.num_var(0.0, 10.0);
         m.constraint(Model::expr().term(1.0, x).term(1.0, y), Sense::Le, 6.0);
         m.maximize(Model::expr().term(3.0, x).term(5.0, y));
         let r = m.solve(&p()).unwrap();
@@ -1233,9 +1212,9 @@ mod tests {
     fn knapsack_small() {
         // max 10a + 13b + 7c, 3a + 4b + 2c <= 6, binary
         let mut m = Model::new();
-        let a = m.bin_var("a");
-        let b = m.bin_var("b");
-        let c = m.bin_var("c");
+        let a = m.bin_var();
+        let b = m.bin_var();
+        let c = m.bin_var();
         m.constraint(
             Model::expr().term(3.0, a).term(4.0, b).term(2.0, c),
             Sense::Le,
@@ -1255,8 +1234,8 @@ mod tests {
         // LP optimum fractional; IP optimum differs from naive rounding
         // max x + y s.t. 2x + 2y <= 5, x,y int -> LP gives 2.5 total, IP 2
         let mut m = Model::new();
-        let x = m.int_var("x", 0.0, 10.0);
-        let y = m.int_var("y", 0.0, 10.0);
+        let x = m.int_var(0.0, 10.0);
+        let y = m.int_var(0.0, 10.0);
         m.constraint(Model::expr().term(2.0, x).term(2.0, y), Sense::Le, 5.0);
         m.maximize(Model::expr().term(1.0, x).term(1.0, y));
         let r = m.solve(&p()).unwrap();
@@ -1267,8 +1246,8 @@ mod tests {
     #[test]
     fn infeasible_binary_model() {
         let mut m = Model::new();
-        let a = m.bin_var("a");
-        let b = m.bin_var("b");
+        let a = m.bin_var();
+        let b = m.bin_var();
         m.constraint(Model::expr().term(1.0, a).term(1.0, b), Sense::Ge, 3.0);
         m.minimize(Model::expr().term(1.0, a));
         let r = m.solve(&p()).unwrap();
@@ -1280,8 +1259,8 @@ mod tests {
     fn equality_with_integers() {
         // x + y = 7, x - y = 1 over integers
         let mut m = Model::new();
-        let x = m.int_var("x", 0.0, 100.0);
-        let y = m.int_var("y", 0.0, 100.0);
+        let x = m.int_var(0.0, 100.0);
+        let y = m.int_var(0.0, 100.0);
         m.constraint(Model::expr().term(1.0, x).term(1.0, y), Sense::Eq, 7.0);
         m.constraint(Model::expr().term(1.0, x).term(-1.0, y), Sense::Eq, 1.0);
         m.minimize(Model::expr().term(1.0, x));
@@ -1295,8 +1274,8 @@ mod tests {
     fn hint_seeds_incumbent_under_zero_node_budget() {
         // fractional root LP (b=1, a=0.5) so the zero node budget matters
         let mut m = Model::new();
-        let a = m.bin_var("a");
-        let b = m.bin_var("b");
+        let a = m.bin_var();
+        let b = m.bin_var();
         m.constraint(Model::expr().term(2.0, a).term(2.0, b), Sense::Le, 3.0);
         m.maximize(Model::expr().term(2.0, a).term(3.0, b));
         let params = SolveParams {
@@ -1313,7 +1292,7 @@ mod tests {
     #[test]
     fn infeasible_hint_is_ignored() {
         let mut m = Model::new();
-        let a = m.bin_var("a");
+        let a = m.bin_var();
         m.constraint(Model::expr().term(1.0, a), Sense::Eq, 1.0);
         m.minimize(Model::expr().term(1.0, a));
         let r = m.solve_with_hint(&p(), &[(a, 0.0)]).unwrap();
@@ -1326,10 +1305,10 @@ mod tests {
         // two unit squares must not overlap in 1D: |x1 - x2| >= 1
         // min x1 + x2 with x2 >= 0.2 forced ordering via binaries
         let mut m = Model::new();
-        let x1 = m.num_var("x1", 0.0, 10.0);
-        let x2 = m.num_var("x2", 0.0, 10.0);
-        let q1 = m.bin_var("q1");
-        let q2 = m.bin_var("q2");
+        let x1 = m.num_var(0.0, 10.0);
+        let x2 = m.num_var(0.0, 10.0);
+        let q1 = m.bin_var();
+        let q2 = m.bin_var();
         let big = 100.0;
         // x1 + 1 <= x2 + q1*M ; x2 + 1 <= x1 + q2*M ; q1 + q2 = 1
         m.constraint(
@@ -1380,10 +1359,10 @@ mod tests {
     fn root_span_reports_how_the_hint_lp_started() {
         // with q fixed, each big-M row is a difference row or redundant
         let mut m = Model::new();
-        let x1 = m.num_var("x1", 0.0, 10.0);
-        let x2 = m.num_var("x2", 0.0, 10.0);
-        let x3 = m.num_var("x3", 0.0, 10.0);
-        let q = m.bin_var("q");
+        let x1 = m.num_var(0.0, 10.0);
+        let x2 = m.num_var(0.0, 10.0);
+        let x3 = m.num_var(0.0, 10.0);
+        let q = m.bin_var();
         let row = |a: f64, b: f64, c: f64| Model::expr().term(a, x1).term(b, x2).term(c, q);
         m.constraint(row(1.0, -1.0, -100.0), Sense::Le, -1.0);
         m.constraint(row(-1.0, 1.0, 100.0), Sense::Le, 99.0);
@@ -1403,11 +1382,7 @@ mod tests {
 
     #[test]
     fn lps_the_crash_refuses_run_the_cold_path() {
-        let row = |terms: &[(usize, f64)], sense: Sense, rhs: f64| Row {
-            terms: terms.to_vec(),
-            sense,
-            rhs,
-        };
+        let row = |terms: &[(usize, f64)], sense: Sense, rhs: f64| (terms.to_vec(), sense, rhs);
         let ge = |p: usize, q: usize, w: f64| row(&[(p, 1.0), (q, -1.0)], Sense::Ge, w);
         let cases = [
             // a three-term row
@@ -1445,7 +1420,7 @@ mod tests {
                 lb: vec![0.0; 3],
                 ub: ub.to_vec(),
                 cost: vec![1.0, -1.0, 1.0],
-                rows,
+                rows: rows.into_iter().collect(),
             };
             assert_eq!(crash::least_solution(&lp).err(), Some(reason));
             let relax = presolved_lp(&lp.rows, &lp.cost, &lp.lb, &lp.ub, None, None);
@@ -1464,7 +1439,7 @@ mod tests {
     #[test]
     fn node_limit_reports_feasible_or_limit() {
         let mut m = Model::new();
-        let vars: Vec<_> = (0..12).map(|i| m.bin_var(format!("b{i}"))).collect();
+        let vars: Vec<_> = (0..12).map(|_| m.bin_var()).collect();
         let mut e = Model::expr();
         for (i, &v) in vars.iter().enumerate() {
             e = e.term(1.0 + (i as f64) * 0.37, v);
@@ -1485,7 +1460,7 @@ mod tests {
     #[test]
     fn unsatisfiable_constant_constraint_is_infeasible() {
         let mut m = Model::new();
-        let _x = m.num_var("x", 0.0, 1.0);
+        let _x = m.num_var(0.0, 1.0);
         m.constraint(Model::expr().plus(1.0), Sense::Le, 0.0);
         let r = m.solve(&p()).unwrap();
         assert_eq!(r.status(), SolveStatus::Infeasible);
@@ -1494,7 +1469,7 @@ mod tests {
     #[test]
     fn maximize_unbounded() {
         let mut m = Model::new();
-        let x = m.num_var("x", 0.0, f64::INFINITY);
+        let x = m.num_var(0.0, f64::INFINITY);
         m.maximize(Model::expr().term(1.0, x));
         let r = m.solve(&p()).unwrap();
         assert_eq!(r.status(), SolveStatus::Unbounded);
@@ -1507,8 +1482,8 @@ mod tests {
         // bound propagation cannot see this conflict (activity bounds span
         // the rhs on both rows), so phase-1 simplex must prove it
         let mut m = Model::new();
-        let x = m.num_var("x", 0.0, 10.0);
-        let y = m.num_var("y", 0.0, 10.0);
+        let x = m.num_var(0.0, 10.0);
+        let y = m.num_var(0.0, 10.0);
         m.constraint(Model::expr().term(1.0, x).term(1.0, y), Sense::Le, 1.0);
         m.constraint(Model::expr().term(1.0, x).term(1.0, y), Sense::Ge, 2.0);
         m.minimize(Model::expr().term(1.0, x));
@@ -1521,8 +1496,8 @@ mod tests {
     fn unbounded_lp_with_constraints() {
         // feasible region is an unbounded strip around the diagonal
         let mut m = Model::new();
-        let x = m.num_var("x", 0.0, f64::INFINITY);
-        let y = m.num_var("y", 0.0, f64::INFINITY);
+        let x = m.num_var(0.0, f64::INFINITY);
+        let y = m.num_var(0.0, f64::INFINITY);
         m.constraint(Model::expr().term(1.0, x).term(-1.0, y), Sense::Le, 1.0);
         m.constraint(Model::expr().term(-1.0, x).term(1.0, y), Sense::Le, 1.0);
         m.maximize(Model::expr().term(1.0, x).term(1.0, y));
@@ -1535,8 +1510,8 @@ mod tests {
         // many bases are optimal (duplicated and implied rows); the simplex
         // must terminate despite degenerate pivots and report the optimum
         let mut m = Model::new();
-        let x = m.num_var("x", 0.0, 10.0);
-        let y = m.num_var("y", 0.0, 10.0);
+        let x = m.num_var(0.0, 10.0);
+        let y = m.num_var(0.0, 10.0);
         for _ in 0..4 {
             m.constraint(Model::expr().term(1.0, x).term(1.0, y), Sense::Ge, 2.0);
         }
@@ -1553,7 +1528,7 @@ mod tests {
     /// A knapsack family with enough branching to exercise the pool.
     fn branching_model(n: usize) -> Model {
         let mut m = Model::new();
-        let vars: Vec<_> = (0..n).map(|i| m.bin_var(format!("b{i}"))).collect();
+        let vars: Vec<_> = (0..n).map(|_| m.bin_var()).collect();
         let mut weight = Model::expr();
         let mut value = Model::expr();
         for (i, &v) in vars.iter().enumerate() {
@@ -1617,10 +1592,10 @@ mod tests {
     fn corrupted_incumbent_fails_its_certificate() {
         // 3a + 4b + 2c <= 6 over binaries, plus a continuous x in [0, 2]
         let mut m = Model::new();
-        let a = m.bin_var("a");
-        let b = m.bin_var("b");
-        let c = m.bin_var("c");
-        let x = m.num_var("x", 0.0, 2.0);
+        let a = m.bin_var();
+        let b = m.bin_var();
+        let c = m.bin_var();
+        let x = m.num_var(0.0, 2.0);
         m.constraint(
             Model::expr().term(3.0, a).term(4.0, b).term(2.0, c),
             Sense::Le,

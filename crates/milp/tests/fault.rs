@@ -11,7 +11,7 @@ use columba_milp::{Model, Sense, SolveError, SolveParams, SolveStatus};
 /// nodes (where the armed faults fire).
 fn branching_model(n: usize) -> Model {
     let mut m = Model::new();
-    let vars: Vec<_> = (0..n).map(|i| m.bin_var(format!("b{i}"))).collect();
+    let vars: Vec<_> = (0..n).map(|_| m.bin_var()).collect();
     let mut weight = Model::expr();
     let mut value = Model::expr();
     for (i, &v) in vars.iter().enumerate() {
@@ -77,8 +77,8 @@ fn injected_timeout_preserves_the_warm_start_incumbent() {
     // as if the budget expired, so the hint-seeded incumbent is the answer
     let _g = fault::arm(Fault::Timeout, 0);
     let mut m = Model::new();
-    let a = m.bin_var("a");
-    let b = m.bin_var("b");
+    let a = m.bin_var();
+    let b = m.bin_var();
     m.constraint(Model::expr().term(2.0, a).term(2.0, b), Sense::Le, 3.0);
     m.maximize(Model::expr().term(2.0, a).term(3.0, b));
     let r = m

@@ -34,7 +34,7 @@ fn solve_binary(
     threads: usize,
 ) -> MipResult {
     let mut m = Model::new();
-    let vars: Vec<_> = (0..n).map(|i| m.bin_var(format!("b{i}"))).collect();
+    let vars: Vec<_> = (0..n).map(|_| m.bin_var()).collect();
     for (coefs, sense, rhs) in rows {
         let mut e = Model::expr();
         for (c, &v) in coefs.iter().zip(&vars) {
@@ -123,9 +123,7 @@ fn lp_solution_is_feasible_and_not_dominated_by_corners() {
         let cost: Vec<f64> = (0..n).map(|_| coef(&mut rng)).collect();
 
         let mut m = Model::new();
-        let vars: Vec<_> = (0..n)
-            .map(|i| m.num_var(format!("x{i}"), 0.0, 3.0))
-            .collect();
+        let vars: Vec<_> = (0..n).map(|_| m.num_var(0.0, 3.0)).collect();
         for (coefs, rhs) in &rows {
             let mut e = Model::expr();
             for (c, &v) in coefs.iter().zip(&vars) {
@@ -194,8 +192,8 @@ fn small_integer_milp_matches_brute_force() {
             rng.gen_range(-4i64..=4) as f64,
         ];
         let mut m = Model::new();
-        let x = m.int_var("x", 0.0, 4.0);
-        let y = m.int_var("y", 0.0, 4.0);
+        let x = m.int_var(0.0, 4.0);
+        let y = m.int_var(0.0, 4.0);
         m.constraint(
             Model::expr().term(coefs[0], x).term(coefs[1], y),
             Sense::Ge,

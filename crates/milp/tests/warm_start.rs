@@ -21,20 +21,20 @@ fn random_model(rng: &mut Rng) -> (Model, Vec<(VarId, f64)>, bool) {
     let mut point = Vec::new();
     let mut hint = Vec::new();
     let mut interior = false;
-    for i in 0..n_int {
+    for _ in 0..n_int {
         let (v, value) = if rng.gen_bool(0.6) {
-            (m.bin_var(format!("b{i}")), rng.gen_range(0i64..=1) as f64)
+            (m.bin_var(), rng.gen_range(0i64..=1) as f64)
         } else {
             let value = rng.gen_range(0i64..=3) as f64;
             interior |= value > 0.0 && value < 3.0;
-            (m.int_var(format!("z{i}"), 0.0, 3.0), value)
+            (m.int_var(0.0, 3.0), value)
         };
         vars.push(v);
         point.push(value);
         hint.push((v, value));
     }
-    for i in 0..n_cont {
-        vars.push(m.num_var(format!("x{i}"), 0.0, 10.0));
+    for _ in 0..n_cont {
+        vars.push(m.num_var(0.0, 10.0));
         point.push(rng.gen_range(0i64..=20) as f64 * 0.5);
     }
     let n_rows = rng.gen_range(2usize..8);

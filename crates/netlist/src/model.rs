@@ -201,6 +201,15 @@ pub struct Netlist {
     ports: Vec<String>,
     connections: Vec<Connection>,
     parallel_groups: Vec<Vec<ComponentId>>,
+    /// Every component and port name, kept by the adders: one namespace.
+    names: HashMap<String, Named>,
+}
+
+/// What a name in a [`Netlist`] refers to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Named {
+    Component(ComponentId),
+    Port(PortId),
 }
 
 impl Netlist {
@@ -224,11 +233,10 @@ impl Netlist {
         kind: ComponentKind,
     ) -> Result<ComponentId, NetlistError> {
         let name = name.into();
-        if self.lookup(&name).is_some() {
-            return Err(NetlistError::DuplicateName(name));
-        }
+        let id = ComponentId(self.components.len());
+        self.claim(&name, Named::Component(id))?;
         self.components.push(Component { name, kind });
-        Ok(ComponentId(self.components.len() - 1))
+        Ok(id)
     }
 
     /// Adds a mixer with the given spec.
@@ -277,11 +285,10 @@ impl Netlist {
     /// Returns [`NetlistError::DuplicateName`] if the name is taken.
     pub fn add_port(&mut self, name: impl Into<String>) -> Result<PortId, NetlistError> {
         let name = name.into();
-        if self.lookup(&name).is_some() {
-            return Err(NetlistError::DuplicateName(name));
-        }
+        let id = PortId(self.ports.len());
+        self.claim(&name, Named::Port(id))?;
         self.ports.push(name);
-        Ok(PortId(self.ports.len() - 1))
+        Ok(id)
     }
 
     /// Adds a logic connection.
@@ -397,24 +404,28 @@ impl Netlist {
     /// Finds a component by name.
     #[must_use]
     pub fn component_by_name(&self, name: &str) -> Option<ComponentId> {
-        self.components
-            .iter()
-            .position(|c| c.name == name)
-            .map(ComponentId)
+        match self.names.get(name) {
+            Some(&Named::Component(id)) => Some(id),
+            _ => None,
+        }
     }
 
     /// Finds a port by name.
     #[must_use]
     pub fn port_by_name(&self, name: &str) -> Option<PortId> {
-        self.ports.iter().position(|p| p == name).map(PortId)
+        match self.names.get(name) {
+            Some(&Named::Port(id)) => Some(id),
+            _ => None,
+        }
     }
 
-    fn lookup(&self, name: &str) -> Option<()> {
-        if self.components.iter().any(|c| c.name == name) || self.ports.iter().any(|p| p == name) {
-            Some(())
-        } else {
-            None
+    /// Records `name` for `what`, unless a component or port has it.
+    fn claim(&mut self, name: &str, what: Named) -> Result<(), NetlistError> {
+        if self.names.contains_key(name) {
+            return Err(NetlistError::DuplicateName(name.to_string()));
         }
+        self.names.insert(name.to_string(), what);
+        Ok(())
     }
 
     /// Checks structural invariants of a *raw* netlist.
@@ -677,6 +688,15 @@ mod tests {
             n.add_port("in1"),
             Err(NetlistError::DuplicateName(_))
         ));
+        assert_eq!(
+            n.add_mixer("in1", MixerSpec::default()),
+            Err(NetlistError::DuplicateName("in1".into()))
+        );
+        // a refused name changes nothing
+        assert_eq!(n.component_by_name("m1"), Some(ComponentId(0)));
+        assert_eq!(n.port_by_name("m1"), None);
+        assert_eq!(n.component_by_name("in1"), None);
+        assert_eq!((n.components().len(), n.ports().len()), (2, 1));
     }
 
     #[test]

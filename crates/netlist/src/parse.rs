@@ -351,6 +351,38 @@ connect c1.right -> waste
     }
 
     #[test]
+    fn duplicate_names_fail_the_parse() {
+        for text in [
+            "chip c\nmixer m1\nchamber m1\n",
+            "chip c\nmixer m1\nport m1\n",
+            "chip c\nport m1\nmixer m1\n",
+            "chip c\nmixer m2\nport m1\nport m1\n",
+        ] {
+            let e = Netlist::parse(text).unwrap_err();
+            assert_eq!(e, NetlistError::DuplicateName("m1".into()), "{text}");
+        }
+    }
+
+    #[test]
+    fn names_resolve_only_to_their_kind() {
+        // a port used as a unit side, and a unit used as a port
+        let e =
+            Netlist::parse("chip c\nmixer m1\nport p\nconnect p.left -> m1.left\n").unwrap_err();
+        assert!(e.to_string().contains("unknown component `p`"), "{e}");
+        let e = Netlist::parse("chip c\nmixer m1\nport p\nconnect m1 -> p\n").unwrap_err();
+        assert!(e.to_string().contains("needs a side"), "{e}");
+    }
+
+    #[test]
+    fn large_chip_round_trips_through_text() {
+        let n = crate::generators::chip_ip(128, MuxCount::Two);
+        let again = Netlist::parse(&n.to_text()).unwrap();
+        assert_eq!(again.canonical_text(), n.canonical_text());
+        let rc = again.component_by_name("rc127");
+        assert!(rc.is_some() && rc == n.component_by_name("rc127"));
+    }
+
+    #[test]
     fn unknown_option_reported() {
         let e = Netlist::parse("chip c\nmixer m1 bogus=3\n").unwrap_err();
         assert!(e.to_string().contains("bogus"));
