@@ -18,6 +18,8 @@
 //! `allocations`: the heap allocations of one layout generation
 //! ([`layout::generate_only`]: entity plan, MILP model, solve) of the case
 //! on one thread, the same on every run; validation is not counted.
+//! `layout chip64 (heuristic)` adds `synthesize_allocations`, those of one
+//! [`layout::synthesize`] (generation plus validation and DRC).
 
 use std::time::Duration;
 
@@ -91,11 +93,22 @@ fn main() {
     ));
 
     let (planar64, _) = planarize(&chip64);
-    cases.push(with_allocations(
+    let mut chip64_case = with_allocations(
         pinned_layout("layout chip64 (heuristic)", iters, &planar64, &heuristic),
         &planar64,
         &heuristic,
-    ));
+    );
+    let one_thread = LayoutOptions {
+        threads: 1,
+        ..heuristic.clone()
+    };
+    let synthesized = allocations(&chip64_case.name, || {
+        layout::synthesize(&planar64, &one_thread).expect("chip64 synthesizes")
+    });
+    chip64_case
+        .counters
+        .push(("synthesize_allocations".to_string(), synthesized));
+    cases.push(chip64_case);
 
     // the whole flow (validation, planarize, layout, MUX synthesis, DRC)
     // around the same node-pinned search
@@ -147,22 +160,26 @@ fn with_allocations(mut case: CaseStats, planar: &Netlist, options: &LayoutOptio
         threads: 1,
         ..options.clone()
     };
+    let generated = allocations(&case.name, || {
+        layout::generate_only(planar, &options).expect("case generates")
+    });
+    case.counters.push(("allocations".to_string(), generated));
+    case
+}
+
+/// The heap allocations of one `run` (its result dropped after the
+/// count). Two runs must agree.
+fn allocations<T>(name: &str, run: impl Fn() -> T) -> u64 {
     let count = || {
         let before = columba_obs::alloc::stats().total_allocs;
-        let generated = layout::generate_only(planar, &options).expect("case generates");
+        let out = run();
         let after = columba_obs::alloc::stats().total_allocs;
-        drop(generated);
+        drop(out);
         after - before
     };
-    let allocations = count();
-    assert_eq!(
-        allocations,
-        count(),
-        "{}: allocations differ between runs",
-        case.name
-    );
-    case.counters.push(("allocations".to_string(), allocations));
-    case
+    let first = count();
+    assert_eq!(first, count(), "{name}: allocations differ between runs");
+    first
 }
 
 /// Times a work-pinned run and records its exact work from the layout

@@ -387,14 +387,22 @@ mod tests {
     use columba_netlist::{generators, Endpoint, MixerSpec, MuxCount, Netlist, UnitSide};
     use columba_planar::planarize;
 
+    /// Options whose search stops at `nodes` B&B nodes on one thread; the
+    /// 3600 s clock never binds, so the result is the same on any host.
+    fn pinned(nodes: usize) -> LayoutOptions {
+        LayoutOptions {
+            threads: 1,
+            node_limit: nodes,
+            time_limit: Duration::from_secs(3600),
+            ..LayoutOptions::default()
+        }
+    }
+
     #[test]
     fn first_rung_produces_on_a_healthy_case() {
         let (n, _) = planarize(&generators::chip_ip(2, MuxCount::One));
         let policy = ResiliencePolicy {
-            options: LayoutOptions {
-                time_limit: Duration::from_secs(5),
-                ..LayoutOptions::default()
-            },
+            options: pinned(64),
             ..ResiliencePolicy::default()
         };
         let out = synthesize_resilient(&n, &policy).expect("synthesizes");
@@ -514,8 +522,7 @@ mod tests {
             options: LayoutOptions {
                 max_width_mm: Some(w.to_mm() * 1.5),
                 max_height_mm: Some(h.to_mm() + 1.2),
-                time_limit: Duration::from_secs(30),
-                ..LayoutOptions::default()
+                ..pinned(64)
             },
             ..ResiliencePolicy::default()
         };

@@ -45,7 +45,7 @@
 //! it as one job that list-schedules the assay onto devices, inserts
 //! storage for idle fluids, and runs the emitted netlist through the
 //! normal synthesis flow. Schedule stats land in the job status
-//! (`schedule_*` keys) and the trace ring (`scheduled`,
+//! (`schedule_*` keys) and the job's trace (`scheduled`,
 //! `storage_inserted` events).
 //!
 //! The event streams are server-sent events: `event:`/`data:` frames
@@ -423,25 +423,25 @@ fn stream_events(
     let _ = chunks.finish();
 }
 
-/// Serves `GET /jobs/<id>/events`: replays the job's trace ring as SSE
-/// frames as it grows, and ends with `event: end` once the job is
+/// Serves `GET /jobs/<id>/events`: replays the job's lifecycle log as
+/// SSE frames as it grows, and ends with `event: end` once the job is
 /// terminal.
 fn stream_job_events(service: &Service, out: &mut impl Write, config: HttpConfig, id: JobId) {
-    let mut sent = 0usize;
+    let mut cursor = 0u64;
     stream_events(service, out, config, |frames| {
-        // Read the state before the ring. A job's terminal event
-        // (`solved`, `cache_hit`, `failed` or `cancelled`) enters its ring
-        // before any reader can see the terminal state, so a ring read
+        // Read the state before the log. A job's terminal event
+        // (`solved`, `cache_hit`, `failed` or `cancelled`) enters its log
+        // before any reader can see the terminal state, so a log read
         // after a terminal state holds it: no final drain is needed.
         let state = service.status(id).map(|s| s.state);
-        let Some(events) = service.job_events(id) else {
+        let Some((events, next)) = service.job_events_after(id, cursor) else {
             // pruned mid-stream; nothing more will arrive
             return Some("reason pruned".into());
         };
-        for event in &events[sent.min(events.len())..] {
+        for event in &events {
             frames.push_str(&sse_frame(event.kind.as_str(), &event.to_jsonl()));
         }
-        sent = sent.max(events.len());
+        cursor = next;
         let over = state.is_none_or(JobState::is_terminal);
         over.then(|| format!("state {}", state.map_or("pruned", JobState::as_str)))
     });
@@ -776,7 +776,7 @@ fn route_inner(service: &Service, req: Request) -> Result<Response, Routed> {
         },
         (Method::Get, ["jobs", id, "events"]) => match parse_id(id) {
             Some(id) => {
-                if service.job_events(id).is_some() {
+                if service.status(id).is_some() {
                     return Err(Routed::JobEvents(id));
                 }
                 Response::text(404, format!("error no job {id}\n"))
@@ -841,7 +841,7 @@ fn route_inner(service: &Service, req: Request) -> Result<Response, Routed> {
                     format!("error job {id} is {state}, profile not ready\n"),
                 ),
                 Err(ProfileError::Disabled) => {
-                    Response::text(409, format!("error job {id} ran without span profiling\n"))
+                    Response::text(409, format!("error job {id} has no profile\n"))
                 }
             },
             None => Response::text(400, "error job id must be an integer\n"),

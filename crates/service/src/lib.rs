@@ -78,6 +78,4 @@ pub use simenv::{
     clock_wait, run_plan, run_seed, shrink, ChaosOp, ChaosPlan, ChaosReport, Clock, ClockParty,
     ClockSuspend, Conn, NetFault, RealClock, SimClock, SimNet, SimSocket, TcpTransport, Transport,
 };
-pub use trace::{
-    JsonlSink, MemorySink, NullSink, RingConfig, RingSink, TraceEvent, TraceKind, TraceSink,
-};
+pub use trace::{JsonlSink, MemorySink, NullSink, TraceEvent, TraceKind, TraceSink};

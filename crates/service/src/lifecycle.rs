@@ -9,7 +9,12 @@
 //! record's token) and returns the [`Effects`] the service applies
 //! afterwards: the journal record to append, the counter to bump and the
 //! lifecycle event to trace.
+//!
+//! The record is also the one store of a job's events: its bounded
+//! lifecycle log (`GET /jobs/<id>/trace` and `/events`) and its span
+//! profile (`/profile`) live, are sampled out and are pruned together.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -69,8 +74,8 @@ pub(crate) enum Folded {
 pub(crate) struct Finish {
     pub(crate) end: JobEnd,
     pub(crate) elapsed: Duration,
-    /// The job's span profile; `None` when profiling is off.
-    pub(crate) profile: Option<Arc<Vec<SpanEvent>>>,
+    /// The job's span profile.
+    pub(crate) profile: Arc<Vec<SpanEvent>>,
     pub(crate) peak_alloc: Option<u64>,
     /// The tail-sampling policy (`ServiceConfig::trace_keep_slow` and
     /// `trace_head_sample`).
@@ -110,9 +115,10 @@ pub(crate) struct Effects {
     pub(crate) terminal: bool,
     pub(crate) journal: Option<JournalRecord>,
     pub(crate) counter: Option<Counter>,
-    /// The lifecycle event; the service stamps its `ts` when it records it.
+    /// The lifecycle event; the service stamps its `ts` and appends it to
+    /// the record's log under the state lock.
     pub(crate) event: Option<TraceEvent>,
-    /// The tail sampler drops the finished job's trace ring.
+    /// The tail sampler cleared the finished job's log and profile.
     pub(crate) sampled_out: bool,
     /// A `Done` job that ran a solve rather than hitting the cache: its
     /// class and latency, for the solve histogram, SLO and exemplars.
@@ -131,8 +137,11 @@ pub(crate) fn withdrawn(id: u64) -> Effects {
     }
 }
 
+/// Lifecycle events kept per job; the oldest is dropped beyond this.
+const JOB_LOG_CAPACITY: usize = 256;
+
 /// One job's record in the service's job table: what `GET /jobs/<id>`
-/// reports, plus the flags that steer its lifecycle.
+/// reports, the flags that steer its lifecycle, and the job's events.
 #[derive(Default)]
 pub(crate) struct JobRecord {
     pub(crate) text: Arc<String>,
@@ -145,9 +154,14 @@ pub(crate) struct JobRecord {
     started_at: Option<Duration>,
     watchdog_fired: bool,
     /// Finished span events captured while the job ran; the source of
-    /// `GET /jobs/<id>/profile`. `None` until terminal, or forever when
-    /// profiling is off or the tail sampler dropped it.
+    /// `GET /jobs/<id>/profile`. `None` until terminal, and forever when
+    /// the tail sampler dropped it or the record was restored.
     profile: Option<Arc<Vec<SpanEvent>>>,
+    /// The newest [`JOB_LOG_CAPACITY`] lifecycle events, oldest first.
+    log: VecDeque<TraceEvent>,
+    /// Events ever appended to `log`: the cursor event streams resume
+    /// from, which keeps growing after the log is full or cleared.
+    recorded: u64,
 }
 
 impl JobRecord {
@@ -209,6 +223,27 @@ impl JobRecord {
 
     pub(crate) fn snapshot(&self) -> JobStatus {
         self.status.clone()
+    }
+
+    /// Appends a lifecycle event; returns whether the full log dropped
+    /// its oldest one to make room.
+    pub(crate) fn log_event(&mut self, event: TraceEvent) -> bool {
+        self.recorded += 1;
+        let full = self.log.len() >= JOB_LOG_CAPACITY;
+        if full {
+            self.log.pop_front();
+        }
+        self.log.push_back(event);
+        full
+    }
+
+    /// The kept events recorded after the first `cursor`, oldest first,
+    /// and the cursor past them. Events dropped or cleared before the
+    /// caller read them are skipped, never replayed.
+    pub(crate) fn events_after(&self, cursor: u64) -> (Vec<TraceEvent>, u64) {
+        let first = self.recorded - self.log.len() as u64;
+        let skip = usize::try_from(cursor.saturating_sub(first)).unwrap_or(usize::MAX);
+        (self.log.iter().skip(skip).cloned().collect(), self.recorded)
     }
 }
 
@@ -329,7 +364,7 @@ fn end(r: &mut JobRecord, state: JobState, key: Option<ContentKey>, detail: &str
 /// final state and whether its trace survives tail sampling.
 fn finish_run(r: &mut JobRecord, finish: Finish) -> Effects {
     r.status.elapsed = Some(finish.elapsed);
-    r.profile = finish.profile;
+    r.profile = Some(finish.profile);
     r.status.peak_alloc_bytes = finish.peak_alloc;
     let (ended, key) = match finish.end {
         JobEnd::Done {
@@ -364,6 +399,7 @@ fn finish_run(r: &mut JobRecord, finish: Finish) -> Effects {
         || fx.id.is_multiple_of(finish.head_sample);
     if !keep {
         r.profile = None;
+        r.log.clear();
     }
     fx.sampled_out = !keep;
     fx.solve = (r.status.state == JobState::Done && !r.status.from_cache)
@@ -468,7 +504,7 @@ mod tests {
                 let finish = Finish {
                     end,
                     elapsed: Duration::from_millis(rng.gen_range(0..100u64)),
-                    profile: rng.gen_bool(0.5).then(|| Arc::new(Vec::new())),
+                    profile: Arc::new(Vec::new()),
                     peak_alloc: None,
                     keep_slow: Duration::from_millis(50),
                     head_sample: rng.gen_range(1..4u64),
@@ -576,6 +612,11 @@ mod tests {
                     || elapsed >= keep_slow
                     || id.is_multiple_of(head_sample);
                 assert_eq!(fx.sampled_out, !keep, "{ctx}: tail sampling");
+                assert_eq!(job.record.profile().is_some(), keep, "{ctx}: profile");
+                if !keep {
+                    let (log, _) = job.record.events_after(0);
+                    assert!(log.is_empty(), "{ctx}: a sampled-out log is cleared");
+                }
                 assert_eq!(
                     fx.solve.is_some(),
                     ended == Done && !from_cache,
@@ -651,6 +692,44 @@ mod tests {
             }
         }
         job.state = after;
+    }
+
+    fn logged(seq: u64) -> TraceEvent {
+        TraceEvent {
+            ts: Duration::from_micros(seq),
+            job: Some(1),
+            kind: TraceKind::Exported,
+            detail: format!("e{seq}"),
+        }
+    }
+
+    #[test]
+    fn event_cursor_resumes_past_the_log_bound() {
+        let mut r = Shadow::admit(1).record;
+        let cap = JOB_LOG_CAPACITY as u64;
+        let mut dropped = 0;
+        for seq in 0..cap + 44 {
+            dropped += u64::from(r.log_event(logged(seq)));
+        }
+        assert_eq!(dropped, 44, "each append past the bound drops one");
+        let (events, cursor) = r.events_after(0);
+        assert_eq!(events.len(), JOB_LOG_CAPACITY);
+        assert_eq!(events[0].detail, "e44", "the oldest were dropped");
+        assert_eq!(cursor, cap + 44);
+        // a full log stops growing; the cursor still finds the new events
+        for seq in cap + 44..cap + 47 {
+            r.log_event(logged(seq));
+        }
+        let (events, cursor) = r.events_after(cursor);
+        let details: Vec<&str> = events.iter().map(|e| e.detail.as_str()).collect();
+        let expected = [cap + 44, cap + 45, cap + 46].map(|s| format!("e{s}"));
+        assert_eq!(details, expected);
+        assert_eq!(cursor, cap + 47);
+        assert!(r.events_after(cursor).0.is_empty(), "nothing new");
+        // a reader that fell behind the kept window gets what is kept
+        let (events, _) = r.events_after(10);
+        assert_eq!(events.len(), JOB_LOG_CAPACITY);
+        assert_eq!(events[0].detail, "e47");
     }
 
     #[test]

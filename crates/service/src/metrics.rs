@@ -106,7 +106,7 @@ pub struct MetricsSnapshot {
     /// Fraction of the uptime each worker spent running jobs, in worker
     /// index order (one entry per worker, each in `[0, 1]`).
     pub worker_busy: Vec<f64>,
-    /// Lifecycle trace events dropped by the bounded trace rings.
+    /// Lifecycle trace events dropped from full per-job logs.
     pub trace_events_evicted: u64,
     /// Profiling span events dropped by bounded per-job span recorders.
     pub profile_events_dropped: u64,

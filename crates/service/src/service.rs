@@ -43,7 +43,7 @@ use crate::persist::{
     Recovery, Storage, WriteOutcome,
 };
 use crate::simenv::clock::{clock_wait, Clock, ClockParty, ClockSuspend, RealClock};
-use crate::trace::{NullSink, RingConfig, RingSink, TraceEvent, TraceKind, TraceSink};
+use crate::trace::{NullSink, TraceEvent, TraceKind, TraceSink};
 
 /// Locks a mutex, recovering from poisoning: a panic in a worker is
 /// already contained and counted, so the shared state stays usable.
@@ -89,21 +89,8 @@ pub struct ServiceConfig {
     /// to disk under the given state directory, recovering both on
     /// startup; `None` (the default) keeps everything in memory.
     pub persist: Option<PersistConfig>,
-    /// Span profiling: when `true` (the default) the process-global
-    /// [`columba_obs`] flag is switched on at startup, every job runs
-    /// under a bounded per-job [`SpanRecorder`], and the captured solver
-    /// and layout spans are served as a Chrome trace by
-    /// `GET /jobs/<id>/profile`.
-    pub profile_spans: bool,
-    /// Span events kept per job profile; the recorder ring evicts the
-    /// oldest beyond this (evictions surface in `/metrics` as
-    /// `profile_events_dropped`).
-    pub profile_capacity: usize,
-    /// Bounds for the per-job lifecycle trace rings behind
-    /// `GET /jobs/<id>/trace`.
-    pub trace_ring: RingConfig,
     /// Tail-sampling latency threshold: a finished job whose solve took
-    /// at least this long keeps its full trace ring and span profile
+    /// at least this long keeps its lifecycle log and span profile
     /// even when head sampling would have dropped it. Error, degraded,
     /// cancelled and watchdog-fired jobs are always kept.
     pub trace_keep_slow: Duration,
@@ -156,9 +143,6 @@ impl Default for ServiceConfig {
             max_records: 4096,
             trace: Arc::new(NullSink),
             persist: None,
-            profile_spans: true,
-            profile_capacity: 4096,
-            trace_ring: RingConfig::default(),
             trace_keep_slow: Duration::from_secs(30),
             trace_head_sample: 1,
             slos: default_slos(),
@@ -181,7 +165,6 @@ impl fmt::Debug for ServiceConfig {
             .field("job_deadline", &self.job_deadline)
             .field("max_records", &self.max_records)
             .field("persist", &self.persist)
-            .field("profile_spans", &self.profile_spans)
             .field("breaker", &self.breaker)
             .field("watchdog_grace", &self.watchdog_grace)
             .finish_non_exhaustive()
@@ -252,8 +235,9 @@ pub enum ProfileError {
     NotFound,
     /// The job is not terminal yet; its profile is still being recorded.
     NotReady(JobState),
-    /// The job finished but no spans were captured —
-    /// [`ServiceConfig::profile_spans`] was off when it ran.
+    /// The job is terminal but holds no profile: the tail sampler
+    /// dropped it, or the record was restored from the journal after a
+    /// restart.
     Disabled,
 }
 
@@ -372,10 +356,8 @@ struct Inner {
     cache: Mutex<DesignCache>,
     agg: Mutex<SolveStats>,
     trace_sink: Arc<dyn TraceSink>,
-    /// Bounded per-job trace rings behind `GET /jobs/<id>/trace`; every
-    /// event recorded through [`Inner::trace`] is teed here as well as
-    /// to the configured sink.
-    ring: RingSink,
+    /// Lifecycle events dropped from full per-job logs.
+    trace_evicted: AtomicU64,
     persist: Option<Persist>,
     /// Retry/breaker state every persist write runs under; meaningful
     /// only when `persist` is `Some` (stays closed forever otherwise).
@@ -413,8 +395,6 @@ struct Inner {
     storage_ops_inserted: AtomicU64,
     /// The lifecycle counters, indexed by [`Counter`].
     counts: [AtomicU64; 4],
-    profile_spans: bool,
-    profile_capacity: usize,
     /// Span events evicted from per-job profile recorders (and the
     /// HTTP request recorder) because their rings were full.
     profile_dropped: AtomicU64,
@@ -437,7 +417,7 @@ struct Inner {
     /// Pure `Duration` arithmetic over [`Inner::clock`], so burn math is
     /// deterministic under a [`crate::simenv::SimClock`].
     slo: Mutex<SloEngine>,
-    /// Job trace rings + span profiles discarded by the tail-sampling
+    /// Job logs + span profiles discarded by the tail-sampling
     /// policy (fast, clean, and not head-sampled).
     traces_sampled_out: AtomicU64,
     /// Tail-sampling knobs (see [`ServiceConfig`]).
@@ -467,7 +447,14 @@ fn default_slos() -> Vec<SloDef> {
     ]
 }
 
+/// Span events kept per job profile; the recorder ring evicts the
+/// oldest beyond this (counted in `/metrics` as `profile_events_dropped`).
+const PROFILE_CAPACITY: usize = 4096;
+
 impl Inner {
+    /// Records one event: into its job's log under the state lock (an id
+    /// without a record, or no id, skips the log), then to the sink, then
+    /// wakes the event streams.
     fn trace(&self, job: Option<u64>, kind: TraceKind, detail: impl Into<String>) {
         let event = TraceEvent {
             ts: self.clock.now().saturating_sub(self.epoch),
@@ -475,14 +462,25 @@ impl Inner {
             kind,
             detail: detail.into(),
         };
-        self.ring.record(&event);
+        if let Some(id) = job {
+            if let Some(r) = lock(&self.state).jobs.get_mut(&id) {
+                self.log_event(r, event.clone());
+            }
+        }
         self.trace_sink.record(&event);
         self.notify_events();
     }
 
+    /// Appends `event` to the record's log, counting a dropped oldest one.
+    fn log_event(&self, r: &mut JobRecord, event: TraceEvent) {
+        if r.log_event(event) {
+            self.trace_evicted.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
     /// Runs `event` through [`transition`] on a record of the locked job
     /// table; `None` when the record refused it. The lifecycle event goes
-    /// into the job's trace ring here, under the state lock, so no reader
+    /// into the record's log here, under the state lock, so no reader
     /// sees a terminal state before its event. Everything else waits for
     /// [`Inner::apply`].
     fn step(&self, r: &mut JobRecord, event: Event) -> Option<Effects> {
@@ -492,7 +490,7 @@ impl Inner {
         }
         if let Some(event) = &mut fx.event {
             event.ts = self.clock.now().saturating_sub(self.epoch);
-            self.ring.record(event);
+            self.log_event(r, event.clone());
         }
         Some(fx)
     }
@@ -512,7 +510,6 @@ impl Inner {
             self.notify_events();
         }
         if fx.sampled_out {
-            self.ring.forget(&[fx.id]);
             self.traces_sampled_out.fetch_add(1, Ordering::Relaxed);
         }
         if let Some((class, elapsed)) = fx.solve {
@@ -772,9 +769,7 @@ impl Inner {
                 st.batches.insert(id, group);
                 prune_batches(&mut st, self.max_records);
             }
-            let pruned = prune_records(&mut st, self.max_records);
-            drop(st);
-            self.ring.forget(&pruned);
+            prune_records(&mut st, self.max_records);
         }
         if let Some(b) = batch_id {
             self.batches_submitted.fetch_add(1, Ordering::Relaxed);
@@ -863,9 +858,7 @@ impl Service {
             }
             None => (None, None),
         };
-        if config.profile_spans {
-            columba_obs::set_enabled(true);
-        }
+        columba_obs::set_enabled(true);
         let inner = Arc::new(Inner {
             epoch: clock.now(),
             clock: Arc::clone(&clock),
@@ -895,7 +888,7 @@ impl Service {
             cache: Mutex::new(DesignCache::new(config.cache)),
             agg: Mutex::new(SolveStats::default()),
             trace_sink: config.trace,
-            ring: RingSink::new(config.trace_ring),
+            trace_evicted: AtomicU64::new(0),
             persist,
             supervisor: PersistSupervisor::new(config.breaker, 0x0c01_7b5a, Arc::clone(&clock)),
             ready: Mutex::new(recovery.is_none()),
@@ -914,8 +907,6 @@ impl Service {
             assay_jobs: AtomicU64::new(0),
             storage_ops_inserted: AtomicU64::new(0),
             counts: Default::default(),
-            profile_spans: config.profile_spans,
-            profile_capacity: config.profile_capacity.max(64),
             profile_dropped: AtomicU64::new(0),
             solve_hist: Histogram::new(),
             http_hist: Histogram::new(),
@@ -1124,18 +1115,22 @@ impl Service {
         })
     }
 
-    /// The lifecycle trace events of one job, oldest first — the data
-    /// behind `GET /jobs/<id>/events` (SSE). `None` for a job the
-    /// service has never seen.
+    /// The lifecycle events kept in one job's log, oldest first. `None`
+    /// for a job the service does not know (never seen, or pruned).
     #[must_use]
     pub fn job_events(&self, id: JobId) -> Option<Vec<TraceEvent>> {
+        self.job_events_after(id, 0).map(|(events, _)| events)
+    }
+
+    /// The kept events of one job recorded after the first `cursor`,
+    /// oldest first, and the cursor to resume from — how
+    /// `GET /jobs/<id>/events` (SSE) streams a log that may be full.
+    /// `None` for a job the service does not know.
+    #[must_use]
+    pub fn job_events_after(&self, id: JobId, cursor: u64) -> Option<(Vec<TraceEvent>, u64)> {
         self.inner.wait_ready();
-        let known = lock(&self.inner.state).jobs.contains_key(&id.0);
-        let events = self.inner.ring.job_events(id.0);
-        if !known && events.is_none() {
-            return None;
-        }
-        Some(events.unwrap_or_default())
+        let st = lock(&self.inner.state);
+        Some(st.jobs.get(&id.0)?.events_after(cursor))
     }
 
     /// The monotone count of lifecycle trace events recorded so far.
@@ -1352,7 +1347,7 @@ impl Service {
             solve: lock(&inner.agg).clone(),
             uptime,
             worker_busy,
-            trace_events_evicted: inner.ring.evicted(),
+            trace_events_evicted: inner.trace_evicted.load(Ordering::Relaxed),
             profile_events_dropped: inner.profile_dropped.load(Ordering::Relaxed)
                 + inner.http_recorder.evicted(),
             solve_hist: inner.solve_hist.snapshot(),
@@ -1371,8 +1366,8 @@ impl Service {
     /// The lifecycle trace of one job as JSON Lines (one event per
     /// line, oldest first — the schema of [`TraceEvent::to_jsonl`]),
     /// served by `GET /jobs/<id>/trace`. `None` for a job the service
-    /// has never seen; an admitted job with an evicted or empty ring
-    /// renders as an empty document.
+    /// does not know; a job whose log was sampled out renders as an
+    /// empty document.
     #[must_use]
     pub fn job_trace(&self, id: JobId) -> Option<String> {
         let events = self.job_events(id)?;
@@ -1387,8 +1382,8 @@ impl Service {
     ///
     /// [`ProfileError::NotFound`] for an unknown id,
     /// [`ProfileError::NotReady`] while the job is queued or running,
-    /// [`ProfileError::Disabled`] when the job finished without a
-    /// recorded profile (profiling was off).
+    /// [`ProfileError::Disabled`] when the job is terminal without a
+    /// profile (sampled out, or restored after a restart).
     pub fn job_profile(&self, id: JobId) -> Result<String, ProfileError> {
         self.inner.wait_ready();
         let (state, profile) = {
@@ -1570,14 +1565,14 @@ fn prune_batches(st: &mut State, max_batches: usize) {
     }
 }
 
-/// Drops the oldest terminal job records beyond `max_records`, returning
-/// the dropped ids so side tables (the trace rings) can forget them too.
-/// Ids are monotonic, so "oldest" is "smallest id". Jobs referenced by a
-/// retained batch group are kept so `GET /batch/<id>` member statuses
-/// stay resolvable until the group itself is pruned.
-fn prune_records(st: &mut State, max_records: usize) -> Vec<u64> {
+/// Drops the oldest terminal job records beyond `max_records`, and with
+/// them their logs and profiles. Ids are monotonic, so "oldest" is
+/// "smallest id". Jobs referenced by a retained batch group are kept so
+/// `GET /batch/<id>` member statuses stay resolvable until the group
+/// itself is pruned.
+fn prune_records(st: &mut State, max_records: usize) {
     if st.jobs.len() <= max_records {
-        return Vec::new();
+        return;
     }
     let referenced: std::collections::HashSet<u64> = st
         .batches
@@ -1596,7 +1591,6 @@ fn prune_records(st: &mut State, max_records: usize) -> Vec<u64> {
     for id in &terminal {
         st.jobs.remove(id);
     }
-    terminal
 }
 
 /// Applies recovered persistent state before the first worker runs: warms
@@ -1722,8 +1716,7 @@ fn apply_recovery(inner: &Inner, recovery: Recovery, throttle: Option<Duration>)
         }
         restored_batches = st.batches.len();
         prune_batches(&mut st, inner.max_records);
-        let pruned = prune_records(&mut st, inner.max_records);
-        inner.ring.forget(&pruned);
+        prune_records(&mut st, inner.max_records);
     }
     for &id in &requeued {
         inner.trace(Some(id), TraceKind::Recovery, "re-enqueued after restart");
@@ -1959,11 +1952,9 @@ fn worker_loop(inner: &Arc<Inner>, index: usize) {
         // it (including B&B worker threads, which attach the context
         // across the scope boundary). The finished events become the
         // job's `/profile`.
-        let recorder = inner
-            .profile_spans
-            .then(|| SpanRecorder::new(inner.profile_capacity));
+        let recorder = SpanRecorder::new(PROFILE_CAPACITY);
         let end = {
-            let _rec = recorder.as_ref().map(SpanRecorder::install);
+            let _rec = recorder.install();
             let mut job_span = columba_obs::span("job");
             let end = match catch_unwind(AssertUnwindSafe(|| run_job(inner, id, &text, &token))) {
                 Ok(end) => end,
@@ -1994,12 +1985,10 @@ fn worker_loop(inner: &Arc<Inner>, index: usize) {
             u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
             Ordering::Relaxed,
         );
-        let profile = recorder.map(|rec| {
-            inner
-                .profile_dropped
-                .fetch_add(rec.evicted(), Ordering::Relaxed);
-            Arc::new(rec.finished())
-        });
+        inner
+            .profile_dropped
+            .fetch_add(recorder.evicted(), Ordering::Relaxed);
+        let profile = Arc::new(recorder.finished());
         let finish = Event::Finish(Finish {
             end,
             elapsed,
@@ -2029,7 +2018,7 @@ fn cache_record(netlist_canon: &str, options_canon: &str) -> String {
 
 /// Storage-insertion traces kept per assay job; beyond this one summary
 /// event stands in for the rest so a storage-heavy assay cannot flood
-/// the per-job trace ring.
+/// the job's log.
 const MAX_STORAGE_TRACES: usize = 16;
 
 /// The assay front end of [`run_job`]: parses the behavioral text,
@@ -2126,7 +2115,7 @@ fn run_job(inner: &Inner, id: u64, text: &str, token: &CancelToken) -> JobEnd {
                 );
             }
             // Replay the winning solve's incumbent trajectory into the
-            // trace ring so `GET /jobs/<id>/events` streams the
+            // job's log so `GET /jobs/<id>/events` streams the
             // objective's descent alongside the rung transitions.
             for (secs, objective) in result.outcome.layout.solve.trajectory() {
                 inner.trace(

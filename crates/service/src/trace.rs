@@ -14,8 +14,14 @@
 //! [`JsonlSink`] (one self-contained JSON object per line — the schema is
 //! documented on [`TraceEvent::to_jsonl`]), tests capture events in memory
 //! with [`MemorySink`], and the default [`NullSink`] drops them.
+//!
+//! An event that names a job is also kept in that job's record: a
+//! bounded log of its newest 256 events, which `GET /jobs/<id>/trace`
+//! and `GET /jobs/<id>/events` read. The log lives and dies with the
+//! record (tail sampling clears it, pruning drops it), and each event a
+//! full log drops counts in `/metrics` as `trace_events_evicted`.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -299,145 +305,6 @@ impl TraceSink for MemorySink {
     }
 }
 
-/// Bounds for a [`RingSink`].
-#[derive(Debug, Clone, Copy)]
-pub struct RingConfig {
-    /// Events kept per job; the oldest is evicted beyond this.
-    pub per_job: usize,
-    /// Job rings kept; the oldest ring is evicted whole beyond this.
-    pub max_jobs: usize,
-    /// Service-level (`job: None`) events kept.
-    pub global: usize,
-}
-
-impl Default for RingConfig {
-    fn default() -> RingConfig {
-        RingConfig {
-            per_job: 256,
-            max_jobs: 1024,
-            global: 1024,
-        }
-    }
-}
-
-#[derive(Default)]
-struct RingState {
-    jobs: HashMap<u64, VecDeque<TraceEvent>>,
-    /// Job rings in creation order — eviction order for `max_jobs`.
-    order: VecDeque<u64>,
-    global: VecDeque<TraceEvent>,
-}
-
-/// The bounded per-job trace ring behind `GET /jobs/<id>/trace`.
-///
-/// Every event lands in the ring keyed by its job (service-level events
-/// go to a shared global ring). Three bounds keep memory flat no matter
-/// how long the service runs: events per job, total job rings, and
-/// global events — each eviction increments one shared counter that
-/// `/metrics` surfaces as `trace_events_evicted`.
-pub struct RingSink {
-    config: RingConfig,
-    state: Mutex<RingState>,
-    evicted: AtomicU64,
-}
-
-impl fmt::Debug for RingSink {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RingSink")
-            .field("config", &self.config)
-            .field("evicted", &self.evicted.load(Ordering::Relaxed))
-            .finish_non_exhaustive()
-    }
-}
-
-impl RingSink {
-    /// An empty ring set with the given bounds (floors of one).
-    #[must_use]
-    pub fn new(config: RingConfig) -> RingSink {
-        RingSink {
-            config: RingConfig {
-                per_job: config.per_job.max(1),
-                max_jobs: config.max_jobs.max(1),
-                global: config.global.max(1),
-            },
-            state: Mutex::new(RingState::default()),
-            evicted: AtomicU64::new(0),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, RingState> {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Events recorded for one job, oldest first; `None` when no ring
-    /// exists (never traced, or evicted/forgotten since).
-    #[must_use]
-    pub fn job_events(&self, job: u64) -> Option<Vec<TraceEvent>> {
-        self.lock()
-            .jobs
-            .get(&job)
-            .map(|ring| ring.iter().cloned().collect())
-    }
-
-    /// Service-level events, oldest first.
-    #[must_use]
-    pub fn global_events(&self) -> Vec<TraceEvent> {
-        self.lock().global.iter().cloned().collect()
-    }
-
-    /// Drops the rings of pruned jobs so the sink tracks the job table
-    /// instead of growing past it. Evictions here are bookkeeping, not
-    /// data loss under pressure, so the counter is not incremented.
-    pub fn forget(&self, jobs: &[u64]) {
-        let mut guard = self.lock();
-        let st = &mut *guard;
-        for id in jobs {
-            st.jobs.remove(id);
-        }
-        let live = &st.jobs;
-        st.order.retain(|id| live.contains_key(id));
-    }
-
-    /// Events dropped by any of the three bounds.
-    #[must_use]
-    pub fn evicted(&self) -> u64 {
-        self.evicted.load(Ordering::Relaxed)
-    }
-}
-
-impl TraceSink for RingSink {
-    fn record(&self, event: &TraceEvent) {
-        let mut st = self.lock();
-        let Some(job) = event.job else {
-            if st.global.len() >= self.config.global {
-                st.global.pop_front();
-                self.evicted.fetch_add(1, Ordering::Relaxed);
-            }
-            st.global.push_back(event.clone());
-            return;
-        };
-        if !st.jobs.contains_key(&job) {
-            if st.order.len() >= self.config.max_jobs {
-                if let Some(oldest) = st.order.pop_front() {
-                    if let Some(ring) = st.jobs.remove(&oldest) {
-                        self.evicted.fetch_add(ring.len() as u64, Ordering::Relaxed);
-                    }
-                }
-            }
-            st.order.push_back(job);
-            st.jobs.insert(job, VecDeque::new());
-        }
-        let ring = st.jobs.get_mut(&job).expect("ring just ensured");
-        if ring.len() >= self.config.per_job {
-            ring.pop_front();
-            self.evicted.fetch_add(1, Ordering::Relaxed);
-        }
-        ring.push_back(event.clone());
-    }
-}
-
 /// Writes one JSON line per event to any [`Write`] (a file, a pipe,
 /// stderr). Lines are written atomically under an internal lock.
 pub struct JsonlSink<W: Write + Send> {
@@ -546,53 +413,6 @@ mod tests {
         assert_eq!(events.len(), 3, "ring capacity holds");
         assert_eq!(events[0].detail, "e2", "oldest events were dropped");
         assert_eq!(sink.evicted(), 2);
-    }
-
-    #[test]
-    fn ring_sink_bounds_per_job_and_global() {
-        let sink = RingSink::new(RingConfig {
-            per_job: 2,
-            max_jobs: 8,
-            global: 2,
-        });
-        for seq in 0..4 {
-            sink.record(&ev(Some(7), seq));
-            sink.record(&ev(None, 100 + seq));
-        }
-        let job = sink.job_events(7).expect("ring exists");
-        assert_eq!(job.len(), 2);
-        assert_eq!(job[0].detail, "e2");
-        assert_eq!(sink.global_events().len(), 2);
-        assert_eq!(sink.evicted(), 4, "two per-job + two global drops");
-        assert!(sink.job_events(8).is_none());
-    }
-
-    #[test]
-    fn ring_sink_evicts_oldest_job_ring_beyond_max_jobs() {
-        let sink = RingSink::new(RingConfig {
-            per_job: 4,
-            max_jobs: 2,
-            global: 4,
-        });
-        for job in 1..=3u64 {
-            sink.record(&ev(Some(job), job));
-            sink.record(&ev(Some(job), job + 10));
-        }
-        assert!(sink.job_events(1).is_none(), "oldest ring evicted whole");
-        assert_eq!(sink.job_events(2).map(|v| v.len()), Some(2));
-        assert_eq!(sink.job_events(3).map(|v| v.len()), Some(2));
-        assert_eq!(sink.evicted(), 2, "the evicted ring held two events");
-    }
-
-    #[test]
-    fn ring_sink_forget_drops_rings_without_counting_evictions() {
-        let sink = RingSink::new(RingConfig::default());
-        sink.record(&ev(Some(1), 0));
-        sink.record(&ev(Some(2), 1));
-        sink.forget(&[1]);
-        assert!(sink.job_events(1).is_none());
-        assert!(sink.job_events(2).is_some());
-        assert_eq!(sink.evicted(), 0, "forgetting is not eviction");
     }
 
     #[test]

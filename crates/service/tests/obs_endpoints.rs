@@ -2,7 +2,8 @@
 //! lifecycle trace and a Chrome-trace span profile whose solver spans
 //! nest under the job root; `/metrics?format=prometheus` parses under
 //! the exposition mini-parser and carries solve-latency histogram
-//! buckets; tiny trace rings surface their evictions.
+//! buckets; a full job log surfaces its evictions, and every job the
+//! service still knows keeps its trace.
 
 mod common;
 
@@ -11,7 +12,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use columba_obs::{parse_json, parse_prometheus, validate_chrome_trace, Json};
-use columba_service::{metric_value, HttpConfig, HttpServer, RingConfig, Service, ServiceConfig};
+use columba_service::{metric_value, HttpConfig, HttpServer, JobState, Service, ServiceConfig};
 
 fn field<'a>(body: &'a str, key: &str) -> Option<&'a str> {
     body.lines()
@@ -266,36 +267,37 @@ fn trace_profile_and_prometheus_endpoints() {
     service.shutdown();
 }
 
+const TINY: &str = "chip t\nmixer m1\nport a\nport b\n\
+                    connect a -> m1.left\nconnect m1.right -> b\n";
+
 #[test]
-fn tiny_trace_rings_evict_and_report() {
+fn full_job_log_evicts_and_reports() {
     let service = Arc::new(Service::start(ServiceConfig {
         workers: 1,
         options: common::deterministic_options(),
-        trace_ring: RingConfig {
-            per_job: 2,
-            max_jobs: 2,
-            global: 2,
-        },
         ..ServiceConfig::default()
     }));
     let server = HttpServer::bind(Arc::clone(&service), "127.0.0.1:0", HttpConfig::default())
         .expect("bind an ephemeral port");
     let addr = server.addr();
-    let tiny = "chip t\nmixer m1\nport a\nport b\n\
-                connect a -> m1.left\nconnect m1.right -> b\n";
-    let (status, body) = common::request(addr, "POST", "/synthesize", Some(tiny));
+    let (status, body) = common::request(addr, "POST", "/synthesize", Some(TINY));
     assert_eq!(status, 202, "{body}");
-    let id = field(&body, "id").expect("id").trim().to_string();
+    let id = id_of(&body);
     let done = common::poll_terminal(addr, &id, Duration::from_secs(120));
     assert_eq!(field(&done, "state"), Some("done"), "{done}");
 
-    // a solved job emits more than two per-job events (admitted, started,
-    // rung, solved, ...), so a two-slot ring must have evicted
+    // every export appends one `exported` event; 300 of them overflow the
+    // job's 256-event log, which keeps the newest and counts the rest
+    for _ in 0..300 {
+        let (status, _) = common::request(addr, "GET", &format!("/jobs/{id}/svg"), None);
+        assert_eq!(status, 200);
+    }
     let (status, trace) = common::request(addr, "GET", &format!("/jobs/{id}/trace"), None);
     assert_eq!(status, 200);
+    assert_eq!(trace.lines().count(), 256, "the log holds its bound");
     assert!(
-        trace.lines().count() <= 2,
-        "per-job ring must hold at most two events:\n{trace}"
+        trace.lines().all(|l| l.contains("\"exported\"")),
+        "the oldest events were dropped first:\n{trace}"
     );
     let (status, flat) = common::request(addr, "GET", "/metrics", None);
     assert_eq!(status, 200);
@@ -304,6 +306,39 @@ fn tiny_trace_rings_evict_and_report() {
         "evictions must surface in /metrics:\n{flat}"
     );
     drop(server);
+    service.shutdown();
+}
+
+#[test]
+fn every_known_job_keeps_its_trace() {
+    // The record owns the log: as long as `status` answers for a job, its
+    // trace is there, however many jobs ran after it.
+    let service = Service::start(ServiceConfig {
+        workers: 1,
+        options: common::deterministic_options(),
+        ..ServiceConfig::default()
+    });
+    let mut ids = Vec::new();
+    for _ in 0..1030 {
+        let id = service.submit_text(TINY).expect("admitted");
+        let done = service.wait(id, Duration::from_secs(120)).expect("known");
+        assert_eq!(done.state, JobState::Done, "{done:?}");
+        ids.push(id);
+    }
+    let mut known = 0;
+    for id in ids {
+        if service.status(id).is_none() {
+            continue;
+        }
+        known += 1;
+        let trace = service.job_trace(id).expect("a known job has a trace");
+        assert!(
+            !trace.is_empty(),
+            "job {id} is known but its trace is empty"
+        );
+    }
+    assert_eq!(known, 1030, "max_records keeps every job here");
+    assert_eq!(service.metrics().trace_events_evicted, 0);
     service.shutdown();
 }
 
