@@ -6,8 +6,8 @@
 #   lint   cargo fmt + clippy with warnings as errors
 #   test   release build, workspace tests, fault-inject configurations
 #   chaos  crash-point enumeration + SimFs-injected degrade/heal cycle
-#   smoke  HTTP round-trip, batch + SSE, assay front end, observability,
-#          restart-recovery
+#   smoke  resilience ladder under a deadline, HTTP round-trip, batch + SSE,
+#          assay front end, observability, restart-recovery
 #   perf   bench artifacts vs the committed baselines (ci/perf_gate)
 #
 #   ci/check.sh                  # everything
@@ -136,6 +136,11 @@ smoke_poll_done() {
 }
 
 section_smoke() {
+  echo "==> resilience ladder smoke (a 50 ms deadline token spans every rung)"
+  LADDER=$(cargo run -q --release --offline -p columba-bench --bin resilience -- --budget-ms 50)
+  printf '%s\n' "$LADDER" | grep 'produced by:' >/dev/null \
+    || { echo "no ladder rung produced a layout: $LADDER"; exit 1; }
+
   if ! command -v curl >/dev/null 2>&1; then
     echo "curl not found; skipping the HTTP smoke"
     return 0

@@ -11,11 +11,11 @@ use std::time::Duration;
 
 use columba_s::netlist::{generators, MuxCount};
 use columba_s::planar::planarize;
-use columba_s::{synthesize_resilient, LayoutOptions, ResiliencePolicy};
+use columba_s::{synthesize_resilient, CancelToken, LayoutOptions};
 
-fn run(label: &str, policy: &ResiliencePolicy, netlist: &columba_s::Netlist) {
+fn run(label: &str, options: &LayoutOptions, netlist: &columba_s::Netlist) {
     println!("== {label} ==");
-    match synthesize_resilient(netlist, policy) {
+    match synthesize_resilient(netlist, options) {
         Ok(out) => {
             println!("{}", out.log);
             println!(
@@ -60,15 +60,13 @@ fn main() {
         ],
     };
 
-    for (label, total_budget) in budgets {
-        let policy = ResiliencePolicy {
-            options: LayoutOptions {
-                time_limit: Duration::from_secs(10),
-                ..LayoutOptions::default()
-            },
-            total_budget,
-            ..ResiliencePolicy::default()
+    for (label, budget) in budgets {
+        // the deadline token spans every rung of the ladder
+        let options = LayoutOptions {
+            time_limit: Duration::from_secs(10),
+            cancel: budget.map(CancelToken::with_timeout),
+            ..LayoutOptions::default()
         };
-        run(&label, &policy, &netlist);
+        run(&label, &options, &netlist);
     }
 }

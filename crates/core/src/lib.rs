@@ -50,7 +50,7 @@ pub use columba_sim as sim;
 pub use columba_design::{drc::DrcReport, Design, DesignStats};
 pub use columba_layout::{
     synthesize_resilient, Attempt, AttemptLog, AttemptOutcome, LayoutError, LayoutOptions,
-    ResiliencePolicy, ResilientError, ResilientOutcome, Rung,
+    ResilientError, ResilientOutcome, Rung,
 };
 pub use columba_milp::{CancelToken, SolveStats};
 pub use columba_netlist::{Netlist, NetlistError};
@@ -127,9 +127,8 @@ impl SynthesisOptions {
     ///
     /// Deliberately excluded, because they provably do not change the
     /// returned layout: `threads` (any worker count yields the same
-    /// objective — see `crates/layout/tests/determinism.rs`),
-    /// `diagnose_infeasibility` (changes only the error detail of a run
-    /// that produces nothing), and the `cancel` token (a runtime handle).
+    /// objective — see `crates/layout/tests/determinism.rs`) and the
+    /// `cancel` token (a runtime handle).
     /// Budgets (`time_limit`, `node_limit`) *are* included: when a budget
     /// binds it selects the incumbent, so different budgets may
     /// legitimately yield different designs.
@@ -172,6 +171,20 @@ pub struct SynthesisOutcome {
 }
 
 impl SynthesisOutcome {
+    fn new(
+        result: columba_layout::LayoutResult,
+        planarize: PlanarizeReport,
+        start: Instant,
+    ) -> SynthesisOutcome {
+        SynthesisOutcome {
+            design: result.design,
+            planarize,
+            layout: result.laygen,
+            drc: result.drc,
+            elapsed: start.elapsed(),
+        }
+    }
+
     /// The Table 1 feature values of the design.
     #[must_use]
     pub fn stats(&self) -> DesignStats {
@@ -240,6 +253,19 @@ impl Columba {
     /// [`SynthesisOutcome::drc`].
     pub fn synthesize(&self, input: &Netlist) -> Result<SynthesisOutcome, SynthesisError> {
         let start = Instant::now();
+        let (planarized, planarize, layout_options) = self.prepare(input)?;
+        let result = columba_layout::synthesize(&planarized, &layout_options)?;
+        Ok(SynthesisOutcome::new(result, planarize, start))
+    }
+
+    /// The front half both flows share: validates the netlist, planarizes
+    /// it, and picks the layout options — the configured ones, with the
+    /// node budget dropped to zero (the scalable heuristic mode) when
+    /// auto-scaling applies to the planarized unit count.
+    fn prepare(
+        &self,
+        input: &Netlist,
+    ) -> Result<(Netlist, PlanarizeReport, LayoutOptions), SynthesisError> {
         input.validate()?;
         let (planarized, planarize) = columba_planar::planarize(input);
         let mut layout_options = self.options.layout.clone();
@@ -248,14 +274,7 @@ impl Columba {
         {
             layout_options.node_limit = 0;
         }
-        let result = columba_layout::synthesize(&planarized, &layout_options)?;
-        Ok(SynthesisOutcome {
-            design: result.design,
-            planarize,
-            layout: result.laygen,
-            drc: result.drc,
-            elapsed: start.elapsed(),
-        })
+        Ok((planarized, planarize, layout_options))
     }
 
     /// Parses the plain-text netlist format and synthesizes it.
@@ -269,48 +288,33 @@ impl Columba {
     }
 
     /// Runs the full design flow through the resilient escalation ladder
-    /// ([`synthesize_resilient`]): full MILP → scaled retry → heuristic
-    /// only → constructive only, with one optional [`CancelToken`]
-    /// spanning every rung. This is the entry point a long-running caller
-    /// (the `columba-service` job workers) uses: a cancelled or
+    /// ([`synthesize_resilient`]): full MILP → heuristic only →
+    /// constructive only, with the heuristic rung skipped when the options
+    /// (auto-scaled or not) already are the heuristic mode. The optional
+    /// [`CancelToken`] replaces the configured one and spans every rung.
+    /// This is the entry point a long-running caller (the
+    /// `columba-service` job workers) uses: a cancelled or
     /// deadline-expired token degrades the job instead of losing it, and
     /// the returned [`AttemptLog`] records which rung produced the layout.
     ///
     /// # Errors
     ///
     /// Returns [`SynthesisError`] when the netlist is invalid, the model
-    /// is proven infeasible, or every permitted rung failed.
+    /// is proven infeasible, or every rung failed.
     pub fn synthesize_resilient(
         &self,
         input: &Netlist,
         cancel: Option<CancelToken>,
     ) -> Result<ResilientSynthesis, SynthesisError> {
         let start = Instant::now();
-        input.validate()?;
-        let (planarized, planarize) = columba_planar::planarize(input);
-        let mut layout_options = self.options.layout.clone();
-        if self.options.auto_scale
-            && planarized.functional_unit_count() > self.options.scale_threshold
-        {
-            layout_options.node_limit = 0;
+        let (planarized, planarize, mut layout_options) = self.prepare(input)?;
+        if cancel.is_some() {
+            layout_options.cancel = cancel;
         }
-        if let Some(token) = cancel {
-            layout_options.cancel = Some(token);
-        }
-        let policy = ResiliencePolicy {
-            options: layout_options,
-            ..ResiliencePolicy::default()
-        };
-        let resilient = synthesize_resilient(&planarized, &policy)
+        let resilient = synthesize_resilient(&planarized, &layout_options)
             .map_err(|e| SynthesisError::Layout(e.error))?;
         Ok(ResilientSynthesis {
-            outcome: SynthesisOutcome {
-                design: resilient.result.design,
-                planarize,
-                layout: resilient.result.laygen,
-                drc: resilient.result.drc,
-                elapsed: start.elapsed(),
-            },
+            outcome: SynthesisOutcome::new(resilient.result, planarize, start),
             rung: resilient.rung,
             log: resilient.log,
         })
@@ -335,14 +339,22 @@ mod tests {
     use super::*;
     use columba_netlist::{generators, MuxCount};
 
+    /// Options whose search stops at `nodes` B&B nodes on one thread; the
+    /// 3600 s clock never binds, so the result is the same on any host.
+    fn pinned(nodes: usize) -> LayoutOptions {
+        LayoutOptions {
+            threads: 1,
+            node_limit: nodes,
+            time_limit: Duration::from_secs(3600),
+            ..LayoutOptions::default()
+        }
+    }
+
     #[test]
     fn quickstart_flow() {
         let n = generators::kinase_activity(MuxCount::One);
         let flow = Columba::with_options(SynthesisOptions {
-            layout: LayoutOptions {
-                time_limit: std::time::Duration::from_secs(5),
-                ..LayoutOptions::default()
-            },
+            layout: pinned(4),
             ..SynthesisOptions::default()
         });
         let out = flow.synthesize(&n).expect("synthesis succeeds");
@@ -384,10 +396,7 @@ mod tests {
     fn resilient_flow_produces_and_logs() {
         let n = generators::chip_ip(2, MuxCount::One);
         let flow = Columba::with_options(SynthesisOptions {
-            layout: LayoutOptions {
-                time_limit: std::time::Duration::from_secs(5),
-                ..LayoutOptions::default()
-            },
+            layout: pinned(64),
             ..SynthesisOptions::default()
         });
         let out = flow.synthesize_resilient(&n, None).expect("synthesizes");

@@ -605,25 +605,26 @@ pub(crate) fn generate(
         // constructive placement — the construction ignores the chip-size
         // budget the proof hinges on. Diagnose the conflict instead.
         None if result.status() == SolveStatus::Infeasible => {
-            let mut conflict = Vec::new();
-            let mut detail = String::from("the placement model admits no layout");
-            if options.diagnose_infeasibility {
-                let probe = SolveParams {
-                    time_limit: options.time_limit.min(Duration::from_secs(5)),
-                    node_limit: options.node_limit.clamp(1_000, 50_000),
-                    rounding_heuristic: false,
-                    threads: options.threads,
-                    cancel: options.cancel.clone(),
-                    ..SolveParams::default()
-                };
-                // a numerically failed probe keeps the generic message; the
-                // proven infeasibility itself is the error being reported
-                if let Ok(Some(d)) = model.diagnose_infeasibility(&probe) {
-                    detail = d.to_string();
-                    conflict = d.conflict;
-                }
-            }
-            Err(LayoutError::Infeasible { conflict, detail })
+            let probe = SolveParams {
+                time_limit: options.time_limit.min(Duration::from_secs(5)),
+                node_limit: options.node_limit.clamp(1_000, 50_000),
+                rounding_heuristic: false,
+                threads: options.threads,
+                cancel: options.cancel.clone(),
+                ..SolveParams::default()
+            };
+            // a numerically failed probe keeps the generic message; the
+            // proven infeasibility itself is the error being reported
+            Err(match model.diagnose_infeasibility(&probe) {
+                Ok(Some(d)) => LayoutError::Infeasible {
+                    detail: d.to_string(),
+                    conflict: d.conflict,
+                },
+                _ => LayoutError::Infeasible {
+                    conflict: Vec::new(),
+                    detail: "the placement model admits no layout".into(),
+                },
+            })
         }
         None if options.warm_start && placement.feasible => {
             // fall back to the constructive layout outright

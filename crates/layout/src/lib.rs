@@ -54,8 +54,8 @@ pub use error::LayoutError;
 pub use laygen::{GeneratedLayout, LaygenReport};
 pub use layval::LayoutResult;
 pub use resilient::{
-    synthesize_resilient, Attempt, AttemptLog, AttemptOutcome, ResiliencePolicy, ResilientError,
-    ResilientOutcome, Rung,
+    synthesize_resilient, Attempt, AttemptLog, AttemptOutcome, ResilientError, ResilientOutcome,
+    Rung,
 };
 
 use columba_milp::CancelToken;
@@ -96,9 +96,6 @@ pub struct LayoutOptions {
     pub max_width_mm: Option<f64>,
     /// Optional hard cap on the functional-region height in mm.
     pub max_height_mm: Option<f64>,
-    /// Run the deletion-filter diagnosis when the MILP is proven
-    /// infeasible, naming the conflicting paper-equation constraint groups.
-    pub diagnose_infeasibility: bool,
     /// Cooperative cancellation token. Cancelling it (or passing one built
     /// with a deadline) aborts the solve promptly; the synthesis still
     /// returns the best layout found so far when one exists. The per-solve
@@ -121,7 +118,6 @@ impl Default for LayoutOptions {
             threads: 0,
             max_width_mm: None,
             max_height_mm: None,
-            diagnose_infeasibility: true,
             cancel: None,
         }
     }

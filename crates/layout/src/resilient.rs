@@ -4,12 +4,14 @@
 //! fails — budget exhausted, solver numerical failure, a contained worker
 //! panic that degraded the search — steps down:
 //!
-//! 1. **full MILP** with the caller's budgets;
-//! 2. **scaled retry**: the same MILP with the budgets scaled down, a
-//!    fresh attempt that dodges transient failures cheaply;
-//! 3. **heuristic only**: the constructive incumbent polished by one LP,
-//!    no branching (the scalable mode of [`LayoutOptions::heuristic_only`]);
-//! 4. **constructive only**: the row placer's layout outright, no MILP.
+//! 1. **full MILP** with the caller's [`LayoutOptions`];
+//! 2. **heuristic only**: the constructive incumbent polished by one LP,
+//!    no branching (the scalable mode of [`LayoutOptions::heuristic_only`]).
+//!    It is skipped when the caller's options already are that mode
+//!    (`node_limit == 0` with `warm_start`), since it would repeat the
+//!    first rung's solve exactly;
+//! 3. **constructive only**: the row placer's layout outright, no MILP.
+//!    It always runs when the rungs above failed.
 //!
 //! Every rung is recorded in an [`AttemptLog`] so callers can see *which*
 //! quality level produced the returned layout and why the better ones did
@@ -17,9 +19,10 @@
 //! fix a design that does not fit its chip-size budget, and the error then
 //! carries the diagnosed constraint conflict.
 //!
-//! One [`CancelToken`] spans the whole ladder: the caller's token (or the
-//! [`ResiliencePolicy::total_budget`] deadline) is threaded into every MILP
-//! rung, so a chip-level wall-clock budget covers all attempts together.
+//! The options' [`cancel`](LayoutOptions::cancel) token spans the whole
+//! ladder: a token built with a deadline is a wall-clock budget over all
+//! attempts together. Once it has fired, the heuristic rung is skipped and
+//! the constructive rung, which needs no solver time, still runs.
 
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -31,43 +34,11 @@ use crate::error::LayoutError;
 use crate::layval::LayoutResult;
 use crate::{entities, laygen, layval, LayoutOptions};
 
-/// How far [`synthesize_resilient`] may degrade and on what budgets.
-#[derive(Debug, Clone)]
-pub struct ResiliencePolicy {
-    /// Options for the first (full-quality) rung. Its `cancel` token, when
-    /// set, spans the *entire* ladder.
-    pub options: LayoutOptions,
-    /// Wall-clock budget across all rungs together. `None` leaves only the
-    /// per-rung `time_limit`s and the caller's token.
-    pub total_budget: Option<Duration>,
-    /// Whether to retry the full MILP with scaled budgets before degrading
-    /// to the heuristic rung.
-    pub retry: bool,
-    /// Budget scale of the retry rung (clamped to `0.05..=1.0`).
-    pub retry_scale: f64,
-    /// Whether the final constructive-only rung may run.
-    pub allow_constructive: bool,
-}
-
-impl Default for ResiliencePolicy {
-    fn default() -> ResiliencePolicy {
-        ResiliencePolicy {
-            options: LayoutOptions::default(),
-            total_budget: None,
-            retry: true,
-            retry_scale: 0.5,
-            allow_constructive: true,
-        }
-    }
-}
-
 /// A rung of the escalation ladder, best first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rung {
     /// The full MILP with the caller's budgets.
     FullMilp,
-    /// The full MILP again with scaled-down budgets.
-    RetryScaled,
     /// Constructive incumbent + LP polish, no branching.
     HeuristicOnly,
     /// The constructive placement outright, no MILP.
@@ -78,7 +49,6 @@ impl fmt::Display for Rung {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             Rung::FullMilp => "full MILP",
-            Rung::RetryScaled => "scaled-budget retry",
             Rung::HeuristicOnly => "heuristic only (no branching)",
             Rung::ConstructiveOnly => "constructive placement only",
         })
@@ -93,7 +63,8 @@ pub enum AttemptOutcome {
     /// The rung failed and the ladder moved on (or aborted, for a proven
     /// infeasibility).
     Failed(String),
-    /// The rung did not run: budget exhausted or disabled by policy.
+    /// The rung did not run: the ladder budget was exhausted, or it would
+    /// have repeated the previous rung's solve.
     Skipped(String),
 }
 
@@ -146,13 +117,30 @@ impl AttemptLog {
         agg
     }
 
-    fn push(&mut self, rung: Rung, outcome: AttemptOutcome, elapsed: Duration) {
+    /// Runs one rung under its span and records how it ended.
+    fn run(
+        &mut self,
+        rung: Rung,
+        attempt: impl FnOnce() -> Result<LayoutResult, LayoutError>,
+    ) -> Result<LayoutResult, LayoutError> {
+        let t0 = Instant::now();
+        let mut span = columba_obs::span(rung_span_name(rung));
+        let outcome = attempt();
+        let (attr, record) = match &outcome {
+            Ok(result) => ("produced", AttemptOutcome::Produced(result.laygen.status)),
+            Err(error @ LayoutError::Infeasible { .. }) => {
+                ("infeasible", AttemptOutcome::Failed(error.to_string()))
+            }
+            Err(error) => ("failed", AttemptOutcome::Failed(error.to_string())),
+        };
+        span.attr("outcome", attr);
         self.attempts.push(Attempt {
             rung,
-            outcome,
-            elapsed,
-            solve: None,
+            outcome: record,
+            elapsed: t0.elapsed(),
+            solve: outcome.as_ref().ok().map(|r| r.laygen.solve.clone()),
         });
+        outcome
     }
 }
 
@@ -224,161 +212,86 @@ impl std::error::Error for ResilientError {
 ///
 /// Returns [`ResilientError`] when the placement model is proven
 /// infeasible (the ladder aborts — degradation cannot fix a chip-size
-/// budget the design does not fit) or when every permitted rung failed.
+/// budget the design does not fit) or when every rung failed; the error
+/// is then the constructive rung's.
 pub fn synthesize_resilient(
     netlist: &Netlist,
-    policy: &ResiliencePolicy,
+    options: &LayoutOptions,
 ) -> Result<ResilientOutcome, ResilientError> {
     let start = Instant::now();
     let mut log = AttemptLog::default();
-
-    // one token spans every rung; each MILP additionally caps it at its own
-    // per-solve time_limit
-    let base_token = policy.options.cancel.clone().unwrap_or_default();
-    let token = match policy.total_budget {
-        Some(budget) => base_token.capped(start + budget),
-        None => base_token,
-    };
-
-    let plan = match entities::build_plan(netlist) {
-        Ok(p) => p,
-        Err(error) => {
-            log.total = start.elapsed();
-            return Err(ResilientError { error, log });
-        }
-    };
-
-    let mut milp_rungs = vec![Rung::FullMilp];
-    if policy.retry {
-        milp_rungs.push(Rung::RetryScaled);
+    let outcome = ladder(netlist, options, &mut log);
+    log.total = start.elapsed();
+    match outcome {
+        Ok((result, rung)) => Ok(ResilientOutcome { result, rung, log }),
+        Err(error) => Err(ResilientError { error, log }),
     }
-    milp_rungs.push(Rung::HeuristicOnly);
+}
 
-    let mut last_err: Option<LayoutError> = None;
-    for rung in milp_rungs {
-        // budget exhausted: jump straight to the constructive rung, which
-        // needs no solver time at all
-        if token.is_cancelled() && !log.attempts.is_empty() {
-            log.push(
+fn ladder(
+    netlist: &Netlist,
+    options: &LayoutOptions,
+    log: &mut AttemptLog,
+) -> Result<(LayoutResult, Rung), LayoutError> {
+    let plan = entities::build_plan(netlist)?;
+    let heuristic = LayoutOptions {
+        node_limit: 0,
+        warm_start: true,
+        ..options.clone()
+    };
+    for (rung, opts) in [(Rung::FullMilp, options), (Rung::HeuristicOnly, &heuristic)] {
+        if let Some(why) = skip_reason(rung, options) {
+            log.attempts.push(Attempt {
                 rung,
-                AttemptOutcome::Skipped("ladder budget exhausted".into()),
-                Duration::ZERO,
-            );
+                outcome: AttemptOutcome::Skipped(why.into()),
+                elapsed: Duration::ZERO,
+                solve: None,
+            });
             continue;
         }
-        let opts = rung_options(policy, rung, &token);
-        let t0 = Instant::now();
-        let mut rung_span = columba_obs::span(rung_span_name(rung));
-        match laygen::generate(&plan, &opts).and_then(|g| layval::validate(netlist, &plan, &g)) {
-            Ok(result) => {
-                rung_span.attr("outcome", "produced");
-                let status = result.laygen.status;
-                log.attempts.push(Attempt {
-                    rung,
-                    outcome: AttemptOutcome::Produced(status),
-                    elapsed: t0.elapsed(),
-                    solve: Some(result.laygen.solve.clone()),
-                });
-                log.total = start.elapsed();
-                return Ok(ResilientOutcome { result, rung, log });
-            }
-            Err(error @ LayoutError::Infeasible { .. }) => {
-                rung_span.attr("outcome", "infeasible");
-                // proven infeasible: no rung can produce a *valid* layout,
-                // so abort with the diagnosis instead of degrading into a
-                // layout that violates the chip budget
-                log.push(
-                    rung,
-                    AttemptOutcome::Failed(error.to_string()),
-                    t0.elapsed(),
-                );
-                log.total = start.elapsed();
-                return Err(ResilientError { error, log });
-            }
-            Err(error) => {
-                rung_span.attr("outcome", "failed");
-                log.push(
-                    rung,
-                    AttemptOutcome::Failed(error.to_string()),
-                    t0.elapsed(),
-                );
-                last_err = Some(error);
-            }
+        match log.run(rung, || {
+            laygen::generate(&plan, opts).and_then(|g| layval::validate(netlist, &plan, &g))
+        }) {
+            Ok(result) => return Ok((result, rung)),
+            // proven infeasible: no rung can produce a *valid* layout, so
+            // abort with the diagnosis instead of degrading into a layout
+            // that violates the chip budget
+            Err(error @ LayoutError::Infeasible { .. }) => return Err(error),
+            Err(_) => {}
         }
     }
+    let result = log.run(Rung::ConstructiveOnly, || {
+        laygen::generate_constructive(&plan).and_then(|g| layval::validate(netlist, &plan, &g))
+    })?;
+    Ok((result, Rung::ConstructiveOnly))
+}
 
-    if policy.allow_constructive {
-        let t0 = Instant::now();
-        let mut rung_span = columba_obs::span(rung_span_name(Rung::ConstructiveOnly));
-        match laygen::generate_constructive(&plan)
-            .and_then(|g| layval::validate(netlist, &plan, &g))
-        {
-            Ok(result) => {
-                rung_span.attr("outcome", "produced");
-                let status = result.laygen.status;
-                log.attempts.push(Attempt {
-                    rung: Rung::ConstructiveOnly,
-                    outcome: AttemptOutcome::Produced(status),
-                    elapsed: t0.elapsed(),
-                    solve: Some(result.laygen.solve.clone()),
-                });
-                log.total = start.elapsed();
-                return Ok(ResilientOutcome {
-                    result,
-                    rung: Rung::ConstructiveOnly,
-                    log,
-                });
-            }
-            Err(error) => {
-                rung_span.attr("outcome", "failed");
-                log.push(
-                    Rung::ConstructiveOnly,
-                    AttemptOutcome::Failed(error.to_string()),
-                    t0.elapsed(),
-                );
-                last_err = Some(error);
-            }
-        }
+/// Why the heuristic rung does not run, if it does not: it would repeat
+/// the full MILP's solve, or the ladder's token has already fired (the
+/// constructive rung needs no solver time, so it always runs).
+fn skip_reason(rung: Rung, options: &LayoutOptions) -> Option<&'static str> {
+    if rung != Rung::HeuristicOnly {
+        None
+    } else if options.node_limit == 0 && options.warm_start {
+        Some("same options as the full MILP")
+    } else if options
+        .cancel
+        .as_ref()
+        .is_some_and(CancelToken::is_cancelled)
+    {
+        Some("ladder budget exhausted")
     } else {
-        log.push(
-            Rung::ConstructiveOnly,
-            AttemptOutcome::Skipped("disabled by policy".into()),
-            Duration::ZERO,
-        );
+        None
     }
-
-    log.total = start.elapsed();
-    let error = last_err
-        .unwrap_or_else(|| LayoutError::Restore("no ladder rung was permitted to run".into()));
-    Err(ResilientError { error, log })
 }
 
 /// Static span name for one ladder rung.
 fn rung_span_name(rung: Rung) -> &'static str {
     match rung {
         Rung::FullMilp => "rung.full_milp",
-        Rung::RetryScaled => "rung.retry_scaled",
         Rung::HeuristicOnly => "rung.heuristic_only",
         Rung::ConstructiveOnly => "rung.constructive_only",
     }
-}
-
-fn rung_options(policy: &ResiliencePolicy, rung: Rung, token: &CancelToken) -> LayoutOptions {
-    let mut o = policy.options.clone();
-    o.cancel = Some(token.clone());
-    match rung {
-        Rung::FullMilp | Rung::ConstructiveOnly => {}
-        Rung::RetryScaled => {
-            let scale = policy.retry_scale.clamp(0.05, 1.0);
-            o.time_limit = o.time_limit.mul_f64(scale);
-            o.node_limit = (o.node_limit as f64 * scale) as usize;
-        }
-        Rung::HeuristicOnly => {
-            o.node_limit = 0;
-            o.warm_start = true;
-        }
-    }
-    o
 }
 
 #[cfg(test)]
@@ -401,11 +314,7 @@ mod tests {
     #[test]
     fn first_rung_produces_on_a_healthy_case() {
         let (n, _) = planarize(&generators::chip_ip(2, MuxCount::One));
-        let policy = ResiliencePolicy {
-            options: pinned(64),
-            ..ResiliencePolicy::default()
-        };
-        let out = synthesize_resilient(&n, &policy).expect("synthesizes");
+        let out = synthesize_resilient(&n, &pinned(64)).expect("synthesizes");
         assert_eq!(out.rung, Rung::FullMilp);
         assert_eq!(out.log.produced_by(), Some(Rung::FullMilp));
         assert_eq!(out.log.attempts.len(), 1);
@@ -429,13 +338,13 @@ mod tests {
             solve: Some(solved(7)),
         });
         log.attempts.push(Attempt {
-            rung: Rung::RetryScaled,
+            rung: Rung::HeuristicOnly,
             outcome: AttemptOutcome::Skipped("budget".into()),
             elapsed: Duration::ZERO,
             solve: None,
         });
         log.attempts.push(Attempt {
-            rung: Rung::HeuristicOnly,
+            rung: Rung::ConstructiveOnly,
             outcome: AttemptOutcome::Produced(SolveStatus::Feasible),
             elapsed: Duration::from_millis(3),
             solve: Some(solved(2)),
@@ -453,14 +362,11 @@ mod tests {
         let (n, _) = planarize(&generators::chip_ip(2, MuxCount::One));
         let token = CancelToken::new();
         token.cancel();
-        let policy = ResiliencePolicy {
-            options: LayoutOptions {
-                cancel: Some(token),
-                ..LayoutOptions::default()
-            },
-            ..ResiliencePolicy::default()
+        let options = LayoutOptions {
+            cancel: Some(token),
+            ..LayoutOptions::default()
         };
-        let out = synthesize_resilient(&n, &policy).expect("fallback layout");
+        let out = synthesize_resilient(&n, &options).expect("fallback layout");
         assert_eq!(out.result.laygen.status, SolveStatus::LimitReached);
         assert!(out.result.laygen.used_fallback);
         assert!(out.result.drc.is_clean());
@@ -518,15 +424,12 @@ mod tests {
             .expect("blocks");
         // fits either block alone (with room for the inlet pitch), but not
         // both side by side nor stacked
-        let policy = ResiliencePolicy {
-            options: LayoutOptions {
-                max_width_mm: Some(w.to_mm() * 1.5),
-                max_height_mm: Some(h.to_mm() + 1.2),
-                ..pinned(64)
-            },
-            ..ResiliencePolicy::default()
+        let options = LayoutOptions {
+            max_width_mm: Some(w.to_mm() * 1.5),
+            max_height_mm: Some(h.to_mm() + 1.2),
+            ..pinned(64)
         };
-        let err = synthesize_resilient(&n, &policy).expect_err("proven infeasible");
+        let err = synthesize_resilient(&n, &options).expect_err("proven infeasible");
         let LayoutError::Infeasible { conflict, detail } = &err.error else {
             panic!("expected Infeasible, got {}", err.error);
         };
@@ -551,25 +454,22 @@ mod tests {
     #[test]
     fn exhausted_budget_skips_milp_rungs_after_the_first_failure() {
         // warm start off: a cancelled solve has no incumbent and no
-        // fallback, so MILP rungs fail/skip and the constructive rung
-        // must *not* run either (warm start is off policy-wide, but the
-        // constructive rung places independently — prove it still works)
+        // fallback, so the full MILP fails and the heuristic rung is
+        // skipped on the dead token; the constructive rung places without
+        // the solver and still produces
         let (n, _) = planarize(&generators::chip_ip(2, MuxCount::One));
         let token = CancelToken::new();
         token.cancel();
-        let policy = ResiliencePolicy {
-            options: LayoutOptions {
-                warm_start: false,
-                cancel: Some(token),
-                ..LayoutOptions::default()
-            },
-            ..ResiliencePolicy::default()
+        let options = LayoutOptions {
+            warm_start: false,
+            cancel: Some(token),
+            ..LayoutOptions::default()
         };
-        let out = synthesize_resilient(&n, &policy).expect("constructive rung saves it");
+        let out = synthesize_resilient(&n, &options).expect("constructive rung saves it");
         assert_eq!(out.rung, Rung::ConstructiveOnly);
         assert!(out.result.laygen.used_fallback);
         assert!(out.result.drc.is_clean());
-        // first rung failed, later MILP rungs were skipped on the dead token
+        // first rung failed, the heuristic rung was skipped on the dead token
         assert!(matches!(
             out.log.attempts[0].outcome,
             AttemptOutcome::Failed(_)
@@ -579,28 +479,5 @@ mod tests {
             .attempts
             .iter()
             .any(|a| matches!(a.outcome, AttemptOutcome::Skipped(_))));
-    }
-
-    #[test]
-    fn constructive_rung_can_be_disabled() {
-        let (n, _) = planarize(&generators::chip_ip(2, MuxCount::One));
-        let token = CancelToken::new();
-        token.cancel();
-        let policy = ResiliencePolicy {
-            options: LayoutOptions {
-                warm_start: false,
-                cancel: Some(token),
-                ..LayoutOptions::default()
-            },
-            allow_constructive: false,
-            ..ResiliencePolicy::default()
-        };
-        let err = synthesize_resilient(&n, &policy).expect_err("no rung allowed to produce");
-        assert!(err
-            .log
-            .attempts
-            .iter()
-            .any(|a| matches!(a.outcome, AttemptOutcome::Skipped(_))));
-        assert!(err.log.produced_by().is_none());
     }
 }

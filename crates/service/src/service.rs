@@ -305,7 +305,9 @@ struct BatchRecord {
 struct State {
     /// One queue per [`QosClass`], indexed by [`QosClass::idx`].
     queues: [VecDeque<u64>; 2],
-    jobs: HashMap<u64, JobRecord>,
+    /// Every known job, keyed by its monotonic id, so iteration order is
+    /// age order.
+    jobs: BTreeMap<u64, JobRecord>,
     next_id: u64,
     /// Ids handed out by admission control whose journal append is still
     /// in flight, per class: they count against that class's capacity
@@ -875,7 +877,7 @@ impl Service {
             worker_count,
             state: Mutex::new(State {
                 queues: [VecDeque::new(), VecDeque::new()],
-                jobs: HashMap::new(),
+                jobs: BTreeMap::new(),
                 next_id: 1,
                 reserved: [0, 0],
                 batches: BTreeMap::new(),
@@ -1524,7 +1526,11 @@ fn drain_for_shutdown(inner: &Inner) {
 }
 
 /// Assembles the client-facing snapshot of one batch from the job table.
-fn batch_snapshot(id: BatchId, batch: &BatchRecord, jobs: &HashMap<u64, JobRecord>) -> BatchStatus {
+fn batch_snapshot(
+    id: BatchId,
+    batch: &BatchRecord,
+    jobs: &BTreeMap<u64, JobRecord>,
+) -> BatchStatus {
     BatchStatus {
         id,
         class: batch.class,
@@ -1566,29 +1572,29 @@ fn prune_batches(st: &mut State, max_batches: usize) {
 }
 
 /// Drops the oldest terminal job records beyond `max_records`, and with
-/// them their logs and profiles. Ids are monotonic, so "oldest" is
-/// "smallest id". Jobs referenced by a retained batch group are kept so
+/// them their logs and profiles. The job table iterates in id (= age)
+/// order, so the walk starts at the oldest record and stops once `excess`
+/// are found. Jobs referenced by a retained batch group are kept so
 /// `GET /batch/<id>` member statuses stay resolvable until the group
 /// itself is pruned.
 fn prune_records(st: &mut State, max_records: usize) {
     if st.jobs.len() <= max_records {
         return;
     }
+    let excess = st.jobs.len() - max_records;
     let referenced: std::collections::HashSet<u64> = st
         .batches
         .values()
         .flat_map(|b| b.members.iter().copied())
         .collect();
-    let mut terminal: Vec<u64> = st
+    let oldest: Vec<u64> = st
         .jobs
         .iter()
         .filter(|(id, r)| r.state().is_terminal() && !referenced.contains(id))
         .map(|(&id, _)| id)
+        .take(excess)
         .collect();
-    terminal.sort_unstable();
-    let excess = st.jobs.len() - max_records;
-    terminal.truncate(excess);
-    for id in &terminal {
+    for id in &oldest {
         st.jobs.remove(id);
     }
 }
@@ -2438,5 +2444,38 @@ mod tests {
         let scr = service.export(id, ExportKind::Scr).expect("design ready");
         assert!(scr.scr.contains("RECTANG"));
         service.shutdown();
+    }
+
+    #[test]
+    fn prune_records_drops_the_oldest_unreferenced_terminal_records() {
+        let mut st = State {
+            queues: [VecDeque::new(), VecDeque::new()],
+            jobs: BTreeMap::new(),
+            next_id: 8,
+            reserved: [0, 0],
+            batches: BTreeMap::new(),
+            next_batch_id: 2,
+            claims: 0,
+        };
+        for id in 1..=7 {
+            let text = Arc::new(String::new());
+            let mut r = JobRecord::new(id, QosClass::Interactive, text, CancelToken::new(), true);
+            // 3 and 6 stay queued; every other job is cancelled
+            if id != 3 && id != 6 {
+                transition(&mut r, Event::Cancel(Canceller::Client)).expect("legal edge");
+            }
+            st.jobs.insert(id, r);
+        }
+        let batch = BatchRecord {
+            class: QosClass::Interactive,
+            members: vec![2],
+        };
+        st.batches.insert(1, batch);
+        prune_records(&mut st, 4);
+        // three over the cap: the walk skips 2 (batch-referenced) and 3
+        // (queued), and stops after 1, 4 and 5
+        assert_eq!(st.jobs.keys().copied().collect::<Vec<_>>(), [2, 3, 6, 7]);
+        prune_records(&mut st, 4);
+        assert_eq!(st.jobs.len(), 4, "at the cap nothing more goes");
     }
 }
