@@ -181,6 +181,11 @@ section_smoke() {
   printf '%s\n' "$BATCH_STATUS" | grep -q '^done 2$'
   METRICS=$(curl -sfS "http://$ADDR/metrics")
   printf '%s\n' "$METRICS" | grep -q '^batch_dedup_hits 1$'
+  # the batch's admission note has no job record: the service log
+  # behind GET /trace holds it (plain grep, as for the scrape below)
+  SERVICE_TRACE=$(curl -sfS "http://$ADDR/trace")
+  printf '%s\n' "$SERVICE_TRACE" | grep '"event":"batch"' >/dev/null \
+    || { echo "service trace is missing the batch event: $SERVICE_TRACE"; exit 1; }
 
   echo "==> SSE smoke (GET /jobs/<id>/events streams to an end frame)"
   EVENTS=$(curl -sfS --no-buffer --max-time 30 "http://$ADDR/jobs/$JOB1/events")

@@ -46,9 +46,11 @@ fn main() {
 
     let chip4 = generators::chip_ip(4, MuxCount::One);
     let (planar, _) = planarize(&chip4);
+    // bounded by work: a 16-node search under a clock that never fires,
+    // so the span and allocation counts are the same on every host
     let opts = LayoutOptions {
-        time_limit: Duration::from_secs(2),
-        node_limit: 50,
+        time_limit: Duration::from_secs(3600),
+        node_limit: 16,
         threads: 1,
         ..LayoutOptions::default()
     };

@@ -29,6 +29,9 @@
 //! | `GET`    | `/metrics`            | flat counters                         |
 //! | `GET`    | `/metrics?format=prometheus` | Prometheus text exposition     |
 //! | `GET`    | `/slo`                | SLO burn rates + error budgets (JSON) |
+//! | `GET`    | `/trace`              | the service log as JSONL: events with |
+//! |          |                       | no job record (`rejected`, `batch`,   |
+//! |          |                       | `recovery`, `shutdown`, ...)          |
 //! | `GET`    | `/profile`            | recent HTTP request spans (Chrome)    |
 //! | `GET`    | `/healthz`            | JSON readiness report (`503` while    |
 //! |          |                       | recovering, with `Retry-After`)       |
@@ -625,6 +628,7 @@ fn route_label(req: &Request) -> &'static str {
         (Method::Get, ["batch", _, "events"]) => "GET /batch/{id}/events",
         (Method::Get, ["metrics"]) => "GET /metrics",
         (Method::Get, ["slo"]) => "GET /slo",
+        (Method::Get, ["trace"]) => "GET /trace",
         (Method::Get, ["profile"]) => "GET /profile",
         (Method::Get, ["healthz"]) => "GET /healthz",
         _ => "other",
@@ -854,6 +858,7 @@ fn route_inner(service: &Service, req: Request) -> Result<Response, Routed> {
             }
         }
         (Method::Get, ["slo"]) => Response::json(service.slo_snapshot().to_json()),
+        (Method::Get, ["trace"]) => Response::jsonl(service.service_trace()),
         (Method::Get, ["profile"]) => Response::json(service.http_profile()),
         (Method::Get, ["healthz"]) => {
             // deliberately never blocks on readiness: this is the one
@@ -1470,28 +1475,30 @@ mod tests {
         service.shutdown();
     }
 
-    #[test]
-    fn queue_full_response_carries_retry_after() {
-        let service = quick_service(1, 1);
-        // drive submissions until admission control rejects, then route
-        // the same POST through the HTTP layer and check the header
-        let mut saw = None;
+    /// Posts submissions until admission control refuses one; returns
+    /// that `429`.
+    fn post_until_rejected(service: &Service) -> Response {
         for _ in 0..64 {
             let req = Request {
                 method: Method::Post,
                 path: "/synthesize".into(),
                 body: TINY.as_bytes().to_vec(),
             };
-            let Routed::Plain(resp) = route(&service, req) else {
+            let Routed::Plain(resp) = route(service, req) else {
                 panic!("POST /synthesize never streams");
             };
             if resp.status == 429 {
-                saw = Some(resp);
-                break;
+                return resp;
             }
             assert_eq!(resp.status, 202, "only 202 or 429 expected here");
         }
-        let resp = saw.expect("a saturated queue must answer 429");
+        panic!("a saturated queue must answer 429");
+    }
+
+    #[test]
+    fn queue_full_response_carries_retry_after() {
+        let service = quick_service(1, 1);
+        let resp = post_until_rejected(&service);
         let mut out = Vec::new();
         resp.write_to(&mut out).expect("in-memory write");
         let text = String::from_utf8(out).expect("ascii");
@@ -1499,6 +1506,33 @@ mod tests {
         assert!(
             text.contains("Retry-After: "),
             "429 must carry Retry-After: {text}"
+        );
+        service.shutdown();
+    }
+
+    #[test]
+    fn get_trace_serves_a_queue_full_rejection_as_one_jsonl_line() {
+        let service = quick_service(1, 1);
+        post_until_rejected(&service);
+        let req = Request {
+            method: Method::Get,
+            path: "/trace".into(),
+            body: Vec::new(),
+        };
+        let Routed::Plain(resp) = route(&service, req) else {
+            panic!("GET /trace never streams");
+        };
+        assert_eq!(resp.status, 200);
+        assert_eq!(resp.content_type, "application/x-ndjson");
+        let text = String::from_utf8(resp.body).expect("jsonl is utf-8");
+        let rejected: Vec<&str> = text
+            .lines()
+            .filter(|l| l.contains("\"rejected\""))
+            .collect();
+        assert_eq!(rejected.len(), 1, "{text}");
+        assert!(
+            rejected[0].contains("queue full (depth 1, capacity 1)"),
+            "{text}"
         );
         service.shutdown();
     }

@@ -20,8 +20,9 @@
 //!   `std::net` exposing submit / batch / status / export / cancel /
 //!   metrics, plus server-sent-event progress streaming
 //!   (`GET /jobs/<id>/events`).
-//! * [`trace`] — structured JSONL lifecycle tracing through a pluggable
-//!   [`TraceSink`].
+//! * [`trace`] — structured lifecycle events in bounded logs: one per
+//!   job (`GET /jobs/<id>/trace`) and one service log for events with no
+//!   job record (`GET /trace`), both served as JSONL.
 //! * [`persist`] — opt-in durability: a write-ahead job journal with an
 //!   fsync-before-ack discipline, a checksummed disk-backed design
 //!   cache, and a startup recovery path that tolerates torn writes and
@@ -78,4 +79,4 @@ pub use simenv::{
     clock_wait, run_plan, run_seed, shrink, ChaosOp, ChaosPlan, ChaosReport, Clock, ClockParty,
     ClockSuspend, Conn, NetFault, RealClock, SimClock, SimNet, SimSocket, TcpTransport, Transport,
 };
-pub use trace::{JsonlSink, MemorySink, NullSink, TraceEvent, TraceKind, TraceSink};
+pub use trace::{TraceEvent, TraceKind};

@@ -14,7 +14,6 @@
 //! lifecycle log (`GET /jobs/<id>/trace` and `/events`) and its span
 //! profile (`/profile`) live, are sampled out and are pruned together.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -25,7 +24,7 @@ use crate::cache::CompletedDesign;
 use crate::hash::ContentKey;
 use crate::job::{JobId, JobState, JobStatus, QosClass};
 use crate::persist::JournalRecord;
-use crate::trace::{TraceEvent, TraceKind};
+use crate::trace::{EventLog, TraceEvent, TraceKind};
 
 /// How a job's run ended, as the worker reports it.
 pub(crate) enum JobEnd {
@@ -137,9 +136,6 @@ pub(crate) fn withdrawn(id: u64) -> Effects {
     }
 }
 
-/// Lifecycle events kept per job; the oldest is dropped beyond this.
-const JOB_LOG_CAPACITY: usize = 256;
-
 /// One job's record in the service's job table: what `GET /jobs/<id>`
 /// reports, the flags that steer its lifecycle, and the job's events.
 #[derive(Default)]
@@ -157,11 +153,8 @@ pub(crate) struct JobRecord {
     /// `GET /jobs/<id>/profile`. `None` until terminal, and forever when
     /// the tail sampler dropped it or the record was restored.
     profile: Option<Arc<Vec<SpanEvent>>>,
-    /// The newest [`JOB_LOG_CAPACITY`] lifecycle events, oldest first.
-    log: VecDeque<TraceEvent>,
-    /// Events ever appended to `log`: the cursor event streams resume
-    /// from, which keeps growing after the log is full or cleared.
-    recorded: u64,
+    /// The job's bounded lifecycle log.
+    pub(crate) log: EventLog,
 }
 
 impl JobRecord {
@@ -223,27 +216,6 @@ impl JobRecord {
 
     pub(crate) fn snapshot(&self) -> JobStatus {
         self.status.clone()
-    }
-
-    /// Appends a lifecycle event; returns whether the full log dropped
-    /// its oldest one to make room.
-    pub(crate) fn log_event(&mut self, event: TraceEvent) -> bool {
-        self.recorded += 1;
-        let full = self.log.len() >= JOB_LOG_CAPACITY;
-        if full {
-            self.log.pop_front();
-        }
-        self.log.push_back(event);
-        full
-    }
-
-    /// The kept events recorded after the first `cursor`, oldest first,
-    /// and the cursor past them. Events dropped or cleared before the
-    /// caller read them are skipped, never replayed.
-    pub(crate) fn events_after(&self, cursor: u64) -> (Vec<TraceEvent>, u64) {
-        let first = self.recorded - self.log.len() as u64;
-        let skip = usize::try_from(cursor.saturating_sub(first)).unwrap_or(usize::MAX);
-        (self.log.iter().skip(skip).cloned().collect(), self.recorded)
     }
 }
 
@@ -409,10 +381,13 @@ fn finish_run(r: &mut JobRecord, finish: Finish) -> Effects {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicU64, Ordering};
+
     use columba_prng::Rng;
 
     use super::*;
     use crate::cache::DesignSummary;
+    use crate::trace::LOG_CAPACITY;
 
     /// Events go to one of the `WINDOW` most recently admitted jobs.
     const WINDOW: usize = 6;
@@ -614,7 +589,7 @@ mod tests {
                 assert_eq!(fx.sampled_out, !keep, "{ctx}: tail sampling");
                 assert_eq!(job.record.profile().is_some(), keep, "{ctx}: profile");
                 if !keep {
-                    let (log, _) = job.record.events_after(0);
+                    let (log, _) = job.record.log.events_after(0);
                     assert!(log.is_empty(), "{ctx}: a sampled-out log is cleared");
                 }
                 assert_eq!(
@@ -694,41 +669,42 @@ mod tests {
         job.state = after;
     }
 
-    fn logged(seq: u64) -> TraceEvent {
-        TraceEvent {
+    #[test]
+    fn event_cursor_resumes_past_the_log_bound() {
+        let logged = |seq: u64| TraceEvent {
             ts: Duration::from_micros(seq),
             job: Some(1),
             kind: TraceKind::Exported,
             detail: format!("e{seq}"),
-        }
-    }
-
-    #[test]
-    fn event_cursor_resumes_past_the_log_bound() {
-        let mut r = Shadow::admit(1).record;
-        let cap = JOB_LOG_CAPACITY as u64;
-        let mut dropped = 0;
+        };
+        let mut log = EventLog::default();
+        let cap = LOG_CAPACITY as u64;
+        let dropped = AtomicU64::new(0);
         for seq in 0..cap + 44 {
-            dropped += u64::from(r.log_event(logged(seq)));
+            log.push(logged(seq), &dropped);
         }
-        assert_eq!(dropped, 44, "each append past the bound drops one");
-        let (events, cursor) = r.events_after(0);
-        assert_eq!(events.len(), JOB_LOG_CAPACITY);
+        assert_eq!(
+            dropped.load(Ordering::Relaxed),
+            44,
+            "each append past the bound drops one"
+        );
+        let (events, cursor) = log.events_after(0);
+        assert_eq!(events.len(), LOG_CAPACITY);
         assert_eq!(events[0].detail, "e44", "the oldest were dropped");
         assert_eq!(cursor, cap + 44);
         // a full log stops growing; the cursor still finds the new events
         for seq in cap + 44..cap + 47 {
-            r.log_event(logged(seq));
+            log.push(logged(seq), &dropped);
         }
-        let (events, cursor) = r.events_after(cursor);
+        let (events, cursor) = log.events_after(cursor);
         let details: Vec<&str> = events.iter().map(|e| e.detail.as_str()).collect();
         let expected = [cap + 44, cap + 45, cap + 46].map(|s| format!("e{s}"));
         assert_eq!(details, expected);
         assert_eq!(cursor, cap + 47);
-        assert!(r.events_after(cursor).0.is_empty(), "nothing new");
+        assert!(log.events_after(cursor).0.is_empty(), "nothing new");
         // a reader that fell behind the kept window gets what is kept
-        let (events, _) = r.events_after(10);
-        assert_eq!(events.len(), JOB_LOG_CAPACITY);
+        let (events, _) = log.events_after(10);
+        assert_eq!(events.len(), LOG_CAPACITY);
         assert_eq!(events[0].detail, "e47");
     }
 

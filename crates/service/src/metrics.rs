@@ -106,7 +106,8 @@ pub struct MetricsSnapshot {
     /// Fraction of the uptime each worker spent running jobs, in worker
     /// index order (one entry per worker, each in `[0, 1]`).
     pub worker_busy: Vec<f64>,
-    /// Lifecycle trace events dropped from full per-job logs.
+    /// Lifecycle trace events dropped from full job logs and the service
+    /// log.
     pub trace_events_evicted: u64,
     /// Profiling span events dropped by bounded per-job span recorders.
     pub profile_events_dropped: u64,

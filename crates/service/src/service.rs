@@ -43,7 +43,7 @@ use crate::persist::{
     Recovery, Storage, WriteOutcome,
 };
 use crate::simenv::clock::{clock_wait, Clock, ClockParty, ClockSuspend, RealClock};
-use crate::trace::{NullSink, TraceEvent, TraceKind, TraceSink};
+use crate::trace::{EventLog, TraceEvent, TraceKind};
 
 /// Locks a mutex, recovering from poisoning: a panic in a worker is
 /// already contained and counted, so the shared state stays usable.
@@ -51,8 +51,13 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Renders events as JSON Lines, one [`TraceEvent::to_jsonl`] per line.
+fn jsonl(events: &[TraceEvent]) -> String {
+    events.iter().map(|e| e.to_jsonl() + "\n").collect()
+}
+
 /// Service construction parameters.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct ServiceConfig {
     /// Worker threads in the pool. `0` picks
     /// `min(available_parallelism, 4)`.
@@ -83,8 +88,6 @@ pub struct ServiceConfig {
     /// this are pruned so a long-running service does not grow without
     /// bound.
     pub max_records: usize,
-    /// Trace sink for lifecycle events.
-    pub trace: Arc<dyn TraceSink>,
     /// Durability: `Some` journals every job and mirrors the design cache
     /// to disk under the given state directory, recovering both on
     /// startup; `None` (the default) keeps everything in memory.
@@ -141,7 +144,6 @@ impl Default for ServiceConfig {
             schedule: columba_schedule::ScheduleOptions::default(),
             job_deadline: Some(Duration::from_secs(120)),
             max_records: 4096,
-            trace: Arc::new(NullSink),
             persist: None,
             trace_keep_slow: Duration::from_secs(30),
             trace_head_sample: 1,
@@ -152,22 +154,6 @@ impl Default for ServiceConfig {
             clock: None,
             storage: None,
         }
-    }
-}
-
-impl fmt::Debug for ServiceConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ServiceConfig")
-            .field("workers", &self.workers)
-            .field("queue_capacity", &self.queue_capacity)
-            .field("bulk_queue_capacity", &self.bulk_queue_capacity)
-            .field("cache", &self.cache)
-            .field("job_deadline", &self.job_deadline)
-            .field("max_records", &self.max_records)
-            .field("persist", &self.persist)
-            .field("breaker", &self.breaker)
-            .field("watchdog_grace", &self.watchdog_grace)
-            .finish_non_exhaustive()
     }
 }
 
@@ -357,8 +343,10 @@ struct Inner {
     shutting_down: AtomicBool,
     cache: Mutex<DesignCache>,
     agg: Mutex<SolveStats>,
-    trace_sink: Arc<dyn TraceSink>,
-    /// Lifecycle events dropped from full per-job logs.
+    /// Lifecycle events with no job record to hold them, served by
+    /// `GET /trace`.
+    service_log: Mutex<EventLog>,
+    /// Lifecycle events dropped from full job logs and the service log.
     trace_evicted: AtomicU64,
     persist: Option<Persist>,
     /// Retry/breaker state every persist write runs under; meaningful
@@ -454,30 +442,36 @@ fn default_slos() -> Vec<SloDef> {
 const PROFILE_CAPACITY: usize = 4096;
 
 impl Inner {
-    /// Records one event: into its job's log under the state lock (an id
-    /// without a record, or no id, skips the log), then to the sink, then
-    /// wakes the event streams.
+    /// Clock time since the service epoch: every event's timestamp.
+    fn since_epoch(&self) -> Duration {
+        self.clock.now().saturating_sub(self.epoch)
+    }
+
+    /// Records one event stamped now: into its job's log under the state
+    /// lock, or into the service log when no record holds that job (or
+    /// it names none), then wakes the event streams.
     fn trace(&self, job: Option<u64>, kind: TraceKind, detail: impl Into<String>) {
         let event = TraceEvent {
-            ts: self.clock.now().saturating_sub(self.epoch),
+            ts: self.since_epoch(),
             job,
             kind,
             detail: detail.into(),
         };
-        if let Some(id) = job {
-            if let Some(r) = lock(&self.state).jobs.get_mut(&id) {
-                self.log_event(r, event.clone());
-            }
+        let evicted = &self.trace_evicted;
+        let unheld = match event.job {
+            Some(id) => match lock(&self.state).jobs.get_mut(&id) {
+                Some(r) => {
+                    r.log.push(event, evicted);
+                    None
+                }
+                None => Some(event),
+            },
+            None => Some(event),
+        };
+        if let Some(event) = unheld {
+            lock(&self.service_log).push(event, evicted);
         }
-        self.trace_sink.record(&event);
         self.notify_events();
-    }
-
-    /// Appends `event` to the record's log, counting a dropped oldest one.
-    fn log_event(&self, r: &mut JobRecord, event: TraceEvent) {
-        if r.log_event(event) {
-            self.trace_evicted.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// Runs `event` through [`transition`] on a record of the locked job
@@ -491,20 +485,17 @@ impl Inner {
             self.solve_hist.record(elapsed);
         }
         if let Some(event) = &mut fx.event {
-            event.ts = self.clock.now().saturating_sub(self.epoch);
-            self.log_event(r, event.clone());
+            event.ts = self.since_epoch();
+            r.log.push(event.clone(), &self.trace_evicted);
         }
         Some(fx)
     }
 
-    /// Applies a transition's effects, outside the state lock: the trace
-    /// sink, event-stream wakeups, tail sampling, the solve SLO and
+    /// Applies a transition's effects, outside the state lock: the
+    /// event-stream wakeups, tail sampling, the solve SLO and
     /// exemplar feeds, the journal append, the lifecycle counter, and
     /// finally the wakeup of the job's waiters.
     fn apply(&self, fx: Effects) {
-        if let Some(event) = &fx.event {
-            self.trace_sink.record(event);
-        }
         // A final state is an event of its own: a stream that already read
         // the job's last trace event while it still ran waits on the
         // counter, not on the job table.
@@ -644,23 +635,29 @@ impl Inner {
         }
     }
 
-    /// Counts and traces a refused submission; returns the reason.
-    fn reject(&self, err: SubmitError) -> SubmitError {
+    /// Counts and traces a refused submission of `bytes`; returns the
+    /// reason.
+    fn reject(&self, err: SubmitError, bytes: usize) -> SubmitError {
         self.rejected.fetch_add(1, Ordering::Relaxed);
-        self.trace(None, TraceKind::Rejected, err.to_string());
+        self.trace(None, TraceKind::Rejected, format!("{err}: {bytes} bytes"));
         err
     }
 
     /// Admits `texts` under `class`, atomically: every one or none. A
     /// batch passes each member's slot in `texts`. Returns the batch's
     /// group id and the member job ids (a single submission's one id).
+    /// A single submission passes the clock time it arrived: its
+    /// `received` event goes into the job's log just before `admitted`.
+    /// A batch's `received` is already in the service log.
     fn admit(
         &self,
         class: QosClass,
         texts: Vec<Arc<String>>,
         member_of: Option<&[usize]>,
+        received: Option<Duration>,
     ) -> Result<(Option<u64>, Vec<u64>), SubmitError> {
         let n = texts.len();
+        let bytes: usize = texts.iter().map(|t| t.len()).sum();
         let capacity = self.queue_capacity[class.idx()];
         // Phase 1 — admission + id reservation under the state lock. The
         // reservation counts against capacity so concurrent submissions
@@ -677,12 +674,12 @@ impl Inner {
             // `Queued` forever.
             if self.shutting_down.load(Ordering::Acquire) {
                 drop(st);
-                return Err(self.reject(SubmitError::ShuttingDown));
+                return Err(self.reject(SubmitError::ShuttingDown, bytes));
             }
             let depth = st.depth(class);
             if depth + n > capacity {
                 drop(st);
-                return Err(self.reject(SubmitError::QueueFull { depth, capacity }));
+                return Err(self.reject(SubmitError::QueueFull { depth, capacity }, bytes));
             }
             let ids: Vec<u64> = (st.next_id..).take(n).collect();
             st.next_id += n as u64;
@@ -755,12 +752,28 @@ impl Inner {
                 for &id in &ids {
                     self.apply(withdrawn(id));
                 }
-                return Err(self.reject(SubmitError::ShuttingDown));
+                return Err(self.reject(SubmitError::ShuttingDown, bytes));
             }
+            // A record's log opens before any worker can claim it:
+            // `received` (a single submission's), then `admitted`.
+            let now = self.since_epoch();
             for (&id, text) in ids.iter().zip(texts) {
-                let token = self.job_token();
-                st.jobs
-                    .insert(id, JobRecord::new(id, class, text, token, durable));
+                let mut r = JobRecord::new(id, class, text, self.job_token(), durable);
+                let mut log = |ts, kind, detail| {
+                    let event = TraceEvent {
+                        ts,
+                        job: Some(id),
+                        kind,
+                        detail,
+                    };
+                    r.log.push(event, &self.trace_evicted);
+                };
+                if let Some(ts) = received {
+                    log(ts, TraceKind::Received, format!("{bytes} bytes"));
+                }
+                let admitted = batch_id.map_or(String::new(), |b| format!("batch {b}"));
+                log(now, TraceKind::Admitted, admitted);
+                st.jobs.insert(id, r);
                 st.queues[class.idx()].push_back(id);
             }
             if let Some(id) = batch_id {
@@ -784,10 +797,7 @@ impl Inner {
                 ),
             );
         }
-        for &id in &ids {
-            let detail = batch_id.map_or(String::new(), |b| format!("batch {b}"));
-            self.trace(Some(id), TraceKind::Admitted, detail);
-        }
+        self.notify_events();
         self.clock.mark_wake();
         if batch_id.is_some() {
             self.work.notify_all();
@@ -889,7 +899,7 @@ impl Service {
             shutting_down: AtomicBool::new(false),
             cache: Mutex::new(DesignCache::new(config.cache)),
             agg: Mutex::new(SolveStats::default()),
-            trace_sink: config.trace,
+            service_log: Mutex::new(EventLog::default()),
             trace_evicted: AtomicU64::new(0),
             persist,
             supervisor: PersistSupervisor::new(config.breaker, 0x0c01_7b5a, Arc::clone(&clock)),
@@ -1014,8 +1024,8 @@ impl Service {
         let text: Arc<String> = Arc::new(text.into());
         let inner = &self.inner;
         inner.wait_ready();
-        inner.trace(None, TraceKind::Received, format!("{} bytes", text.len()));
-        let (_, ids) = inner.admit(class, vec![text], None)?;
+        let received = inner.since_epoch();
+        let (_, ids) = inner.admit(class, vec![text], None, Some(received))?;
         Ok(JobId(ids[0]))
     }
 
@@ -1089,7 +1099,7 @@ impl Service {
         inner
             .batch_dedup_hits
             .fetch_add((texts.len() - unique.len()) as u64, Ordering::Relaxed);
-        let (Some(batch_id), members) = inner.admit(class, unique, Some(&member_of))? else {
+        let (Some(batch_id), members) = inner.admit(class, unique, Some(&member_of), None)? else {
             unreachable!("a batch admission returns its group id");
         };
         Ok((BatchId(batch_id), members.into_iter().map(JobId).collect()))
@@ -1132,7 +1142,14 @@ impl Service {
     pub fn job_events_after(&self, id: JobId, cursor: u64) -> Option<(Vec<TraceEvent>, u64)> {
         self.inner.wait_ready();
         let st = lock(&self.inner.state);
-        Some(st.jobs.get(&id.0)?.events_after(cursor))
+        Some(st.jobs.get(&id.0)?.log.events_after(cursor))
+    }
+
+    /// The events kept in the service log, oldest first: every event
+    /// whose job has no record (`shutdown`, `recovery`, `rejected`, ...).
+    #[must_use]
+    pub fn service_events(&self) -> Vec<TraceEvent> {
+        lock(&self.inner.service_log).events_after(0).0
     }
 
     /// The monotone count of lifecycle trace events recorded so far.
@@ -1372,8 +1389,14 @@ impl Service {
     /// empty document.
     #[must_use]
     pub fn job_trace(&self, id: JobId) -> Option<String> {
-        let events = self.job_events(id)?;
-        Some(events.iter().map(|e| e.to_jsonl() + "\n").collect())
+        Some(jsonl(&self.job_events(id)?))
+    }
+
+    /// The service log as JSON Lines, in the schema of
+    /// [`Service::job_trace`], served by `GET /trace`.
+    #[must_use]
+    pub fn service_trace(&self) -> String {
+        jsonl(&self.service_events())
     }
 
     /// The captured solver/layout span profile of one finished job as a
@@ -1463,7 +1486,7 @@ impl Service {
 
     /// Graceful shutdown: stops admitting, cancels every queued and
     /// in-flight job through its [`CancelToken`], joins all workers, and
-    /// flushes the trace sink. Idempotent; also runs on drop.
+    /// logs `shutdown` in the service log. Idempotent; also runs on drop.
     pub fn shutdown(&self) {
         let inner = &self.inner;
         if inner.shutting_down.swap(true, Ordering::AcqRel) {
@@ -1493,7 +1516,6 @@ impl Service {
         // would otherwise stay `Queued` forever and block its waiters.
         drain_for_shutdown(inner);
         inner.trace(None, TraceKind::Shutdown, "");
-        inner.trace_sink.flush();
     }
 }
 
@@ -2222,12 +2244,12 @@ fn summarize(attempt: &columba_s::Attempt) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::MemorySink;
+    use crate::trace::LOG_CAPACITY;
 
     const TINY: &str = "chip t\nmixer m1\nport a\nport b\n\
                         connect a -> m1.left\nconnect m1.right -> b\n";
 
-    fn quick_config(trace: Arc<dyn TraceSink>) -> ServiceConfig {
+    fn quick_config() -> ServiceConfig {
         let mut options = SynthesisOptions::default();
         // bounded by work: four nodes, with a clock that never fires
         options.layout.node_limit = 4;
@@ -2236,15 +2258,13 @@ mod tests {
         ServiceConfig {
             workers: 2,
             options,
-            trace,
             ..ServiceConfig::default()
         }
     }
 
     #[test]
     fn submit_solve_and_cache_hit() {
-        let sink = Arc::new(MemorySink::new());
-        let service = Service::start(quick_config(Arc::clone(&sink) as Arc<dyn TraceSink>));
+        let service = Service::start(quick_config());
         let first = service.submit_text(TINY).expect("admitted");
         let status = service
             .wait(first, Duration::from_secs(60))
@@ -2270,14 +2290,43 @@ mod tests {
         assert_eq!(m.worker_panics, 0);
         assert!(m.solve.simplex_iterations > 0, "aggregated solver stats");
         service.shutdown();
-        assert_eq!(sink.of_kind(TraceKind::CacheHit).len(), 1);
-        assert_eq!(sink.of_kind(TraceKind::Solved).len(), 1);
-        assert!(sink.flush_count() >= 1, "shutdown flushes the sink");
+        let kinds = |id| -> Vec<TraceKind> {
+            let events = service.job_events(id).expect("known job");
+            events.iter().map(|e| e.kind).collect()
+        };
+        let (k1, k2) = (kinds(first), kinds(second));
+        for k in [&k1, &k2] {
+            assert_eq!(k[..2], [TraceKind::Received, TraceKind::Admitted]);
+        }
+        let count = |kind| k1.iter().chain(&k2).filter(|&&k| k == kind).count();
+        assert_eq!(count(TraceKind::CacheHit), 1);
+        assert_eq!(count(TraceKind::Solved), 1);
+        let service_log: Vec<TraceKind> = service.service_events().iter().map(|e| e.kind).collect();
+        assert_eq!(service_log, [TraceKind::Shutdown]);
+    }
+
+    #[test]
+    fn service_log_keeps_the_newest_events_and_counts_each_drop() {
+        let service = Service::start(quick_config());
+        for seq in 0..LOG_CAPACITY + 5 {
+            service
+                .inner
+                .trace(None, TraceKind::Compacted, format!("e{seq}"));
+        }
+        let kept: Vec<String> = service
+            .service_events()
+            .into_iter()
+            .map(|e| e.detail)
+            .collect();
+        let newest: Vec<String> = (5..LOG_CAPACITY + 5).map(|s| format!("e{s}")).collect();
+        assert_eq!(kept, newest, "the log keeps its newest events");
+        assert_eq!(service.metrics().trace_events_evicted, 5);
+        service.shutdown();
     }
 
     #[test]
     fn malformed_netlist_fails_the_job_not_the_worker() {
-        let service = Service::start(quick_config(Arc::new(NullSink)));
+        let service = Service::start(quick_config());
         let bad = service
             .submit_text("definitely not a netlist")
             .expect("admitted");
@@ -2303,7 +2352,7 @@ mod tests {
         // workers can drain: submit while the queue is artificially held
         // by not starting... simplest deterministic route: capacity 1 and
         // one worker busy on a slow job.
-        let mut config = quick_config(Arc::new(NullSink));
+        let mut config = quick_config();
         config.workers = 1;
         config.queue_capacity = 1;
         let service = Service::start(config);
@@ -2333,7 +2382,7 @@ mod tests {
 
     #[test]
     fn cancel_queued_job_and_unknown_ids() {
-        let mut config = quick_config(Arc::new(NullSink));
+        let mut config = quick_config();
         config.workers = 1;
         config.queue_capacity = 8;
         let service = Service::start(config);
@@ -2357,7 +2406,7 @@ mod tests {
         // a degraded design instead of failing — which must NOT be cached,
         // or every future identical submission would be served the
         // degraded artifact instead of a full solve
-        let mut config = quick_config(Arc::new(NullSink));
+        let mut config = quick_config();
         config.job_deadline = Some(Duration::ZERO);
         let service = Service::start(config);
         let first = service.submit_text(TINY).expect("admitted");
@@ -2424,14 +2473,14 @@ mod tests {
 
     #[test]
     fn submit_after_shutdown_is_rejected() {
-        let service = Service::start(quick_config(Arc::new(NullSink)));
+        let service = Service::start(quick_config());
         service.shutdown();
         assert_eq!(service.submit_text(TINY), Err(SubmitError::ShuttingDown));
     }
 
     #[test]
     fn export_errors() {
-        let service = Service::start(quick_config(Arc::new(NullSink)));
+        let service = Service::start(quick_config());
         assert_eq!(
             service.export(JobId(42), ExportKind::Svg).err(),
             Some(ExportError::NotFound)

@@ -1,31 +1,27 @@
 //! Structured lifecycle tracing.
 //!
-//! Every job lifecycle transition emits one [`TraceEvent`] through the
-//! service's [`TraceSink`]: `received`, `admitted`, `rejected`,
-//! `cache_hit`, `started`, `rung`, `solved`, `failed`, `cancelled`,
-//! `exported`, `shutdown` — plus the persistence lifecycle: `recovery`,
-//! `corrupt`, `compacted`, `persist_error` — and the assay front end:
-//! `scheduled`, `storage_inserted`. Timestamps are monotonic
-//! offsets from the
-//! service epoch (`Instant`-based, never wall clock), so traces order
-//! correctly even across clock adjustments.
+//! Every job lifecycle transition records one [`TraceEvent`]: `received`,
+//! `admitted`, `rejected`, `cache_hit`, `started`, `rung`, `solved`,
+//! `failed`, `cancelled`, `exported`, `shutdown` — plus the persistence
+//! lifecycle: `recovery`, `corrupt`, `compacted`, `persist_error` — and
+//! the assay front end: `scheduled`, `storage_inserted`. Timestamps are
+//! monotonic offsets from the service epoch (`Instant`-based, never wall
+//! clock), so traces order correctly even across clock adjustments.
 //!
-//! The sink is pluggable: production writes JSON Lines through
-//! [`JsonlSink`] (one self-contained JSON object per line — the schema is
-//! documented on [`TraceEvent::to_jsonl`]), tests capture events in memory
-//! with [`MemorySink`], and the default [`NullSink`] drops them.
-//!
-//! An event that names a job is also kept in that job's record: a
-//! bounded log of its newest 256 events, which `GET /jobs/<id>/trace`
-//! and `GET /jobs/<id>/events` read. The log lives and dies with the
-//! record (tail sampling clears it, pruning drops it), and each event a
-//! full log drops counts in `/metrics` as `trace_events_evicted`.
+//! Events land in one of two bounded [`EventLog`]s of the same capacity.
+//! An event whose job has a record goes to that record's log, which
+//! `GET /jobs/<id>/trace` and `GET /jobs/<id>/events` read; it lives and
+//! dies with the record (tail sampling clears it, pruning drops it).
+//! Every other event — service-level ones (`shutdown`, `recovery`,
+//! breaker and SLO notes, a batch's `received`), a refused submission's
+//! `rejected`, and notes on jobs without a record — goes to the service
+//! log, which `GET /trace` serves. Both render as JSON Lines in the
+//! schema of [`TraceEvent::to_jsonl`], and each event a full log drops
+//! counts in `/metrics` as `trace_events_evicted`.
 
 use std::collections::VecDeque;
-use std::fmt;
-use std::io::Write;
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// The lifecycle transition a [`TraceEvent`] records.
@@ -142,7 +138,8 @@ pub struct TraceEvent {
     /// Monotonic offset from the service epoch.
     pub ts: Duration,
     /// The job the event belongs to; `None` for service-level events
-    /// (`shutdown`).
+    /// (`shutdown`, `recovery`, `rejected`, ...), which only the service
+    /// log keeps.
     pub job: Option<u64>,
     /// The transition.
     pub kind: TraceKind,
@@ -162,177 +159,62 @@ impl TraceEvent {
     #[must_use]
     pub fn to_jsonl(&self) -> String {
         let mut s = String::with_capacity(64 + self.detail.len());
-        s.push_str("{\"ts_us\":");
-        s.push_str(&self.ts.as_micros().to_string());
+        let _ = write!(s, "{{\"ts_us\":{}", self.ts.as_micros());
         if let Some(job) = self.job {
-            s.push_str(",\"job\":");
-            s.push_str(&job.to_string());
+            let _ = write!(s, ",\"job\":{job}");
         }
-        s.push_str(",\"event\":\"");
-        s.push_str(self.kind.as_str());
-        s.push('"');
+        let _ = write!(s, ",\"event\":\"{}\"", self.kind);
         if !self.detail.is_empty() {
-            s.push_str(",\"detail\":\"");
-            escape_json_into(&self.detail, &mut s);
-            s.push('"');
+            s.push_str(",\"detail\":");
+            columba_obs::export::json_string_into(&mut s, &self.detail);
         }
         s.push('}');
         s
     }
 }
 
-/// Escapes `text` for inclusion inside a JSON string literal.
-fn escape_json_into(text: &str, out: &mut String) {
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
+/// Lifecycle events kept per log; the oldest is dropped beyond this.
+pub(crate) const LOG_CAPACITY: usize = 256;
 
-/// Where trace events go. Implementations must tolerate concurrent
-/// `record` calls from the admission path, every worker, and the HTTP
-/// connection threads.
-pub trait TraceSink: Send + Sync {
-    /// Records one event.
-    fn record(&self, event: &TraceEvent);
-    /// Flushes buffered events to durable form. Called by
-    /// `Service::shutdown`.
-    fn flush(&self) {}
-}
-
-/// Drops every event. The default sink.
+/// A bounded log of lifecycle events: the newest [`LOG_CAPACITY`],
+/// oldest first, and a count of every event ever appended. Each job
+/// record keeps one; the service keeps one more for events with no job
+/// record.
 #[derive(Debug, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&self, _event: &TraceEvent) {}
+pub(crate) struct EventLog {
+    events: VecDeque<TraceEvent>,
+    /// Events ever appended: the cursor event streams resume from, which
+    /// keeps growing after the log is full or cleared.
+    recorded: u64,
 }
 
-/// Default [`MemorySink`] capacity: generous for tests, yet a hard bound
-/// — an unbounded in-memory sink on a long-lived service is a slow OOM.
-pub const MEMORY_SINK_CAPACITY: usize = 65_536;
-
-/// Captures events in a bounded in-memory ring; the test sink. At
-/// capacity the oldest event is dropped and counted in
-/// [`MemorySink::evicted`].
-#[derive(Debug)]
-pub struct MemorySink {
-    events: Mutex<VecDeque<TraceEvent>>,
-    capacity: usize,
-    evicted: AtomicU64,
-    flushes: Mutex<usize>,
-}
-
-impl Default for MemorySink {
-    fn default() -> MemorySink {
-        MemorySink::with_capacity(MEMORY_SINK_CAPACITY)
-    }
-}
-
-impl MemorySink {
-    /// An empty sink with the default capacity.
-    #[must_use]
-    pub fn new() -> MemorySink {
-        MemorySink::default()
-    }
-
-    /// An empty sink holding at most `capacity` events (floor of one).
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> MemorySink {
-        MemorySink {
-            events: Mutex::new(VecDeque::new()),
-            capacity: capacity.max(1),
-            evicted: AtomicU64::new(0),
-            flushes: Mutex::new(0),
+impl EventLog {
+    /// Appends an event. A full log first drops its oldest one and
+    /// counts it in `evicted`.
+    pub(crate) fn push(&mut self, event: TraceEvent, evicted: &AtomicU64) {
+        self.recorded += 1;
+        if self.events.len() >= LOG_CAPACITY {
+            self.events.pop_front();
+            evicted.fetch_add(1, Ordering::Relaxed);
         }
+        self.events.push_back(event);
     }
 
-    /// A copy of every event still in the ring, oldest first.
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<TraceEvent> {
-        self.events.lock().map_or_else(
-            |e| e.into_inner().iter().cloned().collect(),
-            |g| g.iter().cloned().collect(),
+    /// The kept events recorded after the first `cursor`, oldest first,
+    /// and the cursor past them. Events dropped or cleared before the
+    /// caller read them are skipped, never replayed.
+    pub(crate) fn events_after(&self, cursor: u64) -> (Vec<TraceEvent>, u64) {
+        let first = self.recorded - self.events.len() as u64;
+        let skip = usize::try_from(cursor.saturating_sub(first)).unwrap_or(usize::MAX);
+        (
+            self.events.iter().skip(skip).cloned().collect(),
+            self.recorded,
         )
     }
 
-    /// Events dropped because the ring was full.
-    #[must_use]
-    pub fn evicted(&self) -> u64 {
-        self.evicted.load(Ordering::Relaxed)
-    }
-
-    /// How many times [`TraceSink::flush`] ran.
-    #[must_use]
-    pub fn flush_count(&self) -> usize {
-        self.flushes.lock().map_or_else(|e| *e.into_inner(), |g| *g)
-    }
-
-    /// Events of one kind, in order.
-    #[must_use]
-    pub fn of_kind(&self, kind: TraceKind) -> Vec<TraceEvent> {
-        self.snapshot()
-            .into_iter()
-            .filter(|e| e.kind == kind)
-            .collect()
-    }
-}
-
-impl TraceSink for MemorySink {
-    fn record(&self, event: &TraceEvent) {
-        if let Ok(mut g) = self.events.lock() {
-            if g.len() >= self.capacity {
-                g.pop_front();
-                self.evicted.fetch_add(1, Ordering::Relaxed);
-            }
-            g.push_back(event.clone());
-        }
-    }
-
-    fn flush(&self) {
-        if let Ok(mut g) = self.flushes.lock() {
-            *g += 1;
-        }
-    }
-}
-
-/// Writes one JSON line per event to any [`Write`] (a file, a pipe,
-/// stderr). Lines are written atomically under an internal lock.
-pub struct JsonlSink<W: Write + Send> {
-    out: Mutex<W>,
-}
-
-impl<W: Write + Send> JsonlSink<W> {
-    /// Wraps a writer.
-    pub fn new(out: W) -> JsonlSink<W> {
-        JsonlSink {
-            out: Mutex::new(out),
-        }
-    }
-}
-
-impl<W: Write + Send> TraceSink for JsonlSink<W> {
-    fn record(&self, event: &TraceEvent) {
-        if let Ok(mut g) = self.out.lock() {
-            // tracing must never take the service down: I/O errors drop
-            // the event
-            let _ = writeln!(g, "{}", event.to_jsonl());
-        }
-    }
-
-    fn flush(&self) {
-        if let Ok(mut g) = self.out.lock() {
-            let _ = g.flush();
-        }
+    /// Drops every kept event; the cursor keeps counting.
+    pub(crate) fn clear(&mut self) {
+        self.events.clear();
     }
 }
 
@@ -374,65 +256,5 @@ mod tests {
             detail: "\u{1}".into(),
         };
         assert!(e.to_jsonl().contains("\\u0001"), "{}", e.to_jsonl());
-    }
-
-    #[test]
-    fn jsonl_sink_writes_lines() {
-        let sink = JsonlSink::new(Vec::new());
-        for job in 0..3u64 {
-            sink.record(&TraceEvent {
-                ts: Duration::from_micros(job),
-                job: Some(job),
-                kind: TraceKind::Admitted,
-                detail: String::new(),
-            });
-        }
-        sink.flush();
-        let buf = sink.out.lock().expect("sink lock");
-        let text = String::from_utf8(buf.clone()).expect("utf8");
-        assert_eq!(text.lines().count(), 3);
-        assert!(text.lines().all(|l| l.starts_with('{') && l.ends_with('}')));
-    }
-
-    fn ev(job: Option<u64>, seq: u64) -> TraceEvent {
-        TraceEvent {
-            ts: Duration::from_micros(seq),
-            job,
-            kind: TraceKind::Rung,
-            detail: format!("e{seq}"),
-        }
-    }
-
-    #[test]
-    fn memory_sink_is_bounded_and_counts_evictions() {
-        let sink = MemorySink::with_capacity(3);
-        for seq in 0..5 {
-            sink.record(&ev(Some(1), seq));
-        }
-        let events = sink.snapshot();
-        assert_eq!(events.len(), 3, "ring capacity holds");
-        assert_eq!(events[0].detail, "e2", "oldest events were dropped");
-        assert_eq!(sink.evicted(), 2);
-    }
-
-    #[test]
-    fn memory_sink_filters_by_kind() {
-        let sink = MemorySink::new();
-        sink.record(&TraceEvent {
-            ts: Duration::ZERO,
-            job: Some(1),
-            kind: TraceKind::Admitted,
-            detail: String::new(),
-        });
-        sink.record(&TraceEvent {
-            ts: Duration::ZERO,
-            job: Some(1),
-            kind: TraceKind::Solved,
-            detail: "full MILP".into(),
-        });
-        assert_eq!(sink.of_kind(TraceKind::Solved).len(), 1);
-        assert_eq!(sink.of_kind(TraceKind::Rejected).len(), 0);
-        sink.flush();
-        assert_eq!(sink.flush_count(), 1);
     }
 }

@@ -9,21 +9,23 @@
 //!   or `cancelled`) is in its ring before any reader sees the terminal
 //!   state, so a stream that sees the state has the event too.
 //!
-//! The interleavings are forced, not raced for: the trace sink arms a
-//! gate on one event kind, and the clock parks the worker at its n-th
-//! `mark_wake` after that event's own until the test has taken its view.
+//! The interleavings are forced, not raced for: at each worker
+//! `mark_wake` the clock reads the job's log, arms a gate once one event
+//! kind is in it, and parks the worker at its n-th wake after that
+//! event's own until the test has taken its view.
 
 mod common;
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
-use columba_service::{
-    Clock, JobId, JobState, RealClock, Service, ServiceConfig, TraceEvent, TraceKind, TraceSink,
-};
+use columba_service::{Clock, JobId, JobState, RealClock, Service, ServiceConfig, TraceKind};
 
 const TINY: &str = "chip t\nmixer m1\nport a\nport b\n\
                     connect a -> m1.left\nconnect m1.right -> b\n";
+
+/// The one job each test submits: the first id of a fresh service.
+const JOB: JobId = JobId(1);
 
 /// Parks the worker at its `skip`-th wake after an `arm_on` event's own
 /// wake (0: the event's own wake).
@@ -31,8 +33,10 @@ const TINY: &str = "chip t\nmixer m1\nport a\nport b\n\
 struct Gate {
     arm_on: TraceKind,
     skip: usize,
-    /// Wakes still to pass before parking; `None` while disarmed.
-    countdown: Mutex<Option<usize>>,
+    /// The service whose [`JOB`] log arms the gate.
+    service: OnceLock<Weak<Service>>,
+    /// Worker wakes so far that saw an `arm_on` event in the log.
+    armed_wakes: Mutex<usize>,
     /// `(worker parked, gate open)`.
     state: Mutex<(bool, bool)>,
     cv: Condvar,
@@ -43,33 +47,32 @@ impl Gate {
         Arc::new(Gate {
             arm_on,
             skip,
-            countdown: Mutex::new(None),
+            service: OnceLock::new(),
+            armed_wakes: Mutex::new(0),
             state: Mutex::new((false, false)),
             cv: Condvar::new(),
         })
     }
 
-    fn arm(&self, kind: TraceKind) {
-        if kind == self.arm_on {
-            *self.countdown.lock().expect("gate lock") = Some(self.skip);
-        }
+    /// Whether [`JOB`]'s log holds an `arm_on` event. A job's event is
+    /// in its log before the wake that announces it, so that wake is the
+    /// first to see it.
+    fn armed(&self) -> bool {
+        let service = self.service.get().and_then(Weak::upgrade);
+        service
+            .and_then(|service| service.job_events(JOB))
+            .is_some_and(|events| events.iter().any(|e| e.kind == self.arm_on))
     }
 
-    /// One worker wake: parks when the countdown reaches zero.
+    /// One worker wake: parks at the `skip`-th armed wake after the first.
     fn wake(&self) {
+        if !self.armed() {
+            return;
+        }
         let park = {
-            let mut countdown = self.countdown.lock().expect("gate lock");
-            match *countdown {
-                Some(0) => {
-                    *countdown = None;
-                    true
-                }
-                Some(n) => {
-                    *countdown = Some(n - 1);
-                    false
-                }
-                None => false,
-            }
+            let mut wakes = self.armed_wakes.lock().expect("gate lock");
+            *wakes += 1;
+            *wakes == self.skip + 1
         };
         if park {
             let mut st = self.state.lock().expect("gate lock");
@@ -91,14 +94,6 @@ impl Gate {
     fn open(&self) {
         self.state.lock().expect("gate lock").1 = true;
         self.cv.notify_all();
-    }
-}
-
-struct GateSink(Arc<Gate>);
-
-impl TraceSink for GateSink {
-    fn record(&self, event: &TraceEvent) {
-        self.0.arm(event.kind);
     }
 }
 
@@ -140,17 +135,20 @@ impl Clock for GateClock {
 }
 
 /// A one-worker service whose worker parks on `gate`.
-fn gated_service(gate: &Arc<Gate>) -> Service {
-    Service::start(ServiceConfig {
+fn gated_service(gate: &Arc<Gate>) -> Arc<Service> {
+    let service = Arc::new(Service::start(ServiceConfig {
         workers: 1,
         options: common::deterministic_options(),
-        trace: Arc::new(GateSink(Arc::clone(gate))),
         clock: Some(Arc::new(GateClock {
             gate: Arc::clone(gate),
             real: RealClock::shared(),
         })),
         ..ServiceConfig::default()
-    })
+    }));
+    gate.service
+        .set(Arc::downgrade(&service))
+        .expect("one service per gate");
+    service
 }
 
 /// Re-waits on the event counter, as a stream does, until it moves past
@@ -177,6 +175,7 @@ fn done_flip_wakes_a_stream_that_already_read_solved() {
     let gate = Gate::new(TraceKind::Solved, 0);
     let service = gated_service(&gate);
     let id = service.submit_text(TINY).expect("admitted");
+    assert_eq!(id, JOB);
     gate.wait_parked();
 
     // the stream's view: `solved` is in the ring, the job still runs.
@@ -209,6 +208,7 @@ fn failed_event_is_in_the_ring_before_the_state_reads_failed() {
     let id = service
         .submit_text("definitely not a netlist")
         .expect("admitted");
+    assert_eq!(id, JOB);
     gate.wait_parked();
 
     // the stream's order: state first, then the ring

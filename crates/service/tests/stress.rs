@@ -11,9 +11,7 @@ use std::thread;
 use std::time::Duration;
 
 use columba_s::{Columba, Netlist};
-use columba_service::{
-    ExportKind, JobId, JobState, MemorySink, Service, ServiceConfig, TraceKind, TraceSink,
-};
+use columba_service::{ExportKind, JobId, JobState, Service, ServiceConfig, TraceKind};
 
 const CLIENTS: usize = 8;
 
@@ -38,13 +36,11 @@ fn concurrent_waves_match_serial_synthesis_and_second_wave_hits_cache() {
     let cases = common::bundled_cases();
     assert_eq!(cases.len(), 7, "the repo bundles seven cases");
     let options = common::deterministic_options();
-    let sink = Arc::new(MemorySink::new());
     let service = Arc::new(Service::start(ServiceConfig {
         workers: 4,
         queue_capacity: 64,
         options: options.clone(),
         job_deadline: None,
-        trace: Arc::clone(&sink) as Arc<dyn TraceSink>,
         ..ServiceConfig::default()
     }));
 
@@ -123,8 +119,10 @@ fn concurrent_waves_match_serial_synthesis_and_second_wave_hits_cache() {
             })
         })
         .collect();
+    let mut wave2_ids = Vec::new();
     for client in wave2 {
         for (name, id) in client.join().expect("client thread") {
+            wave2_ids.push(id);
             let status = service
                 .wait(id, Duration::from_secs(600))
                 .expect("job known");
@@ -142,8 +140,16 @@ fn concurrent_waves_match_serial_synthesis_and_second_wave_hits_cache() {
     assert_eq!(m.cache.misses, 7, "one miss per distinct case");
     assert_eq!(m.cache.hits, (7 * CLIENTS) as u64);
     service.shutdown();
-    // the trace saw one solved event per distinct case and a cache hit
-    // for every wave-2 job
-    assert_eq!(sink.of_kind(TraceKind::Solved).len(), 7);
-    assert_eq!(sink.of_kind(TraceKind::CacheHit).len(), 7 * CLIENTS);
+    // the job logs hold one solved event per distinct case and a cache
+    // hit for every wave-2 job
+    let count = |kind: TraceKind| {
+        submitted
+            .values()
+            .chain(&wave2_ids)
+            .flat_map(|&id| service.job_events(id).expect("known job"))
+            .filter(|e| e.kind == kind)
+            .count()
+    };
+    assert_eq!(count(TraceKind::Solved), 7);
+    assert_eq!(count(TraceKind::CacheHit), 7 * CLIENTS);
 }
