@@ -65,6 +65,14 @@ section_lint() {
     echo "       (inject the Clock trait instead)" >&2
     exit 1
   fi
+
+  echo "==> dead-code gate (no allow(dead_code) in library sources)"
+  # Code the compiler calls dead is deleted, not silenced: an allow keeps
+  # a field or variant alive that nothing reads.
+  if grep -rn 'allow(dead_code)' crates/*/src --include='*.rs'; then
+    echo "error: allow(dead_code) under crates/*/src (delete the dead code)" >&2
+    exit 1
+  fi
 }
 
 section_build() {

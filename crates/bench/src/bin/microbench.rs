@@ -11,7 +11,8 @@
 //! ```
 //!
 //! The machine-readable artifact lands at `<out>/BENCH_microbench.json`
-//! (default `bench/` — the committed perf-gate baseline location). The
+//! (default: a per-process directory under the system temporary directory, so a
+//! plain run never overwrites the committed baselines in `bench/`). The
 //! work-pinned solver cases also record their simplex iterations, node
 //! count and termination status there, which `perf_gate` holds exactly.
 //! `layout chip4 (one node)` and `layout chip64 (heuristic)` also record

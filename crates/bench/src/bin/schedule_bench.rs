@@ -10,7 +10,8 @@
 //! ```
 //!
 //! The machine-readable artifact lands at `<out>/BENCH_schedule.json`
-//! (default `bench/` — the committed perf-gate baseline location).
+//! (default: a per-process directory under the system temporary directory, so a
+//! plain run never overwrites the committed baselines in `bench/`).
 
 use columba_bench::{bench_json, measure, out_path, positive_arg, report, write_bench_json};
 use columba_prng::Rng;

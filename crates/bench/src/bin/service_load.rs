@@ -14,8 +14,9 @@
 //! ```
 //!
 //! The machine-readable artifact lands at `<out>/BENCH_service.json`
-//! (default `bench/` — the committed perf-gate baseline location;
-//! override with `--out DIR`).
+//! (`--out DIR`; without it, a per-process directory under the system temporary
+//! directory, so a plain run never overwrites the committed baseline in
+//! `bench/`).
 
 use std::sync::Arc;
 use std::thread;

@@ -321,12 +321,13 @@ pub fn bench_json(bench: &str, config: &[(&str, String)], cases: &[CaseStats]) -
 
 /// Resolves where a bench binary writes its `BENCH_<name>.json`
 /// artifact: `<dir>/<file>` where `<dir>` comes from the `--out` flag
-/// and defaults to `bench/` — a stable, committed location instead of
-/// whatever the current working directory happens to be.
+/// and defaults to a per-process directory under [`std::env::temp_dir`],
+/// so a plain run never overwrites the committed baselines in `bench/`
+/// (only `ci/perf_gate --refresh` writes there, through `--out bench`).
 #[must_use]
 pub fn out_path(args: &[String], file: &str) -> PathBuf {
     let dir = match args.iter().position(|a| a == "--out") {
-        None => PathBuf::from("bench"),
+        None => std::env::temp_dir().join(format!("columba-bench-{}", std::process::id())),
         Some(i) => match args.get(i + 1) {
             Some(v) if !v.starts_with("--") => PathBuf::from(v),
             _ => {
@@ -733,12 +734,17 @@ mod tests {
     }
 
     #[test]
-    fn out_path_defaults_to_bench_dir() {
+    fn out_path_defaults_to_a_temporary_dir_not_the_baselines() {
         let none: Vec<String> = vec![];
-        assert_eq!(
-            out_path(&none, "BENCH_x.json"),
-            PathBuf::from("bench/BENCH_x.json")
+        let default = out_path(&none, "BENCH_x.json");
+        assert_ne!(default, PathBuf::from("bench/BENCH_x.json"));
+        assert!(!default.starts_with("bench"), "{}", default.display());
+        assert!(
+            default.starts_with(std::env::temp_dir()),
+            "{}",
+            default.display()
         );
+        assert!(default.ends_with("BENCH_x.json"), "{}", default.display());
         let some = vec!["--out".to_string(), "/tmp/artifacts".to_string()];
         assert_eq!(
             out_path(&some, "BENCH_x.json"),

@@ -249,8 +249,9 @@ impl Columba {
     /// # Errors
     ///
     /// Returns [`SynthesisError`] when the netlist is invalid or physical
-    /// synthesis fails. A DRC violation is *not* an error — inspect
-    /// [`SynthesisOutcome::drc`].
+    /// synthesis fails, including a MILP that finds no layout within
+    /// budget ([`Columba::synthesize_resilient`] degrades instead). A DRC
+    /// violation is *not* an error — inspect [`SynthesisOutcome::drc`].
     pub fn synthesize(&self, input: &Netlist) -> Result<SynthesisOutcome, SynthesisError> {
         let start = Instant::now();
         let (planarized, planarize, layout_options) = self.prepare(input)?;

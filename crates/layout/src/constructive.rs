@@ -7,7 +7,8 @@
 //! placement seeds the MILP's branch & bound with an incumbent — with the
 //! node budget at zero it *is* the layout, polished by one LP, which is the
 //! scalable mode that keeps 250-unit designs inside the paper's three-minute
-//! envelope.
+//! envelope. A placement that fails its overlap self-check is never
+//! returned: it can neither seed the MILP nor stand in for it.
 
 use std::collections::HashMap;
 
@@ -22,7 +23,7 @@ const COL_GAP: Um = Um(1_000);
 /// Vertical clearance between cluster bands.
 const BAND_GAP: Um = Um(800);
 
-/// A feasible constructive placement.
+/// A constructive placement that passed its overlap self-check.
 #[derive(Debug, Clone)]
 pub(crate) struct Placement {
     /// Per block: `(x_l, y_b, y_t)` (x_r follows from the width).
@@ -31,21 +32,17 @@ pub(crate) struct Placement {
     pub flow_rect: Vec<(Um, Um, Um, Um)>,
     /// Chip extents `(x_max, y_max)`.
     pub extent: (Um, Um),
-    /// Topological order of the blocks used for the x assignment.
-    #[allow(dead_code)]
-    pub topo: Vec<BlockId>,
-    /// `true` when the placement passed its own overlap self-check and can
-    /// seed the MILP.
-    pub feasible: bool,
 }
 
-/// Builds the constructive placement.
+/// Builds the constructive placement; `None` when no attempt passes the
+/// overlap self-check.
 ///
 /// # Errors
 ///
 /// Returns [`LayoutError::Unroutable`] when the flow connections are cyclic
 /// (impossible under left-to-right routing).
-pub(crate) fn place(plan: &Plan) -> Result<Placement, LayoutError> {
+pub(crate) fn place(plan: &Plan) -> Result<Option<Placement>, LayoutError> {
+    let _span = columba_obs::span("laygen.place");
     let n = plan.blocks.len();
 
     // ---- topological order over flow edges ----
@@ -393,8 +390,6 @@ pub(crate) fn place(plan: &Plan) -> Result<Placement, LayoutError> {
         let y_max = (0..n).map(|b| y_t[b]).fold(top_cursor, Um::max) + BAND_GAP;
         let block_pos: Vec<(Um, Um, Um)> = (0..n).map(|b| (x_l[b], y_b[b], y_t[b])).collect();
         Placement {
-            feasible: true,
-            topo: topo.iter().map(|&b| BlockId(b)).collect(),
             extent: (x_max, y_max),
             block_pos,
             flow_rect,
@@ -412,11 +407,13 @@ pub(crate) fn place(plan: &Plan) -> Result<Placement, LayoutError> {
     in_top0.extend(std::iter::repeat_n(true, swsw0.len()));
     order0.extend_from_slice(&swsw0);
 
-    let mut placement = assemble(&order0, &in_top0);
-    let mut feasible = self_check(plan, &placement);
+    let placement = assemble(&order0, &in_top0);
+    if self_check(plan, &placement) {
+        return Ok(Some(placement));
+    }
 
     // randomized restarts over track orderings for cascaded topologies
-    if !feasible && !order0.is_empty() {
+    if !order0.is_empty() {
         let mut state = 0x243f_6a88_85a3_08d3u64; // deterministic xorshift seed
         let mut rng = move || {
             state ^= state << 13;
@@ -438,17 +435,11 @@ pub(crate) fn place(plan: &Plan) -> Result<Placement, LayoutError> {
                 .collect();
             let candidate = assemble(&order, &in_top);
             if self_check(plan, &candidate) {
-                placement = candidate;
-                feasible = true;
-                break;
+                return Ok(Some(candidate));
             }
         }
     }
-
-    Ok(Placement {
-        feasible,
-        ..placement
-    })
+    Ok(None)
 }
 
 /// The y range of a y-rigid entity: full block height or pinned to a pin.
@@ -475,11 +466,6 @@ fn fixed_entity_y(
 
 /// Verifies the placement is overlap-free (same-layer, non-attached pairs).
 fn self_check(plan: &Plan, p: &Placement) -> bool {
-    self_check_verbose(plan, p).is_ok()
-}
-
-/// Like [`self_check`] but names the offending pair (used in tests).
-pub(crate) fn self_check_verbose(plan: &Plan, p: &Placement) -> Result<(), String> {
     let block_rect = |b: usize| {
         let (x, yb, yt) = p.block_pos[b];
         (x, x + plan.blocks[b].width, yb, yt)
@@ -491,7 +477,7 @@ pub(crate) fn self_check_verbose(plan: &Plan, p: &Placement) -> Result<(), Strin
     for i in 0..n {
         for j in (i + 1)..n {
             if overlap(block_rect(i), block_rect(j)) {
-                return Err(format!("blocks {i} and {j} overlap"));
+                return false;
             }
         }
     }
@@ -499,47 +485,34 @@ pub(crate) fn self_check_verbose(plan: &Plan, p: &Placement) -> Result<(), Strin
     for (fi, f) in plan.flows.iter().enumerate() {
         let fr = p.flow_rect[fi];
         if fr.0 > fr.1 {
-            return Err(format!("flow entity {fi} has negative width"));
+            return false;
         }
         for b in 0..n {
             if f.left.block() == Some(BlockId(b)) || f.right.block() == Some(BlockId(b)) {
                 continue;
             }
             if overlap(fr, block_rect(b)) {
-                return Err(format!(
-                    "flow entity {fi} {:?}..{:?} crosses block {b} `{}`",
-                    f.left, f.right, plan.blocks[b].label
-                ));
+                return false;
             }
         }
-        for (fj, _) in plan.flows.iter().enumerate().skip(fi + 1) {
-            // entities sharing an attachment may touch; any overlap is bad
-            if overlap(fr, p.flow_rect[fj]) {
-                return Err(format!("flow entities {fi} and {fj} overlap"));
-            }
+        // entities sharing an attachment may touch; any overlap is bad
+        if p.flow_rect[fi + 1..]
+            .iter()
+            .any(|&other| overlap(fr, other))
+        {
+            return false;
         }
     }
     // control entities: x follows the block (disjoint columns), y reaches
     // the chip edge; check against foreign blocks only
-    for c in &plan.controls {
+    plan.controls.iter().all(|c| {
         let (bx, byb, byt) = p.block_pos[c.block.0];
         let rect = match c.dir {
             ControlDir::Down => (bx, bx + plan.blocks[c.block.0].width, Um::ZERO, byb),
             ControlDir::Up => (bx, bx + plan.blocks[c.block.0].width, byt, p.extent.1),
         };
-        for b in 0..n {
-            if b == c.block.0 {
-                continue;
-            }
-            if overlap(rect, block_rect(b)) {
-                return Err(format!(
-                    "control rect of block {} crosses block {b}",
-                    c.block.0
-                ));
-            }
-        }
-    }
-    Ok(())
+        (0..n).all(|b| b == c.block.0 || !overlap(rect, block_rect(b)))
+    })
 }
 
 #[cfg(test)]
@@ -552,14 +525,15 @@ mod tests {
     fn placed(lanes: usize) -> (Plan, Placement) {
         let (n, _) = planarize(&generators::chip_ip(lanes, MuxCount::One));
         let plan = build_plan(&n).unwrap();
-        let p = place(&plan).unwrap();
+        let p = place(&plan)
+            .unwrap()
+            .expect("constructive placement must self-check clean");
         (plan, p)
     }
 
     #[test]
     fn chip4_placement_feasible() {
         let (plan, p) = placed(4);
-        assert!(p.feasible, "constructive placement must self-check clean");
         assert_eq!(p.block_pos.len(), plan.blocks.len());
         // diagonal x: all blocks pairwise disjoint in x
         let mut spans: Vec<(Um, Um)> = plan
@@ -577,7 +551,6 @@ mod tests {
     #[test]
     fn chip64_placement_feasible() {
         let (_, p) = placed(64);
-        assert!(p.feasible);
         let (x, y) = p.extent;
         assert!(x > Um::ZERO && y > Um::ZERO);
     }
@@ -631,9 +604,10 @@ mod tests {
             let raw = generators::random_netlist(&mut rng, units);
             let (n, _) = planarize(&raw);
             let plan = build_plan(&n).unwrap();
-            let p = place(&plan).unwrap();
-            self_check_verbose(&plan, &p)
-                .unwrap_or_else(|e| panic!("random netlist with {units} units: {e}"));
+            assert!(
+                place(&plan).unwrap().is_some(),
+                "random netlist with {units} units fails its self-check"
+            );
         }
     }
 }
@@ -651,15 +625,16 @@ mod cascade_tests {
     fn mrna_cascade_places_feasibly() {
         let (n, _) = planarize(&generators::mrna_isolation(MuxCount::One));
         let plan = build_plan(&n).unwrap();
-        let p = place(&plan).unwrap();
-        self_check_verbose(&plan, &p).unwrap_or_else(|e| panic!("mrna: {e}"));
+        assert!(place(&plan).unwrap().is_some(), "mrna fails its self-check");
     }
 
     #[test]
     fn nucleic_cascade_places_feasibly() {
         let (n, _) = planarize(&generators::nucleic_acid_processor(MuxCount::One));
         let plan = build_plan(&n).unwrap();
-        let p = place(&plan).unwrap();
-        self_check_verbose(&plan, &p).unwrap_or_else(|e| panic!("nucleic: {e}"));
+        assert!(
+            place(&plan).unwrap().is_some(),
+            "nucleic fails its self-check"
+        );
     }
 }

@@ -17,8 +17,7 @@ use std::collections::HashMap;
 use columba_geom::{Rect, Um};
 use columba_modules::ModuleModel;
 use columba_netlist::{
-    ComponentId, ComponentKind, Connection, ControlAccess, Endpoint, MuxCount, Netlist, PortId,
-    UnitSide,
+    ComponentId, ComponentKind, Connection, ControlAccess, Endpoint, MuxCount, Netlist, UnitSide,
 };
 
 use crate::error::LayoutError;
@@ -380,11 +379,11 @@ fn classify(
     #[derive(Clone, Copy)]
     enum Res {
         Comp(ComponentId, UnitSide),
-        Port(#[allow(dead_code)] PortId),
+        Port,
     }
     let resolve = |e: &Endpoint| match e {
         Endpoint::Unit { component, side } => Res::Comp(*component, *side),
-        Endpoint::Port(p) => Res::Port(*p),
+        Endpoint::Port(_) => Res::Port,
     };
     let a = resolve(&conn.from);
     let b = resolve(&conn.to);
@@ -427,7 +426,7 @@ fn classify(
                     )));
                 }
             }
-            Res::Port(_) => {
+            Res::Port => {
                 if port_pending.replace(()).is_some() {
                     return Err(LayoutError::Unroutable(format!(
                         "connection #{ci} joins two ports; ports must attach to a unit or switch"

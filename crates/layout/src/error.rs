@@ -27,7 +27,7 @@ pub enum LayoutError {
     /// constraint groups found by deletion-filter diagnosis.
     Infeasible {
         /// Names of the conflicting paper-equation constraint groups
-        /// (empty when diagnosis was disabled or inconclusive).
+        /// (empty when the diagnosis probe was inconclusive or failed).
         conflict: Vec<String>,
         /// Human-readable explanation.
         detail: String,

@@ -11,14 +11,16 @@
 //! disjunctions are *pruned* for pairs whose left-to-right order is already
 //! implied by the connection chains, and the constructive placement seeds
 //! branch & bound with a feasible incumbent (with a zero node budget the
-//! incumbent is simply polished by one LP).
+//! incumbent is simply polished by one LP, and without one nothing is
+//! solved). [`generate`] returns a MILP solution or an error: laying the
+//! placement out as it stands is the ladder's [`constructive_layout`].
 
 use std::time::Duration;
 
 use columba_geom::{Rect, Um, INLET_PITCH, MIN_CHANNEL_SPACING};
 use columba_milp::{Model, ModelStats, Sense, SolveParams, SolveStats, SolveStatus, VarId};
 
-use crate::constructive::{self, Placement};
+use crate::constructive::Placement;
 use crate::entities::{ControlDir, EndKind, FlowKind, Plan};
 use crate::error::LayoutError;
 use crate::LayoutOptions;
@@ -43,9 +45,6 @@ pub struct LaygenReport {
     pub pruned_pairs: usize,
     /// Whether the constructive incumbent seeded the search.
     pub hint_used: bool,
-    /// Whether the returned rectangles come from the constructive
-    /// placement because the MILP found no solution in budget.
-    pub used_fallback: bool,
     /// Solver telemetry: node/prune/iteration counters, phase times,
     /// incumbent trajectory and worker utilization.
     pub solve: SolveStats,
@@ -83,14 +82,28 @@ struct Ent {
     attached: [Option<usize>; 2],
 }
 
+/// Solves the layout MILP of `plan`, seeded by `placement` (`None` when
+/// the constructive placement failed its self-check).
 pub(crate) fn generate(
     plan: &Plan,
+    placement: Option<&Placement>,
     options: &LayoutOptions,
 ) -> Result<GeneratedLayout, LayoutError> {
     let mut laygen_span = columba_obs::span("laygen");
     let mut build_span = columba_obs::span("laygen.model_build");
-    let placement = constructive::place(plan)?;
-    let bound_mm = (placement.extent.0.max(placement.extent.1).to_mm() * 1.3 + 20.0).max(50.0);
+    let extent_mm = match placement {
+        Some(p) => p.extent.0.max(p.extent.1).to_mm(),
+        // no placement sized the chip: every block and flow entity side
+        // by side, a millimetre apart
+        None => plan
+            .blocks
+            .iter()
+            .map(|b| b.width + b.height.unwrap_or(b.min_height))
+            .chain(plan.flows.iter().map(|f| INLET_PITCH * f.count as i64))
+            .map(|len| len.to_mm() + 1.0)
+            .sum(),
+    };
+    let bound_mm = (extent_mm * 1.3 + 20.0).max(50.0);
     let big_m = bound_mm;
 
     let nb = plan.blocks.len();
@@ -536,9 +549,9 @@ pub(crate) fn generate(
     model.minimize(obj);
 
     // ---- hint from the constructive placement ----
-    let hint = (options.warm_start && placement.feasible)
-        .then(|| build_hint(plan, &placement, &ents, &disjunctions, &pitch_disjunctions))
-        .flatten();
+    let hint = placement
+        .filter(|_| options.warm_start)
+        .and_then(|p| build_hint(plan, p, &disjunctions, &pitch_disjunctions));
 
     let params = SolveParams {
         time_limit: options.time_limit,
@@ -555,6 +568,11 @@ pub(crate) fn generate(
         build_span.attr("hint", u64::from(hint.is_some()));
     }
     drop(build_span);
+    // a zero node budget only polishes the hint: without one, the cold
+    // root LP it would solve instead never yields a layout
+    if hint.is_none() && options.node_limit == 0 {
+        return Err(not_found("node limit 0", false, placement, options));
+    }
     let solve_span = columba_obs::span("laygen.solve");
     let result = match &hint {
         Some(h) => model.solve_with_hint(&params, h)?,
@@ -573,7 +591,6 @@ pub(crate) fn generate(
         disjunctions: disjunctions.len(),
         pruned_pairs: pruned,
         hint_used: hint.is_some(),
-        used_fallback: false,
         solve: result.stats().clone(),
     };
 
@@ -601,9 +618,9 @@ pub(crate) fn generate(
                 report: report_base,
             })
         }
-        // a *proven* infeasible model must never fall back to the
-        // constructive placement — the construction ignores the chip-size
-        // budget the proof hinges on. Diagnose the conflict instead.
+        // a *proven* infeasible model is diagnosed: no rung may degrade it
+        // into the constructive placement, which ignores the chip-size
+        // budget the proof hinges on
         None if result.status() == SolveStatus::Infeasible => {
             let probe = SolveParams {
                 time_limit: options.time_limit.min(Duration::from_secs(5)),
@@ -626,62 +643,39 @@ pub(crate) fn generate(
                 },
             })
         }
-        None if options.warm_start && placement.feasible => {
-            // fall back to the constructive layout outright
-            Ok(constructive_layout(
-                plan,
-                &placement,
-                LaygenReport {
-                    used_fallback: true,
-                    ..report_base
-                },
-            ))
-        }
-        None => Err(LayoutError::milp(format!(
-            "no feasible layout found within budget ({}); {}",
+        None => Err(not_found(
             result.status(),
-            if !options.warm_start {
-                "warm starting is disabled (ablation mode), so no constructive fallback exists"
-            } else {
-                "the constructive placement failed its self-check"
-            }
-        ))),
+            hint.is_some(),
+            placement,
+            options,
+        )),
     }
 }
 
-/// The last resilience rung: skip the MILP entirely and return the
-/// constructive placement as the layout. Always cheap, never searches.
-pub(crate) fn generate_constructive(plan: &Plan) -> Result<GeneratedLayout, LayoutError> {
-    let _span = columba_obs::span("laygen.constructive");
-    let placement = constructive::place(plan)?;
-    if !placement.feasible {
-        return Err(LayoutError::milp(
-            "no layout found within budget at any rung: the constructive placement failed its self-check",
-        ));
-    }
-    Ok(constructive_layout(
-        plan,
-        &placement,
-        LaygenReport {
-            model_stats: ModelStats::default(),
-            status: SolveStatus::LimitReached,
-            objective: None,
-            elapsed: Duration::ZERO,
-            disjunctions: 0,
-            pruned_pairs: 0,
-            hint_used: false,
-            used_fallback: true,
-            solve: SolveStats::default(),
-        },
+/// The error of a solve that ended without a layout, naming why no
+/// constructive incumbent seeded it when none did.
+fn not_found(
+    status: impl std::fmt::Display,
+    hinted: bool,
+    placement: Option<&Placement>,
+    options: &LayoutOptions,
+) -> LayoutError {
+    let why = if hinted {
+        ""
+    } else if !options.warm_start {
+        "; warm starting is disabled (ablation mode)"
+    } else if placement.is_none() {
+        "; the constructive placement failed its self-check"
+    } else {
+        "; the constructive placement does not satisfy the model's disjunctions"
+    };
+    LayoutError::milp(format!(
+        "no feasible layout found within budget ({status}){why}"
     ))
 }
 
-/// Assembles a [`GeneratedLayout`] straight from the constructive placement.
-fn constructive_layout(
-    plan: &Plan,
-    placement: &Placement,
-    report: LaygenReport,
-) -> GeneratedLayout {
+/// The constructive rung's layout: the placement outright, no MILP.
+pub(crate) fn constructive_layout(plan: &Plan, placement: &Placement) -> GeneratedLayout {
     let block_rects: Vec<Rect> = plan
         .blocks
         .iter()
@@ -699,7 +693,16 @@ fn constructive_layout(
         flow_rects,
         control_rects,
         extent,
-        report,
+        report: LaygenReport {
+            model_stats: ModelStats::default(),
+            status: SolveStatus::LimitReached,
+            objective: None,
+            elapsed: Duration::ZERO,
+            disjunctions: 0,
+            pruned_pairs: 0,
+            hint_used: false,
+            solve: SolveStats::default(),
+        },
     }
 }
 
@@ -726,11 +729,11 @@ fn reachability(plan: &Plan, nb: usize) -> Vec<bool> {
 }
 
 /// Builds the q-variable hint from the constructive placement; `None` when
-/// some pair overlaps (should not happen for a self-checked placement).
+/// some pair overlaps or two boundary inlets sit closer than the inlet
+/// pitch, which the placement's self-check does not cover.
 fn build_hint(
     plan: &Plan,
     placement: &Placement,
-    ents: &[Ent],
     disjunctions: &[(usize, usize, [VarId; 4])],
     pitch_disjunctions: &[(usize, usize, [VarId; 2])],
 ) -> Option<Vec<(VarId, f64)>> {
@@ -752,7 +755,6 @@ fn build_hint(
             }
         }
     };
-    let _ = ents;
     let mut hint = Vec::with_capacity(disjunctions.len() * 4);
     for &(i, j, q) in disjunctions {
         let a = rect_of(i);
@@ -895,14 +897,22 @@ fn derive_control_rects(plan: &Plan, block_rects: &[Rect], extent: (Um, Um)) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::constructive;
     use crate::entities::{build_plan, BlockId};
     use columba_netlist::{generators, MuxCount};
     use columba_planar::planarize;
 
-    fn gen(lanes: usize, options: &LayoutOptions) -> (Plan, GeneratedLayout) {
+    /// The plan of chip_ip(`lanes`) and its self-checked placement.
+    fn placed(lanes: usize) -> (Plan, Placement) {
         let (n, _) = planarize(&generators::chip_ip(lanes, MuxCount::One));
         let plan = build_plan(&n).unwrap();
-        let g = generate(&plan, options).unwrap();
+        let placement = constructive::place(&plan).unwrap().expect("self-checks");
+        (plan, placement)
+    }
+
+    fn gen(lanes: usize, options: &LayoutOptions) -> (Plan, GeneratedLayout) {
+        let (plan, placement) = placed(lanes);
+        let g = generate(&plan, Some(&placement), options).unwrap();
         (plan, g)
     }
 
@@ -963,7 +973,6 @@ mod tests {
         let options = pinned_search(4);
         let (plan, g) = gen(4, &options);
         assert!(g.report.status.has_solution(), "{:?}", g.report.status);
-        assert!(!g.report.used_fallback);
         assert!(g.report.hint_used);
         assert_consistent(&plan, &g);
     }
@@ -1005,15 +1014,24 @@ mod tests {
 
     #[test]
     fn no_warm_start_has_no_fallback() {
-        let (n, _) = planarize(&generators::chip_ip(4, MuxCount::One));
-        let plan = build_plan(&n).unwrap();
+        let (plan, placement) = placed(4);
         let options = LayoutOptions {
             warm_start: false,
-            // no search either: nothing can produce a layout
+            // no search either: nothing can produce a layout, so nothing
+            // is solved
             ..pinned_search(0)
         };
-        let e = generate(&plan, &options).unwrap_err();
+        let rec = columba_obs::SpanRecorder::new(256);
+        columba_obs::set_enabled(true);
+        let guard = rec.install();
+        let e = generate(&plan, Some(&placement), &options).unwrap_err();
+        drop(guard);
+        columba_obs::set_enabled(false);
         assert!(e.to_string().contains("warm starting is disabled"), "{e}");
+        assert!(e.to_string().contains("within budget"), "{e}");
+        let names: Vec<&str> = rec.finished().iter().map(|s| s.name).collect();
+        assert!(names.contains(&"laygen.model_build"), "{names:?}");
+        assert!(!names.contains(&"milp.solve"), "{names:?}");
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub struct LayoutOptions {
     pub time_limit: std::time::Duration,
     /// Branch & bound node budget. `0` keeps only the constructive
     /// incumbent polished by one LP — the scalable mode used for very
-    /// large designs.
+    /// large designs; with no incumbent to polish it solves nothing.
     pub node_limit: usize,
     /// Drop non-overlap disjunctions between entity pairs whose
     /// left-to-right order is already implied by the connection chains.
@@ -84,7 +84,8 @@ pub struct LayoutOptions {
     pub prune_ordered_pairs: bool,
     /// Seed branch & bound with the constructive placement. Disable only
     /// for ablation studies — without it the search starts from nothing
-    /// and the scalable heuristic mode cannot work.
+    /// and the scalable heuristic mode cannot work (the ladder's
+    /// constructive rung still lays out the placement).
     pub warm_start: bool,
     /// Worker threads for the branch & bound search. `0` uses the machine's
     /// available parallelism; `1` forces the sequential search. Any count
@@ -140,10 +141,10 @@ impl LayoutOptions {
 /// # Errors
 ///
 /// Returns [`LayoutError`] when the netlist is not planarized, a connection
-/// cannot be routed under the straight discipline, or the MILP fails.
+/// cannot be routed under the straight discipline, or the MILP fails or
+/// finds no layout ([`synthesize_resilient`] degrades instead).
 pub fn synthesize(netlist: &Netlist, options: &LayoutOptions) -> Result<LayoutResult, LayoutError> {
-    let plan = entities::build_plan(netlist)?;
-    let generated = laygen::generate(&plan, options)?;
+    let (plan, generated) = generate_only(netlist, options)?;
     layval::validate(netlist, &plan, &generated)
 }
 
@@ -159,6 +160,7 @@ pub fn generate_only(
     options: &LayoutOptions,
 ) -> Result<(Plan, GeneratedLayout), LayoutError> {
     let plan = entities::build_plan(netlist)?;
-    let generated = laygen::generate(&plan, options)?;
+    let placement = constructive::place(&plan)?;
+    let generated = laygen::generate(&plan, placement.as_ref(), options)?;
     Ok((plan, generated))
 }

@@ -1,8 +1,9 @@
-//! Resilient synthesis: an escalation ladder over the MILP.
+//! Resilient synthesis: an escalation ladder over the MILP, and the only
+//! place a synthesis degrades.
 //!
-//! [`synthesize_resilient`] attempts the full synthesis and, when a rung
-//! fails — budget exhausted, solver numerical failure, a contained worker
-//! panic that degraded the search — steps down:
+//! [`synthesize_resilient`] places once, hands the placement to every
+//! rung, and steps down when a rung fails — budget exhausted, solver
+//! numerical failure, a contained worker panic that degraded the search:
 //!
 //! 1. **full MILP** with the caller's [`LayoutOptions`];
 //! 2. **heuristic only**: the constructive incumbent polished by one LP,
@@ -10,14 +11,15 @@
 //!    It is skipped when the caller's options already are that mode
 //!    (`node_limit == 0` with `warm_start`), since it would repeat the
 //!    first rung's solve exactly;
-//! 3. **constructive only**: the row placer's layout outright, no MILP.
-//!    It always runs when the rungs above failed.
+//! 3. **constructive only**: the placement laid out outright, no MILP.
+//!    It always runs when the rungs above failed (and fails when the
+//!    placement failed its self-check).
 //!
 //! Every rung is recorded in an [`AttemptLog`] so callers can see *which*
-//! quality level produced the returned layout and why the better ones did
-//! not. A *proven infeasible* model aborts the ladder instead — no rung can
-//! fix a design that does not fit its chip-size budget, and the error then
-//! carries the diagnosed constraint conflict.
+//! quality level (a MILP rung yields only MILP solutions) produced the
+//! layout and why the better ones did not. A *proven infeasible* model
+//! aborts the ladder instead — no rung can fix a design that does not fit
+//! its chip-size budget, and the error then carries the diagnosed conflict.
 //!
 //! The options' [`cancel`](LayoutOptions::cancel) token spans the whole
 //! ladder: a token built with a deadline is a wall-clock budget over all
@@ -32,7 +34,7 @@ use columba_netlist::Netlist;
 
 use crate::error::LayoutError;
 use crate::layval::LayoutResult;
-use crate::{entities, laygen, layval, LayoutOptions};
+use crate::{constructive, entities, laygen, layval, LayoutOptions};
 
 /// A rung of the escalation ladder, best first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,7 +57,7 @@ impl fmt::Display for Rung {
     }
 }
 
-/// What one rung did.
+/// What one rung did; its `Display` carries no timing.
 #[derive(Debug, Clone)]
 pub enum AttemptOutcome {
     /// The rung produced the returned layout, with this solver status.
@@ -66,6 +68,16 @@ pub enum AttemptOutcome {
     /// The rung did not run: the ladder budget was exhausted, or it would
     /// have repeated the previous rung's solve.
     Skipped(String),
+}
+
+impl fmt::Display for AttemptOutcome {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AttemptOutcome::Produced(status) => write!(f, "produced the layout ({status})"),
+            AttemptOutcome::Failed(why) => write!(f, "failed: {why}"),
+            AttemptOutcome::Skipped(why) => write!(f, "skipped: {why}"),
+        }
+    }
 }
 
 /// One ladder rung's record.
@@ -147,18 +159,15 @@ impl AttemptLog {
 impl fmt::Display for AttemptLog {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for (i, a) in self.attempts.iter().enumerate() {
-            if i > 0 {
-                writeln!(f)?;
-            }
-            write!(f, "rung {}: {} — ", i + 1, a.rung)?;
-            match &a.outcome {
-                AttemptOutcome::Produced(status) => {
-                    write!(f, "produced the layout ({status})")?;
-                }
-                AttemptOutcome::Failed(why) => write!(f, "failed: {why}")?,
-                AttemptOutcome::Skipped(why) => write!(f, "skipped: {why}")?,
-            }
-            write!(f, " [{:.1?}]", a.elapsed)?;
+            let sep = if i > 0 { "\n" } else { "" };
+            write!(
+                f,
+                "{sep}rung {}: {} — {} [{:.1?}]",
+                i + 1,
+                a.rung,
+                a.outcome,
+                a.elapsed
+            )?;
         }
         Ok(())
     }
@@ -234,6 +243,7 @@ fn ladder(
     log: &mut AttemptLog,
 ) -> Result<(LayoutResult, Rung), LayoutError> {
     let plan = entities::build_plan(netlist)?;
+    let placement = constructive::place(&plan)?;
     let heuristic = LayoutOptions {
         node_limit: 0,
         warm_start: true,
@@ -250,7 +260,8 @@ fn ladder(
             continue;
         }
         match log.run(rung, || {
-            laygen::generate(&plan, opts).and_then(|g| layval::validate(netlist, &plan, &g))
+            laygen::generate(&plan, placement.as_ref(), opts)
+                .and_then(|g| layval::validate(netlist, &plan, &g))
         }) {
             Ok(result) => return Ok((result, rung)),
             // proven infeasible: no rung can produce a *valid* layout, so
@@ -261,7 +272,12 @@ fn ladder(
         }
     }
     let result = log.run(Rung::ConstructiveOnly, || {
-        laygen::generate_constructive(&plan).and_then(|g| layval::validate(netlist, &plan, &g))
+        let placement = placement.as_ref().ok_or_else(|| {
+            LayoutError::milp(
+                "no layout found within budget at any rung: the constructive placement failed its self-check",
+            )
+        })?;
+        layval::validate(netlist, &plan, &laygen::constructive_layout(&plan, placement))
     })?;
     Ok((result, Rung::ConstructiveOnly))
 }
@@ -355,10 +371,11 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_token_still_returns_the_warm_start_incumbent() {
-        // the token fires before the solve: branch & bound stops at once
-        // with the constructive incumbent, and the first rung still hands
-        // back a layout marked LimitReached + fallback
+    fn cancelled_token_degrades_to_the_constructive_rung() {
+        // the token fires before the solve: the hint LP stops before it
+        // polishes anything, so the full MILP has no layout, the heuristic
+        // rung is skipped on the dead token, and the constructive rung
+        // lays out the same placement the hint came from
         let (n, _) = planarize(&generators::chip_ip(2, MuxCount::One));
         let token = CancelToken::new();
         token.cancel();
@@ -366,13 +383,34 @@ mod tests {
             cancel: Some(token),
             ..LayoutOptions::default()
         };
-        let out = synthesize_resilient(&n, &options).expect("fallback layout");
+        let out = synthesize_resilient(&n, &options).expect("constructive layout");
+        assert_eq!(out.rung, Rung::ConstructiveOnly, "{}", out.log);
         assert_eq!(out.result.laygen.status, SolveStatus::LimitReached);
-        assert!(out.result.laygen.used_fallback);
-        assert!(out.result.drc.is_clean());
-        let Some(Rung::FullMilp) = out.log.produced_by() else {
-            panic!("expected the first rung to produce: {}", out.log);
-        };
+        assert!(out.result.drc.is_clean(), "{:?}", out.result.drc);
+        assert!(
+            matches!(
+                out.log.attempts[..],
+                [
+                    Attempt {
+                        rung: Rung::FullMilp,
+                        outcome: AttemptOutcome::Failed(_),
+                        ..
+                    },
+                    Attempt {
+                        rung: Rung::HeuristicOnly,
+                        outcome: AttemptOutcome::Skipped(_),
+                        ..
+                    },
+                    Attempt {
+                        rung: Rung::ConstructiveOnly,
+                        outcome: AttemptOutcome::Produced(SolveStatus::LimitReached),
+                        ..
+                    },
+                ]
+            ),
+            "{}",
+            out.log
+        );
     }
 
     /// Two independent port→mixer→port chains whose blocks cannot be
@@ -453,8 +491,8 @@ mod tests {
 
     #[test]
     fn exhausted_budget_skips_milp_rungs_after_the_first_failure() {
-        // warm start off: a cancelled solve has no incumbent and no
-        // fallback, so the full MILP fails and the heuristic rung is
+        // warm start off: a cancelled solve has no incumbent, so the full
+        // MILP fails and the heuristic rung is
         // skipped on the dead token; the constructive rung places without
         // the solver and still produces
         let (n, _) = planarize(&generators::chip_ip(2, MuxCount::One));
@@ -467,7 +505,7 @@ mod tests {
         };
         let out = synthesize_resilient(&n, &options).expect("constructive rung saves it");
         assert_eq!(out.rung, Rung::ConstructiveOnly);
-        assert!(out.result.laygen.used_fallback);
+        assert!(!out.result.laygen.hint_used);
         assert!(out.result.drc.is_clean());
         // first rung failed, the heuristic rung was skipped on the dead token
         assert!(matches!(

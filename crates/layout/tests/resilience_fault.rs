@@ -21,7 +21,7 @@ fn chip4ip() -> Netlist {
 
 /// Budgeted options where only the heuristic rung can survive an armed
 /// fault: warm starting is off for the MILP rungs, so a degraded search has
-/// no fallback of its own. The node budget binds; the 3600 s clock never
+/// no incumbent of its own. The node budget binds; the 3600 s clock never
 /// does, so every rung does the same work on any host.
 fn brittle_options() -> LayoutOptions {
     LayoutOptions {
@@ -40,7 +40,7 @@ fn worker_panics_degrade_to_the_heuristic_rung() {
     // the panicking full MILP failed; the heuristic rung (no node
     // expansion, so no armed fault fires) produced the layout
     assert_eq!(out.rung, Rung::HeuristicOnly, "{}", out.log);
-    assert!(out.result.laygen.used_fallback || out.result.laygen.hint_used);
+    assert!(out.result.laygen.hint_used);
     assert!(out.result.drc.is_clean(), "{:?}", out.result.drc);
     let trail: Vec<_> = out
         .log

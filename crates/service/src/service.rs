@@ -2139,7 +2139,7 @@ fn run_job(inner: &Inner, id: u64, text: &str, token: &CancelToken) -> JobEnd {
                 inner.trace(
                     Some(id),
                     TraceKind::Rung,
-                    format!("{} of {}: {}", i + 1, attempt.rung, summarize(attempt)),
+                    format!("{} of {}: {}", i + 1, attempt.rung, attempt.outcome),
                 );
             }
             // Replay the winning solve's incumbent trajectory into the
@@ -2230,15 +2230,6 @@ fn drc_failure(report: &columba_s::design::drc::DrcReport) -> Option<String> {
         "design failed DRC with {} violation(s): {list}",
         report.violations.len()
     ))
-}
-
-fn summarize(attempt: &columba_s::Attempt) -> String {
-    use columba_s::AttemptOutcome;
-    match &attempt.outcome {
-        AttemptOutcome::Produced(status) => format!("produced ({status:?})"),
-        AttemptOutcome::Failed(why) => format!("failed: {why}"),
-        AttemptOutcome::Skipped(why) => format!("skipped: {why}"),
-    }
 }
 
 #[cfg(test)]

@@ -15,9 +15,6 @@ pub(crate) struct FlowGraph {
     pub adj: Vec<Vec<usize>>,
     /// Fluid inlet → node positions it feeds.
     pub inlet_taps: HashMap<InletId, Vec<usize>>,
-    /// Channel id → node position.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub index: HashMap<ChannelId, usize>,
 }
 
 impl FlowGraph {
@@ -28,11 +25,6 @@ impl FlowGraph {
             .enumerate()
             .filter(|(_, c)| c.layer() == Layer::Flow && c.role != ChannelRole::MuxFlow)
             .map(|(i, _)| ChannelId(i))
-            .collect();
-        let index: HashMap<ChannelId, usize> = nodes
-            .iter()
-            .enumerate()
-            .map(|(pos, &id)| (id, pos))
             .collect();
         let mut adj = vec![Vec::new(); nodes.len()];
         for (pi, &a) in nodes.iter().enumerate() {
@@ -73,7 +65,6 @@ impl FlowGraph {
             nodes,
             adj,
             inlet_taps,
-            index,
         }
     }
 
@@ -163,7 +154,8 @@ mod tests {
         let d = design();
         let g = FlowGraph::build(&d);
         let mut passable = vec![true; g.nodes.len()];
-        passable[g.index[&ChannelId(1)]] = false;
+        let pos = g.nodes.iter().position(|&id| id == ChannelId(1)).unwrap();
+        passable[pos] = false;
         let r = g.reachable(InletId(0), &passable);
         assert!(r.contains(&ChannelId(0)));
         assert!(!r.contains(&ChannelId(1)));
