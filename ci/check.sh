@@ -4,7 +4,8 @@
 # Sections (each also a named CI job):
 #
 #   lint   cargo fmt + clippy with warnings as errors
-#   test   release build, workspace tests, fault-inject configurations
+#   test   release build, workspace tests, fault-inject configurations,
+#          the e2ebench package's build and tests
 #   chaos  crash-point enumeration + SimFs-injected degrade/heal cycle
 #   smoke  resilience ladder under a deadline, HTTP round-trip, batch + SSE,
 #          assay front end, observability, restart-recovery
@@ -90,6 +91,11 @@ section_test() {
 
   echo "==> cargo build -p columba-obs --no-default-features (allocator tracking compiles out)"
   cargo build -q --offline -p columba-obs --no-default-features
+
+  echo "==> cargo test e2ebench (the benchmark builds against the library API)"
+  # e2ebench is its own package, outside the workspace: without this step a
+  # library change that breaks it fails only the benchmark run
+  cargo test --release --offline -q --manifest-path e2ebench/Cargo.toml
 }
 
 section_chaos() {

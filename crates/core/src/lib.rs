@@ -125,10 +125,13 @@ impl SynthesisOptions {
     /// content-addressed cache key used by `columba-service` (the netlist
     /// half is [`Netlist::canonical_text`]).
     ///
-    /// Deliberately excluded, because they provably do not change the
-    /// returned layout: `threads` (any worker count yields the same
-    /// objective — see `crates/layout/tests/determinism.rs`) and the
-    /// `cancel` token (a runtime handle).
+    /// Deliberately excluded: the `cancel` token (a runtime handle) and
+    /// `threads`. The worker count does not change the model, and a
+    /// search that runs to completion returns the same objective for any
+    /// count. It is not design-invariant under a binding budget: there a
+    /// search on more than one worker can keep a different incumbent from
+    /// run to run, so a cached design is one valid answer for these
+    /// options, not the only one.
     /// Budgets (`time_limit`, `node_limit`) *are* included: when a budget
     /// binds it selects the incumbent, so different budgets may
     /// legitimately yield different designs.
@@ -419,7 +422,9 @@ mod tests {
         let base = SynthesisOptions::default().canonical_text();
         assert_eq!(base, SynthesisOptions::default().canonical_text());
         let mut other = SynthesisOptions::default();
-        other.layout.threads = 7; // provably design-invariant: excluded
+        // excluded: the same model, and the same objective on a complete
+        // search (not always under a binding budget; see canonical_text)
+        other.layout.threads = 7;
         assert_eq!(base, other.canonical_text());
         other.layout.kappa = 0.25;
         assert_ne!(base, other.canonical_text());

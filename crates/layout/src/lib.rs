@@ -87,9 +87,12 @@ pub struct LayoutOptions {
     /// and the scalable heuristic mode cannot work (the ladder's
     /// constructive rung still lays out the placement).
     pub warm_start: bool,
-    /// Worker threads for the branch & bound search. `0` uses the machine's
-    /// available parallelism; `1` forces the sequential search. Any count
-    /// yields the same objective when the solve runs to completion.
+    /// Worker threads for the branch & bound search. `0` (the default)
+    /// uses the machine's available parallelism; `1` forces the sequential
+    /// search, whose result is reproducible. Any count yields the same
+    /// objective when the solve runs to completion; when the node or time
+    /// budget stops it, more than one worker can keep a different
+    /// incumbent, and so a different layout.
     pub threads: usize,
     /// Optional hard cap on the functional-region width in mm. The MILP
     /// becomes *provably infeasible* when the design cannot fit, which

@@ -60,8 +60,9 @@ impl fmt::Display for Rung {
 /// What one rung did; its `Display` carries no timing.
 #[derive(Debug, Clone)]
 pub enum AttemptOutcome {
-    /// The rung produced the returned layout, with this solver status.
-    Produced(SolveStatus),
+    /// The rung produced the returned layout, with its solver status;
+    /// `None` for the constructive rung, which runs no solve.
+    Produced(Option<SolveStatus>),
     /// The rung failed and the ladder moved on (or aborted, for a proven
     /// infeasibility).
     Failed(String),
@@ -73,7 +74,10 @@ pub enum AttemptOutcome {
 impl fmt::Display for AttemptOutcome {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            AttemptOutcome::Produced(status) => write!(f, "produced the layout ({status})"),
+            AttemptOutcome::Produced(Some(status)) => {
+                write!(f, "produced the layout ({status})")
+            }
+            AttemptOutcome::Produced(None) => f.write_str("produced the layout (no solve)"),
             AttemptOutcome::Failed(why) => write!(f, "failed: {why}"),
             AttemptOutcome::Skipped(why) => write!(f, "skipped: {why}"),
         }
@@ -139,7 +143,12 @@ impl AttemptLog {
         let mut span = columba_obs::span(rung_span_name(rung));
         let outcome = attempt();
         let (attr, record) = match &outcome {
-            Ok(result) => ("produced", AttemptOutcome::Produced(result.laygen.status)),
+            Ok(result) => (
+                "produced",
+                AttemptOutcome::Produced(
+                    (rung != Rung::ConstructiveOnly).then_some(result.laygen.status),
+                ),
+            ),
             Err(error @ LayoutError::Infeasible { .. }) => {
                 ("infeasible", AttemptOutcome::Failed(error.to_string()))
             }
@@ -361,7 +370,7 @@ mod tests {
         });
         log.attempts.push(Attempt {
             rung: Rung::ConstructiveOnly,
-            outcome: AttemptOutcome::Produced(SolveStatus::Feasible),
+            outcome: AttemptOutcome::Produced(None),
             elapsed: Duration::from_millis(3),
             solve: Some(solved(2)),
         });
@@ -403,13 +412,18 @@ mod tests {
                     },
                     Attempt {
                         rung: Rung::ConstructiveOnly,
-                        outcome: AttemptOutcome::Produced(SolveStatus::LimitReached),
+                        outcome: AttemptOutcome::Produced(None),
                         ..
                     },
                 ]
             ),
             "{}",
             out.log
+        );
+        let text = out.log.to_string();
+        assert!(
+            text.contains("constructive placement only — produced the layout (no solve)"),
+            "{text}"
         );
     }
 

@@ -98,8 +98,11 @@ impl MipResult {
     }
 
     /// Best proven dual bound in the user's sense (a lower bound for
-    /// minimisation, upper for maximisation). Meaningful only when the solve
-    /// was stopped early.
+    /// minimisation, upper for maximisation). It equals the objective at
+    /// [`SolveStatus::Optimal`], and is infinite (−∞ for a minimisation)
+    /// when the solve stopped before the root relaxation bounded it: at a
+    /// zero node budget, or on a root that timed out, is infeasible or is
+    /// unbounded.
     #[must_use]
     pub fn best_bound(&self) -> f64 {
         self.best_bound

@@ -6,7 +6,10 @@
 //! (as `f64` bits) so workers can prune against it without taking the lock.
 //! Node identity breaks heap ties in a fixed order, so a single worker
 //! reproduces the classic sequential best-bound search exactly, and any
-//! worker count returns the same objective on a run to completion.
+//! worker count returns the same objective on a run to completion. Under a
+//! binding node or time budget, several workers expand a timing-dependent
+//! set of nodes, so their pivots, bound and even incumbent can differ from
+//! run to run.
 //!
 //! Every relaxation goes through [`presolved_lp`], which starts the simplex
 //! one of three ways. *Warm*: from a handed basis, as the root relaxation
@@ -72,8 +75,10 @@ pub struct SolveParams {
     /// Try rounding the root LP solution into an incumbent.
     pub rounding_heuristic: bool,
     /// Worker threads for the branch & bound search. `0` uses the machine's
-    /// available parallelism; `1` runs the classic sequential search. Any
-    /// count returns the same objective on a run to completion.
+    /// available parallelism; `1` runs the classic sequential search, the
+    /// only count whose work is reproducible. Any count returns the same
+    /// objective on a search that runs to completion; when the node or time
+    /// budget stops it, more than one worker can keep a different incumbent.
     pub threads: usize,
     /// External cancellation token. The solver caps the token's deadline at
     /// `time_limit`, so whichever fires first stops the solve; an explicit
@@ -250,14 +255,14 @@ impl<'a> SearchCtx<'a> {
     }
 
     /// Solves the LP for the given bounds from `start` (cold without one),
-    /// accumulating iterations into `iters` and mapping numerical failures
-    /// to [`SolveError`].
+    /// adding its iterations to `iters` and mapping numerical failures to
+    /// [`SolveError`]. Every LP of a solve comes through here.
     fn lp(
         &self,
         lb: &[f64],
         ub: &[f64],
         start: Option<&Handoff>,
-        iters: &mut usize,
+        iters: &AtomicUsize,
     ) -> Result<Relaxation, SolveError> {
         let relax = presolved_lp(
             self.base_rows,
@@ -267,11 +272,31 @@ impl<'a> SearchCtx<'a> {
             Some(&self.stop_token),
             start,
         );
-        *iters += relax.iterations;
+        iters.fetch_add(relax.iterations, Ordering::Relaxed);
         if let LpOutcome::Numerical(msg) = &relax.outcome {
             return Err(SolveError::Numerical(msg.clone()));
         }
         Ok(relax)
+    }
+
+    /// The model's bounds with each `(variable, value)` fixed at the value
+    /// rounded: the LP that polishes a hint or a rounded root. `None` when
+    /// a rounded value lies outside its variable's bounds.
+    fn fixed_bounds(
+        &self,
+        values: impl IntoIterator<Item = (usize, f64)>,
+    ) -> Option<(Vec<f64>, Vec<f64>)> {
+        let mut lb = self.base_lb.to_vec();
+        let mut ub = self.base_ub.to_vec();
+        for (j, v) in values {
+            let r = v.round();
+            if r < self.base_lb[j] - 1e-9 || r > self.base_ub[j] + 1e-9 {
+                return None;
+            }
+            lb[j] = r;
+            ub[j] = r;
+        }
+        Some((lb, ub))
     }
 }
 
@@ -290,7 +315,18 @@ struct IncState {
     events: Vec<IncumbentEvent>,
 }
 
-/// Mutable search state shared across workers.
+/// How a solve ended.
+enum End {
+    /// Every node was explored or pruned: the incumbent is optimal, and
+    /// without one the model is infeasible.
+    Exhausted,
+    /// The solve stopped first: a limit fired, or the root relaxation has
+    /// no optimum. Without an incumbent it reports this status.
+    Stopped(SolveStatus),
+}
+
+/// The solve's mutable state, from the root phase through the search; the
+/// workers share it.
 struct Search<'a> {
     ctx: &'a SearchCtx<'a>,
     heap: Mutex<BinaryHeap<OpenNode>>,
@@ -304,6 +340,9 @@ struct Search<'a> {
     /// `f64` bits of the incumbent objective (min sense), `INFINITY` when no
     /// incumbent exists; read lock-free on the pruning fast path.
     best_obj: AtomicU64,
+    /// The root relaxation's bound (min sense), `NEG_INFINITY` until its LP
+    /// is solved.
+    root_bound: f64,
     nodes_processed: AtomicUsize,
     nodes_pruned: AtomicUsize,
     simplex_iterations: AtomicUsize,
@@ -313,7 +352,30 @@ struct Search<'a> {
     next_id: AtomicU64,
 }
 
-impl Search<'_> {
+impl<'a> Search<'a> {
+    /// An empty pool with no incumbent.
+    fn new(ctx: &'a SearchCtx<'a>) -> Search<'a> {
+        Search {
+            ctx,
+            heap: Mutex::new(BinaryHeap::new()),
+            active: AtomicUsize::new(0),
+            stop: AtomicBool::new(false),
+            hit_limit: AtomicBool::new(false),
+            error: Mutex::new(None),
+            incumbent: Mutex::new(IncState {
+                best: None,
+                events: Vec::new(),
+            }),
+            best_obj: AtomicU64::new(f64::INFINITY.to_bits()),
+            root_bound: f64::NEG_INFINITY,
+            nodes_processed: AtomicUsize::new(0),
+            nodes_pruned: AtomicUsize::new(0),
+            simplex_iterations: AtomicUsize::new(0),
+            worker_panics: AtomicUsize::new(0),
+            next_id: AtomicU64::new(1),
+        }
+    }
+
     fn best_objective(&self) -> f64 {
         f64::from_bits(self.best_obj.load(Ordering::Relaxed))
     }
@@ -326,6 +388,9 @@ impl Search<'_> {
             && (bound >= inc - p.abs_gap || (inc - bound).abs() <= p.rel_gap * inc.abs().max(1.0))
     }
 
+    /// Keeps `values` as the incumbent when its objective `obj` (min sense)
+    /// beats the current one. Every incumbent of a solve comes through here:
+    /// the hint polish, an integral root, the rounding heuristic and nodes.
     fn offer_incumbent(&self, values: Vec<f64>, obj: f64) -> Result<(), SolveError> {
         self.ctx.certify(&values)?;
         let mut inc = lock_clean(&self.incumbent);
@@ -504,18 +569,8 @@ impl Search<'_> {
                     return Ok(());
                 }
 
-                let relax = presolved_lp(
-                    ctx.base_rows,
-                    ctx.cost,
-                    &lb,
-                    &ub,
-                    Some(&ctx.stop_token),
-                    None,
-                );
-                self.simplex_iterations
-                    .fetch_add(relax.iterations, Ordering::Relaxed);
-                match relax.outcome {
-                    LpOutcome::Numerical(msg) => return Err(SolveError::Numerical(msg)),
+                match ctx.lp(&lb, &ub, None, &self.simplex_iterations)?.outcome {
+                    LpOutcome::Numerical(_) => unreachable!("mapped to Err by SearchCtx::lp"),
                     LpOutcome::TimedOut => {
                         self.stop_at_limit(open);
                         return Ok(());
@@ -579,6 +634,209 @@ impl Search<'_> {
         }
         Ok(())
     }
+
+    /// The root phase: the hint polish, the root relaxation, the integral
+    /// root check and the rounding heuristic. Returns how the solve ended
+    /// when it ends here; otherwise queues the root as node 0 for the
+    /// search.
+    fn root(&mut self, hint: Option<&[(VarId, f64)]>) -> Result<Option<End>, SolveError> {
+        let ctx = self.ctx;
+        // Constant-only constraints that are unsatisfiable make the model
+        // trivially infeasible; satisfied ones are dropped by the presolve.
+        let unsatisfiable = ctx.base_rows.iter().any(|r| {
+            r.cols.is_empty()
+                && !match r.sense {
+                    Sense::Le => 0.0 <= r.rhs + 1e-9,
+                    Sense::Ge => 0.0 >= r.rhs - 1e-9,
+                    Sense::Eq => r.rhs.abs() <= 1e-9,
+                }
+        });
+        if unsatisfiable {
+            return Ok(Some(End::Stopped(SolveStatus::Infeasible)));
+        }
+        let mut span = columba_obs::span("milp.root");
+        let iters = &self.simplex_iterations;
+
+        // -- hint: fix its values, polish the rest by one LP; that LP's
+        // optimal basis starts the root relaxation --
+        let mut hint_basis: Option<Handoff> = None;
+        let hinted = hint.and_then(|h| ctx.fixed_bounds(h.iter().map(|&(v, x)| (v.index(), x))));
+        if let Some((lb, ub)) = hinted {
+            let relax = ctx.lp(&lb, &ub, None, iters)?;
+            if span.is_recording() {
+                let label = match relax.start {
+                    Start::Warm { .. } => "crash",
+                    Start::Cold => "cold",
+                    Start::Fallback(reason) => reason,
+                };
+                span.attr("hint_start", label);
+                span.attr("hint_iterations", relax.iterations);
+            }
+            if let LpOutcome::Optimal { x, obj } = relax.outcome {
+                self.offer_incumbent(x, obj + ctx.obj_constant)?;
+                hint_basis = relax.handoff;
+            }
+        }
+
+        // zero node budget + a hint-based incumbent: skip the root relaxation
+        // entirely (scalable heuristic mode — the LP polish *is* the answer)
+        if ctx.params.node_limit == 0 && self.best_objective().is_finite() {
+            return Ok(Some(End::Stopped(SolveStatus::LimitReached)));
+        }
+
+        // -- root relaxation --
+        let root = ctx.lp(ctx.base_lb, ctx.base_ub, hint_basis.as_ref(), iters)?;
+        if span.is_recording() {
+            let (warm, factored) = match root.start {
+                Start::Warm { factored } => (1usize, factored),
+                _ => (0, 0),
+            };
+            span.attr("warm_start", warm);
+            span.attr("factored_columns", factored);
+            if let Start::Fallback(reason) = root.start {
+                span.attr("fallback", reason);
+            }
+        }
+        let (x, bound) = match root.outcome {
+            LpOutcome::Optimal { x, obj } => (x, obj + ctx.obj_constant),
+            LpOutcome::TimedOut => return Ok(Some(End::Stopped(SolveStatus::LimitReached))),
+            LpOutcome::Infeasible => return Ok(Some(End::Stopped(SolveStatus::Infeasible))),
+            // an incumbent is still reported (Feasible): the integer model
+            // it solves is not unbounded in any sense we care about
+            LpOutcome::Unbounded => return Ok(Some(End::Stopped(SolveStatus::Unbounded))),
+            LpOutcome::Numerical(_) => unreachable!("mapped to Err by SearchCtx::lp"),
+        };
+        self.root_bound = bound;
+        if all_integral(&x, &ctx.int_vars) {
+            self.offer_incumbent(round_ints(x, &ctx.int_vars), bound)?;
+            return Ok(Some(End::Exhausted));
+        }
+
+        // -- rounding heuristic --
+        if ctx.params.rounding_heuristic && !self.best_objective().is_finite() {
+            if let Some((lb, ub)) = ctx.fixed_bounds(ctx.int_vars.iter().map(|&j| (j, x[j]))) {
+                if let LpOutcome::Optimal { x, obj } = ctx.lp(&lb, &ub, None, iters)?.outcome {
+                    self.offer_incumbent(x, obj + ctx.obj_constant)?;
+                }
+            }
+        }
+        span.attr("iterations", iters.load(Ordering::Relaxed));
+        // node 0 branches on the root solution in hand rather than re-solving
+        lock_clean(&self.heap).push(OpenNode {
+            id: 0,
+            lp_bound: bound,
+            depth: 0,
+            path: None,
+            solved: Some(x),
+        });
+        Ok(None)
+    }
+
+    /// Drains the pool on `threads` workers under the `bnb.search` span.
+    /// Returns how the search ended and each worker's busy time.
+    fn run(&self, threads: usize) -> (End, Vec<Duration>) {
+        let mut span = columba_obs::span("bnb.search");
+        let busy = if threads == 1 {
+            vec![self.run_worker()]
+        } else {
+            // Hand the observability context across the scope boundary so
+            // each worker's batch spans nest under this `bnb.search` span.
+            let obs_ctx = columba_obs::SpanContext::current();
+            std::thread::scope(|s| {
+                let handles: Vec<_> = (0..threads)
+                    .map(|_| {
+                        let obs_ctx = obs_ctx.clone();
+                        s.spawn(move || {
+                            let _obs = obs_ctx.as_ref().map(columba_obs::SpanContext::attach);
+                            self.run_worker()
+                        })
+                    })
+                    .collect();
+                // panics inside `process` are already contained; a join
+                // error here would mean the loop glue itself panicked —
+                // degrade to a zero busy-time reading rather than poisoning
+                // the caller
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or(Duration::ZERO))
+                    .collect()
+            })
+        };
+        if span.is_recording() {
+            span.attr("nodes", self.nodes_processed.load(Ordering::Relaxed));
+            span.attr("pruned", self.nodes_pruned.load(Ordering::Relaxed));
+        }
+        let end = if self.hit_limit.load(Ordering::Relaxed) {
+            End::Stopped(SolveStatus::LimitReached)
+        } else {
+            End::Exhausted
+        };
+        (end, busy)
+    }
+
+    /// The solve's one exit: status, bound and stats derived from the search
+    /// state and how the solve `end`ed. `searched` holds the search phase's
+    /// start offset and per-worker busy time when it ran; a solve that ended
+    /// in the root phase spent all its time there.
+    fn finish(
+        self,
+        end: End,
+        threads: usize,
+        searched: Option<(Duration, Vec<Duration>)>,
+    ) -> Result<MipResult, SolveError> {
+        if let Some(e) = (self.error.into_inner()).unwrap_or_else(PoisonError::into_inner) {
+            return Err(e);
+        }
+        let total_time = self.ctx.start.elapsed();
+        let (root_time, worker_busy) = searched.unwrap_or((total_time, Vec::new()));
+        let IncState { best, events } =
+            (self.incumbent.into_inner()).unwrap_or_else(PoisonError::into_inner);
+        let inc = best.as_ref().map(|(_, obj)| *obj);
+        let (status, bound) = match (end, inc) {
+            (End::Exhausted, Some(inc)) => (SolveStatus::Optimal, inc),
+            (End::Exhausted, None) => (SolveStatus::Infeasible, self.root_bound),
+            (End::Stopped(status), _) => {
+                // the heap still holds every unfinished node (workers
+                // requeue on a limit), so its top is the best proven dual
+                // bound; with none open it is the root's. A worker may
+                // requeue a node it popped just before a peer's improvement;
+                // a bound above the incumbent proves nothing, so cap it there.
+                let heap = (self.heap.into_inner()).unwrap_or_else(PoisonError::into_inner);
+                let top = heap.peek().map_or(self.root_bound, |n| n.lp_bound);
+                match inc {
+                    Some(inc) => (SolveStatus::Feasible, top.min(inc)),
+                    None => (status, top),
+                }
+            }
+        };
+        if let Some(inc) = inc {
+            debug_assert!(
+                bound <= inc + 1e-6 * inc.abs().max(1.0),
+                "dual bound {bound} exceeds the incumbent objective {inc}"
+            );
+        }
+        let sign = self.ctx.sign;
+        Ok(MipResult {
+            status,
+            solution: best.map(|(values, obj)| Solution {
+                values,
+                objective: sign * obj,
+            }),
+            best_bound: sign * bound,
+            stats: SolveStats {
+                threads,
+                nodes_processed: self.nodes_processed.into_inner(),
+                nodes_pruned: self.nodes_pruned.into_inner(),
+                simplex_iterations: self.simplex_iterations.into_inner(),
+                worker_panics: self.worker_panics.into_inner(),
+                root_time,
+                search_time: total_time - root_time,
+                total_time,
+                incumbents: events,
+                worker_busy,
+            },
+        })
+    }
 }
 
 pub(crate) fn solve(
@@ -589,298 +847,26 @@ pub(crate) fn solve(
     let mut solve_span = columba_obs::span("milp.solve");
     let start = Instant::now();
     let ctx = SearchCtx::new(model, params, start);
-    let sign = ctx.sign;
     let threads = params.resolved_threads();
     if solve_span.is_recording() {
         solve_span.attr("vars", model.num_vars());
         solve_span.attr("constraints", model.num_constraints());
         solve_span.attr("threads", threads);
     }
-
-    // Constant-only constraints that are unsatisfiable make the model
-    // trivially infeasible; satisfied ones are dropped by the presolve.
-    for r in ctx.base_rows.iter() {
-        if r.cols.is_empty() {
-            let ok = match r.sense {
-                Sense::Le => 0.0 <= r.rhs + 1e-9,
-                Sense::Ge => 0.0 >= r.rhs - 1e-9,
-                Sense::Eq => r.rhs.abs() <= 1e-9,
-            };
-            if !ok {
-                let stats = root_stats(threads, 0, Vec::new(), start);
-                return Ok(finish(
-                    SolveStatus::Infeasible,
-                    None,
-                    f64::NEG_INFINITY,
-                    sign,
-                    stats,
-                ));
-            }
+    let mut search = Search::new(&ctx);
+    let (end, searched) = match search.root(hint)? {
+        Some(end) => (end, None),
+        None => {
+            let root_time = start.elapsed();
+            let (end, busy) = search.run(threads);
+            (end, Some((root_time, busy)))
         }
-    }
-
-    let mut root_span = columba_obs::span("milp.root");
-    let mut root_iters = 0usize;
-    let mut incumbent: Option<(Vec<f64>, f64)> = None; // (values, min-sense obj)
-    let mut events: Vec<IncumbentEvent> = Vec::new();
-    let offer_root = |incumbent: &mut Option<(Vec<f64>, f64)>,
-                      events: &mut Vec<IncumbentEvent>,
-                      x: Vec<f64>,
-                      obj: f64| {
-        ctx.certify(&x)?;
-        if incumbent.as_ref().is_none_or(|(_, b)| obj < *b) {
-            *incumbent = Some((x, obj));
-            events.push(IncumbentEvent {
-                at: start.elapsed(),
-                objective: sign * obj,
-            });
-        }
-        Ok::<(), SolveError>(())
     };
-
-    // -- hint: fix integers, solve the remaining LP; its optimal basis is
-    // the root relaxation's start --
-    let mut hint_basis: Option<Handoff> = None;
-    if let Some(hint) = hint {
-        let mut lb = ctx.base_lb.to_vec();
-        let mut ub = ctx.base_ub.to_vec();
-        let mut valid = true;
-        for &(v, val) in hint {
-            let i = v.index();
-            let r = val.round();
-            if r < ctx.base_lb[i] - 1e-9 || r > ctx.base_ub[i] + 1e-9 {
-                valid = false;
-                break;
-            }
-            lb[i] = r;
-            ub[i] = r;
-        }
-        if valid {
-            let relax = ctx.lp(&lb, &ub, None, &mut root_iters)?;
-            if root_span.is_recording() {
-                let label = match relax.start {
-                    Start::Warm { .. } => "crash",
-                    Start::Cold => "cold",
-                    Start::Fallback(reason) => reason,
-                };
-                root_span.attr("hint_start", label);
-                root_span.attr("hint_iterations", relax.iterations);
-            }
-            if let LpOutcome::Optimal { x, obj } = relax.outcome {
-                offer_root(&mut incumbent, &mut events, x, obj + ctx.obj_constant)?;
-                hint_basis = relax.handoff;
-            }
-        }
-    }
-
-    // zero node budget + a hint-based incumbent: skip the root relaxation
-    // entirely (scalable heuristic mode — the LP polish *is* the answer)
-    if params.node_limit == 0 && incumbent.is_some() {
-        let stats = root_stats(threads, root_iters, events, start);
-        return Ok(finish(
-            SolveStatus::Feasible,
-            incumbent,
-            f64::NEG_INFINITY,
-            sign,
-            stats,
-        ));
-    }
-
-    // -- root relaxation --
-    let root = ctx.lp(
-        ctx.base_lb,
-        ctx.base_ub,
-        hint_basis.as_ref(),
-        &mut root_iters,
-    )?;
-    if root_span.is_recording() {
-        let (warm, factored) = match root.start {
-            Start::Warm { factored } => (1usize, factored),
-            _ => (0, 0),
-        };
-        root_span.attr("warm_start", warm);
-        root_span.attr("factored_columns", factored);
-        if let Start::Fallback(reason) = root.start {
-            root_span.attr("fallback", reason);
-        }
-    }
-    let (root_x, root_bound) = match root.outcome {
-        LpOutcome::TimedOut => {
-            let status = if incumbent.is_some() {
-                SolveStatus::Feasible
-            } else {
-                SolveStatus::LimitReached
-            };
-            let stats = root_stats(threads, root_iters, events, start);
-            return Ok(finish(status, incumbent, f64::NEG_INFINITY, sign, stats));
-        }
-        LpOutcome::Optimal { x, obj } => (x, obj + ctx.obj_constant),
-        LpOutcome::Infeasible => {
-            let status = if incumbent.is_some() {
-                SolveStatus::Feasible
-            } else {
-                SolveStatus::Infeasible
-            };
-            let stats = root_stats(threads, root_iters, events, start);
-            return Ok(finish(status, incumbent, f64::NEG_INFINITY, sign, stats));
-        }
-        LpOutcome::Unbounded => {
-            // With an incumbent the model cannot be truly unbounded in the
-            // integer sense we care about; report what we know.
-            let status = if incumbent.is_some() {
-                SolveStatus::Feasible
-            } else {
-                SolveStatus::Unbounded
-            };
-            let stats = root_stats(threads, root_iters, events, start);
-            return Ok(finish(status, incumbent, f64::NEG_INFINITY, sign, stats));
-        }
-        LpOutcome::Numerical(_) => unreachable!("mapped to Err above"),
-    };
-
-    // integral root?
-    if all_integral(&root_x, &ctx.int_vars) {
-        offer_root(
-            &mut incumbent,
-            &mut events,
-            round_ints(root_x, &ctx.int_vars),
-            root_bound,
-        )?;
-        let stats = root_stats(threads, root_iters, events, start);
-        return Ok(finish(
-            SolveStatus::Optimal,
-            incumbent,
-            root_bound,
-            sign,
-            stats,
-        ));
-    }
-
-    // -- rounding heuristic --
-    if params.rounding_heuristic && incumbent.is_none() {
-        let mut lb = ctx.base_lb.to_vec();
-        let mut ub = ctx.base_ub.to_vec();
-        for &i in &ctx.int_vars {
-            let r = root_x[i].round().clamp(ctx.base_lb[i], ctx.base_ub[i]);
-            lb[i] = r;
-            ub[i] = r;
-        }
-        if let LpOutcome::Optimal { x, obj } = ctx.lp(&lb, &ub, None, &mut root_iters)?.outcome {
-            offer_root(&mut incumbent, &mut events, x, obj + ctx.obj_constant)?;
-        }
-    }
-
-    // -- branch & bound over the shared node pool --
-    root_span.attr("iterations", root_iters);
-    drop(root_span);
-    let mut search_span = columba_obs::span("bnb.search");
-    let root_time = start.elapsed();
-    let mut heap = BinaryHeap::new();
-    // node 0 branches on the root solution in hand rather than re-solving
-    heap.push(OpenNode {
-        id: 0,
-        lp_bound: root_bound,
-        depth: 0,
-        path: None,
-        solved: Some(root_x),
-    });
-    let best_bits = incumbent
-        .as_ref()
-        .map_or(f64::INFINITY, |(_, b)| *b)
-        .to_bits();
-    let search = Search {
-        ctx: &ctx,
-        heap: Mutex::new(heap),
-        active: AtomicUsize::new(0),
-        stop: AtomicBool::new(false),
-        hit_limit: AtomicBool::new(false),
-        error: Mutex::new(None),
-        incumbent: Mutex::new(IncState {
-            best: incumbent,
-            events,
-        }),
-        best_obj: AtomicU64::new(best_bits),
-        nodes_processed: AtomicUsize::new(0),
-        nodes_pruned: AtomicUsize::new(0),
-        simplex_iterations: AtomicUsize::new(0),
-        worker_panics: AtomicUsize::new(0),
-        next_id: AtomicU64::new(1),
-    };
-
-    let worker_busy: Vec<Duration> = if threads == 1 {
-        vec![search.run_worker()]
-    } else {
-        // Hand the observability context across the scope boundary so each
-        // worker's batch spans nest under this thread's `bnb.search` span.
-        let obs_ctx = columba_obs::SpanContext::current();
-        std::thread::scope(|s| {
-            let search = &search;
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let obs_ctx = obs_ctx.clone();
-                    s.spawn(move || {
-                        let _obs = obs_ctx.as_ref().map(columba_obs::SpanContext::attach);
-                        search.run_worker()
-                    })
-                })
-                .collect();
-            // panics inside `process` are already contained; a join error
-            // here would mean the loop glue itself panicked — degrade to a
-            // zero busy-time reading rather than poisoning the caller
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or(Duration::ZERO))
-                .collect()
-        })
-    };
-
-    if let Some(e) = search
-        .error
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-    {
-        return Err(e);
-    }
-    let hit_limit = search.hit_limit.load(Ordering::Relaxed);
-    let heap = search
-        .heap
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner);
-    let IncState {
-        best: incumbent,
-        events,
-    } = search
-        .incumbent
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner);
-
-    let status = match (&incumbent, hit_limit) {
-        (Some(_), false) => SolveStatus::Optimal,
-        (Some(_), true) => SolveStatus::Feasible,
-        (None, true) => SolveStatus::LimitReached,
-        (None, false) => SolveStatus::Infeasible,
-    };
-    let bound = if hit_limit {
-        // the heap still holds every unfinished node (workers requeue on a
-        // limit), so its top is the best proven dual bound. A worker may
-        // requeue a node it popped just before a peer's improvement; a
-        // bound above the incumbent proves nothing, so cap it there.
-        let top = heap.peek().map_or(root_bound, |n| n.lp_bound);
-        incumbent.as_ref().map_or(top, |(_, inc)| top.min(*inc))
-    } else {
-        incumbent.as_ref().map_or(root_bound, |(_, inc)| *inc)
-    };
-
-    let total_time = start.elapsed();
-    if search_span.is_recording() {
-        search_span.attr("nodes", search.nodes_processed.load(Ordering::Relaxed));
-        search_span.attr("pruned", search.nodes_pruned.load(Ordering::Relaxed));
-    }
-    drop(search_span);
+    let result = search.finish(end, threads, searched)?;
     if solve_span.is_recording() {
         solve_span.attr(
             "status",
-            match status {
+            match result.status {
                 SolveStatus::Optimal => "optimal",
                 SolveStatus::Feasible => "feasible",
                 SolveStatus::Infeasible => "infeasible",
@@ -889,61 +875,7 @@ pub(crate) fn solve(
             },
         );
     }
-    let stats = SolveStats {
-        threads,
-        nodes_processed: search.nodes_processed.into_inner(),
-        nodes_pruned: search.nodes_pruned.into_inner(),
-        simplex_iterations: root_iters + search.simplex_iterations.into_inner(),
-        worker_panics: search.worker_panics.into_inner(),
-        root_time,
-        search_time: total_time - root_time,
-        total_time,
-        incumbents: events,
-        worker_busy,
-    };
-    Ok(finish(status, incumbent, bound, sign, stats))
-}
-
-/// Stats for a solve that ended during the root phase (no search workers).
-fn root_stats(
-    threads: usize,
-    simplex_iterations: usize,
-    incumbents: Vec<IncumbentEvent>,
-    start: Instant,
-) -> SolveStats {
-    let elapsed = start.elapsed();
-    SolveStats {
-        threads,
-        simplex_iterations,
-        root_time: elapsed,
-        total_time: elapsed,
-        incumbents,
-        ..SolveStats::default()
-    }
-}
-
-fn finish(
-    status: SolveStatus,
-    incumbent: Option<(Vec<f64>, f64)>,
-    bound: f64,
-    sign: f64,
-    stats: SolveStats,
-) -> MipResult {
-    if let Some((_, obj)) = &incumbent {
-        debug_assert!(
-            bound <= obj + 1e-6 * obj.abs().max(1.0),
-            "dual bound {bound} exceeds the incumbent objective {obj}"
-        );
-    }
-    MipResult {
-        status,
-        solution: incumbent.map(|(values, obj)| Solution {
-            values,
-            objective: sign * obj,
-        }),
-        best_bound: sign * bound,
-        stats,
-    }
+    Ok(result)
 }
 
 /// An optimal basis in the base model's indices, with the point it sits
@@ -1715,6 +1647,181 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| e.name == "simplex.phase1" && e.parent == Some(root.id)));
+    }
+
+    /// One row of [`every_exit_reports_its_status_bound_and_work`]: what a
+    /// solve ended with.
+    #[derive(Debug, PartialEq)]
+    struct Exit {
+        status: SolveStatus,
+        objective: Option<f64>,
+        bound: f64,
+        nodes: usize,
+        iterations: usize,
+        incumbents: usize,
+        searched: bool,
+    }
+
+    fn exit(r: &MipResult) -> Exit {
+        let s = r.stats();
+        assert_eq!(s.total_time, s.root_time + s.search_time, "{s:?}");
+        Exit {
+            status: r.status(),
+            objective: r.solution().map(Solution::objective),
+            bound: r.best_bound(),
+            nodes: r.nodes(),
+            iterations: r.simplex_iterations(),
+            incumbents: s.incumbents.len(),
+            searched: !s.worker_busy.is_empty(),
+        }
+    }
+
+    #[test]
+    fn every_exit_reports_its_status_bound_and_work() {
+        // min 2a + 3b + 4c + 5d over binaries with 3a + 4b + 5c + 6d ≥ 9.5:
+        // the root LP is fractional, so the search branches
+        let cover = || {
+            let mut m = Model::new();
+            let v: Vec<_> = (0..4).map(|_| m.bin_var()).collect();
+            let mut weight = Model::expr();
+            let mut cost = Model::expr();
+            for (i, &x) in v.iter().enumerate() {
+                weight = weight.term(3.0 + i as f64, x);
+                cost = cost.term(2.0 + i as f64, x);
+            }
+            m.constraint(weight, Sense::Ge, 9.5);
+            m.minimize(cost);
+            (m, v)
+        };
+        let solve = |m: &Model, params: SolveParams, hint: Option<&[(VarId, f64)]>| {
+            exit(
+                &solve(
+                    m,
+                    &SolveParams {
+                        threads: 1,
+                        ..params
+                    },
+                    hint,
+                )
+                .unwrap(),
+            )
+        };
+        let root_exit = |status, objective, bound, iterations, incumbents| Exit {
+            status,
+            objective,
+            bound,
+            nodes: 0,
+            iterations,
+            incumbents,
+            searched: false,
+        };
+        let ninf = f64::NEG_INFINITY;
+
+        // a constant row 1 ≤ 0
+        let mut m = Model::new();
+        let _ = m.num_var(0.0, 1.0);
+        m.constraint(Model::expr().plus(1.0), Sense::Le, 0.0);
+        assert_eq!(
+            solve(&m, p(), None),
+            root_exit(SolveStatus::Infeasible, None, ninf, 0, 0)
+        );
+
+        // a zero node budget with a hint: the hint LP's polish is the answer
+        let (m, v) = cover();
+        let hint = [(v[0], 0.0), (v[1], 0.0), (v[2], 1.0), (v[3], 1.0)];
+        let zero = SolveParams {
+            node_limit: 0,
+            ..p()
+        };
+        assert_eq!(
+            solve(&m, zero, Some(&hint)),
+            root_exit(SolveStatus::Feasible, Some(9.0), ninf, 0, 1)
+        );
+
+        // a token cancelled before the solve: the root LP stops at once
+        let token = CancelToken::new();
+        token.cancel();
+        let cancelled = SolveParams {
+            cancel: Some(token),
+            ..p()
+        };
+        assert_eq!(
+            solve(&m, cancelled, None),
+            root_exit(SolveStatus::LimitReached, None, ninf, 0, 0)
+        );
+
+        // x + y ≤ 1 and x + y ≥ 2: phase 1 proves the root infeasible
+        let mut m = Model::new();
+        let x = m.num_var(0.0, 10.0);
+        let y = m.num_var(0.0, 10.0);
+        m.constraint(Model::expr().term(1.0, x).term(1.0, y), Sense::Le, 1.0);
+        m.constraint(Model::expr().term(1.0, x).term(1.0, y), Sense::Ge, 2.0);
+        m.minimize(Model::expr().term(1.0, x));
+        assert_eq!(
+            solve(&m, p(), None),
+            root_exit(SolveStatus::Infeasible, None, ninf, 1, 0)
+        );
+
+        // min −x − y along an unbounded strip
+        let mut m = Model::new();
+        let x = m.num_var(0.0, f64::INFINITY);
+        let y = m.num_var(0.0, f64::INFINITY);
+        m.constraint(Model::expr().term(1.0, x).term(-1.0, y), Sense::Le, 1.0);
+        m.constraint(Model::expr().term(-1.0, x).term(1.0, y), Sense::Le, 1.0);
+        m.minimize(Model::expr().term(-1.0, x).term(-1.0, y));
+        assert_eq!(
+            solve(&m, p(), None),
+            root_exit(SolveStatus::Unbounded, None, ninf, 1, 0)
+        );
+
+        // min x + 2y over integers with x + y ≥ 2: the root vertex is integral
+        let mut m = Model::new();
+        let x = m.int_var(0.0, 10.0);
+        let y = m.int_var(0.0, 10.0);
+        m.constraint(Model::expr().term(1.0, x).term(1.0, y), Sense::Ge, 2.0);
+        m.minimize(Model::expr().term(1.0, x).term(2.0, y));
+        assert_eq!(
+            solve(&m, p(), None),
+            root_exit(SolveStatus::Optimal, Some(2.0), 2.0, 1, 1)
+        );
+
+        // the search proves the cover's optimum 8 (b + d)
+        let (m, _) = cover();
+        let no_rounding = || SolveParams {
+            rounding_heuristic: false,
+            ..p()
+        };
+        assert_eq!(
+            solve(&m, no_rounding(), None),
+            Exit {
+                status: SolveStatus::Optimal,
+                objective: Some(8.0),
+                bound: 8.0,
+                nodes: 15,
+                iterations: 19,
+                incumbents: 2,
+                searched: true,
+            }
+        );
+
+        // one node branches on the root and stops: the bound is the open
+        // children's, the root LP's 7
+        let one = SolveParams {
+            node_limit: 1,
+            ..no_rounding()
+        };
+        assert_eq!(
+            solve(&m, one, None),
+            Exit {
+                status: SolveStatus::LimitReached,
+                objective: None,
+                bound: 7.0,
+                nodes: 1,
+                iterations: 6,
+                incumbents: 0,
+                searched: true,
+            }
+        );
     }
 
     #[test]
