@@ -258,6 +258,22 @@ section_smoke() {
   METRICS=$(curl -sfS "http://$ADDR/metrics")
   printf '%s\n' "$METRICS" | grep -q '^assay_jobs 2$'
   printf '%s\n' "$METRICS" | grep -q '^cache_hits 1$'
+  # a batch dedups assays on their canonical text, as the cache keys them:
+  # an extra comment line leaves one unique member
+  ABATCH_BODY=$(mktemp)
+  cat cases/pooled_capture.assay >"$ABATCH_BODY"
+  printf '%%%%\n# the same assay, resubmitted\n' >>"$ABATCH_BODY"
+  cat cases/pooled_capture.assay >>"$ABATCH_BODY"
+  ABATCH_ID=$(curl -sfS -X POST --data-binary @"$ABATCH_BODY" "http://$ADDR/batch" \
+    | awk '$1=="batch"{print $2}')
+  [ -n "$ABATCH_ID" ] || { echo "assay batch submit failed"; exit 1; }
+  for _ in $(seq 1 240); do
+    ABATCH_STATUS=$(curl -sfS "http://$ADDR/batch/$ABATCH_ID")
+    printf '%s\n' "$ABATCH_STATUS" | grep -q '^state done$' && break
+    sleep 0.5
+  done
+  printf '%s\n' "$ABATCH_STATUS" | grep -q '^unique 1$' \
+    || { echo "duplicate assay members did not dedup: $ABATCH_STATUS"; exit 1; }
   # malformed bodies are rejected up front with a structured 400
   ACYCLIC=$(mktemp)
   printf 'assay cyc\nop a duration=1 device=mixer\nop b duration=1 device=mixer\ndep a -> b\ndep b -> a\n' >"$ACYCLIC"

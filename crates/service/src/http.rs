@@ -118,12 +118,6 @@ pub struct HttpConfig {
     /// heartbeat — the write doubles as disconnect detection, so an
     /// abandoned stream is torn down within one heartbeat.
     pub sse_heartbeat: Duration,
-    /// Legacy poll interval, retained for configuration compatibility.
-    /// Event streams now block on the service's event condvar (woken by
-    /// every trace event and by shutdown) with waits bounded by the
-    /// next heartbeat or the stream deadline, so nothing paces on this
-    /// value any more.
-    pub sse_poll: Duration,
 }
 
 impl Default for HttpConfig {
@@ -136,7 +130,6 @@ impl Default for HttpConfig {
             max_connections: 64,
             sse_deadline: Duration::from_secs(300),
             sse_heartbeat: Duration::from_secs(5),
-            sse_poll: Duration::from_millis(50),
         }
     }
 }
@@ -604,37 +597,6 @@ fn query_has(query: &str, key: &str, value: &str) -> bool {
         .any(|pair| pair.split_once('=') == Some((key, value)))
 }
 
-/// The bounded-cardinality label a request is observed under: the route
-/// pattern it matched, never the raw path.
-fn route_label(req: &Request) -> &'static str {
-    let (path, _) = split_target(&req.path);
-    let segments: Vec<&str> = path
-        .trim_matches('/')
-        .split('/')
-        .filter(|s| !s.is_empty())
-        .collect();
-    match (req.method, segments.as_slice()) {
-        (Method::Post, ["synthesize"]) => "POST /synthesize",
-        (Method::Post, ["synthesize-assay"]) => "POST /synthesize-assay",
-        (Method::Post, ["batch"]) => "POST /batch",
-        (Method::Get, ["jobs", _]) => "GET /jobs/{id}",
-        (Method::Get, ["jobs", _, "svg"]) => "GET /jobs/{id}/svg",
-        (Method::Get, ["jobs", _, "scr"]) => "GET /jobs/{id}/scr",
-        (Method::Get, ["jobs", _, "trace"]) => "GET /jobs/{id}/trace",
-        (Method::Get, ["jobs", _, "events"]) => "GET /jobs/{id}/events",
-        (Method::Get, ["jobs", _, "profile"]) => "GET /jobs/{id}/profile",
-        (Method::Delete, ["jobs", _]) => "DELETE /jobs/{id}",
-        (Method::Get, ["batch", _]) => "GET /batch/{id}",
-        (Method::Get, ["batch", _, "events"]) => "GET /batch/{id}/events",
-        (Method::Get, ["metrics"]) => "GET /metrics",
-        (Method::Get, ["slo"]) => "GET /slo",
-        (Method::Get, ["trace"]) => "GET /trace",
-        (Method::Get, ["profile"]) => "GET /profile",
-        (Method::Get, ["healthz"]) => "GET /healthz",
-        _ => "other",
-    }
-}
-
 /// Parses the `?class=` override; `None` on an unknown class name.
 fn parse_class(query: &str, default: QosClass) -> Option<QosClass> {
     query
@@ -682,201 +644,226 @@ fn submit_error_response(service: &Service, e: &SubmitError) -> Response {
     }
 }
 
-fn route(service: &Service, req: Request) -> Routed {
-    Routed::Plain(match route_inner(service, req) {
-        Ok(response) => response,
-        Err(routed) => return routed,
-    })
-}
-
-/// The routing table proper. Plain responses come back as `Ok`; the
-/// event-stream routes short-circuit with `Err(Routed::..Events)` once
-/// the target is known to exist (unknown ids still get a plain 404 —
-/// a stream must not commit a 200 head for a job that is not there).
-#[allow(clippy::too_many_lines)]
-fn route_inner(service: &Service, req: Request) -> Result<Response, Routed> {
+/// The routing table. Every arm names the bounded-cardinality label its
+/// request is observed under: the route pattern, never the raw path. The
+/// event-stream routes answer `Routed::..Events` once the target is
+/// known to exist (unknown ids still get a plain 404 — a stream must not
+/// commit a 200 head for a job that is not there). A `jobs`/`batch` route
+/// is matched before its id is parsed, so an unknown sub-route is
+/// `other` whatever its id.
+fn route(service: &Service, req: Request) -> (&'static str, Routed) {
     let (path, query) = split_target(&req.path);
     let segments: Vec<&str> = path
         .trim_matches('/')
         .split('/')
         .filter(|s| !s.is_empty())
         .collect();
-    Ok(match (req.method, segments.as_slice()) {
-        (Method::Post, [route @ ("synthesize" | "synthesize-assay")]) => {
-            let what = if *route == "synthesize" {
-                "netlist"
-            } else {
-                "assay"
-            };
-            let Ok(text) = String::from_utf8(req.body) else {
-                return Ok(Response::text(
-                    400,
-                    format!("error {what} body is not UTF-8\n"),
-                ));
-            };
-            if text.trim().is_empty() {
-                return Ok(Response::text(400, format!("error empty {what} body\n")));
-            }
-            let Some(class) = parse_class(query, QosClass::Interactive) else {
-                return Ok(Response::text(
-                    400,
-                    "error class must be interactive or bulk\n",
-                ));
-            };
-            // Eager assay validation so malformed bodies and cyclic graphs
-            // are structured 4xx at the boundary (the worker re-parses the
-            // journaled text, which by then is known good).
-            if what == "assay" {
-                if let Err(e) = columba_schedule::Assay::parse(&text) {
-                    return Ok(Response::text(400, format!("error assay error: {e}\n")));
-                }
-            }
-            match service.submit_text_as(text, class) {
-                Ok(id) => Response::text(202, format!("id {id}\n")),
-                Err(e) => submit_error_response(service, &e),
-            }
-        }
-        (Method::Post, ["batch"]) => {
-            let Ok(text) = String::from_utf8(req.body) else {
-                return Ok(Response::text(400, "error batch body is not UTF-8\n"));
-            };
-            let members = split_batch_members(&text);
-            if members.is_empty() {
-                return Ok(Response::text(400, "error empty batch body\n"));
-            }
-            let Some(class) = parse_class(query, QosClass::Bulk) else {
-                return Ok(Response::text(
-                    400,
-                    "error class must be interactive or bulk\n",
-                ));
-            };
-            match service.submit_batch(&members, class) {
-                Ok((batch, jobs)) => {
-                    use std::fmt::Write as _;
-                    let mut body = format!("batch {batch}\nmembers {}\n", jobs.len());
-                    for (index, job) in jobs.iter().enumerate() {
-                        let _ = writeln!(body, "member {index} job {job}");
-                    }
-                    Response::text(202, body)
-                }
-                Err(e) => submit_error_response(service, &e),
-            }
-        }
-        (Method::Get, ["batch", id]) => match id.parse().ok().map(BatchId) {
-            Some(id) => match service.batch_status(id) {
-                Some(status) => Response::text(200, status.render()),
-                None => Response::text(404, format!("error no batch {id}\n")),
-            },
-            None => Response::text(400, "error batch id must be an integer\n"),
-        },
-        (Method::Get, ["batch", id, "events"]) => match id.parse().ok().map(BatchId) {
-            Some(id) => {
-                if service.batch_status(id).is_some() {
-                    return Err(Routed::BatchEvents(id));
-                }
-                Response::text(404, format!("error no batch {id}\n"))
-            }
-            None => Response::text(400, "error batch id must be an integer\n"),
-        },
-        (Method::Get, ["jobs", id, "events"]) => match parse_id(id) {
-            Some(id) => {
-                if service.status(id).is_some() {
-                    return Err(Routed::JobEvents(id));
-                }
-                Response::text(404, format!("error no job {id}\n"))
-            }
-            None => Response::text(400, "error job id must be an integer\n"),
-        },
-        (Method::Get, ["jobs", id]) => match parse_id(id) {
-            Some(id) => match service.status(id) {
-                Some(status) => Response::text(200, status.render()),
-                None => Response::text(404, format!("error no job {id}\n")),
-            },
-            None => Response::text(400, "error job id must be an integer\n"),
-        },
-        (Method::Get, ["jobs", id, format @ ("svg" | "scr")]) => match parse_id(id) {
-            Some(id) => {
-                let kind = if *format == "svg" {
-                    ExportKind::Svg
-                } else {
-                    ExportKind::Scr
-                };
-                match service.export(id, kind) {
-                    Ok(design) => match kind {
-                        ExportKind::Svg => Response::svg(design.svg.clone()),
-                        ExportKind::Scr => Response::text(200, design.scr.clone()),
-                    },
-                    Err(ExportError::NotFound) => {
-                        Response::text(404, format!("error no job {id}\n"))
-                    }
-                    Err(ExportError::NotReady(state)) => {
-                        Response::text(409, format!("error job {id} is {state}, no design\n"))
-                    }
-                }
-            }
-            None => Response::text(400, "error job id must be an integer\n"),
-        },
-        (Method::Delete, ["jobs", id]) => match parse_id(id) {
-            Some(id) => {
-                if service.cancel(id) {
-                    Response::text(200, format!("cancelled {id}\n"))
-                } else {
-                    Response::text(
-                        404,
-                        format!("error job {id} not found or already terminal\n"),
-                    )
-                }
-            }
-            None => Response::text(400, "error job id must be an integer\n"),
-        },
-        (Method::Get, ["jobs", id, "trace"]) => match parse_id(id) {
-            Some(id) => match service.job_trace(id) {
-                Some(jsonl) => Response::jsonl(jsonl),
-                None => Response::text(404, format!("error no job {id}\n")),
-            },
-            None => Response::text(400, "error job id must be an integer\n"),
-        },
-        (Method::Get, ["jobs", id, "profile"]) => match parse_id(id) {
-            Some(id) => match service.job_profile(id) {
-                Ok(json) => Response::json(json),
-                Err(ProfileError::NotFound) => Response::text(404, format!("error no job {id}\n")),
-                Err(ProfileError::NotReady(state)) => Response::text(
-                    409,
-                    format!("error job {id} is {state}, profile not ready\n"),
+    let plain = |label, response| (label, Routed::Plain(response));
+    match (req.method, segments.as_slice()) {
+        (Method::Post, ["synthesize"]) => plain(
+            "POST /synthesize",
+            submit(service, "netlist", req.body, query),
+        ),
+        (Method::Post, ["synthesize-assay"]) => plain(
+            "POST /synthesize-assay",
+            submit(service, "assay", req.body, query),
+        ),
+        (Method::Post, ["batch"]) => plain("POST /batch", submit_batch(service, req.body, query)),
+        (method, ["jobs", raw, rest @ ..]) => {
+            let id = parse_id(raw);
+            let no_job = |id| Response::text(404, format!("error no job {id}\n"));
+            let (label, routed) = match (method, rest) {
+                (Method::Get, []) => (
+                    "GET /jobs/{id}",
+                    id.map(|id| match service.status(id) {
+                        Some(status) => Routed::Plain(Response::text(200, status.render())),
+                        None => Routed::Plain(no_job(id)),
+                    }),
                 ),
-                Err(ProfileError::Disabled) => {
-                    Response::text(409, format!("error job {id} has no profile\n"))
-                }
-            },
-            None => Response::text(400, "error job id must be an integer\n"),
-        },
-        (Method::Get, ["metrics"]) => {
+                (Method::Get, ["svg"]) => (
+                    "GET /jobs/{id}/svg",
+                    id.map(|id| Routed::Plain(export(service, id, ExportKind::Svg))),
+                ),
+                (Method::Get, ["scr"]) => (
+                    "GET /jobs/{id}/scr",
+                    id.map(|id| Routed::Plain(export(service, id, ExportKind::Scr))),
+                ),
+                (Method::Get, ["trace"]) => (
+                    "GET /jobs/{id}/trace",
+                    id.map(|id| match service.job_trace(id) {
+                        Some(jsonl) => Routed::Plain(Response::jsonl(jsonl)),
+                        None => Routed::Plain(no_job(id)),
+                    }),
+                ),
+                (Method::Get, ["events"]) => (
+                    "GET /jobs/{id}/events",
+                    id.map(|id| match service.status(id) {
+                        Some(_) => Routed::JobEvents(id),
+                        None => Routed::Plain(no_job(id)),
+                    }),
+                ),
+                (Method::Get, ["profile"]) => (
+                    "GET /jobs/{id}/profile",
+                    id.map(|id| Routed::Plain(profile(service, id))),
+                ),
+                (Method::Delete, []) => (
+                    "DELETE /jobs/{id}",
+                    id.map(|id| {
+                        Routed::Plain(if service.cancel(id) {
+                            Response::text(200, format!("cancelled {id}\n"))
+                        } else {
+                            Response::text(
+                                404,
+                                format!("error job {id} not found or already terminal\n"),
+                            )
+                        })
+                    }),
+                ),
+                _ => return plain("other", no_route(path)),
+            };
+            let bad_id = || Routed::Plain(Response::text(400, "error job id must be an integer\n"));
+            (label, routed.unwrap_or_else(bad_id))
+        }
+        (Method::Get, ["batch", raw, rest @ ..]) => {
+            let id = raw.parse().ok().map(BatchId);
+            let no_batch = |id| Response::text(404, format!("error no batch {id}\n"));
+            let (label, routed) = match rest {
+                [] => (
+                    "GET /batch/{id}",
+                    id.map(|id| match service.batch_status(id) {
+                        Some(status) => Routed::Plain(Response::text(200, status.render())),
+                        None => Routed::Plain(no_batch(id)),
+                    }),
+                ),
+                ["events"] => (
+                    "GET /batch/{id}/events",
+                    id.map(|id| match service.batch_status(id) {
+                        Some(_) => Routed::BatchEvents(id),
+                        None => Routed::Plain(no_batch(id)),
+                    }),
+                ),
+                _ => return plain("other", no_route(path)),
+            };
+            let bad_id =
+                || Routed::Plain(Response::text(400, "error batch id must be an integer\n"));
+            (label, routed.unwrap_or_else(bad_id))
+        }
+        (Method::Get, ["metrics"]) => plain(
+            "GET /metrics",
             if query_has(query, "format", "prometheus") {
                 Response::text(200, service.metrics().render_prometheus())
             } else {
                 Response::text(200, service.metrics().render())
-            }
+            },
+        ),
+        (Method::Get, ["slo"]) => {
+            plain("GET /slo", Response::json(service.slo_snapshot().to_json()))
         }
-        (Method::Get, ["slo"]) => Response::json(service.slo_snapshot().to_json()),
-        (Method::Get, ["trace"]) => Response::jsonl(service.service_trace()),
-        (Method::Get, ["profile"]) => Response::json(service.http_profile()),
-        (Method::Get, ["healthz"]) => {
-            // deliberately never blocks on readiness: this is the one
-            // route a load balancer can poll while startup recovery is
-            // still replaying the journal
-            let health = service.health();
-            let mut response = Response::json(health.to_json());
-            if !health.ready {
-                response.status = 503;
-                // a short fixed hint — recovery progress is not
-                // predictable from queue depth, and the depth accessors
-                // themselves gate on readiness
-                response = response.with_retry_after(1);
-            }
-            response
+        (Method::Get, ["trace"]) => plain("GET /trace", Response::jsonl(service.service_trace())),
+        (Method::Get, ["profile"]) => plain("GET /profile", Response::json(service.http_profile())),
+        (Method::Get, ["healthz"]) => plain("GET /healthz", healthz(service)),
+        _ => plain("other", no_route(path)),
+    }
+}
+
+fn no_route(path: &str) -> Response {
+    Response::text(404, format!("error no route for {path}\n"))
+}
+
+/// `POST /synthesize` (`what` = `netlist`) and `POST /synthesize-assay`
+/// (`what` = `assay`).
+fn submit(service: &Service, what: &str, body: Vec<u8>, query: &str) -> Response {
+    let Ok(text) = String::from_utf8(body) else {
+        return Response::text(400, format!("error {what} body is not UTF-8\n"));
+    };
+    if text.trim().is_empty() {
+        return Response::text(400, format!("error empty {what} body\n"));
+    }
+    let Some(class) = parse_class(query, QosClass::Interactive) else {
+        return Response::text(400, "error class must be interactive or bulk\n");
+    };
+    // Eager assay validation so malformed bodies and cyclic graphs
+    // are structured 4xx at the boundary (the worker re-parses the
+    // journaled text, which by then is known good).
+    if what == "assay" {
+        if let Err(e) = columba_schedule::Assay::parse(&text) {
+            return Response::text(400, format!("error assay error: {e}\n"));
         }
-        _ => Response::text(404, format!("error no route for {path}\n")),
-    })
+    }
+    match service.submit_text_as(text, class) {
+        Ok(id) => Response::text(202, format!("id {id}\n")),
+        Err(e) => submit_error_response(service, &e),
+    }
+}
+
+/// `POST /batch`: members split on `%%` lines, admitted as one group.
+fn submit_batch(service: &Service, body: Vec<u8>, query: &str) -> Response {
+    let Ok(text) = String::from_utf8(body) else {
+        return Response::text(400, "error batch body is not UTF-8\n");
+    };
+    let members = split_batch_members(&text);
+    if members.is_empty() {
+        return Response::text(400, "error empty batch body\n");
+    }
+    let Some(class) = parse_class(query, QosClass::Bulk) else {
+        return Response::text(400, "error class must be interactive or bulk\n");
+    };
+    match service.submit_batch(&members, class) {
+        Ok((batch, jobs)) => {
+            use std::fmt::Write as _;
+            let mut body = format!("batch {batch}\nmembers {}\n", jobs.len());
+            for (index, job) in jobs.iter().enumerate() {
+                let _ = writeln!(body, "member {index} job {job}");
+            }
+            Response::text(202, body)
+        }
+        Err(e) => submit_error_response(service, &e),
+    }
+}
+
+/// `GET /jobs/{id}/svg` and `GET /jobs/{id}/scr`.
+fn export(service: &Service, id: JobId, kind: ExportKind) -> Response {
+    match service.export(id, kind) {
+        Ok(design) => match kind {
+            ExportKind::Svg => Response::svg(design.svg.clone()),
+            ExportKind::Scr => Response::text(200, design.scr.clone()),
+        },
+        Err(ExportError::NotFound) => Response::text(404, format!("error no job {id}\n")),
+        Err(ExportError::NotReady(state)) => {
+            Response::text(409, format!("error job {id} is {state}, no design\n"))
+        }
+    }
+}
+
+/// `GET /jobs/{id}/profile`.
+fn profile(service: &Service, id: JobId) -> Response {
+    match service.job_profile(id) {
+        Ok(json) => Response::json(json),
+        Err(ProfileError::NotFound) => Response::text(404, format!("error no job {id}\n")),
+        Err(ProfileError::NotReady(state)) => Response::text(
+            409,
+            format!("error job {id} is {state}, profile not ready\n"),
+        ),
+        Err(ProfileError::Disabled) => {
+            Response::text(409, format!("error job {id} has no profile\n"))
+        }
+    }
+}
+
+/// `GET /healthz`. Deliberately never blocks on readiness: this is the
+/// one route a load balancer can poll while startup recovery is still
+/// replaying the journal.
+fn healthz(service: &Service) -> Response {
+    let health = service.health();
+    let mut response = Response::json(health.to_json());
+    if !health.ready {
+        response.status = 503;
+        // a short fixed hint — recovery progress is not predictable
+        // from queue depth, and the depth accessors themselves gate on
+        // readiness
+        response = response.with_retry_after(1);
+    }
+    response
 }
 
 fn parse_id(raw: &str) -> Option<JobId> {
@@ -895,10 +882,7 @@ fn handle_connection(service: &Service, mut conn: Box<dyn Conn>, config: HttpCon
     conn.set_write_timeout(Some(config.write_timeout));
     let deadline = clock.now().saturating_add(config.request_deadline);
     let (label, routed) = match read_request(&mut conn, config.max_body_bytes, &*clock, deadline) {
-        Ok(req) => {
-            let label = route_label(&req);
-            (label, route(service, req))
-        }
+        Ok(req) => route(service, req),
         Err(e) => ("malformed", Routed::Plain(Response::from_error(&e))),
     };
     let status = match routed {
@@ -1384,7 +1368,7 @@ mod tests {
             path: "/healthz".into(),
             body: Vec::new(),
         };
-        let Routed::Plain(resp) = route(&service, req) else {
+        let (_, Routed::Plain(resp)) = route(&service, req) else {
             panic!("GET /healthz never streams");
         };
         assert_eq!(resp.status, 200);
@@ -1419,7 +1403,7 @@ mod tests {
             path: "/synthesize-assay".into(),
             body: body.as_bytes().to_vec(),
         };
-        let Routed::Plain(resp) = route(service, req) else {
+        let (_, Routed::Plain(resp)) = route(service, req) else {
             panic!("POST /synthesize-assay never streams");
         };
         resp
@@ -1484,7 +1468,7 @@ mod tests {
                 path: "/synthesize".into(),
                 body: TINY.as_bytes().to_vec(),
             };
-            let Routed::Plain(resp) = route(service, req) else {
+            let (_, Routed::Plain(resp)) = route(service, req) else {
                 panic!("POST /synthesize never streams");
             };
             if resp.status == 429 {
@@ -1519,7 +1503,7 @@ mod tests {
             path: "/trace".into(),
             body: Vec::new(),
         };
-        let Routed::Plain(resp) = route(&service, req) else {
+        let (_, Routed::Plain(resp)) = route(&service, req) else {
             panic!("GET /trace never streams");
         };
         assert_eq!(resp.status, 200);
@@ -1572,6 +1556,82 @@ mod tests {
             "connection-cap 503 must carry Retry-After: {text}"
         );
         server.shutdown();
+        service.shutdown();
+    }
+
+    /// An in-memory connection: serves `input`, swallows the response.
+    struct MemConn(Cursor<Vec<u8>>);
+
+    impl Read for MemConn {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.0.read(buf)
+        }
+    }
+
+    impl Write for MemConn {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Conn for MemConn {
+        fn set_read_timeout(&mut self, _: Option<Duration>) {}
+        fn set_write_timeout(&mut self, _: Option<Duration>) {}
+        fn close(&mut self) {}
+    }
+
+    #[test]
+    fn every_route_is_observed_under_its_own_label() {
+        let service = quick_service(1, 4);
+        // unknown ids keep every route plain (no stream, no solve)
+        let table: &[(&str, &str, &str, u16)] = &[
+            ("POST", "/synthesize", "POST /synthesize", 400),
+            ("POST", "/synthesize-assay", "POST /synthesize-assay", 400),
+            ("POST", "/batch", "POST /batch", 400),
+            ("GET", "/jobs/999", "GET /jobs/{id}", 404),
+            ("GET", "/jobs/x", "GET /jobs/{id}", 400),
+            ("GET", "/jobs/999/svg", "GET /jobs/{id}/svg", 404),
+            ("GET", "/jobs/999/scr", "GET /jobs/{id}/scr", 404),
+            ("GET", "/jobs/999/trace", "GET /jobs/{id}/trace", 404),
+            ("GET", "/jobs/999/events", "GET /jobs/{id}/events", 404),
+            ("GET", "/jobs/999/profile", "GET /jobs/{id}/profile", 404),
+            ("DELETE", "/jobs/999", "DELETE /jobs/{id}", 404),
+            ("DELETE", "/jobs/x", "DELETE /jobs/{id}", 400),
+            ("GET", "/batch/999", "GET /batch/{id}", 404),
+            ("GET", "/batch/999/events", "GET /batch/{id}/events", 404),
+            ("GET", "/batch/x/events", "GET /batch/{id}/events", 400),
+            ("GET", "/metrics?format=prometheus", "GET /metrics", 200),
+            ("GET", "/slo", "GET /slo", 200),
+            ("GET", "/trace", "GET /trace", 200),
+            ("GET", "/profile", "GET /profile", 200),
+            ("GET", "/healthz", "GET /healthz", 200),
+            ("GET", "/jobs/x/bogus", "other", 404),
+            ("POST", "/jobs/1", "other", 404),
+            ("DELETE", "/batch/1", "other", 404),
+            ("GET", "/nope", "other", 404),
+        ];
+        // the (label, status) rows one request adds to or bumps in /metrics
+        let serve = |raw: Vec<u8>| -> Vec<(String, u16)> {
+            let before = service.metrics().http_by_route;
+            let conn = Box::new(MemConn(Cursor::new(raw)));
+            handle_connection(&service, conn, HttpConfig::default());
+            (service.metrics().http_by_route.into_iter())
+                .filter(|row| !before.contains(row))
+                .map(|(label, status, _)| (label, status))
+                .collect()
+        };
+        for &(method, target, label, status) in table {
+            let raw = format!("{method} {target} HTTP/1.1\r\nContent-Length: 0\r\n\r\n");
+            let grown = serve(raw.into_bytes());
+            assert_eq!(grown, [(label.to_string(), status)], "{method} {target}");
+        }
+        let grown = serve(b"NONSENSE\r\n\r\n".to_vec());
+        assert_eq!(grown.len(), 1, "{grown:?}");
+        assert_eq!(grown[0].0, "malformed");
         service.shutdown();
     }
 }

@@ -21,9 +21,8 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
-use super::crc::crc32;
-use super::vfs::{RealFs, Storage};
-use super::FsyncPolicy;
+use super::vfs::Storage;
+use super::{frame, read_frame, replace, FsyncPolicy};
 use crate::cache::{CompletedDesign, DesignSummary};
 use crate::hash::ContentKey;
 
@@ -95,16 +94,7 @@ fn encode(key: ContentKey, canon: &str, design: &CompletedDesign) -> Vec<u8> {
     push_section(&mut payload, "scr", design.scr.as_bytes());
     push_section(&mut payload, "rung", design.rung.as_bytes());
     push_section(&mut payload, "meta", encode_meta(design).as_bytes());
-    let mut out = Vec::with_capacity(12 + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(
-        &u32::try_from(payload.len())
-            .unwrap_or(u32::MAX)
-            .to_le_bytes(),
-    );
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+    frame(MAGIC, &payload)
 }
 
 fn read_section<'a>(payload: &'a [u8], pos: &mut usize) -> Option<(&'a str, &'a [u8])> {
@@ -152,15 +142,10 @@ fn parse_meta(text: &str) -> Option<(Duration, DesignSummary)> {
 /// (bad frame, bad checksum, trailing garbage, missing section, key
 /// mismatch with the file name).
 fn decode(bytes: &[u8], expect_key: ContentKey) -> Option<StoredDesign> {
-    if bytes.get(..4)? != MAGIC {
-        return None;
-    }
-    let len = u32::from_le_bytes(bytes.get(4..8)?.try_into().ok()?) as usize;
-    let crc = u32::from_le_bytes(bytes.get(8..12)?.try_into().ok()?);
-    let payload = bytes.get(12..12 + len)?;
+    let (payload, end) = read_frame(bytes, 0, MAGIC).ok()?;
     // strict framing: a trailer after the payload means the file was
     // tampered with or cross-written — drop it
-    if bytes.len() != 12 + len || crc32(payload) != crc {
+    if end != bytes.len() {
         return None;
     }
     let mut pos = 0usize;
@@ -204,30 +189,14 @@ fn decode(bytes: &[u8], expect_key: ContentKey) -> Option<StoredDesign> {
     })
 }
 
-/// Atomically writes the design file for `key`: temp file in the cache
-/// directory, fsync per `fsync`, rename into place, fsync the directory.
+/// Atomically writes the design file for `key` on `storage`: a temp file
+/// in the cache directory [`replace`]s the final one.
 ///
 /// # Errors
 ///
 /// The write, fsync, or rename failed; the previous state of the file (if
 /// any) is untouched and the temp file is removed best-effort.
 pub fn store(
-    dir: &Path,
-    key: ContentKey,
-    canon: &str,
-    design: &CompletedDesign,
-    fsync: FsyncPolicy,
-) -> io::Result<()> {
-    store_on(&RealFs, dir, key, canon, design, fsync)
-}
-
-/// [`store`] over any [`Storage`] backend.
-///
-/// # Errors
-///
-/// The write, fsync, or rename failed; the previous state of the file (if
-/// any) is untouched and the temp file is removed best-effort.
-pub fn store_on(
     storage: &dyn Storage,
     dir: &Path,
     key: ContentKey,
@@ -239,54 +208,23 @@ pub fn store_on(
     let final_path = dir.join(&name);
     let tmp_path = dir.join(format!(".tmp-{name}"));
     let bytes = encode(key, canon, design);
-    let result = write_tmp_and_rename(storage, &tmp_path, &final_path, &bytes, fsync);
+    let result = replace(storage, &tmp_path, &final_path, &bytes, fsync).map(drop);
     if result.is_err() {
         let _ = storage.remove_file(&tmp_path);
     }
     result
 }
 
-fn write_tmp_and_rename(
-    storage: &dyn Storage,
-    tmp_path: &Path,
-    final_path: &Path,
-    bytes: &[u8],
-    fsync: FsyncPolicy,
-) -> io::Result<()> {
-    let mut tmp = storage.create(tmp_path)?;
-    tmp.write_all(bytes)?;
-    if fsync == FsyncPolicy::Always {
-        tmp.sync()?;
-    }
-    drop(tmp);
-    storage.rename(tmp_path, final_path)?;
-    if fsync == FsyncPolicy::Always {
-        if let Some(parent) = final_path.parent() {
-            storage.sync_dir(parent);
-        }
-    }
-    Ok(())
-}
-
-/// Loads every design file under `dir`, deleting (and counting) anything
-/// that does not verify — corrupt frames, flipped bits, truncated files,
-/// garbage trailers, leftover temp files from interrupted stores.
+/// Loads every design file under `dir` on `storage`, deleting (and
+/// counting) anything that does not verify — corrupt frames, flipped
+/// bits, truncated files, garbage trailers, leftover temp files from
+/// interrupted stores.
 ///
 /// # Errors
 ///
 /// Propagates only directory-listing I/O errors; per-file read failures
 /// and corrupt contents are counted in the returned [`CacheLoad`].
-pub fn load_all(dir: &Path) -> io::Result<CacheLoad> {
-    load_all_on(&RealFs, dir)
-}
-
-/// [`load_all`] over any [`Storage`] backend.
-///
-/// # Errors
-///
-/// Propagates only directory-listing I/O errors; per-file read failures
-/// and corrupt contents are counted in the returned [`CacheLoad`].
-pub fn load_all_on(storage: &dyn Storage, dir: &Path) -> io::Result<CacheLoad> {
+pub fn load_all(storage: &dyn Storage, dir: &Path) -> io::Result<CacheLoad> {
     let mut load = CacheLoad::default();
     let mut paths = match storage.read_dir(dir) {
         Ok(p) => p,
@@ -300,39 +238,35 @@ pub fn load_all_on(storage: &dyn Storage, dir: &Path) -> io::Result<CacheLoad> {
             .and_then(|n| n.to_str())
             .unwrap_or_default()
             .to_string();
-        if file_name.starts_with(".tmp-") {
-            // a store was interrupted before its rename; the final file
-            // (if any) is intact, so the temp is pure debris
-            load.dropped += 1;
-            load.notes.push(format!(
-                "cache file {file_name}: interrupted store (temp debris)"
-            ));
-            let _ = storage.remove_file(&path);
-            continue;
-        }
-        let Some(key) = key_from_file_name(&file_name) else {
-            load.dropped += 1;
-            load.notes
-                .push(format!("cache file {file_name}: unrecognized name"));
-            let _ = storage.remove_file(&path);
-            continue;
-        };
-        let verdict = storage
-            .read(&path)
-            .ok()
-            .and_then(|bytes| decode(&bytes, key));
-        match verdict {
-            Some(stored) => load.designs.push(stored),
-            None => {
+        match verify(storage, &path, &file_name) {
+            Ok(stored) => load.designs.push(stored),
+            Err(why) => {
                 load.dropped += 1;
-                load.notes.push(format!(
-                    "cache file {file_name}: failed checksum or structure verification"
-                ));
+                load.notes.push(format!("cache file {file_name}: {why}"));
                 let _ = storage.remove_file(&path);
             }
         }
     }
     Ok(load)
+}
+
+/// Reads and verifies one cache file, or says why it must be dropped.
+fn verify(
+    storage: &dyn Storage,
+    path: &Path,
+    file_name: &str,
+) -> Result<StoredDesign, &'static str> {
+    if file_name.starts_with(".tmp-") {
+        // a store was interrupted before its rename; the final file (if
+        // any) is intact, so the temp is pure debris
+        return Err("interrupted store (temp debris)");
+    }
+    let key = key_from_file_name(file_name).ok_or("unrecognized name")?;
+    storage
+        .read(path)
+        .ok()
+        .and_then(|bytes| decode(&bytes, key))
+        .ok_or("failed checksum or structure verification")
 }
 
 fn key_from_file_name(name: &str) -> Option<ContentKey> {
@@ -349,6 +283,7 @@ fn key_from_file_name(name: &str) -> Option<ContentKey> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::persist::RealFs;
     use std::fs;
     use std::path::PathBuf;
 
@@ -383,8 +318,16 @@ mod tests {
         let dir = tmp_dir("roundtrip");
         let key = ContentKey(0xaaaa_bbbb, 0xcccc_dddd);
         let design = sample_design();
-        store(&dir, key, "canon text", &design, FsyncPolicy::Always).expect("store");
-        let load = load_all(&dir).expect("load");
+        store(
+            &RealFs,
+            &dir,
+            key,
+            "canon text",
+            &design,
+            FsyncPolicy::Always,
+        )
+        .expect("store");
+        let load = load_all(&RealFs, &dir).expect("load");
         assert_eq!(load.dropped, 0, "{:?}", load.notes);
         assert_eq!(load.designs.len(), 1);
         let got = &load.designs[0];
@@ -403,14 +346,14 @@ mod tests {
         let k1 = ContentKey(1, 1);
         let k2 = ContentKey(2, 2);
         let design = sample_design();
-        store(&dir, k1, "one", &design, FsyncPolicy::Never).expect("store");
-        store(&dir, k2, "two", &design, FsyncPolicy::Never).expect("store");
+        store(&RealFs, &dir, k1, "one", &design, FsyncPolicy::Never).expect("store");
+        store(&RealFs, &dir, k2, "two", &design, FsyncPolicy::Never).expect("store");
         let victim = dir.join(design_file_name(k1));
         let mut bytes = fs::read(&victim).expect("read");
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x01;
         fs::write(&victim, &bytes).expect("write");
-        let load = load_all(&dir).expect("load");
+        let load = load_all(&RealFs, &dir).expect("load");
         assert_eq!(load.dropped, 1, "{:?}", load.notes);
         assert_eq!(load.designs.len(), 1);
         assert_eq!(load.designs[0].key, k2);
@@ -423,8 +366,8 @@ mod tests {
         let k1 = ContentKey(1, 1);
         let k2 = ContentKey(2, 2);
         let design = sample_design();
-        store(&dir, k1, "one", &design, FsyncPolicy::Never).expect("store");
-        store(&dir, k2, "two", &design, FsyncPolicy::Never).expect("store");
+        store(&RealFs, &dir, k1, "one", &design, FsyncPolicy::Never).expect("store");
+        store(&RealFs, &dir, k2, "two", &design, FsyncPolicy::Never).expect("store");
         let p1 = dir.join(design_file_name(k1));
         let bytes = fs::read(&p1).expect("read");
         fs::write(&p1, &bytes[..bytes.len() - 7]).expect("truncate");
@@ -432,7 +375,7 @@ mod tests {
         let mut bytes = fs::read(&p2).expect("read");
         bytes.extend_from_slice(b"trailing garbage");
         fs::write(&p2, &bytes).expect("garbage");
-        let load = load_all(&dir).expect("load");
+        let load = load_all(&RealFs, &dir).expect("load");
         assert_eq!(load.dropped, 2, "{:?}", load.notes);
         assert!(load.designs.is_empty());
     }
@@ -442,13 +385,21 @@ mod tests {
         // a file moved under another key's name must not poison that key
         let dir = tmp_dir("rename");
         let design = sample_design();
-        store(&dir, ContentKey(1, 1), "one", &design, FsyncPolicy::Never).expect("store");
+        store(
+            &RealFs,
+            &dir,
+            ContentKey(1, 1),
+            "one",
+            &design,
+            FsyncPolicy::Never,
+        )
+        .expect("store");
         fs::rename(
             dir.join(design_file_name(ContentKey(1, 1))),
             dir.join(design_file_name(ContentKey(9, 9))),
         )
         .expect("rename");
-        let load = load_all(&dir).expect("load");
+        let load = load_all(&RealFs, &dir).expect("load");
         assert_eq!(load.dropped, 1);
         assert!(load.designs.is_empty());
     }
@@ -457,10 +408,18 @@ mod tests {
     fn temp_debris_and_strange_names_are_cleaned_up() {
         let dir = tmp_dir("debris");
         let design = sample_design();
-        store(&dir, ContentKey(1, 1), "one", &design, FsyncPolicy::Never).expect("store");
+        store(
+            &RealFs,
+            &dir,
+            ContentKey(1, 1),
+            "one",
+            &design,
+            FsyncPolicy::Never,
+        )
+        .expect("store");
         fs::write(dir.join(".tmp-0000.design"), b"half a file").expect("write");
         fs::write(dir.join("README.txt"), b"not a design").expect("write");
-        let load = load_all(&dir).expect("load");
+        let load = load_all(&RealFs, &dir).expect("load");
         assert_eq!(load.designs.len(), 1);
         assert_eq!(load.dropped, 2, "{:?}", load.notes);
         assert!(!dir.join(".tmp-0000.design").exists());
@@ -469,7 +428,7 @@ mod tests {
     #[test]
     fn missing_directory_is_an_empty_load() {
         let dir = tmp_dir("missing").join("nope");
-        let load = load_all(&dir).expect("load");
+        let load = load_all(&RealFs, &dir).expect("load");
         assert!(load.designs.is_empty());
         assert_eq!(load.dropped, 0);
     }
@@ -479,10 +438,10 @@ mod tests {
         let dir = tmp_dir("overwrite");
         let key = ContentKey(5, 5);
         let mut design = sample_design();
-        store(&dir, key, "canon", &design, FsyncPolicy::Never).expect("store");
+        store(&RealFs, &dir, key, "canon", &design, FsyncPolicy::Never).expect("store");
         design.rung = "replacement".into();
-        store(&dir, key, "canon", &design, FsyncPolicy::Never).expect("store again");
-        let load = load_all(&dir).expect("load");
+        store(&RealFs, &dir, key, "canon", &design, FsyncPolicy::Never).expect("store again");
+        let load = load_all(&RealFs, &dir).expect("load");
         assert_eq!(load.designs.len(), 1);
         assert_eq!(load.designs[0].design.rung, "replacement");
     }

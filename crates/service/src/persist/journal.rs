@@ -34,9 +34,8 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use super::crc::crc32;
-use super::vfs::{RealFs, Storage, StorageFile};
-use super::FsyncPolicy;
+use super::vfs::{Storage, StorageFile};
+use super::{frame, read_frame, replace, FsyncPolicy};
 use crate::hash::ContentKey;
 use crate::job::QosClass;
 
@@ -44,7 +43,7 @@ use crate::job::QosClass;
 pub const JOURNAL_FILE: &str = "journal.log";
 
 /// Per-record frame marker; replay resynchronises on it after corruption.
-pub(crate) const MAGIC: [u8; 4] = *b"CJR1";
+const MAGIC: [u8; 4] = *b"CJR1";
 
 /// Records older than this many appends trigger a compaction check.
 const COMPACT_MIN_RECORDS: u64 = 64;
@@ -234,40 +233,6 @@ impl JournalRecord {
     }
 }
 
-/// Frames one payload for the wire: magic + length + checksum + payload.
-fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(12 + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(
-        &u32::try_from(payload.len())
-            .unwrap_or(u32::MAX)
-            .to_le_bytes(),
-    );
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
-}
-
-/// Tries to read one frame at `pos`; returns the payload slice and the
-/// offset just past the frame.
-fn read_frame(bytes: &[u8], pos: usize) -> Result<(&[u8], usize), &'static str> {
-    let Some(head) = bytes.get(pos..pos + 12) else {
-        return Err("truncated frame header");
-    };
-    if head[..4] != MAGIC {
-        return Err("missing magic marker");
-    }
-    let len = u32::from_le_bytes([head[4], head[5], head[6], head[7]]) as usize;
-    let crc = u32::from_le_bytes([head[8], head[9], head[10], head[11]]);
-    let Some(payload) = bytes.get(pos + 12..pos + 12 + len) else {
-        return Err("torn record (payload shorter than its length prefix)");
-    };
-    if crc32(payload) != crc {
-        return Err("checksum mismatch");
-    }
-    Ok((payload, pos + 12 + len))
-}
-
 /// The next occurrence of the magic marker at or after `from`.
 fn find_magic(bytes: &[u8], from: usize) -> Option<usize> {
     (from..bytes.len().saturating_sub(3)).find(|&i| bytes[i..i + 4] == MAGIC)
@@ -291,7 +256,7 @@ fn scan(bytes: &[u8]) -> Replay {
     let mut replay = Replay::default();
     let mut pos = 0usize;
     while pos < bytes.len() {
-        match read_frame(bytes, pos) {
+        match read_frame(bytes, pos, MAGIC) {
             Ok((payload, next)) => {
                 match JournalRecord::decode(payload) {
                     Some(r) => replay.records.push(r),
@@ -337,7 +302,8 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Opens (creating if absent) the journal at `path` and replays it.
+    /// Opens (creating if absent) the journal at `path` on `storage` and
+    /// replays it.
     ///
     /// A journal with corruption is rewritten in place to just its good
     /// records, so subsequent appends land on a clean tail.
@@ -347,16 +313,7 @@ impl Journal {
     /// Propagates I/O errors opening, reading or repairing the file —
     /// corrupt *contents* are never an error, only counted in the
     /// returned [`Replay`].
-    pub fn open(path: &Path, fsync: FsyncPolicy) -> io::Result<(Journal, Replay)> {
-        Journal::open_on(Arc::new(RealFs), path, fsync)
-    }
-
-    /// [`Journal::open`] over any [`Storage`] backend.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors opening, reading or repairing the file.
-    pub fn open_on(
+    pub fn open(
         storage: Arc<dyn Storage>,
         path: &Path,
         fsync: FsyncPolicy,
@@ -398,7 +355,7 @@ impl Journal {
     /// durable (a torn prefix may or may not be in the file — replay
     /// skips it either way).
     pub fn append(&mut self, record: &JournalRecord) -> io::Result<bool> {
-        let framed = frame(&record.encode());
+        let framed = frame(MAGIC, &record.encode());
         self.write_all_synced(&framed)?;
         track(&mut self.live, &mut self.batches, record);
         self.records += 1;
@@ -450,27 +407,15 @@ impl Journal {
         Ok(true)
     }
 
-    /// Atomically replaces the journal with exactly `records`: write a
-    /// temp file, fsync, rename over the journal, fsync the directory.
-    /// The temp file's handle becomes the append handle.
+    /// Atomically replaces the journal with exactly `records` (see
+    /// [`replace`]); the new file's handle becomes the append handle.
     fn rewrite(&mut self, records: &[JournalRecord]) -> io::Result<()> {
-        let tmp_path = self.path.with_extension("log.tmp");
-        let mut tmp = self.storage.create(&tmp_path)?;
-        let mut buf = Vec::new();
-        for r in records {
-            buf.extend_from_slice(&frame(&r.encode()));
-        }
-        tmp.write_all(&buf)?;
-        if self.fsync == FsyncPolicy::Always {
-            tmp.sync()?;
-        }
-        self.storage.rename(&tmp_path, &self.path)?;
-        if self.fsync == FsyncPolicy::Always {
-            if let Some(parent) = self.path.parent() {
-                self.storage.sync_dir(parent);
-            }
-        }
-        self.file = tmp;
+        let bytes: Vec<u8> = records
+            .iter()
+            .flat_map(|r| frame(MAGIC, &r.encode()))
+            .collect();
+        let tmp = self.path.with_extension("log.tmp");
+        self.file = replace(self.storage.as_ref(), &tmp, &self.path, &bytes, self.fsync)?;
         self.records = records.len() as u64;
         Ok(())
     }
@@ -523,7 +468,12 @@ fn track(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::persist::RealFs;
     use std::fs;
+
+    fn open(path: &Path, fsync: FsyncPolicy) -> (Journal, Replay) {
+        Journal::open(Arc::new(RealFs), path, fsync).expect("open journal")
+    }
 
     fn tmp_journal(tag: &str) -> PathBuf {
         let dir =
@@ -578,13 +528,13 @@ mod tests {
     fn round_trip_all_record_kinds() {
         let path = tmp_journal("roundtrip");
         {
-            let (mut j, replay) = Journal::open(&path, FsyncPolicy::Always).expect("open");
+            let (mut j, replay) = open(&path, FsyncPolicy::Always);
             assert!(replay.records.is_empty());
             for r in sample_records() {
                 j.append(&r).expect("append");
             }
         }
-        let (j, replay) = Journal::open(&path, FsyncPolicy::Never).expect("reopen");
+        let (j, replay) = open(&path, FsyncPolicy::Never);
         assert_eq!(replay.records, sample_records());
         assert_eq!(replay.corrupt, 0);
         assert_eq!(j.live_count(), 0, "all sample jobs reached terminal state");
@@ -594,7 +544,7 @@ mod tests {
     fn torn_tail_is_skipped_earlier_records_survive() {
         let path = tmp_journal("torn");
         {
-            let (mut j, _) = Journal::open(&path, FsyncPolicy::Never).expect("open");
+            let (mut j, _) = open(&path, FsyncPolicy::Never);
             for r in sample_records() {
                 j.append(&r).expect("append");
             }
@@ -602,7 +552,7 @@ mod tests {
         // tear the last record mid-payload
         let bytes = fs::read(&path).expect("read");
         fs::write(&path, &bytes[..bytes.len() - 5]).expect("truncate");
-        let (_, replay) = Journal::open(&path, FsyncPolicy::Never).expect("reopen");
+        let (_, replay) = open(&path, FsyncPolicy::Never);
         assert_eq!(replay.corrupt, 1, "{:?}", replay.notes);
         assert_eq!(replay.records.len(), sample_records().len() - 1);
     }
@@ -611,7 +561,7 @@ mod tests {
     fn bit_flip_mid_file_resyncs_on_the_next_record() {
         let path = tmp_journal("flip");
         {
-            let (mut j, _) = Journal::open(&path, FsyncPolicy::Never).expect("open");
+            let (mut j, _) = open(&path, FsyncPolicy::Never);
             for r in sample_records() {
                 j.append(&r).expect("append");
             }
@@ -621,7 +571,7 @@ mod tests {
         // past the 12-byte frame header)
         bytes[14] ^= 0x40;
         fs::write(&path, &bytes).expect("write");
-        let (_, replay) = Journal::open(&path, FsyncPolicy::Never).expect("reopen");
+        let (_, replay) = open(&path, FsyncPolicy::Never);
         assert_eq!(replay.corrupt, 1, "{:?}", replay.notes);
         assert_eq!(
             replay.records,
@@ -634,7 +584,7 @@ mod tests {
     fn garbage_trailer_is_counted_not_fatal() {
         let path = tmp_journal("garbage");
         {
-            let (mut j, _) = Journal::open(&path, FsyncPolicy::Never).expect("open");
+            let (mut j, _) = open(&path, FsyncPolicy::Never);
             for r in sample_records() {
                 j.append(&r).expect("append");
             }
@@ -642,7 +592,7 @@ mod tests {
         let mut bytes = fs::read(&path).expect("read");
         bytes.extend_from_slice(b"\x00\xff this is not a journal record \xfe");
         fs::write(&path, &bytes).expect("write");
-        let (_, replay) = Journal::open(&path, FsyncPolicy::Never).expect("reopen");
+        let (_, replay) = open(&path, FsyncPolicy::Never);
         assert!(replay.corrupt >= 1);
         assert_eq!(replay.records, sample_records());
     }
@@ -651,7 +601,7 @@ mod tests {
     fn corrupt_open_repairs_the_file() {
         let path = tmp_journal("repair");
         {
-            let (mut j, _) = Journal::open(&path, FsyncPolicy::Never).expect("open");
+            let (mut j, _) = open(&path, FsyncPolicy::Never);
             for r in sample_records() {
                 j.append(&r).expect("append");
             }
@@ -659,11 +609,11 @@ mod tests {
         let bytes = fs::read(&path).expect("read");
         fs::write(&path, &bytes[..bytes.len() - 5]).expect("truncate");
         {
-            let (_, replay) = Journal::open(&path, FsyncPolicy::Always).expect("reopen repairs");
+            let (_, replay) = open(&path, FsyncPolicy::Always);
             assert_eq!(replay.corrupt, 1);
         }
         // the repaired file replays clean
-        let (_, replay) = Journal::open(&path, FsyncPolicy::Never).expect("third open");
+        let (_, replay) = open(&path, FsyncPolicy::Never);
         assert_eq!(replay.corrupt, 0);
         assert_eq!(replay.records.len(), sample_records().len() - 1);
     }
@@ -671,7 +621,7 @@ mod tests {
     #[test]
     fn compaction_keeps_live_jobs_and_shrinks_the_file() {
         let path = tmp_journal("compact");
-        let (mut j, _) = Journal::open(&path, FsyncPolicy::Never).expect("open");
+        let (mut j, _) = open(&path, FsyncPolicy::Never);
         // one job that stays live the whole time
         j.append(&JournalRecord::Submitted {
             id: 1,
@@ -703,7 +653,7 @@ mod tests {
         );
         assert_eq!(j.live_count(), 1, "only job 1 is still live");
         drop(j);
-        let (_, replay) = Journal::open(&path, FsyncPolicy::Never).expect("reopen");
+        let (_, replay) = open(&path, FsyncPolicy::Never);
         assert_eq!(replay.corrupt, 0);
         let lives: Vec<u64> = replay
             .records
@@ -717,7 +667,7 @@ mod tests {
     #[test]
     fn appends_after_compaction_land_on_the_new_file() {
         let path = tmp_journal("append-after-compact");
-        let (mut j, _) = Journal::open(&path, FsyncPolicy::Never).expect("open");
+        let (mut j, _) = open(&path, FsyncPolicy::Never);
         for id in 1..100u64 {
             j.append(&JournalRecord::Submitted {
                 id,
@@ -735,7 +685,7 @@ mod tests {
         })
         .expect("append after compaction");
         drop(j);
-        let (_, replay) = Journal::open(&path, FsyncPolicy::Never).expect("reopen");
+        let (_, replay) = open(&path, FsyncPolicy::Never);
         assert_eq!(replay.corrupt, 0);
         assert!(replay.records.iter().any(|r| r.id() == 500));
     }
@@ -745,8 +695,8 @@ mod tests {
         // a journal written before QoS classes: head has no class word
         let path = tmp_journal("legacy");
         let payload = b"submitted 7\nchip legacy\nmixer m1\n";
-        fs::write(&path, frame(payload)).expect("write legacy journal");
-        let (_, replay) = Journal::open(&path, FsyncPolicy::Never).expect("open");
+        fs::write(&path, frame(MAGIC, payload)).expect("write legacy journal");
+        let (_, replay) = open(&path, FsyncPolicy::Never);
         assert_eq!(replay.corrupt, 0, "{:?}", replay.notes);
         assert_eq!(
             replay.records,
@@ -761,7 +711,7 @@ mod tests {
     #[test]
     fn compaction_trims_batches_to_live_members() {
         let path = tmp_journal("batch-compact");
-        let (mut j, _) = Journal::open(&path, FsyncPolicy::Never).expect("open");
+        let (mut j, _) = open(&path, FsyncPolicy::Never);
         // batch 1: members 1 (stays live) and 2 (finishes)
         for id in [1u64, 2] {
             j.append(&JournalRecord::Submitted {
@@ -815,7 +765,7 @@ mod tests {
             assert!(id < 10_000, "compaction never triggered");
         }
         drop(j);
-        let (_, replay) = Journal::open(&path, FsyncPolicy::Never).expect("reopen");
+        let (_, replay) = open(&path, FsyncPolicy::Never);
         assert_eq!(replay.corrupt, 0);
         let batches: Vec<&JournalRecord> = replay
             .records

@@ -34,12 +34,13 @@ pub mod journal;
 pub mod vfs;
 
 use std::io;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::cache::CompletedDesign;
 use crate::hash::ContentKey;
+use crc::crc32;
 
 pub use diskcache::{load_all, store, CacheLoad, StoredDesign, CACHE_DIR};
 pub use heal::{BreakerConfig, BreakerState, PersistSupervisor, WriteOutcome};
@@ -57,6 +58,76 @@ pub enum FsyncPolicy {
     /// Survives process crashes (SIGKILL) but not power loss. Useful for
     /// tests and throwaway deployments.
     Never,
+}
+
+/// Frames one payload: `[magic] [len: u32 LE] [crc32(payload): u32 LE]
+/// [payload]`. The journal (`CJR1`) and the design files (`CDC1`) share
+/// this frame; only the magic differs.
+pub(crate) fn frame(magic: [u8; 4], payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(12 + payload.len());
+    out.extend_from_slice(&magic);
+    out.extend_from_slice(
+        &u32::try_from(payload.len())
+            .unwrap_or(u32::MAX)
+            .to_le_bytes(),
+    );
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    out
+}
+
+/// Reads the [`frame`] with `magic` at `pos`; returns its payload and the
+/// offset just past it, or why the bytes there are not a good frame.
+pub(crate) fn read_frame(
+    bytes: &[u8],
+    pos: usize,
+    magic: [u8; 4],
+) -> Result<(&[u8], usize), &'static str> {
+    let Some(head) = bytes.get(pos..pos + 12) else {
+        return Err("truncated frame header");
+    };
+    if head[..4] != magic {
+        return Err("missing magic marker");
+    }
+    let len = u32::from_le_bytes([head[4], head[5], head[6], head[7]]) as usize;
+    let crc = u32::from_le_bytes([head[8], head[9], head[10], head[11]]);
+    let Some(payload) = bytes.get(pos + 12..pos + 12 + len) else {
+        return Err("torn record (payload shorter than its length prefix)");
+    };
+    if crc32(payload) != crc {
+        return Err("checksum mismatch");
+    }
+    Ok((payload, pos + 12 + len))
+}
+
+/// Atomically replaces `path` with `bytes`: create `tmp`, write, fsync
+/// (under [`FsyncPolicy::Always`]), rename `tmp` over `path`, fsync the
+/// directory. A crash at any point leaves either the old file or the
+/// new one. Returns the written handle, positioned at the end. On error
+/// `tmp` may be left behind; removing it is the caller's decision.
+///
+/// # Errors
+///
+/// The create, write, fsync or rename failed; `path` is unchanged.
+pub(crate) fn replace(
+    storage: &dyn Storage,
+    tmp: &Path,
+    path: &Path,
+    bytes: &[u8],
+    fsync: FsyncPolicy,
+) -> io::Result<Box<dyn StorageFile>> {
+    let mut file = storage.create(tmp)?;
+    file.write_all(bytes)?;
+    if fsync == FsyncPolicy::Always {
+        file.sync()?;
+    }
+    storage.rename(tmp, path)?;
+    if fsync == FsyncPolicy::Always {
+        if let Some(parent) = path.parent() {
+            storage.sync_dir(parent);
+        }
+    }
+    Ok(file)
 }
 
 /// Where and how the service persists its state.
@@ -141,8 +212,8 @@ impl Persist {
         storage.create_dir_all(&cache_dir)?;
         let journal_path = config.state_dir.join(JOURNAL_FILE);
         let (journal, replay) =
-            Journal::open_on(Arc::clone(&storage), &journal_path, config.fsync_policy)?;
-        let cache = diskcache::load_all_on(storage.as_ref(), &cache_dir)?;
+            Journal::open(Arc::clone(&storage), &journal_path, config.fsync_policy)?;
+        let cache = load_all(storage.as_ref(), &cache_dir)?;
         let persist = Persist {
             storage,
             journal: Mutex::new(journal),
@@ -184,7 +255,7 @@ impl Persist {
         canon: &str,
         design: &CompletedDesign,
     ) -> io::Result<()> {
-        let result = diskcache::store_on(
+        let result = store(
             self.storage.as_ref(),
             &self.cache_dir,
             key,

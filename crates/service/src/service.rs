@@ -39,7 +39,7 @@ use crate::lifecycle::{
 };
 use crate::metrics::MetricsSnapshot;
 use crate::persist::{
-    BreakerConfig, BreakerState, JournalRecord, Persist, PersistConfig, PersistSupervisor,
+    BreakerConfig, BreakerState, JournalRecord, Persist, PersistConfig, PersistSupervisor, RealFs,
     Recovery, Storage, WriteOutcome,
 };
 use crate::simenv::clock::{clock_wait, Clock, ClockParty, ClockSuspend, RealClock};
@@ -84,10 +84,6 @@ pub struct ServiceConfig {
     /// Per-job wall-clock deadline. The job's [`CancelToken`] fires when
     /// it expires, degrading the solve through the resilience ladder.
     pub job_deadline: Option<Duration>,
-    /// Terminal job records kept for status queries; the oldest beyond
-    /// this are pruned so a long-running service does not grow without
-    /// bound.
-    pub max_records: usize,
     /// Durability: `Some` journals every job and mirrors the design cache
     /// to disk under the given state directory, recovering both on
     /// startup; `None` (the default) keeps everything in memory.
@@ -143,7 +139,6 @@ impl Default for ServiceConfig {
             options: SynthesisOptions::default(),
             schedule: columba_schedule::ScheduleOptions::default(),
             job_deadline: Some(Duration::from_secs(120)),
-            max_records: 4096,
             persist: None,
             trace_keep_slow: Duration::from_secs(30),
             trace_head_sample: 1,
@@ -335,7 +330,6 @@ struct Inner {
     /// Per-class admission budgets, indexed by [`QosClass::idx`].
     queue_capacity: [usize; 2],
     job_deadline: Option<Duration>,
-    max_records: usize,
     worker_count: usize,
     state: Mutex<State>,
     work: Condvar,
@@ -782,9 +776,9 @@ impl Inner {
                     members: members.clone(),
                 };
                 st.batches.insert(id, group);
-                prune_batches(&mut st, self.max_records);
+                prune_batches(&mut st, MAX_RECORDS);
             }
-            prune_records(&mut st, self.max_records);
+            prune_records(&mut st, MAX_RECORDS);
         }
         if let Some(b) = batch_id {
             self.batches_submitted.fetch_add(1, Ordering::Relaxed);
@@ -862,10 +856,8 @@ impl Service {
         let clock: Arc<dyn Clock> = config.clock.clone().unwrap_or_else(RealClock::shared);
         let (persist, recovery) = match &config.persist {
             Some(pc) => {
-                let (p, r) = match &config.storage {
-                    Some(fs) => Persist::open_on(Arc::clone(fs), pc)?,
-                    None => Persist::open(pc)?,
-                };
+                let storage = config.storage.clone().unwrap_or_else(|| Arc::new(RealFs));
+                let (p, r) = Persist::open_on(storage, pc)?;
                 (Some(p), Some(r))
             }
             None => (None, None),
@@ -883,7 +875,6 @@ impl Service {
                 config.bulk_queue_capacity.max(1),
             ],
             job_deadline: config.job_deadline,
-            max_records: config.max_records.max(1),
             worker_count,
             state: Mutex::new(State {
                 queues: [VecDeque::new(), VecDeque::new()],
@@ -1034,12 +1025,12 @@ impl Service {
     /// every member is admitted or none is.
     ///
     /// Members are deduplicated before any solve runs: each parseable
-    /// netlist is canonicalized and keyed exactly like the design cache
-    /// (the canonical record behind [`ContentKey`]), so identical members
-    /// collapse onto one job and read the same [`CompletedDesign`]
-    /// byte-for-byte. Unparseable members dedup by their raw text (they
-    /// fail identically anyway). Only the *unique* members count against
-    /// the class's admission budget.
+    /// netlist or assay is canonicalized and keyed exactly like the
+    /// design cache (the canonical record behind [`ContentKey`]), so
+    /// identical members collapse onto one job and read the same
+    /// [`CompletedDesign`] byte-for-byte. Unparseable members dedup by
+    /// their raw text (they fail identically anyway). Only the *unique*
+    /// members count against the class's admission budget.
     ///
     /// With persistence on, every unique member's `submitted` record and
     /// one `batch` group record are journaled before the ack.
@@ -1080,8 +1071,8 @@ impl Service {
         {
             let mut seen: HashMap<String, usize> = HashMap::new();
             for text in texts {
-                let dedup_key = match Netlist::parse(text) {
-                    Ok(n) => cache_record(&n.canonical_text(), &inner.options_canon),
+                let dedup_key = match parse_submission(text, &inner.schedule_canon) {
+                    Ok((_, canonical)) => cache_record(&canonical, &inner.options_canon),
                     // unparseable members fail identically; dedup on the
                     // raw text so they still collapse
                     Err(_) => format!("!{text}"),
@@ -1569,6 +1560,11 @@ fn batch_snapshot(
     }
 }
 
+/// Job records kept for status queries; the oldest terminal ones beyond
+/// this are pruned so a long-running service does not grow without
+/// bound. Batch groups are capped at the same count.
+const MAX_RECORDS: usize = 4096;
+
 /// Drops the oldest fully-terminal batch groups beyond `max_batches`.
 /// A batch with any non-terminal member is never dropped; ids are
 /// monotonic, so iteration order of the `BTreeMap` is age order.
@@ -1743,8 +1739,8 @@ fn apply_recovery(inner: &Inner, recovery: Recovery, throttle: Option<Duration>)
             st.batches.insert(id, BatchRecord { class, members });
         }
         restored_batches = st.batches.len();
-        prune_batches(&mut st, inner.max_records);
-        prune_records(&mut st, inner.max_records);
+        prune_batches(&mut st, MAX_RECORDS);
+        prune_records(&mut st, MAX_RECORDS);
     }
     for &id in &requeued {
         inner.trace(Some(id), TraceKind::Recovery, "re-enqueued after restart");
@@ -2049,20 +2045,41 @@ fn cache_record(netlist_canon: &str, options_canon: &str) -> String {
 /// the job's log.
 const MAX_STORAGE_TRACES: usize = 16;
 
-/// The assay front end of [`run_job`]: parses the behavioral text,
-/// list-schedules it under the service's [`columba_schedule::ScheduleOptions`],
-/// records the stats on the job record, and hands back the emitted
-/// structural netlist plus the canonical section the cache key is built
-/// from (assay canonical text + schedule options — NOT the emitted
-/// netlist, so the key survives emitter changes only via the cache's
-/// full-record comparison).
-fn run_assay_front_end(inner: &Inner, id: u64, text: &str) -> Result<(Netlist, String), String> {
-    let assay = match columba_schedule::Assay::parse(text) {
-        Ok(a) => a,
-        Err(e) => return Err(format!("assay error: {e}")),
-    };
+/// A submission parsed as what its text says it is.
+enum Submission {
+    Netlist(Netlist),
+    Assay(columba_schedule::Assay),
+}
+
+/// Parses a submitted text as an assay or a netlist and returns it with
+/// the canonical section both the cache key and batch dedup are built
+/// from: the netlist's canonical text, or the assay's joined with the
+/// schedule options' (`schedule_canon`) — NOT the netlist the assay
+/// emits, so the key survives emitter changes only via the cache's
+/// full-record comparison.
+fn parse_submission(text: &str, schedule_canon: &str) -> Result<(Submission, String), String> {
+    if columba_schedule::is_assay_text(text) {
+        let assay =
+            columba_schedule::Assay::parse(text).map_err(|e| format!("assay error: {e}"))?;
+        let canonical = format!("{}\u{1f}{schedule_canon}", assay.canonical_text());
+        Ok((Submission::Assay(assay), canonical))
+    } else {
+        let netlist = Netlist::parse(text).map_err(|e| format!("netlist error: {e}"))?;
+        let canonical = netlist.canonical_text();
+        Ok((Submission::Netlist(netlist), canonical))
+    }
+}
+
+/// The assay front end of [`run_job`]: list-schedules the assay under
+/// the service's [`columba_schedule::ScheduleOptions`], records the stats
+/// on the job record, and hands back the emitted structural netlist.
+fn run_assay_front_end(
+    inner: &Inner,
+    id: u64,
+    assay: &columba_schedule::Assay,
+) -> Result<Netlist, String> {
     inner.assay_jobs.fetch_add(1, Ordering::Relaxed);
-    let report = match columba_schedule::schedule(&assay, &inner.schedule_options) {
+    let report = match columba_schedule::schedule(assay, &inner.schedule_options) {
         Ok(r) => r,
         Err(e) => return Err(format!("schedule error: {e}")),
     };
@@ -2098,23 +2115,20 @@ fn run_assay_front_end(inner: &Inner, id: u64, text: &str) -> Result<(Netlist, S
     if let Some(r) = lock(&inner.state).jobs.get_mut(&id) {
         r.set_schedule(stats);
     }
-    let canonical = format!("{}\u{1f}{}", assay.canonical_text(), inner.schedule_canon);
-    Ok((report.netlist, canonical))
+    Ok(report.netlist)
 }
 
 fn run_job(inner: &Inner, id: u64, text: &str, token: &CancelToken) -> JobEnd {
-    let (netlist, canonical) = if columba_schedule::is_assay_text(text) {
-        match run_assay_front_end(inner, id, text) {
-            Ok(pair) => pair,
+    let (parsed, canonical) = match parse_submission(text, &inner.schedule_canon) {
+        Ok(pair) => pair,
+        Err(msg) => return JobEnd::Failed(msg),
+    };
+    let netlist = match parsed {
+        Submission::Netlist(netlist) => netlist,
+        Submission::Assay(assay) => match run_assay_front_end(inner, id, &assay) {
+            Ok(netlist) => netlist,
             Err(msg) => return JobEnd::Failed(msg),
-        }
-    } else {
-        let netlist = match Netlist::parse(text) {
-            Ok(n) => n,
-            Err(e) => return JobEnd::Failed(format!("netlist error: {e}")),
-        };
-        let canonical = netlist.canonical_text();
-        (netlist, canonical)
+        },
     };
     let record = cache_record(&canonical, &inner.options_canon);
     let key = ContentKey::of_sections(&[&canonical, &inner.options_canon]);

@@ -447,7 +447,6 @@ fn service_config(clock: &Arc<dyn Clock>, fs: &SimFs) -> ServiceConfig {
         bulk_queue_capacity: 8,
         options,
         job_deadline: None,
-        max_records: 4096,
         persist: Some(PersistConfig::at("/chaos/state")),
         storage: Some(Arc::new(fs.clone())),
         clock: Some(Arc::clone(clock)),

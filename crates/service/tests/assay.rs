@@ -9,7 +9,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use columba_service::{
-    metric_value, HttpConfig, HttpServer, ScheduleOptions, Service, ServiceConfig, StoragePolicy,
+    metric_value, HttpConfig, HttpServer, QosClass, ScheduleOptions, Service, ServiceConfig,
+    StoragePolicy,
 };
 
 fn field<'a>(body: &'a str, key: &str) -> Option<&'a str> {
@@ -162,4 +163,27 @@ fn assay_policies_sweep_to_different_makespans() {
         makespans[0],
         makespans[1]
     );
+}
+
+#[test]
+fn batch_dedups_assays_on_their_canonical_text() {
+    // two copies of one assay, one with an extra comment line: the batch
+    // keys them like the cache does (canonical assay + schedule options),
+    // so they collapse onto one job instead of two solves
+    let service = Service::start(ServiceConfig {
+        workers: 1,
+        options: common::deterministic_options(),
+        ..ServiceConfig::default()
+    });
+    let assay = std::fs::read_to_string(common::cases_dir().join("pooled_capture.assay"))
+        .expect("bundled assay");
+    let commented = format!("# the same assay, resubmitted\n{assay}");
+    let (batch, jobs) = service
+        .submit_batch(&[assay, commented], QosClass::Bulk)
+        .expect("batch admitted");
+    assert_eq!(jobs.len(), 2);
+    assert_eq!(jobs[0], jobs[1], "both members map to one job");
+    let status = service.batch_status(batch).expect("batch known");
+    assert_eq!(status.summary().unique, 1);
+    service.shutdown();
 }

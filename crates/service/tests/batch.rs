@@ -307,7 +307,6 @@ fn slow_sse_consumer_neither_blocks_workers_nor_outlives_deadline() {
     let config = HttpConfig {
         sse_deadline: Duration::from_secs(1),
         sse_heartbeat: Duration::from_millis(100),
-        sse_poll: Duration::from_millis(20),
         ..HttpConfig::default()
     };
     let server = HttpServer::bind(Arc::clone(&service), "127.0.0.1:0", config).expect("bind");

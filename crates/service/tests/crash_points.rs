@@ -16,13 +16,13 @@
 
 mod common;
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
 use columba_service::{
-    CompletedDesign, ContentKey, CrashMode, DesignSummary, FsyncPolicy, JobId, JournalRecord,
-    Persist, PersistConfig, QosClass, Service, ServiceConfig, SimFs,
+    fnv1a64, CompletedDesign, ContentKey, CrashMode, DesignSummary, FsyncPolicy, JobId,
+    JournalRecord, Persist, PersistConfig, QosClass, Service, ServiceConfig, SimFs, Storage,
 };
 
 const TINY: &str = "chip t\nmixer m1\nport a\nport b\n\
@@ -255,4 +255,83 @@ fn sampled_crash_points_recover_through_a_full_service_open() {
             let _ = std::fs::remove_dir_all(&dest);
         }
     }
+}
+
+/// A fixed persist scenario: open, 67 journal appends (one compaction
+/// runs), three design stores, reopen. The storage op count and a digest
+/// of every file it leaves are pinned, so a change to the write path that
+/// reorders, adds or drops a storage operation, or changes a byte on
+/// disk, fails here before it shifts the op-indexed fault schedules above.
+#[test]
+fn fixed_scenario_pins_the_op_count_and_every_byte_on_disk() {
+    let sim = SimFs::new();
+    {
+        let (persist, _) = Persist::open_on(Arc::new(sim.clone()), &sim_config()).expect("open");
+        // three jobs stay live across the compaction, one batch groups them
+        for id in 1..=3u64 {
+            let text = Arc::new(format!("chip live{id}\n"));
+            let record = JournalRecord::Submitted {
+                id,
+                class: QosClass::Bulk,
+                text,
+            };
+            persist.append(&record).expect("append");
+        }
+        let batch = JournalRecord::Batch {
+            id: 1,
+            members: vec![1, 2, 3],
+        };
+        persist.append(&batch).expect("append");
+        for id in 10..42u64 {
+            let submitted = JournalRecord::Submitted {
+                id,
+                class: QosClass::Interactive,
+                text: Arc::new(TINY.to_string()),
+            };
+            persist.append(&submitted).expect("append");
+            let completed = JournalRecord::Completed {
+                id,
+                key: Some(ContentKey(id, id)),
+                rung: "full MILP".into(),
+            };
+            persist.append(&completed).expect("append");
+        }
+        assert_eq!(persist.compactions(), 1);
+        for k in 1..=3u64 {
+            let mut design = sample_design();
+            design.svg = format!("<svg id=\"{k}\"/>");
+            persist
+                .store_design(ContentKey(k, k), &format!("canon {k}"), &design)
+                .expect("store");
+        }
+    }
+    let (_persist, recovery) =
+        Persist::open_on(Arc::new(sim.clone()), &sim_config()).expect("reopen");
+    assert_eq!(recovery.replay.corrupt, 0);
+    assert_eq!(recovery.cache.designs.len(), 3);
+
+    let mut files = sim.read_dir(Path::new("state")).expect("state dir");
+    files.extend(sim.read_dir(Path::new("state/cache")).expect("cache dir"));
+    files.sort();
+    let digests: Vec<(String, usize, u64)> = files
+        .iter()
+        .map(|path| {
+            let bytes = sim.contents(path).expect("listed file exists");
+            (path.display().to_string(), bytes.len(), fnv1a64(&bytes))
+        })
+        .collect();
+    let design = |k: u64, digest: u64| {
+        let name = format!("state/cache/{k:016x}{k:016x}.design");
+        (name, 296, digest)
+    };
+    assert_eq!(
+        digests,
+        vec![
+            design(1, 0x494e_ddbc_a9b1_27ca),
+            design(2, 0xe998_efc2_af7a_a896),
+            design(3, 0x2ecc_d40c_0c58_aa53),
+            ("state/journal.log".to_string(), 501, 0x92e6_06c0_2f80_3fcb),
+        ]
+    );
+    assert_eq!(sim.op_count(), 162);
 }

@@ -13,8 +13,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use columba_service::{
-    FsyncPolicy, HttpConfig, HttpServer, Journal, JournalRecord, PersistConfig, QosClass, Service,
-    ServiceConfig,
+    FsyncPolicy, HttpConfig, HttpServer, Journal, JournalRecord, PersistConfig, QosClass, RealFs,
+    Service, ServiceConfig,
 };
 
 fn fresh_state_dir(tag: &str) -> PathBuf {
@@ -35,8 +35,12 @@ fn healthz_returns_503_with_retry_after_until_recovery_completes() {
     let dir = fresh_state_dir("replay");
     fs::create_dir_all(&dir).expect("mkdir");
     {
-        let (mut journal, _) =
-            Journal::open(&dir.join("journal.log"), FsyncPolicy::Never).expect("journal");
+        let (mut journal, _) = Journal::open(
+            Arc::new(RealFs),
+            &dir.join("journal.log"),
+            FsyncPolicy::Never,
+        )
+        .expect("journal");
         for id in 0..240 {
             journal
                 .append(&JournalRecord::Submitted {

@@ -337,7 +337,7 @@ fn every_known_job_keeps_its_trace() {
             "job {id} is known but its trace is empty"
         );
     }
-    assert_eq!(known, 1030, "max_records keeps every job here");
+    assert_eq!(known, 1030, "the 4,096-record cap keeps every job here");
     assert_eq!(service.metrics().trace_events_evicted, 0);
     service.shutdown();
 }

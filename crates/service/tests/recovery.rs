@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use columba_prng::Rng;
 use columba_service::{
-    BatchId, FsyncPolicy, JobId, JobState, Journal, JournalRecord, PersistConfig, QosClass,
+    BatchId, FsyncPolicy, JobId, JobState, Journal, JournalRecord, PersistConfig, QosClass, RealFs,
     Service, ServiceConfig,
 };
 
@@ -121,8 +121,12 @@ fn submitted_but_unfinished_jobs_are_requeued_and_run() {
     // (and a started one — the worker had picked it up) with no terminal
     fs::create_dir_all(&dir).expect("mkdir");
     {
-        let (mut journal, _) =
-            Journal::open(&dir.join("journal.log"), FsyncPolicy::Never).expect("journal");
+        let (mut journal, _) = Journal::open(
+            Arc::new(RealFs),
+            &dir.join("journal.log"),
+            FsyncPolicy::Never,
+        )
+        .expect("journal");
         journal
             .append(&JournalRecord::Submitted {
                 id: 7,
@@ -156,8 +160,12 @@ fn batch_groups_recover_and_requeue_only_unfinished_members() {
     // second never started
     fs::create_dir_all(&dir).expect("mkdir");
     {
-        let (mut journal, _) =
-            Journal::open(&dir.join("journal.log"), FsyncPolicy::Never).expect("journal");
+        let (mut journal, _) = Journal::open(
+            Arc::new(RealFs),
+            &dir.join("journal.log"),
+            FsyncPolicy::Never,
+        )
+        .expect("journal");
         journal
             .append(&JournalRecord::Submitted {
                 id: 1,
@@ -375,8 +383,12 @@ fn compaction_runs_clean_over_a_corrupted_tail() {
     let dir = fresh_state_dir("compact-tail");
     fs::create_dir_all(&dir).expect("mkdir");
     {
-        let (mut journal, _) =
-            Journal::open(&dir.join("journal.log"), FsyncPolicy::Never).expect("journal");
+        let (mut journal, _) = Journal::open(
+            Arc::new(RealFs),
+            &dir.join("journal.log"),
+            FsyncPolicy::Never,
+        )
+        .expect("journal");
         // 30 dead submit+cancel pairs: compactable weight the rewrite
         // must carry over a torn frame without tripping on it
         for id in 0..30 {

@@ -160,7 +160,7 @@ fn breaker_trips_serves_volatile_and_heals_with_a_resync_record() {
 
     // the journal carries the scar tissue: a resync marker from the heal
     // and the post-heal submission after it
-    let (_journal, replay) = Journal::open_on(
+    let (_journal, replay) = Journal::open(
         Arc::new(sim.clone()),
         Path::new("state/journal.log"),
         FsyncPolicy::Never,
