@@ -3,7 +3,7 @@
 #
 # Sections (each also a named CI job):
 #
-#   lint   cargo fmt + clippy with warnings as errors
+#   lint   cargo fmt + clippy + rustdoc with warnings as errors
 #   test   release build, workspace tests, fault-inject configurations,
 #          the e2ebench package's build and tests
 #   chaos  crash-point enumeration + SimFs-injected degrade/heal cycle
@@ -53,6 +53,9 @@ section_lint() {
 
   echo "==> cargo clippy (warnings are errors)"
   cargo clippy --workspace --all-targets --offline -- -D warnings
+
+  echo "==> cargo doc (rustdoc warnings are errors)"
+  RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
   echo "==> raw-time gate (service code must go through the Clock trait)"
   # Every time source in crates/service must be injected via

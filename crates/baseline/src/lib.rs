@@ -28,5 +28,5 @@
 mod placer;
 mod router;
 
-pub use placer::{synthesize_baseline, BaselineOptions, BaselineResult};
+pub use placer::{synthesize_baseline, BaselineError, BaselineOptions, BaselineResult};
 pub use router::{route, Grid, RouteError};

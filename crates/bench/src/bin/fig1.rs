@@ -1,5 +1,5 @@
 //! Regenerates the paper's Fig 1 comparison: the kinase-activity
-//! application [17] synthesized by Columba 2.0 (baseline) and Columba S.
+//! application \[17\] synthesized by Columba 2.0 (baseline) and Columba S.
 //! The paper reports run time 56 s vs 0.9 s, 22 vs 18 inlets, and
 //! functional-region flow channel length 58.9 vs 39.85 mm.
 //!

@@ -1,5 +1,5 @@
 //! Regenerates the paper's Fig 8: the multiplexing function on the
-//! mRNA-isolation design [7]. The paper photographs the fabricated chip
+//! mRNA-isolation design \[7\]. The paper photographs the fabricated chip
 //! with one bit configuration selecting a control channel whose valve then
 //! blocks the fluid flow; here the same walk runs on the simulator.
 //!

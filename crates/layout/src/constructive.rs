@@ -3,18 +3,23 @@
 //! Produces a feasible (not optimal) placement of the plan's entities:
 //! blocks receive pairwise-disjoint x intervals in topological order of the
 //! flow connections (so every channel runs left-to-right), and pin-aligned
-//! chains are grouped into *clusters* stacked in disjoint y bands. The
-//! placement seeds the MILP's branch & bound with an incumbent — with the
-//! node budget at zero it *is* the layout, polished by one LP, which is the
-//! scalable mode that keeps 250-unit designs inside the paper's three-minute
-//! envelope. A placement that fails its overlap self-check is never
-//! returned: it can neither seed the MILP nor stand in for it.
+//! chains are grouped into *clusters* stacked in disjoint y bands. The flow
+//! and control rectangles then follow from the block rectangles by the same
+//! geometry the MILP's solution goes through. The placement seeds the
+//! MILP's branch & bound with an incumbent — with the node budget at zero
+//! it *is* the layout, polished by one LP, which is the scalable mode that
+//! keeps 250-unit designs inside the paper's three-minute envelope.
+//!
+//! The self-check is the eqs 3–5 pair rule applied to the placement's
+//! rectangles: no entity pair the model keeps apart may overlap. A
+//! placement that fails it is never returned: it can neither seed the MILP
+//! nor stand in for it.
 
 use std::collections::HashMap;
 
-use columba_geom::{Um, INLET_PITCH, MIN_CHANNEL_SPACING};
+use columba_geom::{Rect, Um, INLET_PITCH, MIN_CHANNEL_SPACING};
 
-use crate::entities::{BlockId, ControlDir, EndKind, FlowKind, Plan};
+use crate::entities::{derive_control_rects, derive_flow_rects, flow_span, EndKind, Entity, Plan};
 use crate::error::LayoutError;
 
 const D: Um = MIN_CHANNEL_SPACING;
@@ -23,15 +28,29 @@ const COL_GAP: Um = Um(1_000);
 /// Vertical clearance between cluster bands.
 const BAND_GAP: Um = Um(800);
 
-/// A constructive placement that passed its overlap self-check.
+/// A constructive placement that passed its self-check: one rectangle per
+/// entity, indexed like the plan's vectors.
 #[derive(Debug, Clone)]
 pub(crate) struct Placement {
-    /// Per block: `(x_l, y_b, y_t)` (x_r follows from the width).
-    pub block_pos: Vec<(Um, Um, Um)>,
-    /// Per flow entity: `(x_l, x_r, y_b, y_t)`.
-    pub flow_rect: Vec<(Um, Um, Um, Um)>,
+    /// One rectangle per plan block.
+    pub block_rects: Vec<Rect>,
+    /// One rectangle per flow entity.
+    pub flow_rects: Vec<Rect>,
+    /// One rectangle per control entity.
+    pub control_rects: Vec<Rect>,
     /// Chip extents `(x_max, y_max)`.
     pub extent: (Um, Um),
+}
+
+impl Placement {
+    /// The rectangle of entity `e`.
+    pub(crate) fn rect(&self, e: Entity) -> Rect {
+        match e {
+            Entity::Block(b) => self.block_rects[b],
+            Entity::Flow(f) => self.flow_rects[f],
+            Entity::Control(c) => self.control_rects[c],
+        }
+    }
 }
 
 /// Builds the constructive placement; `None` when no attempt passes the
@@ -267,10 +286,6 @@ pub(crate) fn place(plan: &Plan) -> Result<Option<Placement>, LayoutError> {
     // covers the common single-switch and parallel-group topologies; for
     // cascaded multi-switch netlists the placer falls back to randomized
     // restarts over track orderings, validated by the overlap self-check.
-    let ent_height = |f: &crate::entities::FlowEntity| match f.kind {
-        FlowKind::InletBundle(k) => INLET_PITCH * k as i64,
-        _ => D * 2,
-    };
     let is_switch_end = |e: EndKind| e.block().is_some_and(|b| plan.blocks[b.0].is_switch());
     let mut bundles: Vec<usize> = Vec::new(); // flow indices, Boundary↔Switch
     let mut swsw: Vec<usize> = Vec::new(); // flow indices, Switch↔Switch
@@ -297,14 +312,16 @@ pub(crate) fn place(plan: &Plan) -> Result<Option<Placement>, LayoutError> {
     let flex_total: Um = bundles
         .iter()
         .chain(swsw.iter())
-        .map(|&fi| ent_height(&plan.flows[fi]) + INLET_PITCH)
+        .map(|&fi| plan.flows[fi].kind.track_height() + INLET_PITCH)
         .sum();
     let bottom_region_top = D * 4 + flex_total;
 
     // ---- y: stack cluster bands above the bottom region (fixed across
-    // flexible-track attempts) ----
-    let mut y_b = vec![Um::ZERO; n];
-    let mut y_t = vec![Um::ZERO; n];
+    // flexible-track attempts); switches keep an empty span until their
+    // flows are placed ----
+    let mut block_rects: Vec<Rect> = (0..n)
+        .map(|b| Rect::new(x_l[b], x_l[b] + plan.blocks[b].width, Um::ZERO, Um::ZERO))
+        .collect();
     let mut band_cursor = bottom_region_top + BAND_GAP;
     for (_, members) in &cluster_list {
         let rels: Vec<Um> = members
@@ -314,17 +331,13 @@ pub(crate) fn place(plan: &Plan) -> Result<Option<Placement>, LayoutError> {
                 o
             })
             .collect();
-        let min_rel = members
-            .iter()
-            .zip(&rels)
-            .map(|(_, &r)| r)
-            .fold(rels[0], Um::min);
+        let min_rel = rels.iter().copied().fold(rels[0], Um::min);
         let mut band_top = band_cursor;
         for (&b, &r) in members.iter().zip(&rels) {
             let h = plan.blocks[b].height.unwrap_or(plan.blocks[b].min_height);
-            y_b[b] = band_cursor + (r - min_rel);
-            y_t[b] = y_b[b] + h;
-            band_top = band_top.max(y_t[b]);
+            let y_b = band_cursor + (r - min_rel);
+            block_rects[b] = Rect::new(x_l[b], x_l[b] + plan.blocks[b].width, y_b, y_b + h);
+            band_top = band_top.max(y_b + h);
         }
         band_cursor = band_top + BAND_GAP;
     }
@@ -334,65 +347,44 @@ pub(crate) fn place(plan: &Plan) -> Result<Option<Placement>, LayoutError> {
     // `order` lists flexible flow indices; `in_top[i]` routes order[i] to
     // the top region instead of the bottom one
     let assemble = |order: &[usize], in_top: &[bool]| -> Placement {
-        let mut flex_y: HashMap<usize, (Um, Um)> = HashMap::new();
+        let mut flex_y_b = vec![Um::ZERO; plan.flows.len()];
         let mut bottom_cursor = D * 4;
         let mut top_cursor = bands_top + BAND_GAP;
         for (&fi, &top) in order.iter().zip(in_top) {
-            let h = ent_height(&plan.flows[fi]);
-            if top {
-                flex_y.insert(fi, (top_cursor, top_cursor + h));
-                top_cursor += h + INLET_PITCH;
+            let cursor = if top {
+                &mut top_cursor
             } else {
-                flex_y.insert(fi, (bottom_cursor, bottom_cursor + h));
-                bottom_cursor += h + INLET_PITCH;
-            }
+                &mut bottom_cursor
+            };
+            flex_y_b[fi] = *cursor;
+            *cursor += plan.flows[fi].kind.track_height() + INLET_PITCH;
         }
-
-        let mut y_b = y_b.clone();
-        let mut y_t = y_t.clone();
-        let mut flow_rect = vec![(Um::ZERO, Um::ZERO, Um::ZERO, Um::ZERO); plan.flows.len()];
-        let mut sw_span: HashMap<usize, (Um, Um)> = HashMap::new();
-        for (fi, f) in plan.flows.iter().enumerate() {
-            let fx_l = match f.left {
-                EndKind::Boundary => Um::ZERO,
-                EndKind::Pin { block, .. }
-                | EndKind::SwitchSide { block }
-                | EndKind::FullSide { block } => x_l[block.0] + plan.blocks[block.0].width,
-            };
-            let fx_r = match f.right {
-                EndKind::Boundary => x_max,
-                EndKind::Pin { block, .. }
-                | EndKind::SwitchSide { block }
-                | EndKind::FullSide { block } => x_l[block.0],
-            };
-            let (fy_b, fy_t) = match flex_y.get(&fi) {
-                Some(&(lo, hi)) => (lo, hi),
-                None => fixed_entity_y(plan, f, &y_b, &y_t),
-            };
-            flow_rect[fi] = (fx_l, fx_r, fy_b, fy_t);
-            // grow the spans of any attached switches to cover this entity
-            for e in [f.left, f.right] {
-                let Some(sb) = e.block() else { continue };
-                if !plan.blocks[sb.0].is_switch() {
-                    continue;
+        let mut block_rects = block_rects.clone();
+        let flow_rects = derive_flow_rects(plan, &block_rects, x_max, |fi| flex_y_b[fi]);
+        // eq 12: every switch stretches over the flow entities it attaches
+        let mut sw_span: Vec<Option<(Um, Um)>> = vec![None; n];
+        for (f, r) in plan.flows.iter().zip(&flow_rects) {
+            for b in [f.left, f.right].into_iter().filter_map(|e| e.block()) {
+                if plan.blocks[b.0].is_switch() {
+                    let span = sw_span[b.0].get_or_insert((r.y_b(), r.y_t()));
+                    *span = (span.0.min(r.y_b()), span.1.max(r.y_t()));
                 }
-                let entry = sw_span.entry(sb.0).or_insert((fy_b, fy_t));
-                entry.0 = entry.0.min(fy_b);
-                entry.1 = entry.1.max(fy_t);
             }
         }
-        for (sw, (lo, hi)) in &sw_span {
-            let lo = (*lo - D * 2).max(Um::ZERO);
-            let hi = (*hi + D * 2).max(lo + plan.blocks[*sw].min_height);
-            y_b[*sw] = lo;
-            y_t[*sw] = hi;
+        for (sw, span) in sw_span.into_iter().enumerate() {
+            let Some((lo, hi)) = span else { continue };
+            let lo = (lo - D * 2).max(Um::ZERO);
+            let hi = (hi + D * 2).max(lo + plan.blocks[sw].min_height);
+            let r = block_rects[sw];
+            block_rects[sw] = Rect::new(r.x_l(), r.x_r(), lo, hi);
         }
-        let y_max = (0..n).map(|b| y_t[b]).fold(top_cursor, Um::max) + BAND_GAP;
-        let block_pos: Vec<(Um, Um, Um)> = (0..n).map(|b| (x_l[b], y_b[b], y_t[b])).collect();
+        let y_max = block_rects.iter().map(Rect::y_t).fold(top_cursor, Um::max) + BAND_GAP;
+        let control_rects = derive_control_rects(plan, &block_rects, y_max);
         Placement {
+            block_rects,
+            flow_rects,
+            control_rects,
             extent: (x_max, y_max),
-            block_pos,
-            flow_rect,
         }
     };
 
@@ -407,8 +399,9 @@ pub(crate) fn place(plan: &Plan) -> Result<Option<Placement>, LayoutError> {
     in_top0.extend(std::iter::repeat_n(true, swsw0.len()));
     order0.extend_from_slice(&swsw0);
 
+    let entities = plan.entities();
     let placement = assemble(&order0, &in_top0);
-    if self_check(plan, &placement) {
+    if self_check(plan, &entities, &placement) {
         return Ok(Some(placement));
     }
 
@@ -434,7 +427,7 @@ pub(crate) fn place(plan: &Plan) -> Result<Option<Placement>, LayoutError> {
                 .map(|&fi| swsw.contains(&fi) && rng() % 2 == 0)
                 .collect();
             let candidate = assemble(&order, &in_top);
-            if self_check(plan, &candidate) {
+            if self_check(plan, &entities, &candidate) {
                 return Ok(Some(candidate));
             }
         }
@@ -442,77 +435,17 @@ pub(crate) fn place(plan: &Plan) -> Result<Option<Placement>, LayoutError> {
     Ok(None)
 }
 
-/// The y range of a y-rigid entity: full block height or pinned to a pin.
-fn fixed_entity_y(
-    plan: &Plan,
-    f: &crate::entities::FlowEntity,
-    y_b: &[Um],
-    y_t: &[Um],
-) -> (Um, Um) {
-    if let FlowKind::FullHeight(g) = f.kind {
-        return (y_b[g.0], y_t[g.0]);
-    }
-    for e in [f.left, f.right] {
-        if let EndKind::Pin { block, component } = e {
-            let off = plan.blocks[block.0]
-                .pin_y_offset(component)
-                .expect("member");
-            let y = y_b[block.0] + off;
-            return (y - D, y + D);
-        }
-    }
-    unreachable!("flexible entities are preassigned in flex_y")
-}
-
-/// Verifies the placement is overlap-free (same-layer, non-attached pairs).
-fn self_check(plan: &Plan, p: &Placement) -> bool {
-    let block_rect = |b: usize| {
-        let (x, yb, yt) = p.block_pos[b];
-        (x, x + plan.blocks[b].width, yb, yt)
-    };
-    let overlap =
-        |a: (Um, Um, Um, Um), b: (Um, Um, Um, Um)| a.0 < b.1 && b.0 < a.1 && a.2 < b.3 && b.2 < a.3;
-    let n = plan.blocks.len();
-    // blocks pairwise (x-disjoint by construction, but verify)
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if overlap(block_rect(i), block_rect(j)) {
-                return false;
-            }
-        }
-    }
-    // flow entities vs foreign blocks and each other
-    for (fi, f) in plan.flows.iter().enumerate() {
-        let fr = p.flow_rect[fi];
-        if fr.0 > fr.1 {
-            return false;
-        }
-        for b in 0..n {
-            if f.left.block() == Some(BlockId(b)) || f.right.block() == Some(BlockId(b)) {
-                continue;
-            }
-            if overlap(fr, block_rect(b)) {
-                return false;
-            }
-        }
-        // entities sharing an attachment may touch; any overlap is bad
-        if p.flow_rect[fi + 1..]
-            .iter()
-            .any(|&other| overlap(fr, other))
-        {
-            return false;
-        }
-    }
-    // control entities: x follows the block (disjoint columns), y reaches
-    // the chip edge; check against foreign blocks only
-    plan.controls.iter().all(|c| {
-        let (bx, byb, byt) = p.block_pos[c.block.0];
-        let rect = match c.dir {
-            ControlDir::Down => (bx, bx + plan.blocks[c.block.0].width, Um::ZERO, byb),
-            ControlDir::Up => (bx, bx + plan.blocks[c.block.0].width, byt, p.extent.1),
-        };
-        (0..n).all(|b| b == c.block.0 || !overlap(rect, block_rect(b)))
-    })
+/// The self-check: eqs 3–5 on the placement's rectangles. No pair the
+/// pair rule names may strictly overlap, and every flow entity must run
+/// left to right (its rectangle orders its span, so this is checked on
+/// the ends themselves).
+fn self_check(plan: &Plan, entities: &[Entity], p: &Placement) -> bool {
+    plan.flows.iter().all(|f| {
+        let (x_l, x_r) = flow_span(f, &p.block_rects, p.extent.0);
+        x_l <= x_r
+    }) && plan
+        .overlap_pairs(entities)
+        .all(|(i, j)| !p.rect(entities[i]).overlaps(&p.rect(entities[j])))
 }
 
 #[cfg(test)]
@@ -534,14 +467,9 @@ mod tests {
     #[test]
     fn chip4_placement_feasible() {
         let (plan, p) = placed(4);
-        assert_eq!(p.block_pos.len(), plan.blocks.len());
+        assert_eq!(p.block_rects.len(), plan.blocks.len());
         // diagonal x: all blocks pairwise disjoint in x
-        let mut spans: Vec<(Um, Um)> = plan
-            .blocks
-            .iter()
-            .zip(&p.block_pos)
-            .map(|(b, &(x, _, _))| (x, x + b.width))
-            .collect();
+        let mut spans: Vec<(Um, Um)> = p.block_rects.iter().map(|r| (r.x_l(), r.x_r())).collect();
         spans.sort();
         for w in spans.windows(2) {
             assert!(w[0].1 <= w[1].0, "columns overlap: {w:?}");
@@ -572,8 +500,8 @@ mod tests {
             else {
                 continue;
             };
-            let ya = p.block_pos[ba.0].1 + plan.blocks[ba.0].pin_y_offset(ca).unwrap();
-            let yb = p.block_pos[bb.0].1 + plan.blocks[bb.0].pin_y_offset(cb).unwrap();
+            let ya = p.block_rects[ba.0].y_b() + plan.blocks[ba.0].pin_y_offset(ca).unwrap();
+            let yb = p.block_rects[bb.0].y_b() + plan.blocks[bb.0].pin_y_offset(cb).unwrap();
             assert_eq!(ya, yb, "pin-aligned blocks share channel height");
         }
     }
@@ -587,10 +515,9 @@ mod tests {
                 if !plan.blocks[b.0].is_switch() {
                     continue;
                 }
-                let (_, s_yb, s_yt) = p.block_pos[b.0];
-                let (_, _, f_yb, f_yt) = p.flow_rect[fi];
+                let (s, f) = (p.block_rects[b.0], p.flow_rects[fi]);
                 assert!(
-                    s_yb <= f_yb && f_yt <= s_yt,
+                    s.y_b() <= f.y_b() && f.y_t() <= s.y_t(),
                     "switch spans its junction channels"
                 );
             }

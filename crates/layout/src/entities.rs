@@ -11,10 +11,17 @@
 //!   rectangle; switch-to-boundary inlet bundles with `n·d'` pitch);
 //! * a [`ControlEntity`] per block per MUX direction, merged under rule 1
 //!   (width follows the block).
+//!
+//! The MILP, the constructive placement and its self-check share one index
+//! space over these rectangles (`Plan::entities`: blocks, then flows, then
+//! controls), one rectangle geometry (`derive_flow_rects` and
+//! `derive_control_rects` place the channel rectangles from the block
+//! rectangles) and one pair rule (`Plan::must_not_overlap`, the pairs eqs
+//! 3–5 keep apart).
 
 use std::collections::HashMap;
 
-use columba_geom::{Rect, Um};
+use columba_geom::{Rect, Um, INLET_PITCH, MIN_CHANNEL_SPACING};
 use columba_modules::ModuleModel;
 use columba_netlist::{
     ComponentId, ComponentKind, Connection, ControlAccess, Endpoint, MuxCount, Netlist, UnitSide,
@@ -143,6 +150,17 @@ pub enum FlowKind {
     InletBundle(usize),
 }
 
+impl FlowKind {
+    /// The height of an entity no group block spans: `2d` for a single
+    /// channel, `n·d'` for a bundle of `n` inlets.
+    pub(crate) fn track_height(self) -> Um {
+        match self {
+            FlowKind::InletBundle(n) => INLET_PITCH * n as i64,
+            _ => MIN_CHANNEL_SPACING * 2,
+        }
+    }
+}
+
 /// A merged horizontal flow-channel rectangle between two attachments.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlowEntity {
@@ -206,6 +224,116 @@ impl Plan {
             .map(|c| c.count)
             .sum()
     }
+
+    /// The entity list: every block, then every flow entity, then every
+    /// control entity. Position `i` in it is entity `i` of the model.
+    pub(crate) fn entities(&self) -> Vec<Entity> {
+        (0..self.blocks.len())
+            .map(Entity::Block)
+            .chain((0..self.flows.len()).map(Entity::Flow))
+            .chain((0..self.controls.len()).map(Entity::Control))
+            .collect()
+    }
+
+    /// The eqs 3–5 pair rule: `true` when `a` and `b` must not overlap.
+    /// Flow and control entities lie on different layers and never pair; a
+    /// flow entity may touch its end blocks, a control entity its own block.
+    pub(crate) fn must_not_overlap(&self, a: Entity, b: Entity) -> bool {
+        match (a, b) {
+            (Entity::Flow(_), Entity::Control(_)) | (Entity::Control(_), Entity::Flow(_)) => false,
+            (Entity::Block(b), Entity::Flow(f)) | (Entity::Flow(f), Entity::Block(b)) => {
+                let f = &self.flows[f];
+                ![f.left, f.right]
+                    .into_iter()
+                    .any(|e| e.block() == Some(BlockId(b)))
+            }
+            (Entity::Block(b), Entity::Control(c)) | (Entity::Control(c), Entity::Block(b)) => {
+                self.controls[c].block != BlockId(b)
+            }
+            _ => true,
+        }
+    }
+
+    /// Every position pair `(i, j)`, `i < j`, of `entities` that the pair
+    /// rule keeps apart, in row-major order.
+    pub(crate) fn overlap_pairs<'a>(
+        &'a self,
+        entities: &'a [Entity],
+    ) -> impl Iterator<Item = (usize, usize)> + 'a {
+        (0..entities.len())
+            .flat_map(move |i| ((i + 1)..entities.len()).map(move |j| (i, j)))
+            .filter(move |&(i, j)| self.must_not_overlap(entities[i], entities[j]))
+    }
+}
+
+/// One rectangle of the layout model, by index into its [`Plan`] vector.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Entity {
+    /// A block of [`Plan::blocks`].
+    Block(usize),
+    /// A flow entity of [`Plan::flows`].
+    Flow(usize),
+    /// A control entity of [`Plan::controls`].
+    Control(usize),
+}
+
+/// The x span of flow entity `f`, from its left end to its right end: the
+/// right edge of its left block (or the left chip boundary, 0) to the left
+/// edge of its right block (or the right boundary, `x_max`). Left-to-right
+/// routing needs the first no larger than the second.
+pub(crate) fn flow_span(f: &FlowEntity, block_rects: &[Rect], x_max: Um) -> (Um, Um) {
+    let x_l = f.left.block().map_or(Um::ZERO, |b| block_rects[b.0].x_r());
+    let x_r = f.right.block().map_or(x_max, |b| block_rects[b.0].x_l());
+    (x_l, x_r)
+}
+
+/// The flow-entity rectangles over `block_rects`: x spans the entity's
+/// ends ([`flow_span`], ordered), y follows its group block or its pin;
+/// an entity with neither starts at `flex_y_b(index)`.
+pub(crate) fn derive_flow_rects(
+    plan: &Plan,
+    block_rects: &[Rect],
+    x_max: Um,
+    flex_y_b: impl Fn(usize) -> Um,
+) -> Vec<Rect> {
+    plan.flows
+        .iter()
+        .enumerate()
+        .map(|(fi, f)| {
+            let (x_l, x_r) = flow_span(f, block_rects, x_max);
+            let pin = [f.left, f.right].into_iter().find_map(|e| match e {
+                EndKind::Pin { block, component } => {
+                    let off = plan.blocks[block.0].pin_y_offset(component)?;
+                    Some(block_rects[block.0].y_b() + off)
+                }
+                _ => None,
+            });
+            let (y_b, y_t) = match (f.kind, pin) {
+                (FlowKind::FullHeight(g), _) => (block_rects[g.0].y_b(), block_rects[g.0].y_t()),
+                (_, Some(p)) => (p - MIN_CHANNEL_SPACING, p + MIN_CHANNEL_SPACING),
+                (kind, None) => {
+                    let y_b = flex_y_b(fi);
+                    (y_b, y_b + kind.track_height())
+                }
+            };
+            Rect::new(x_l.min(x_r), x_r.max(x_l), y_b, y_t)
+        })
+        .collect()
+}
+
+/// The control-entity rectangles over `block_rects`: the block's columns,
+/// down to the chip bottom or up to `y_max`.
+pub(crate) fn derive_control_rects(plan: &Plan, block_rects: &[Rect], y_max: Um) -> Vec<Rect> {
+    plan.controls
+        .iter()
+        .map(|c| {
+            let b = block_rects[c.block.0];
+            match c.dir {
+                ControlDir::Down => Rect::new(b.x_l(), b.x_r(), Um::ZERO, b.y_b()),
+                ControlDir::Up => Rect::new(b.x_l(), b.x_r(), b.y_t(), y_max.max(b.y_t())),
+            }
+        })
+        .collect()
 }
 
 /// The control-pin split of a component under the design's MUX count:

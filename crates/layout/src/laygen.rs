@@ -7,26 +7,37 @@
 //! the pin sides fixed by the netlist), switch coverage (eq 12) and the
 //! weighted objective (eq 13).
 //!
+//! The entities are the plan's entity list (blocks, then flows, then
+//! controls), and the disjunctions cover exactly the pairs of the plan's
+//! pair rule, the same pairs the constructive placement's self-check keeps
+//! from overlapping. So a self-checked placement satisfies one of the four
+//! relations of every disjunction and gives the branch & bound its hint;
+//! the only way it can fail the model is by two boundary inlets closer
+//! than the inlet pitch `d'`, which the self-check does not cover.
+//!
 //! Two scalability devices keep the model solvable without Gurobi:
 //! disjunctions are *pruned* for pairs whose left-to-right order is already
 //! implied by the connection chains, and the constructive placement seeds
 //! branch & bound with a feasible incumbent (with a zero node budget the
 //! incumbent is simply polished by one LP, and without one nothing is
 //! solved). [`generate`] returns a MILP solution or an error: laying the
-//! placement out as it stands is the ladder's [`constructive_layout`].
+//! placement out as it stands is the ladder's [`constructive_layout`], a
+//! copy of the placement's rectangles. Both paths derive the channel
+//! rectangles from the block rectangles by the same geometry.
 
 use std::time::Duration;
 
-use columba_geom::{Rect, Um, INLET_PITCH, MIN_CHANNEL_SPACING};
+use columba_geom::{Rect, Um, INLET_PITCH};
 use columba_milp::{Model, ModelStats, Sense, SolveParams, SolveStats, SolveStatus, VarId};
 
 use crate::constructive::Placement;
-use crate::entities::{ControlDir, EndKind, FlowKind, Plan};
+use crate::entities::{
+    derive_control_rects, derive_flow_rects, ControlDir, EndKind, Entity, FlowKind, Plan,
+};
 use crate::error::LayoutError;
 use crate::LayoutOptions;
 
 const D_MM: f64 = 0.1; // d = 100um in mm
-const D: Um = MIN_CHANNEL_SPACING;
 
 /// Diagnostics from the layout-generation solve.
 #[derive(Debug, Clone)]
@@ -63,23 +74,6 @@ pub struct GeneratedLayout {
     pub extent: (Um, Um),
     /// Solve diagnostics.
     pub report: LaygenReport,
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum EntLayer {
-    Both,
-    Flow,
-    Control,
-}
-
-struct Ent {
-    vars: [VarId; 4], // xl, xr, yb, yt
-    layer: EntLayer,
-    /// anchor blocks for order pruning: (leftmost, rightmost)
-    start: Option<usize>,
-    end: Option<usize>,
-    /// attached blocks exempt from disjunctions
-    attached: [Option<usize>; 2],
 }
 
 /// Solves the layout MILP of `plan`, seeded by `placement` (`None` when
@@ -138,13 +132,14 @@ pub(crate) fn generate(
         model.constraint_in(g_confine, Model::expr().term(1.0, y_max), Sense::Le, h);
     }
 
-    let mut ents: Vec<Ent> = Vec::new();
-    // x_l, x_r, y_b, y_t of one rectangle
+    // x_l, x_r, y_b, y_t of every entity, indexed like `entities`
+    let entities = plan.entities();
+    let mut vars: Vec<[VarId; 4]> = Vec::with_capacity(entities.len());
     let new_rect_vars =
         |model: &mut Model| -> [VarId; 4] { std::array::from_fn(|_| model.num_var(0.0, bound_mm)) };
 
     // ---- blocks ----
-    for (i, b) in plan.blocks.iter().enumerate() {
+    for b in &plan.blocks {
         let v = new_rect_vars(&mut model);
         // eq 1: coupling
         model.constraint_in(
@@ -180,17 +175,10 @@ pub(crate) fn generate(
             Sense::Le,
             0.0,
         );
-        ents.push(Ent {
-            vars: v,
-            layer: EntLayer::Both,
-            start: Some(i),
-            end: Some(i),
-            attached: [None, None],
-        });
+        vars.push(v);
     }
 
     // ---- flow entities ----
-    let flow_base = ents.len();
     for f in &plan.flows {
         let v = new_rect_vars(&mut model);
         model.constraint_in(
@@ -253,7 +241,7 @@ pub(crate) fn generate(
                 EndKind::Pin { block, .. }
                 | EndKind::SwitchSide { block }
                 | EndKind::FullSide { block } => {
-                    let bv = ents[block.0].vars;
+                    let bv = vars[block.0];
                     let bx = if is_left { bv[1] } else { bv[0] };
                     model.constraint_in(
                         g_boundary,
@@ -273,7 +261,7 @@ pub(crate) fn generate(
                         .pin_y_offset(component)
                         .expect("pin component is a member")
                         .to_mm();
-                    let byb = ents[block.0].vars[2];
+                    let byb = vars[block.0][2];
                     match f.kind {
                         FlowKind::Thin => {
                             // f.y_b = pin - d
@@ -302,7 +290,7 @@ pub(crate) fn generate(
                     }
                 }
                 EndKind::FullSide { block } => {
-                    let bv = ents[block.0].vars;
+                    let bv = vars[block.0];
                     model.constraint_in(
                         g_boundary,
                         Model::expr().term(1.0, v[2]).term(-1.0, bv[2]),
@@ -318,7 +306,7 @@ pub(crate) fn generate(
                 }
                 EndKind::SwitchSide { block } => {
                     // eq 12: the switch extends to cover the channel
-                    let sv = ents[block.0].vars;
+                    let sv = vars[block.0];
                     model.constraint_in(
                         g_switch,
                         Model::expr().term(1.0, v[2]).term(-1.0, sv[2]),
@@ -336,20 +324,13 @@ pub(crate) fn generate(
             }
         }
 
-        ents.push(Ent {
-            vars: v,
-            layer: EntLayer::Flow,
-            start: f.left.block().map(|b| b.0),
-            end: f.right.block().map(|b| b.0),
-            attached: [f.left.block().map(|b| b.0), f.right.block().map(|b| b.0)],
-        });
+        vars.push(v);
     }
 
     // ---- control entities (rule 1 rectangles) ----
-    let control_base = ents.len();
     for c in &plan.controls {
         let v = new_rect_vars(&mut model);
-        let bv = ents[c.block.0].vars;
+        let bv = vars[c.block.0];
         model.constraint_in(
             g_boundary,
             Model::expr().term(1.0, v[0]).term(-1.0, bv[0]),
@@ -387,14 +368,9 @@ pub(crate) fn generate(
                 );
             }
         }
-        ents.push(Ent {
-            vars: v,
-            layer: EntLayer::Control,
-            start: Some(c.block.0),
-            end: Some(c.block.0),
-            attached: [Some(c.block.0), None],
-        });
+        vars.push(v);
     }
+    let flow_vars = |fi: usize| vars[nb + fi];
 
     // ---- order analysis for disjunction pruning ----
     let reach = reachability(plan, nb);
@@ -404,78 +380,76 @@ pub(crate) fn generate(
             _ => false,
         }
     };
+    // the blocks an entity starts and ends at along the flow chains
+    let chain_ends = |e: Entity| -> (Option<usize>, Option<usize>) {
+        match e {
+            Entity::Block(b) => (Some(b), Some(b)),
+            Entity::Flow(f) => (
+                plan.flows[f].left.block().map(|b| b.0),
+                plan.flows[f].right.block().map(|b| b.0),
+            ),
+            Entity::Control(c) => (
+                Some(plan.controls[c].block.0),
+                Some(plan.controls[c].block.0),
+            ),
+        }
+    };
 
-    // ---- eqs 3-5: non-overlap disjunctions ----
+    // ---- eqs 3-5: non-overlap disjunctions over the pair rule's pairs ----
     let mut disjunctions: Vec<(usize, usize, [VarId; 4])> = Vec::new();
     let mut pruned = 0usize;
-    for i in 0..ents.len() {
-        for j in (i + 1)..ents.len() {
-            let (a, b) = (&ents[i], &ents[j]);
-            let compatible = !matches!(
-                (a.layer, b.layer),
-                (EntLayer::Flow, EntLayer::Control) | (EntLayer::Control, EntLayer::Flow)
-            );
-            if !compatible {
-                continue;
-            }
-            // attached pairs may touch by construction
-            let attached = (i >= flow_base && i < control_base && a.attached.contains(&Some(j)))
-                || (j >= flow_base && j < control_base && b.attached.contains(&Some(i)))
-                || (i >= control_base && a.attached[0] == Some(j))
-                || (j >= control_base && b.attached[0] == Some(i));
-            if attached {
-                continue;
-            }
-            if options.prune_ordered_pairs && (ordered(a.end, b.start) || ordered(b.end, a.start)) {
-                pruned += 1;
-                continue;
-            }
-            let q: [VarId; 4] = std::array::from_fn(|_| model.bin_var());
-            let (av, bv) = (a.vars, b.vars);
-            // a left of b / b left of a / a below b / b below a
-            model.constraint_in(
-                g_overlap,
-                Model::expr()
-                    .term(1.0, av[1])
-                    .term(-1.0, bv[0])
-                    .term(-big_m, q[0]),
-                Sense::Le,
-                0.0,
-            );
-            model.constraint_in(
-                g_overlap,
-                Model::expr()
-                    .term(1.0, bv[1])
-                    .term(-1.0, av[0])
-                    .term(-big_m, q[1]),
-                Sense::Le,
-                0.0,
-            );
-            model.constraint_in(
-                g_overlap,
-                Model::expr()
-                    .term(1.0, av[3])
-                    .term(-1.0, bv[2])
-                    .term(-big_m, q[2]),
-                Sense::Le,
-                0.0,
-            );
-            model.constraint_in(
-                g_overlap,
-                Model::expr()
-                    .term(1.0, bv[3])
-                    .term(-1.0, av[2])
-                    .term(-big_m, q[3]),
-                Sense::Le,
-                0.0,
-            );
-            let mut sum = Model::expr();
-            for &qv in &q {
-                sum = sum.term(1.0, qv);
-            }
-            model.constraint_in(g_overlap, sum, Sense::Eq, 3.0);
-            disjunctions.push((i, j, q));
+    for (i, j) in plan.overlap_pairs(&entities) {
+        let ((a_start, a_end), (b_start, b_end)) =
+            (chain_ends(entities[i]), chain_ends(entities[j]));
+        if options.prune_ordered_pairs && (ordered(a_end, b_start) || ordered(b_end, a_start)) {
+            pruned += 1;
+            continue;
         }
+        let q: [VarId; 4] = std::array::from_fn(|_| model.bin_var());
+        let (av, bv) = (vars[i], vars[j]);
+        // a left of b / b left of a / a below b / b below a
+        model.constraint_in(
+            g_overlap,
+            Model::expr()
+                .term(1.0, av[1])
+                .term(-1.0, bv[0])
+                .term(-big_m, q[0]),
+            Sense::Le,
+            0.0,
+        );
+        model.constraint_in(
+            g_overlap,
+            Model::expr()
+                .term(1.0, bv[1])
+                .term(-1.0, av[0])
+                .term(-big_m, q[1]),
+            Sense::Le,
+            0.0,
+        );
+        model.constraint_in(
+            g_overlap,
+            Model::expr()
+                .term(1.0, av[3])
+                .term(-1.0, bv[2])
+                .term(-big_m, q[2]),
+            Sense::Le,
+            0.0,
+        );
+        model.constraint_in(
+            g_overlap,
+            Model::expr()
+                .term(1.0, bv[3])
+                .term(-1.0, av[2])
+                .term(-big_m, q[3]),
+            Sense::Le,
+            0.0,
+        );
+        let mut sum = Model::expr();
+        for &qv in &q {
+            sum = sum.term(1.0, qv);
+        }
+        model.constraint_in(g_overlap, sum, Sense::Eq, 3.0);
+        disjunctions.push((i, j, q));
     }
 
     // ---- fluid-inlet pitch: entities on the same flow boundary keep
@@ -499,8 +473,7 @@ pub(crate) fn generate(
         for a in 0..members.len() {
             for b in (a + 1)..members.len() {
                 let (i, j) = (members[a], members[b]);
-                let vi = ents[flow_base + i].vars;
-                let vj = ents[flow_base + j].vars;
+                let (vi, vj) = (flow_vars(i), flow_vars(j));
                 let q = [model.bin_var(), model.bin_var()];
                 model.constraint_in(
                     g_pitch,
@@ -536,22 +509,23 @@ pub(crate) fn generate(
         .term(options.alpha, x_max)
         .term(options.beta, y_max)
         .term(options.gamma, xy_max);
-    for (fi, f) in plan.flows.iter().enumerate() {
-        let v = ents[flow_base + fi].vars;
-        obj = obj.term(options.kappa * f.count as f64, v[1]);
-        obj = obj.term(-options.kappa * f.count as f64, v[0]);
-    }
-    for (ci, c) in plan.controls.iter().enumerate() {
-        let v = ents[control_base + ci].vars;
-        obj = obj.term(options.kappa * c.count as f64, v[3]);
-        obj = obj.term(-options.kappa * c.count as f64, v[2]);
+    // channel length: a flow entity's x extent, a control entity's y
+    // extent, weighted by its channel count
+    for (e, v) in entities.iter().zip(&vars) {
+        let (count, lo, hi) = match *e {
+            Entity::Block(_) => continue,
+            Entity::Flow(f) => (plan.flows[f].count, v[0], v[1]),
+            Entity::Control(c) => (plan.controls[c].count, v[2], v[3]),
+        };
+        obj = obj.term(options.kappa * count as f64, hi);
+        obj = obj.term(-options.kappa * count as f64, lo);
     }
     model.minimize(obj);
 
     // ---- hint from the constructive placement ----
     let hint = placement
         .filter(|_| options.warm_start)
-        .and_then(|p| build_hint(plan, p, &disjunctions, &pitch_disjunctions));
+        .and_then(|p| build_hint(p, &entities, &disjunctions, &pitch_disjunctions));
 
     let params = SolveParams {
         time_limit: options.time_limit,
@@ -597,19 +571,15 @@ pub(crate) fn generate(
     match result.solution() {
         Some(sol) => {
             let to_um = |v: VarId| Um::from_mm(sol.value(v));
-            let mut block_rects: Vec<Rect> = (0..nb)
-                .map(|i| {
-                    let v = ents[i].vars;
-                    Rect::new(to_um(v[0]), to_um(v[1]), to_um(v[2]), to_um(v[3]))
-                })
+            let mut block_rects: Vec<Rect> = vars[..nb]
+                .iter()
+                .map(|v| Rect::new(to_um(v[0]), to_um(v[1]), to_um(v[2]), to_um(v[3])))
                 .collect();
             realign_pins(plan, &mut block_rects);
             let extent = (to_um(x_max).max(Um(1)), to_um(y_max).max(Um(1)));
-            let flow_rects = derive_flow_rects(plan, &block_rects, extent, |fi| {
-                let v = ents[flow_base + fi].vars;
-                (to_um(v[2]), to_um(v[3]))
-            });
-            let control_rects = derive_control_rects(plan, &block_rects, extent);
+            let flow_rects =
+                derive_flow_rects(plan, &block_rects, extent.0, |fi| to_um(flow_vars(fi)[2]));
+            let control_rects = derive_control_rects(plan, &block_rects, extent.1);
             Ok(GeneratedLayout {
                 block_rects,
                 flow_rects,
@@ -667,32 +637,21 @@ fn not_found(
     } else if placement.is_none() {
         "; the constructive placement failed its self-check"
     } else {
-        "; the constructive placement does not satisfy the model's disjunctions"
+        "; two boundary inlets of the constructive placement sit closer than the inlet pitch d'"
     };
     LayoutError::milp(format!(
         "no feasible layout found within budget ({status}){why}"
     ))
 }
 
-/// The constructive rung's layout: the placement outright, no MILP.
-pub(crate) fn constructive_layout(plan: &Plan, placement: &Placement) -> GeneratedLayout {
-    let block_rects: Vec<Rect> = plan
-        .blocks
-        .iter()
-        .zip(&placement.block_pos)
-        .map(|(b, &(x, yb, yt))| Rect::new(x, x + b.width, yb, yt))
-        .collect();
-    let extent = placement.extent;
-    let flow_rects = derive_flow_rects(plan, &block_rects, extent, |fi| {
-        let (_, _, yb, yt) = placement.flow_rect[fi];
-        (yb, yt)
-    });
-    let control_rects = derive_control_rects(plan, &block_rects, extent);
+/// The constructive rung's layout: the placement's rectangles outright, no
+/// MILP.
+pub(crate) fn constructive_layout(placement: &Placement) -> GeneratedLayout {
     GeneratedLayout {
-        block_rects,
-        flow_rects,
-        control_rects,
-        extent,
+        block_rects: placement.block_rects.clone(),
+        flow_rects: placement.flow_rects.clone(),
+        control_rects: placement.control_rects.clone(),
+        extent: placement.extent,
         report: LaygenReport {
             model_stats: ModelStats::default(),
             status: SolveStatus::LimitReached,
@@ -728,62 +687,41 @@ fn reachability(plan: &Plan, nb: usize) -> Vec<bool> {
     reach
 }
 
-/// Builds the q-variable hint from the constructive placement; `None` when
-/// some pair overlaps or two boundary inlets sit closer than the inlet
-/// pitch, which the placement's self-check does not cover.
+/// Builds the q-variable hint from the self-checked constructive
+/// placement; `None` when two boundary inlets sit closer than the inlet
+/// pitch `d'`, the one model relation the self-check does not cover.
 fn build_hint(
-    plan: &Plan,
     placement: &Placement,
+    entities: &[Entity],
     disjunctions: &[(usize, usize, [VarId; 4])],
     pitch_disjunctions: &[(usize, usize, [VarId; 2])],
 ) -> Option<Vec<(VarId, f64)>> {
-    let nb = plan.blocks.len();
-    let nf = plan.flows.len();
-    let rect_of = |e: usize| -> (Um, Um, Um, Um) {
-        if e < nb {
-            let (x, yb, yt) = placement.block_pos[e];
-            (x, x + plan.blocks[e].width, yb, yt)
-        } else if e < nb + nf {
-            placement.flow_rect[e - nb]
-        } else {
-            let c = &plan.controls[e - nb - nf];
-            let (bx, byb, byt) = placement.block_pos[c.block.0];
-            let w = plan.blocks[c.block.0].width;
-            match c.dir {
-                ControlDir::Down => (bx, bx + w, Um::ZERO, byb),
-                ControlDir::Up => (bx, bx + w, byt, placement.extent.1),
-            }
-        }
-    };
-    let mut hint = Vec::with_capacity(disjunctions.len() * 4);
+    let mut hint = Vec::with_capacity(disjunctions.len() * 4 + pitch_disjunctions.len() * 2);
     for &(i, j, q) in disjunctions {
-        let a = rect_of(i);
-        let b = rect_of(j);
-        let zero = if a.1 <= b.0 {
+        let (a, b) = (placement.rect(entities[i]), placement.rect(entities[j]));
+        // the self-check kept every disjunction pair from overlapping, so
+        // one of the four relations holds
+        let zero = if a.x_r() <= b.x_l() {
             0
-        } else if b.1 <= a.0 {
+        } else if b.x_r() <= a.x_l() {
             1
-        } else if a.3 <= b.2 {
+        } else if a.y_t() <= b.y_b() {
             2
-        } else if b.3 <= a.2 {
-            3
         } else {
-            return None; // overlapping pair: placement is not usable
+            3
         };
         for (k, &qv) in q.iter().enumerate() {
             hint.push((qv, if k == zero { 0.0 } else { 1.0 }));
         }
     }
-    let d_prime = INLET_PITCH;
     for &(i, j, q) in pitch_disjunctions {
-        let a = placement.flow_rect[i];
-        let b = placement.flow_rect[j];
-        let zero = if a.3 + d_prime <= b.2 {
+        let (a, b) = (placement.flow_rects[i], placement.flow_rects[j]);
+        let zero = if a.y_t() + INLET_PITCH <= b.y_b() {
             0
-        } else if b.3 + d_prime <= a.2 {
+        } else if b.y_t() + INLET_PITCH <= a.y_b() {
             1
         } else {
-            return None; // constructive inlets too close: unusable hint
+            return None;
         };
         for (k, &qv) in q.iter().enumerate() {
             hint.push((qv, if k == zero { 0.0 } else { 1.0 }));
@@ -830,68 +768,6 @@ fn realign_pins(plan: &Plan, block_rects: &mut [Rect]) {
             break;
         }
     }
-}
-
-/// Recomputes flow-entity rectangles from the (aligned) block rectangles;
-/// flexible y ranges come from `flex_y`.
-fn derive_flow_rects(
-    plan: &Plan,
-    block_rects: &[Rect],
-    extent: (Um, Um),
-    flex_y: impl Fn(usize) -> (Um, Um),
-) -> Vec<Rect> {
-    plan.flows
-        .iter()
-        .enumerate()
-        .map(|(fi, f)| {
-            let x_l = match f.left {
-                EndKind::Boundary => Um::ZERO,
-                e => block_rects[e.block().expect("non-boundary end").0].x_r(),
-            };
-            let x_r = match f.right {
-                EndKind::Boundary => extent.0,
-                e => block_rects[e.block().expect("non-boundary end").0].x_l(),
-            };
-            let (y_b, y_t) = match f.kind {
-                FlowKind::FullHeight(g) => (block_rects[g.0].y_b(), block_rects[g.0].y_t()),
-                _ => {
-                    // pin end wins; otherwise the LP/constructive value
-                    let pin = [f.left, f.right].into_iter().find_map(|e| match e {
-                        EndKind::Pin { block, component } => {
-                            let off = plan.blocks[block.0].pin_y_offset(component)?;
-                            Some(block_rects[block.0].y_b() + off)
-                        }
-                        _ => None,
-                    });
-                    match (pin, f.kind) {
-                        (Some(p), _) => (p - D, p + D),
-                        (None, FlowKind::InletBundle(n)) => {
-                            let (yb, _) = flex_y(fi);
-                            (yb, yb + INLET_PITCH * n as i64)
-                        }
-                        (None, _) => {
-                            let (yb, _) = flex_y(fi);
-                            (yb, yb + D * 2)
-                        }
-                    }
-                }
-            };
-            Rect::new(x_l.min(x_r), x_r.max(x_l), y_b, y_t)
-        })
-        .collect()
-}
-
-fn derive_control_rects(plan: &Plan, block_rects: &[Rect], extent: (Um, Um)) -> Vec<Rect> {
-    plan.controls
-        .iter()
-        .map(|c| {
-            let b = block_rects[c.block.0];
-            match c.dir {
-                ControlDir::Down => Rect::new(b.x_l(), b.x_r(), Um::ZERO, b.y_b()),
-                ControlDir::Up => Rect::new(b.x_l(), b.x_r(), b.y_t(), extent.1.max(b.y_t())),
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -1032,6 +908,77 @@ mod tests {
         let names: Vec<&str> = rec.finished().iter().map(|s| s.name).collect();
         assert!(names.contains(&"laygen.model_build"), "{names:?}");
         assert!(!names.contains(&"milp.solve"), "{names:?}");
+    }
+
+    #[test]
+    fn hint_refusal_names_the_inlet_pitch() {
+        let (plan, mut placement) = placed(4);
+        // two flow entities with inlets on the same chip boundary
+        let on_boundary = |left: bool| -> Vec<usize> {
+            (0..plan.flows.len())
+                .filter(|&fi| {
+                    let f = &plan.flows[fi];
+                    (if left { f.left } else { f.right }) == EndKind::Boundary
+                })
+                .collect()
+        };
+        let (i, j) = [on_boundary(true), on_boundary(false)]
+            .into_iter()
+            .find_map(|side| (side.len() >= 2).then(|| (side[0], side[1])))
+            .expect("chip4 has two inlets on one boundary");
+        // move j to sit half an inlet pitch above i
+        let (a, b) = (placement.flow_rects[i], placement.flow_rects[j]);
+        let y_b = a.y_t() + INLET_PITCH / 2;
+        placement.flow_rects[j] = Rect::new(b.x_l(), b.x_r(), y_b, y_b + b.height());
+        let e = generate(&plan, Some(&placement), &pinned_search(0)).unwrap_err();
+        assert!(
+            e.to_string()
+                .contains("two boundary inlets of the constructive placement sit closer than the inlet pitch d'"),
+            "{e}"
+        );
+    }
+
+    /// The plan and self-checked placement of each bundled case the pair
+    /// rule and the constructive rung are pinned on.
+    fn bundled_cases() -> Vec<(&'static str, Plan, Placement)> {
+        [
+            ("chip4ip", generators::chip_ip(4, MuxCount::One)),
+            ("kinase", generators::kinase_activity(MuxCount::One)),
+            ("mrna", generators::mrna_isolation(MuxCount::One)),
+            ("nucleic", generators::nucleic_acid_processor(MuxCount::One)),
+            ("chip64", generators::chip_ip(64, MuxCount::One)),
+        ]
+        .into_iter()
+        .map(|(name, raw)| {
+            let plan = build_plan(&planarize(&raw).0).unwrap();
+            let placement = constructive::place(&plan).unwrap().expect("self-checks");
+            (name, plan, placement)
+        })
+        .collect()
+    }
+
+    #[test]
+    fn model_and_self_check_share_the_pair_rule() {
+        for (name, plan, placement) in bundled_cases() {
+            let g = generate(&plan, Some(&placement), &pinned_search(0)).unwrap();
+            let checked = plan.overlap_pairs(&plan.entities()).count();
+            assert_eq!(
+                g.report.disjunctions + g.report.pruned_pairs,
+                checked,
+                "{name}: every pair the self-check examines is a disjunction or pruned"
+            );
+        }
+    }
+
+    #[test]
+    fn constructive_rung_lays_out_the_placement_exactly() {
+        for (name, _, placement) in bundled_cases() {
+            let g = constructive_layout(&placement);
+            assert_eq!(g.block_rects, placement.block_rects, "{name}");
+            assert_eq!(g.flow_rects, placement.flow_rects, "{name}");
+            assert_eq!(g.control_rects, placement.control_rects, "{name}");
+            assert_eq!(g.extent, placement.extent, "{name}");
+        }
     }
 
     #[test]

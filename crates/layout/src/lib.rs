@@ -3,7 +3,7 @@
 //!
 //! The synthesis runs in two phases:
 //!
-//! 1. **Layout generation** ([`laygen`]): the planarized netlist is reduced
+//! 1. **Layout generation**: the planarized netlist is reduced
 //!    to rectangle *entities* — parallel functional units merged into single
 //!    rectangles (Fig 6(a)), channels merged under the paper's three rules —
 //!    and an MILP places them: rectangle coupling (eq 1), chip confinement
@@ -14,7 +14,7 @@
 //!    and a constructive row placer seeds branch & bound with a feasible
 //!    incumbent, so large designs stay solvable without Gurobi.
 //!
-//! 2. **Layout validation** ([`layval`]): restores the full geometry from
+//! 2. **Layout validation**: restores the full geometry from
 //!    the rectangle plan — places every module, instantiates its inner
 //!    geometry via the module library, routes the straight flow and control
 //!    channels, synthesizes fluid inlets along the flow boundaries and the

@@ -224,7 +224,7 @@ impl std::error::Error for ResilientError {
 /// Runs the escalation ladder on a **planarized** netlist.
 ///
 /// Returns the best layout any rung produced, together with the
-/// [`AttemptLog`]. See the [module docs](self) for the ladder.
+/// [`AttemptLog`]. The rungs, best first, are the variants of [`Rung`].
 ///
 /// # Errors
 ///
@@ -286,7 +286,7 @@ fn ladder(
                 "no layout found within budget at any rung: the constructive placement failed its self-check",
             )
         })?;
-        layval::validate(netlist, &plan, &laygen::constructive_layout(&plan, placement))
+        layval::validate(netlist, &plan, &laygen::constructive_layout(placement))
     })?;
     Ok((result, Rung::ConstructiveOnly))
 }

@@ -4,13 +4,13 @@
 //! and around a microfluidic component, accessed via pins on its
 //! boundaries. The Columba S library contains three module types:
 //!
-//! * **rotary mixers** ([`mixer`]) — peristaltic pumping valves, isolation
+//! * **rotary mixers** — peristaltic pumping valves, isolation
 //!   valves, optional sieve valves (washing, Fig 3(c)) and optional
 //!   separation valves / cell traps (Fig 3(d)); control access through the
 //!   top, the bottom, or both boundaries (Fig 3(b)–(d));
-//! * **reaction chambers** ([`chamber`]) — a wide chamber channel guarded by
+//! * **reaction chambers** — a wide chamber channel guarded by
 //!   two isolation valves;
-//! * **switches** ([`switch`]) — managed flow-channel crossings: a vertical
+//! * **switches** — managed flow-channel crossings: a vertical
 //!   flow-channel spine with `c` valve-guarded junctions, extensible in the
 //!   y direction (Fig 3(e)); width `4d + 2d·c`.
 //!

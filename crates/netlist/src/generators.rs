@@ -7,10 +7,10 @@
 //!
 //! | case | paper ref | `#u` | generator |
 //! |------|-----------|------|-----------|
-//! | 1 | [8] nucleic acid processor | 6 | [`nucleic_acid_processor`] |
-//! | 2 | [3] ChIP 4-IP | 9 | [`chip_ip`]`(4, ..)` |
-//! | 3 | [7] mRNA isolation | 8 | [`mrna_isolation`] |
-//! | 4 | [12] Columba 2.0 case | 21 | [`columba2_case`] |
+//! | 1 | \[8\] nucleic acid processor | 6 | [`nucleic_acid_processor`] |
+//! | 2 | \[3\] ChIP 4-IP | 9 | [`chip_ip`]`(4, ..)` |
+//! | 3 | \[7\] mRNA isolation | 8 | [`mrna_isolation`] |
+//! | 4 | \[12\] Columba 2.0 case | 21 | [`columba2_case`] |
 //! | 5 | ChIP64 (synthetic) | 129 | [`chip_ip`]`(64, ..)` |
 //! | 6 | ChIP128 (synthetic) | 257 | [`chip_ip`]`(128, ..)` |
 //!
@@ -27,7 +27,7 @@ fn unit(component: ComponentId, side: UnitSide) -> Endpoint {
     Endpoint::Unit { component, side }
 }
 
-/// ChIP-style application scaled from [3]: one shared pre-processing mixer
+/// ChIP-style application scaled from \[3\]: one shared pre-processing mixer
 /// feeding `lanes` immunoprecipitation lanes of mixer → chamber, giving
 /// `#u = 2·lanes + 1` (9, 129, 257 for 4, 64, 128 lanes).
 ///
@@ -97,7 +97,7 @@ pub fn chip_ip(lanes: usize, mux_count: MuxCount) -> Netlist {
     n
 }
 
-/// Reconstruction of the nanoliter nucleic acid processor [8]: two
+/// Reconstruction of the nanoliter nucleic acid processor \[8\]: two
 /// processing lanes of mixer → chamber → chamber sharing a wash-buffer
 /// inlet. `#u = 6`.
 #[must_use]
@@ -133,7 +133,7 @@ pub fn nucleic_acid_processor(mux_count: MuxCount) -> Netlist {
     n
 }
 
-/// Reconstruction of the single-cell mRNA isolation chip [7]: two capture
+/// Reconstruction of the single-cell mRNA isolation chip \[7\]: two capture
 /// lanes of cell-trap mixer → three processing chambers, sharing a lysis
 /// buffer. `#u = 8`.
 #[must_use]
@@ -171,7 +171,7 @@ pub fn mrna_isolation(mux_count: MuxCount) -> Netlist {
     n
 }
 
-/// Reconstruction of the 21-unit Columba 2.0 test case [12]: seven assay
+/// Reconstruction of the 21-unit Columba 2.0 test case \[12\]: seven assay
 /// lanes of mixer → chamber → chamber with a shared substrate inlet, in two
 /// parallel groups. `#u = 21`.
 #[must_use]
@@ -210,7 +210,7 @@ pub fn columba2_case(mux_count: MuxCount) -> Netlist {
     n
 }
 
-/// Reconstruction of the kinase activity radioassay [17] used for the Fig 1
+/// Reconstruction of the kinase activity radioassay \[17\] used for the Fig 1
 /// comparison: four assay lanes of sieve-valve mixer → chamber sharing a
 /// kinase solution inlet. `#u = 8`.
 #[must_use]

@@ -1,6 +1,6 @@
 //! Allocator-level memory accounting.
 //!
-//! [`TrackingAlloc`] wraps the system allocator and counts every
+//! The `TrackingAlloc` global allocator wraps the system allocator and counts every
 //! allocation with relaxed atomics: live bytes and live allocation count
 //! globally (with a high-water mark), cumulative totals, a per-thread
 //! cumulative byte counter (the basis for per-span `alloc_bytes`

@@ -8,7 +8,7 @@
 //! Design constraints, in order:
 //!
 //! 1. **Disabled means free.** Recording is gated on one process-global
-//!    atomic; a [`span`] call with recording off is a single relaxed load.
+//!    atomic; a [`span()`] call with recording off is a single relaxed load.
 //!    `columba-milp` calls into this from its innermost loops, so the
 //!    default state must not perturb solver benchmarks (the CI overhead
 //!    guard holds this to <2% of a chip4ip solve).

@@ -190,7 +190,7 @@ fn decode(bytes: &[u8], expect_key: ContentKey) -> Option<StoredDesign> {
 }
 
 /// Atomically writes the design file for `key` on `storage`: a temp file
-/// in the cache directory [`replace`]s the final one.
+/// in the cache directory atomically replaces the final one.
 ///
 /// # Errors
 ///

@@ -8,7 +8,7 @@
 //! monotonic offsets from the service epoch (`Instant`-based, never wall
 //! clock), so traces order correctly even across clock adjustments.
 //!
-//! Events land in one of two bounded [`EventLog`]s of the same capacity.
+//! Events land in one of two bounded `EventLog`s of the same capacity.
 //! An event whose job has a record goes to that record's log, which
 //! `GET /jobs/<id>/trace` and `GET /jobs/<id>/events` read; it lives and
 //! dies with the record (tail sampling clears it, pruning drops it).

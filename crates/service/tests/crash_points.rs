@@ -3,8 +3,10 @@
 //! operation index), in both crash modes (unsynced bytes dropped, or
 //! torn in half). After every crash, recovery must:
 //!
-//! 1. keep every fsync-acked submission (`FsyncPolicy::Always` means
-//!    acked-is-durable — at *every* crash index, not just the lucky ones),
+//! 1. keep every fsync-acked submission of a job still live, across the
+//!    journal compaction the workload runs, and every acked design store
+//!    (`FsyncPolicy::Always` means acked-is-durable — at *every* crash
+//!    index, not just the lucky ones),
 //! 2. never serve a corrupt design (whatever the cache loads must be
 //!    byte-exact; torn files are dropped, not served),
 //! 3. leave a journal that accepts new appends and replays them cleanly
@@ -58,15 +60,23 @@ fn sim_config() -> PersistConfig {
 /// power went out. Only acked steps carry a durability promise.
 #[derive(Default)]
 struct Acks {
+    /// Acked submissions of jobs 1–4 and of a churn job whose completion
+    /// did not ack: live jobs, which every replay must keep.
     submitted: Vec<u64>,
     completed: bool,
+    stored: bool,
+    /// Journal compactions the workload ran before the power went out.
+    compactions: u64,
 }
 
-/// The pinned workload: open, journal three submissions, store one
-/// design, journal its completion, journal one more submission. Every
-/// step tolerates failure (the power may already be out); what it
-/// records is which steps acked.
-fn run_workload(sim: &SimFs) -> Acks {
+/// The pinned workload: open, journal three submissions, churn 32
+/// short-lived jobs (submitted, then completed) until the journal
+/// compacts, store one design, journal its completion, journal one more
+/// submission. Every step tolerates failure (the power may already be
+/// out); what it records is which steps acked. The power goes out at op
+/// `cut` (`u64::MAX`: never): a step that ran an op at or past it acked
+/// nothing, even where a best-effort directory fsync swallowed the cut.
+fn run_workload(sim: &SimFs, cut: u64) -> Acks {
     let mut acks = Acks::default();
     let Ok((persist, _recovery)) = Persist::open_on(Arc::new(sim.clone()), &sim_config()) else {
         return acks;
@@ -81,8 +91,28 @@ fn run_workload(sim: &SimFs) -> Acks {
             acks.submitted.push(id);
         }
     }
+    // the 64th record compacts the journal down to the live jobs
+    for id in 10..42u64 {
+        let submitted = JournalRecord::Submitted {
+            id,
+            class: QosClass::Interactive,
+            text: Arc::new(TINY.to_string()),
+        };
+        if persist.append(&submitted).is_err() {
+            continue;
+        }
+        let completed = JournalRecord::Completed {
+            id,
+            key: None,
+            rung: "full MILP".into(),
+        };
+        if persist.append(&completed).is_err() {
+            acks.submitted.push(id);
+        }
+    }
     let key = ContentKey(0xab, 0xcd);
-    let _ = persist.store_design(key, "canon", &sample_design());
+    acks.stored =
+        persist.store_design(key, "canon", &sample_design()).is_ok() && sim.op_count() <= cut;
     let completed = JournalRecord::Completed {
         id: 1,
         key: Some(key),
@@ -99,6 +129,7 @@ fn run_workload(sim: &SimFs) -> Acks {
     if persist.append(&last).is_ok() {
         acks.submitted.push(4);
     }
+    acks.compactions = persist.compactions();
     acks
 }
 
@@ -112,7 +143,12 @@ fn has_submitted(records: &[JournalRecord], want: u64) -> bool {
 fn every_crash_point_preserves_acked_jobs_and_design_integrity() {
     // measure the workload's op budget on an uninterrupted run
     let probe = SimFs::new();
-    run_workload(&probe);
+    let acks = run_workload(&probe, u64::MAX);
+    assert_eq!(
+        acks.compactions, 1,
+        "the workload compacts the journal once"
+    );
+    assert!(acks.stored, "the uninterrupted workload stores its design");
     let total = probe.op_count();
     assert!(
         total >= 15,
@@ -124,7 +160,7 @@ fn every_crash_point_preserves_acked_jobs_and_design_integrity() {
         for at in 0..=total {
             let sim = SimFs::new();
             sim.crash_after(at);
-            let acks = run_workload(&sim);
+            let acks = run_workload(&sim, at);
             sim.crash(mode);
 
             // recovery must open on whatever the crash left — never panic,
@@ -150,6 +186,17 @@ fn every_crash_point_preserves_acked_jobs_and_design_integrity() {
                         .iter()
                         .any(|r| matches!(r, JournalRecord::Completed { id: 1, .. })),
                     "{mode:?} crash at op {at}: fsync-acked completion lost"
+                );
+            }
+
+            if acks.stored {
+                assert!(
+                    recovery
+                        .cache
+                        .designs
+                        .iter()
+                        .any(|d| d.key == ContentKey(0xab, 0xcd)),
+                    "{mode:?} crash at op {at}: fsync-acked design store lost"
                 );
             }
 
@@ -199,7 +246,7 @@ fn every_crash_point_preserves_acked_jobs_and_design_integrity() {
 #[test]
 fn sampled_crash_points_recover_through_a_full_service_open() {
     let probe = SimFs::new();
-    run_workload(&probe);
+    run_workload(&probe, u64::MAX);
     let total = probe.op_count();
 
     // early, middle, and late cuts in both modes
@@ -208,7 +255,7 @@ fn sampled_crash_points_recover_through_a_full_service_open() {
         for (round, &at) in picks.iter().enumerate() {
             let sim = SimFs::new();
             sim.crash_after(at);
-            let acks = run_workload(&sim);
+            let acks = run_workload(&sim, at);
             sim.crash(mode);
 
             let dest = std::env::temp_dir().join(format!(

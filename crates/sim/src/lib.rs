@@ -16,7 +16,7 @@
 //!   its valves; closed valves block their flow channels; reachability
 //!   between fluid inlets is a BFS over touching flow-layer channels;
 //! * **timing** — each actuation costs [`VALVE_ACTUATION_MS`] (10 ms,
-//!   ref [22] of the paper), so protocols report execution time.
+//!   ref \[22\] of the paper), so protocols report execution time.
 //!
 //! # Examples
 //!

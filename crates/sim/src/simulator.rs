@@ -9,7 +9,7 @@ use columba_mux::selection;
 
 use crate::flowgraph::FlowGraph;
 
-/// Valve actuation latency (ref [22] of the paper): 10 ms.
+/// Valve actuation latency (ref \[22\] of the paper): 10 ms.
 pub const VALVE_ACTUATION_MS: u64 = 10;
 
 /// Errors raised by the simulator.
