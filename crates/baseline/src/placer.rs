@@ -453,6 +453,38 @@ mod tests {
         assert_eq!(r.control_inlets, 21);
     }
 
+    /// Each rotation binary shares rows with relation binaries, so the
+    /// relaxation has no switch-group shape: the crash refuses it and the
+    /// root LP starts from the hint LP's optimal basis. (The wirelength
+    /// rows are no difference rows either, so the hint LP itself runs
+    /// cold.)
+    #[test]
+    fn root_lp_starts_from_the_hint_basis() {
+        let (n, _) = planarize(&generators::nucleic_acid_processor(MuxCount::One));
+        let rec = columba_obs::SpanRecorder::new(256);
+        columba_obs::set_enabled(true);
+        let guard = rec.install();
+        let one_node = BaselineOptions {
+            node_limit: 1,
+            ..opts()
+        };
+        synthesize_baseline(&n, &one_node).unwrap();
+        drop(guard);
+        columba_obs::set_enabled(false);
+        let root = (rec.finished().into_iter())
+            .find(|e| e.name == "milp.root")
+            .expect("milp.root span");
+        let attr = |key: &str| {
+            (root.attrs.iter())
+                .find(|(k, _)| *k == key)
+                .map(|(_, v)| v.clone())
+        };
+        let s = |v: &str| Some(columba_obs::AttrValue::from(v));
+        assert_eq!(attr("hint_start"), s("shape"));
+        assert_eq!(attr("root_start"), s("handed"));
+        assert_eq!(attr("fallback"), None);
+    }
+
     #[test]
     fn unplanarized_rejected() {
         let n = generators::chip_ip(4, MuxCount::One);

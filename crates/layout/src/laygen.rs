@@ -48,6 +48,13 @@ pub struct LaygenReport {
     pub status: SolveStatus,
     /// Objective of the returned layout (eq 13 value), if solved.
     pub objective: Option<f64>,
+    /// Best proven lower bound on the objective: the objective itself when
+    /// proven optimal, `-inf` when no relaxation bounded the solve (a
+    /// hint polish alone, or the constructive rung).
+    pub best_bound: f64,
+    /// Relative gap `|objective - bound| / max(1, |objective|)`, when a
+    /// layout was solved.
+    pub gap: Option<f64>,
     /// Wall-clock time in the solver.
     pub elapsed: Duration,
     /// Non-overlap disjunctions kept after pruning.
@@ -561,6 +568,8 @@ pub(crate) fn generate(
         model_stats: model.stats(),
         status: result.status(),
         objective: result.solution().map(columba_milp::Solution::objective),
+        best_bound: result.best_bound(),
+        gap: result.gap(),
         elapsed: result.elapsed(),
         disjunctions: disjunctions.len(),
         pruned_pairs: pruned,
@@ -656,6 +665,8 @@ pub(crate) fn constructive_layout(placement: &Placement) -> GeneratedLayout {
             model_stats: ModelStats::default(),
             status: SolveStatus::LimitReached,
             objective: None,
+            best_bound: f64::NEG_INFINITY,
+            gap: None,
             elapsed: Duration::ZERO,
             disjunctions: 0,
             pruned_pairs: 0,

@@ -7,12 +7,16 @@
 //! arithmetic, and are pinned exactly. Every solve starts with the hint LP
 //! (every binary fixed at the constructive placement), whose rows are
 //! difference rows: it starts from the crash basis of their least
-//! solution, not from phase 1, and its optimal basis starts the root LP.
-//! The four-node rows add phase 1 with artificials, `drive_out_artificials`
-//! and the cold child LPs to the pinned path. An iteration is a pivot or a
-//! bound flip: factoring a start basis (crash or handed) is not one. The
-//! objective is pinned to 1e-9 relative of the value the dense-tableau
-//! kernel reached, whose bits are kept here. A kernel optimisation that
+//! solution, not from phase 1. The root LP and every node LP start from
+//! the crash too: their rows are difference rows plus the eqs 3–5 switch
+//! groups, so the least point of the difference rows, extended over each
+//! group's binaries, is their start, and the hint LP's basis is never
+//! needed. An iteration is a pivot or a bound flip: factoring a start
+//! basis is not one. The objective is pinned to 1e-9 relative of the value
+//! the dense-tableau kernel reached, whose bits are kept here. The best
+//! bound is pinned to its bits: at one node it is the root bound, the
+//! value the hint-basis start reached, bit for bit except 21u's (28.97
+//! against 28.96999999999999, 2 ulps apart). A kernel optimisation that
 //! claims "same pivots" must leave every count unchanged; a change to the
 //! pivot rule, to the basis factorization or to how an LP starts must
 //! update the counts on purpose.
@@ -24,8 +28,12 @@ use columba_layout::{generate_only, GeneratedLayout, LayoutOptions};
 use columba_netlist::{generators, MuxCount, Netlist};
 use columba_planar::planarize;
 
-/// `(simplex_iterations, nodes_processed, objective bits)` of one solve.
-type Pinned = (usize, usize, u64);
+/// `(simplex_iterations, nodes_processed, objective bits, best-bound bits)`
+/// of one solve.
+type Pinned = (usize, usize, u64, u64);
+
+/// The best bound of a polish that never solves the root relaxation: −∞.
+const NO_BOUND: u64 = 0xfff0_0000_0000_0000;
 
 fn generate(netlist: &Netlist, options: &LayoutOptions) -> GeneratedLayout {
     let (planar, _) = planarize(netlist);
@@ -47,6 +55,7 @@ fn pinned(generated: &GeneratedLayout) -> Pinned {
         report.solve.simplex_iterations,
         report.solve.nodes_processed,
         objective.to_bits(),
+        report.best_bound.to_bits(),
     )
 }
 
@@ -57,6 +66,13 @@ fn assert_pinned(case: &str, got: Pinned, want: Pinned) {
         (want.0, want.1),
         "{case}: (iterations, nodes) moved"
     );
+    assert_eq!(
+        got.3,
+        want.3,
+        "{case}: best bound {}, pinned {}",
+        f64::from_bits(got.3),
+        f64::from_bits(want.3)
+    );
     assert!(
         (objective - pinned).abs() <= 1e-9 * pinned.abs(),
         "{case}: objective {objective}, pinned {pinned}"
@@ -64,10 +80,9 @@ fn assert_pinned(case: &str, got: Pinned, want: Pinned) {
 }
 
 /// One branch & bound node on a single worker with no effective clock
-/// limit: the crash-started hint LP, then the root LP warm-started from its
-/// basis. Layout
-/// turns the rounding heuristic off, and node 0 branches on the root
-/// solution without solving again.
+/// limit: the crash-started hint LP, then the crash-started root LP.
+/// Layout turns the rounding heuristic off, and node 0 branches on the
+/// root solution without solving again.
 fn one_node() -> LayoutOptions {
     LayoutOptions {
         threads: 1,
@@ -83,27 +98,42 @@ fn assert_one_node(case: &str, want: Pinned) {
 
 #[test]
 fn chip4ip_one_node() {
-    assert_one_node("chip4ip", (301, 1, 0x4051_82e1_47ae_147b));
+    assert_one_node(
+        "chip4ip",
+        (22, 1, 0x4051_82e1_47ae_147b, 0x403a_cccc_cccc_cccc),
+    );
 }
 
 #[test]
 fn kinase_activity_one_node() {
-    assert_one_node("kinase_activity", (300, 1, 0x404f_17ae_147a_e145));
+    assert_one_node(
+        "kinase_activity",
+        (20, 1, 0x404f_17ae_147a_e145, 0x4031_cccc_cccc_cccc),
+    );
 }
 
 #[test]
 fn columba2_21u_one_node() {
-    assert_one_node("columba2_21u", (124, 1, 0x4053_0028_f5c2_8f5f));
+    assert_one_node(
+        "columba2_21u",
+        (14, 1, 0x4053_0028_f5c2_8f5f, 0x403c_f851_eb85_1eb8),
+    );
 }
 
 #[test]
 fn mrna_isolation_one_node() {
-    assert_one_node("mrna_isolation", (210, 1, 0x4049_9a8f_5c28_f5c1));
+    assert_one_node(
+        "mrna_isolation",
+        (28, 1, 0x4049_9a8f_5c28_f5c1, 0x4039_bfff_ffff_fffe),
+    );
 }
 
 #[test]
 fn nucleic_acid_processor_one_node() {
-    assert_one_node("nucleic_acid_processor", (152, 1, 0x4046_62e1_47ae_1479));
+    assert_one_node(
+        "nucleic_acid_processor",
+        (24, 1, 0x4046_62e1_47ae_1479, 0x4036_b333_3333_3332),
+    );
 }
 
 #[test]
@@ -115,7 +145,7 @@ fn chip64_one_mux_heuristic_polish() {
     assert_pinned(
         "chip_ip(64, One)",
         pinned(&generated),
-        (11, 0, 0x4083_9f85_1eb8_51eb),
+        (11, 0, 0x4083_9f85_1eb8_51eb, NO_BOUND),
     );
 }
 
@@ -128,13 +158,15 @@ fn chip128_two_mux_heuristic_polish() {
     assert_pinned(
         "chip_ip(128, Two)",
         pinned(&generated),
-        (12, 0, 0x4093_4002_8f5c_28f5),
+        (12, 0, 0x4093_4002_8f5c_28f5, NO_BOUND),
     );
 }
 
 /// Four branch & bound nodes on a single worker with no effective clock
-/// limit: the warm root, then child LPs, each solved cold from a
-/// slack/artificial basis (phase 1, `drive_out_artificials`, phase 2).
+/// limit: the root, then child LPs, each crash-started from the least point
+/// of its own difference rows and switch groups. The tree differs from the
+/// hint-basis start's (its root vertex does), so 21u's bound at four nodes
+/// is 43.4625, not the root's 28.97.
 fn four_nodes() -> LayoutOptions {
     LayoutOptions {
         node_limit: 4,
@@ -148,10 +180,16 @@ fn assert_four_nodes(case: &str, want: Pinned) {
 
 #[test]
 fn chip4ip_four_nodes() {
-    assert_four_nodes("chip4ip", (5255, 4, 0x4051_82e1_47ae_147b));
+    assert_four_nodes(
+        "chip4ip",
+        (55, 4, 0x4051_82e1_47ae_147b, 0x403a_cccc_cccc_cccc),
+    );
 }
 
 #[test]
 fn columba2_21u_four_nodes() {
-    assert_four_nodes("columba2_21u", (1756, 4, 0x4053_0028_f5c2_8f5f));
+    assert_four_nodes(
+        "columba2_21u",
+        (506, 4, 0x4053_0028_f5c2_8f5f, 0x4045_bb33_3333_3333),
+    );
 }

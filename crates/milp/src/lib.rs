@@ -12,10 +12,12 @@
 //!   triangular order and refactored periodically, hypersparse BTRAN,
 //!   tournament-tree Dantzig pricing with a Bland's-rule anti-cycling
 //!   fallback; it can also factor a given basis and skip phase 1, and an
-//!   LP of difference rows starts from its least solution's crash basis;
+//!   LP of difference rows and big-M switch groups starts from its least
+//!   solution's crash basis;
 //! * branch & bound with best-bound node selection, most-fractional
 //!   branching, warm-start incumbents, a root relaxation started from the
-//!   hint LP's optimal basis, and time/node limits;
+//!   crash or, where the crash refuses, from the hint LP's optimal basis,
+//!   and time/node limits;
 //! * big-M style disjunctive constraints (the "exactly one relative
 //!   position" pattern that dominates the layout models) expressed through
 //!   ordinary binaries.

@@ -12,13 +12,16 @@
 //! run to run.
 //!
 //! Every relaxation goes through [`presolved_lp`], which starts the simplex
-//! one of three ways. *Warm*: from a handed basis, as the root relaxation
-//! starts from the hint LP's optimal basis. *Crash*: from the least solution
-//! of a difference system ([`crash`]), for any LP whose kept rows are all
-//! difference or single-variable rows: the hint LP (the heuristic-mode
-//! polish), the rounding-heuristic LP and a node LP with every binary fixed.
-//! *Cold*: two phases from the slack/artificial basis, for everything else
-//! and for any start refused.
+//! one of three ways, tried in this order. *Crash*: from the least solution
+//! of a difference system ([`crash`]), for any LP whose kept rows are
+//! difference, single-variable or switch-group rows: the hint LP (the
+//! heuristic-mode polish), the rounding-heuristic LP, the layout root
+//! relaxation and every node LP whose free binaries all sit in eqs 3–5
+//! groups. *Handed*: from an earlier relaxation's optimal basis, as the
+//! root starts from the hint LP's when the crash refuses its shape (the
+//! baseline placer's rotation rows, generic models). *Cold*: two phases
+//! from the slack/artificial basis, for everything else and for any start
+//! refused.
 
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -254,9 +257,9 @@ impl<'a> SearchCtx<'a> {
         })
     }
 
-    /// Solves the LP for the given bounds from `start` (cold without one),
-    /// adding its iterations to `iters` and mapping numerical failures to
-    /// [`SolveError`]. Every LP of a solve comes through here.
+    /// Solves the LP for the given bounds from the crash, else from `start`,
+    /// else cold, adding its iterations to `iters` and mapping numerical
+    /// failures to [`SolveError`]. Every LP of a solve comes through here.
     fn lp(
         &self,
         lb: &[f64],
@@ -658,18 +661,13 @@ impl<'a> Search<'a> {
         let iters = &self.simplex_iterations;
 
         // -- hint: fix its values, polish the rest by one LP; that LP's
-        // optimal basis starts the root relaxation --
+        // optimal basis starts the root relaxation if the crash refuses it --
         let mut hint_basis: Option<Handoff> = None;
         let hinted = hint.and_then(|h| ctx.fixed_bounds(h.iter().map(|&(v, x)| (v.index(), x))));
         if let Some((lb, ub)) = hinted {
             let relax = ctx.lp(&lb, &ub, None, iters)?;
             if span.is_recording() {
-                let label = match relax.start {
-                    Start::Warm { .. } => "crash",
-                    Start::Cold => "cold",
-                    Start::Fallback(reason) => reason,
-                };
-                span.attr("hint_start", label);
+                span.attr("hint_start", relax.fallback.unwrap_or(relax.start));
                 span.attr("hint_iterations", relax.iterations);
             }
             if let LpOutcome::Optimal { x, obj } = relax.outcome {
@@ -687,13 +685,10 @@ impl<'a> Search<'a> {
         // -- root relaxation --
         let root = ctx.lp(ctx.base_lb, ctx.base_ub, hint_basis.as_ref(), iters)?;
         if span.is_recording() {
-            let (warm, factored) = match root.start {
-                Start::Warm { factored } => (1usize, factored),
-                _ => (0, 0),
-            };
-            span.attr("warm_start", warm);
-            span.attr("factored_columns", factored);
-            if let Start::Fallback(reason) = root.start {
+            span.attr("root_start", root.start);
+            span.attr("warm_start", usize::from(root.start != "cold"));
+            span.attr("factored_columns", root.factored);
+            if let Some(reason) = root.fallback {
                 span.attr("fallback", reason);
             }
         }
@@ -898,10 +893,14 @@ struct Relaxation {
     iterations: usize,
     /// The final basis, when the outcome is optimal.
     handoff: Option<Handoff>,
-    /// How the simplex began; [`Start::Fallback`]`("unmapped")` when a
-    /// start was given but does not map onto this LP, and the crash's
-    /// refusal reason when none was given and the crash refused.
-    start: Start,
+    /// Where the simplex began: `"crash"`, `"handed"` or `"cold"`.
+    start: &'static str,
+    /// Basic structural columns factored from that start (0 when cold).
+    factored: usize,
+    /// On a cold run, why the last start tried was refused: the crash's
+    /// reason, `"unmapped"` for a handed basis that does not fit this LP,
+    /// or the simplex's `"singular"` / `"infeasible"`.
+    fallback: Option<&'static str>,
 }
 
 /// Builds and solves the LP for one node's bounds, with a presolve that:
@@ -913,10 +912,11 @@ struct Relaxation {
 /// 3. detects bound-infeasible rows without calling the simplex,
 /// 4. compresses away columns that no remaining row or objective term uses.
 ///
-/// A `start` from an earlier relaxation is mapped through the same row and
-/// column maps and passed to the simplex as its start basis. Without one,
-/// a presolved LP of difference and single-variable rows starts from its
-/// least solution's crash basis; any other LP runs cold. Returns the
+/// The simplex starts from the crash basis of the presolved LP's least
+/// solution ([`crash`]) when its rows are difference, single-variable and
+/// switch-group rows. Only when the crash refuses is a `start` from an
+/// earlier relaxation mapped through the same row and column maps and
+/// handed to the simplex; with neither, the LP runs cold. Returns the
 /// outcome, and on an optimum the final basis, in the *full* variable
 /// space.
 fn presolved_lp(
@@ -966,7 +966,9 @@ fn presolved_lp(
                 outcome: LpOutcome::Infeasible,
                 iterations: 0,
                 handoff: None,
-                start: Start::Cold,
+                start: "cold",
+                factored: 0,
+                fallback: None,
             };
         }
         if redundant {
@@ -1001,16 +1003,19 @@ fn presolved_lp(
     };
     let fixed_cost: f64 = (0..n).filter(|&j| fixed(j)).map(|j| cost[j] * lb[j]).sum();
 
-    // a handed basis maps through the presolve; without one, a difference
-    // system starts from its least solution
-    let begin = match start {
-        Some(h) => map_start(h, &keep, &kept_idx, lb, ub).ok_or("unmapped"),
-        None => crash::least_solution(&small).map(|(basis, _)| basis),
+    // the crash first; a handed basis only where the crash refuses
+    let begin = match (crash::least_solution(&small), start) {
+        (Ok((basis, _)), _) => Ok((basis, "crash")),
+        (Err(_), Some(h)) => map_start(h, &keep, &kept_idx, lb, ub)
+            .map(|basis| (basis, "handed"))
+            .ok_or("unmapped"),
+        (Err(refusal), None) => Err(refusal),
     };
-    let run = simplex::solve_lp(&small, cancel, begin.as_ref().ok());
-    let start = match begin {
-        Err(reason) => Start::Fallback(reason),
-        Ok(_) => run.start,
+    let run = simplex::solve_lp(&small, cancel, begin.as_ref().ok().map(|(b, _)| b));
+    let (start, factored, fallback) = match (run.start, begin) {
+        (Start::Warm { factored }, Ok((_, origin))) => (origin, factored, None),
+        (Start::Fallback(reason), _) | (_, Err(reason)) => ("cold", 0, Some(reason)),
+        (_, Ok(_)) => ("cold", 0, None),
     };
     let (outcome, handoff) = match (run.outcome, run.basis) {
         (LpOutcome::Optimal { x, obj }, Some(basis)) => {
@@ -1053,6 +1058,8 @@ fn presolved_lp(
         iterations: run.iterations,
         handoff,
         start,
+        factored,
+        fallback,
     }
 }
 
@@ -1263,33 +1270,38 @@ mod tests {
         assert!((sol.objective() - 1.0).abs() < 1e-6);
     }
 
-    /// The hint LP's `hint_start` and `hint_iterations`, from the
-    /// `milp.root` span of a solve of `m` with `hint` at a zero node budget.
-    fn hint_start(m: &Model, hint: &[(VarId, f64)]) -> (Option<AttrValue>, Option<AttrValue>) {
+    /// The `milp.root` span attribute of a one-node solve of `m`, with
+    /// `hint` when one is given.
+    fn root_attrs(m: &Model, hint: Option<&[(VarId, f64)]>) -> impl Fn(&str) -> Option<AttrValue> {
         let rec = columba_obs::SpanRecorder::new(64);
         columba_obs::set_enabled(true);
         let guard = rec.install();
         let params = SolveParams {
-            node_limit: 0,
+            node_limit: 1,
             ..p()
         };
-        m.solve_with_hint(&params, hint).unwrap();
+        match hint {
+            Some(h) => m.solve_with_hint(&params, h),
+            None => m.solve(&params),
+        }
+        .unwrap();
         drop(guard);
         columba_obs::set_enabled(false);
         let root = (rec.finished().into_iter())
             .find(|e| e.name == "milp.root")
             .expect("milp.root span");
-        let attr = |key: &str| {
+        move |key: &str| {
             (root.attrs.iter())
                 .find(|(k, _)| *k == key)
                 .map(|(_, v)| v.clone())
-        };
-        (attr("hint_start"), attr("hint_iterations"))
+        }
     }
 
     #[test]
     fn root_span_reports_how_the_hint_lp_started() {
-        // with q fixed, each big-M row is a difference row or redundant
+        let s = |v: &str| Some(AttrValue::from(v));
+        // with q fixed, each big-M row is a difference row or redundant;
+        // with q free, the second row bounds q from above: no switch group
         let mut m = Model::new();
         let x1 = m.num_var(0.0, 10.0);
         let x2 = m.num_var(0.0, 10.0);
@@ -1299,17 +1311,40 @@ mod tests {
         m.constraint(row(1.0, -1.0, -100.0), Sense::Le, -1.0);
         m.constraint(row(-1.0, 1.0, 100.0), Sense::Le, 99.0);
         m.minimize(Model::expr().term(1.0, x1).term(2.0, x2).term(1.0, x3));
-        let (start, iterations) = hint_start(&m, &[(q, 0.0)]);
-        assert_eq!(start, Some(AttrValue::from("crash")));
-        assert!(iterations.is_some());
+        let attr = root_attrs(&m, Some(&[(q, 0.0)]));
+        assert_eq!(attr("hint_start"), s("crash"));
+        assert!(attr("hint_iterations").is_some());
+        assert_eq!((attr("root_start"), attr("fallback")), (s("handed"), None));
+        let attr = root_attrs(&m, None);
+        assert_eq!(
+            (attr("root_start"), attr("fallback")),
+            (s("cold"), s("shape"))
+        );
         // a row over three free columns is not a difference row
         m.constraint(
             Model::expr().term(1.0, x1).term(1.0, x2).term(1.0, x3),
             Sense::Ge,
             2.0,
         );
-        let (start, _) = hint_start(&m, &[(q, 1.0)]);
-        assert_eq!(start, Some(AttrValue::from("shape")));
+        assert_eq!(root_attrs(&m, Some(&[(q, 1.0)]))("hint_start"), s("shape"));
+
+        // a disjunction pair: x1 + 1 ≤ x2 or x2 + 1 ≤ x1, with q1 + q2 = 1
+        let mut m = Model::new();
+        let x1 = m.num_var(0.0, 10.0);
+        let x2 = m.num_var(0.0, 10.0);
+        let (q1, q2) = (m.bin_var(), m.bin_var());
+        let gap =
+            |a: VarId, b: VarId, q: VarId| Model::expr().term(1.0, a).term(-1.0, b).term(-20.0, q);
+        m.constraint(gap(x1, x2, q1), Sense::Le, -1.0);
+        m.constraint(gap(x2, x1, q2), Sense::Le, -1.0);
+        m.constraint(Model::expr().term(1.0, q1).term(1.0, q2), Sense::Eq, 1.0);
+        m.constraint(Model::expr().term(1.0, x1), Sense::Ge, 2.0);
+        m.minimize(Model::expr().term(1.0, x1).term(1.0, x2));
+        for hint in [Some(&[(q1, 0.0), (q2, 1.0)][..]), None] {
+            let attr = root_attrs(&m, hint);
+            assert_eq!((attr("root_start"), attr("fallback")), (s("crash"), None));
+            assert_eq!(attr("warm_start"), Some(AttrValue::from(1usize)));
+        }
     }
 
     #[test]
@@ -1356,7 +1391,7 @@ mod tests {
             };
             assert_eq!(crash::least_solution(&lp).err(), Some(reason));
             let relax = presolved_lp(&lp.rows, &lp.cost, &lp.lb, &lp.ub, None, None);
-            assert_eq!(relax.start, Start::Fallback(reason));
+            assert_eq!((relax.start, relax.fallback), ("cold", Some(reason)));
             let cold = simplex::solve_lp(&lp, None, None);
             assert_eq!(cold.start, Start::Cold);
             assert_eq!(relax.iterations, cold.iterations, "{reason}");

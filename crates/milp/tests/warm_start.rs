@@ -1,8 +1,10 @@
-//! Oracle tests for the warm-started root relaxation: a solve with a hint
-//! starts its root LP from the hint LP's optimal basis, a solve without one
-//! starts it cold, and both must agree. Driven by the internal PRNG over
-//! seeded random mixed-integer models, each built around a feasible
-//! integral point that serves as the hint.
+//! Oracle tests for how the root relaxation starts. The crash basis comes
+//! first; only where the crash refuses the relaxation's shape does a solve
+//! with a hint start its root LP from the hint LP's optimal basis, while a
+//! solve without one starts it cold, and both must agree. Driven by the
+//! internal PRNG over seeded random mixed-integer models, each built around
+//! a feasible integral point that serves as the hint, and over seeded
+//! layout-shaped models, whose roots the crash starts.
 
 use columba_milp::{Model, Sense, SolveParams, SolveStatus, VarId};
 use columba_obs::{AttrValue, SpanRecorder};
@@ -154,5 +156,114 @@ fn warm_and_cold_searches_prove_the_same_optimum() {
             cold.solution().unwrap().objective(),
         );
         assert!((a - b).abs() < 1e-6, "case {case}: warm {a} vs cold {b}");
+    }
+}
+
+/// A layout-shaped MILP (paper eqs 3–5): `k` boxes of random size in a
+/// chip of extents `X`, `Y`, each pair apart by one of four relations
+/// (big-M rows, `q1 + q2 + q3 + q4 = 3`), minimizing `X + Y`; and a hint
+/// that puts the boxes side by side, left to right.
+fn layout_model(rng: &mut Rng) -> (Model, Vec<(VarId, f64)>) {
+    const BOUND: f64 = 40.0;
+    let mut m = Model::new();
+    let x_max = m.num_var(0.0, BOUND);
+    let y_max = m.num_var(0.0, BOUND);
+    let boxes: Vec<[VarId; 4]> = (0..rng.gen_range(3usize..5))
+        .map(|_| {
+            let v: [VarId; 4] = std::array::from_fn(|_| m.num_var(0.0, BOUND));
+            let (w, h) = (
+                rng.gen_range(1i64..=5) as f64,
+                rng.gen_range(1i64..=5) as f64,
+            );
+            let diff = |a: VarId, b: VarId| Model::expr().term(1.0, a).term(-1.0, b);
+            m.constraint(diff(v[1], v[0]), Sense::Eq, w);
+            m.constraint(diff(v[3], v[2]), Sense::Eq, h);
+            m.constraint(diff(v[1], x_max), Sense::Le, 0.0);
+            m.constraint(diff(v[3], y_max), Sense::Le, 0.0);
+            v
+        })
+        .collect();
+    let mut hint = Vec::new();
+    for (i, a) in boxes.iter().enumerate() {
+        for b in &boxes[i + 1..] {
+            let q: [VarId; 4] = std::array::from_fn(|_| m.bin_var());
+            // a left of b / b left of a / a below b / b below a
+            for (k, (hi, lo)) in [(a[1], b[0]), (b[1], a[0]), (a[3], b[2]), (b[3], a[2])]
+                .into_iter()
+                .enumerate()
+            {
+                let row = Model::expr()
+                    .term(1.0, hi)
+                    .term(-1.0, lo)
+                    .term(-BOUND, q[k]);
+                m.constraint(row, Sense::Le, 0.0);
+                hint.push((q[k], if k == 0 { 0.0 } else { 1.0 }));
+            }
+            let sum = q.iter().fold(Model::expr(), |e, &v| e.term(1.0, v));
+            m.constraint(sum, Sense::Eq, 3.0);
+        }
+    }
+    m.minimize(Model::expr().term(1.0, x_max).term(1.0, y_max));
+    (m, hint)
+}
+
+/// The relaxation of a layout-shaped model is a difference system over
+/// switch groups, so its root starts from the crash basis whether or not
+/// the hint LP handed one over, and both roots report the same bound. Run
+/// to completion, the hinted and unhinted searches prove the same optimum.
+#[test]
+fn layout_shaped_roots_start_from_the_crash() {
+    let one_node = SolveParams {
+        node_limit: 1,
+        threads: 1,
+        rel_gap: 0.0,
+        abs_gap: 0.0,
+        ..SolveParams::default()
+    };
+    let to_end = SolveParams {
+        threads: 1,
+        ..SolveParams::default()
+    };
+    let mut rng = Rng::seed_from_u64(0x1A_7047);
+    for case in 0..12 {
+        let (m, hint) = layout_model(&mut rng);
+        let rec = SpanRecorder::new(256);
+        columba_obs::set_enabled(true);
+        let guard = rec.install();
+        let hinted = m.solve_with_hint(&one_node, &hint).expect("hinted solve");
+        drop(guard);
+        columba_obs::set_enabled(false);
+        assert_eq!(
+            root_attr(&rec, "hint_start"),
+            Some(AttrValue::from("crash")),
+            "case {case}"
+        );
+        assert_eq!(
+            root_attr(&rec, "root_start"),
+            Some(AttrValue::from("crash")),
+            "case {case}"
+        );
+        assert_eq!(root_attr(&rec, "fallback"), None, "case {case}");
+        let unhinted = m.solve(&one_node).expect("unhinted solve");
+        assert!(
+            close(hinted.best_bound(), unhinted.best_bound()),
+            "case {case}: hinted root bound {} vs unhinted {}",
+            hinted.best_bound(),
+            unhinted.best_bound()
+        );
+        let (a, b) = (
+            m.solve_with_hint(&to_end, &hint).expect("hinted search"),
+            m.solve(&to_end).expect("unhinted search"),
+        );
+        assert_eq!(a.status(), SolveStatus::Optimal, "case {case}");
+        assert_eq!(b.status(), SolveStatus::Optimal, "case {case}");
+        let (a, b) = (
+            a.solution().unwrap().objective(),
+            b.solution().unwrap().objective(),
+        );
+        assert!(
+            (a - b).abs() < 1e-6,
+            "case {case}: hinted {a} vs unhinted {b}"
+        );
     }
 }

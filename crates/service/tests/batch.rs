@@ -303,7 +303,16 @@ fn job_event_stream_replays_lifecycle_and_ends() {
 
 #[test]
 fn slow_sse_consumer_neither_blocks_workers_nor_outlives_deadline() {
-    let service = Arc::new(quick_service(1));
+    // slow by work, not by the clock: chip_ip(4) searched for 600 nodes
+    let mut options = deterministic_options();
+    options.layout.node_limit = 600;
+    let service = Arc::new(Service::start(ServiceConfig {
+        workers: 1,
+        queue_capacity: 64,
+        bulk_queue_capacity: 64,
+        options,
+        ..ServiceConfig::default()
+    }));
     let config = HttpConfig {
         sse_deadline: Duration::from_secs(1),
         sse_heartbeat: Duration::from_millis(100),

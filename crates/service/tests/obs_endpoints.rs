@@ -70,9 +70,13 @@ fn nests_under(spans: &SpanMap, name: &str, ancestor: &str) -> bool {
 
 #[test]
 fn trace_profile_and_prometheus_endpoints() {
+    // deep enough that the search meets a node LP the crash start
+    // refuses (chip4ip's first is near node 31), which runs phase 1
+    let mut options = common::deterministic_options();
+    options.layout.node_limit = 48;
     let service = Arc::new(Service::start(ServiceConfig {
         workers: 1,
-        options: common::deterministic_options(),
+        options,
         // Debug-build solves run far slower than the production 30s
         // solve-latency objective; loosen the thresholds so the
         // clean-run assertion below tests the engine, not the build
