@@ -242,8 +242,10 @@ thread_local! {
     static CURRENT: RefCell<Option<ThreadSlot>> = const { RefCell::new(None) };
 }
 
-/// Restores the previously installed recorder when dropped.
-/// Must be dropped on the thread that created it (it is `!Send`).
+/// Restores the previously installed recorder when dropped, and
+/// publishes the thread's pending allocation counts (see
+/// [`crate::alloc`]). Must be dropped on the thread that created it (it
+/// is `!Send`).
 pub struct RecorderGuard {
     prev: Option<ThreadSlot>,
     _not_send: PhantomData<*const ()>,
@@ -253,6 +255,7 @@ impl Drop for RecorderGuard {
     fn drop(&mut self) {
         let prev = self.prev.take();
         CURRENT.with(|c| c.replace(prev));
+        crate::alloc::flush_thread();
     }
 }
 

@@ -83,6 +83,7 @@ use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use crate::batch::BatchId;
+use crate::cache::CompletedDesign;
 use crate::job::{JobId, JobState, QosClass};
 use crate::service::{ExportError, ExportKind, ProfileError, Service, SubmitError};
 use crate::simenv::clock::{Clock, ClockParty, ClockSuspend};
@@ -165,12 +166,30 @@ impl HttpError {
     }
 }
 
+/// A response body: bytes built for this reply, or one render of a
+/// finished design, served from the shared record without a copy.
+#[derive(Debug)]
+enum Body {
+    Bytes(Vec<u8>),
+    Export(Arc<CompletedDesign>, ExportKind),
+}
+
+impl Body {
+    fn as_bytes(&self) -> &[u8] {
+        match self {
+            Body::Bytes(bytes) => bytes,
+            Body::Export(design, ExportKind::Svg) => design.svg.as_bytes(),
+            Body::Export(design, ExportKind::Scr) => design.scr.as_bytes(),
+        }
+    }
+}
+
 /// A response about to be written. Public only for the load bench.
 #[derive(Debug)]
 pub struct Response {
     status: u16,
     content_type: &'static str,
-    body: Vec<u8>,
+    body: Body,
     /// Emitted as a `Retry-After: <seconds>` header — set on the
     /// backpressure responses (429 queue-full, 503 connection-cap) so a
     /// polite client knows when resubmitting is worth its while.
@@ -182,16 +201,19 @@ impl Response {
         Response {
             status,
             content_type: "text/plain; charset=utf-8",
-            body: body.into().into_bytes(),
+            body: Body::Bytes(body.into().into_bytes()),
             retry_after: None,
         }
     }
 
-    fn svg(body: String) -> Response {
+    fn export(design: Arc<CompletedDesign>, kind: ExportKind) -> Response {
         Response {
             status: 200,
-            content_type: "image/svg+xml",
-            body: body.into_bytes(),
+            content_type: match kind {
+                ExportKind::Svg => "image/svg+xml",
+                ExportKind::Scr => "text/plain; charset=utf-8",
+            },
+            body: Body::Export(design, kind),
             retry_after: None,
         }
     }
@@ -200,7 +222,7 @@ impl Response {
         Response {
             status: 200,
             content_type: "application/json",
-            body: body.into_bytes(),
+            body: Body::Bytes(body.into_bytes()),
             retry_after: None,
         }
     }
@@ -209,7 +231,7 @@ impl Response {
         Response {
             status: 200,
             content_type: "application/x-ndjson",
-            body: body.into_bytes(),
+            body: Body::Bytes(body.into_bytes()),
             retry_after: None,
         }
     }
@@ -247,13 +269,13 @@ impl Response {
             self.status,
             Response::reason(self.status),
             self.content_type,
-            self.body.len()
+            self.body.as_bytes().len()
         )?;
         if let Some(seconds) = self.retry_after {
             write!(out, "Retry-After: {seconds}\r\n")?;
         }
         write!(out, "\r\n")?;
-        out.write_all(&self.body)?;
+        out.write_all(self.body.as_bytes())?;
         out.flush()
     }
 }
@@ -824,10 +846,7 @@ fn submit_batch(service: &Service, body: Vec<u8>, query: &str) -> Response {
 /// `GET /jobs/{id}/svg` and `GET /jobs/{id}/scr`.
 fn export(service: &Service, id: JobId, kind: ExportKind) -> Response {
     match service.export(id, kind) {
-        Ok(design) => match kind {
-            ExportKind::Svg => Response::svg(design.svg.clone()),
-            ExportKind::Scr => Response::text(200, design.scr.clone()),
-        },
+        Ok(design) => Response::export(design, kind),
         Err(ExportError::NotFound) => Response::text(404, format!("error no job {id}\n")),
         Err(ExportError::NotReady(state)) => {
             Response::text(409, format!("error job {id} is {state}, no design\n"))
@@ -1373,7 +1392,7 @@ mod tests {
         };
         assert_eq!(resp.status, 200);
         assert_eq!(resp.content_type, "application/json");
-        let text = String::from_utf8(resp.body).expect("json is utf-8");
+        let text = std::str::from_utf8(resp.body.as_bytes()).expect("json is utf-8");
         assert!(text.contains("\"ready\":true"), "{text}");
         assert!(text.contains("\"breaker\":\"closed\""), "{text}");
         service.shutdown();
@@ -1416,8 +1435,13 @@ mod tests {
             &service,
             "assay t\nop a duration=5 device=mixer\nop b duration=5 device=mixer\ndep a -> b\n",
         );
-        assert_eq!(resp.status, 202, "{:?}", String::from_utf8(resp.body));
-        let text = String::from_utf8(resp.body).expect("ascii");
+        assert_eq!(
+            resp.status,
+            202,
+            "{:?}",
+            std::str::from_utf8(resp.body.as_bytes())
+        );
+        let text = std::str::from_utf8(resp.body.as_bytes()).expect("ascii");
         assert!(text.starts_with("id "), "{text}");
         service.shutdown();
     }
@@ -1433,7 +1457,7 @@ mod tests {
         ] {
             let resp = post_assay(&service, body);
             assert_eq!(resp.status, 400, "body {body:?}");
-            let text = String::from_utf8(resp.body).expect("ascii");
+            let text = std::str::from_utf8(resp.body.as_bytes()).expect("ascii");
             assert!(text.contains(needle), "{body:?} -> {text}");
         }
         service.shutdown();
@@ -1451,7 +1475,7 @@ mod tests {
              dep a -> b\ndep b -> c\ndep c -> a\n",
         );
         assert_eq!(resp.status, 400);
-        let text = String::from_utf8(resp.body).expect("ascii");
+        let text = std::str::from_utf8(resp.body.as_bytes()).expect("ascii");
         assert!(text.contains("cyclic"), "{text}");
         for op in ["a", "b", "c"] {
             assert!(text.contains(op), "cycle must name {op}: {text}");
@@ -1508,7 +1532,7 @@ mod tests {
         };
         assert_eq!(resp.status, 200);
         assert_eq!(resp.content_type, "application/x-ndjson");
-        let text = String::from_utf8(resp.body).expect("jsonl is utf-8");
+        let text = std::str::from_utf8(resp.body.as_bytes()).expect("jsonl is utf-8");
         let rejected: Vec<&str> = text
             .lines()
             .filter(|l| l.contains("\"rejected\""))
