@@ -8,6 +8,12 @@
 //! the solve's simplex iterations, nodes and the ladder rung that produced
 //! the design, which `perf_gate` checks exactly.
 //!
+//! The `http poll` case goes through the HTTP front end on 127.0.0.1: 64
+//! sequential `GET /jobs/<id>` and one `GET /jobs/<id>/svg` of a done job,
+//! each on its own connection, each a timed sample. It records
+//! `handler_threads`, the handler threads that served them: one, since
+//! each request starts only after the previous reply closed.
+//!
 //! ```sh
 //! cargo run -p columba-bench --release --bin service_load
 //! cargo run -p columba-bench --release --bin service_load -- --clients 16 --hits 64
@@ -18,6 +24,8 @@
 //! directory, so a plain run never overwrites the committed baseline in
 //! `bench/`).
 
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -25,13 +33,15 @@ use std::time::{Duration, Instant};
 use columba_bench::{bench_json, out_path, positive_arg, secs_f64, write_bench_json, CaseStats};
 use columba_s::netlist::{generators, MuxCount, Netlist};
 use columba_s::{LayoutOptions, SynthesisOptions};
-use columba_service::{JobState, JobStatus, Service, ServiceConfig};
+use columba_service::{HttpConfig, HttpServer, JobState, JobStatus, Service, ServiceConfig};
 
 /// Branch & bound nodes per solve, with no effective clock: the hint LP
 /// and the warm-started root.
 const NODE_LIMIT: usize = 1;
 /// Cold solves per input, each under a fresh chip name (a new cache key).
 const COLD_SAMPLES: usize = 3;
+/// `GET /jobs/<id>` requests of the `http poll` case.
+const HTTP_POLLS: usize = 64;
 
 fn run_job(service: &Service, text: &str) -> (Duration, JobStatus) {
     let t = Instant::now();
@@ -80,6 +90,55 @@ fn cold_case(service: &Service, netlist: &Netlist) -> CaseStats {
         &rung,
     );
     println!("{name:<22}{:>12}", secs_f64(stats.median_s));
+    stats
+}
+
+/// One request on its own connection; returns the whole reply (the
+/// server closes every connection after its response).
+fn http_get(addr: SocketAddr, path: &str) -> Vec<u8> {
+    let mut stream = TcpStream::connect(addr).expect("connect to the bench server");
+    stream.set_nodelay(true).expect("set TCP_NODELAY");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set the read timeout");
+    let request = format!("GET {path} HTTP/1.1\r\nHost: bench\r\nContent-Length: 0\r\n\r\n");
+    stream
+        .write_all(request.as_bytes())
+        .expect("send the request");
+    let mut reply = Vec::new();
+    stream.read_to_end(&mut reply).expect("read the reply");
+    reply
+}
+
+/// The `http poll` case: a done job behind `HttpServer::bind`, polled
+/// `HTTP_POLLS` times and then exported once, one request at a time.
+fn http_case(service: &Arc<Service>, text: &str) -> CaseStats {
+    let (_, status) = run_job(service, text);
+    let id = status.id;
+    let mut server = HttpServer::bind(Arc::clone(service), "127.0.0.1:0", HttpConfig::default())
+        .expect("bind 127.0.0.1");
+    let addr = server.addr();
+    let mut samples = Vec::with_capacity(HTTP_POLLS + 1);
+    for k in 0..=HTTP_POLLS {
+        let (path, expected) = if k < HTTP_POLLS {
+            (format!("/jobs/{id}"), "state done")
+        } else {
+            (format!("/jobs/{id}/svg"), "</svg>")
+        };
+        let t = Instant::now();
+        let reply = http_get(addr, &path);
+        samples.push(t.elapsed());
+        let text = String::from_utf8_lossy(&reply);
+        assert!(
+            text.starts_with("HTTP/1.1 200 OK\r\n") && text.contains(expected),
+            "GET {path}: {text}"
+        );
+    }
+    let threads = server.handler_threads() as u64;
+    server.shutdown();
+    let stats = CaseStats::from_samples("http poll", &samples)
+        .with_work(&[("handler_threads", threads)], "200 OK");
+    println!("{:<22}{:>12}", stats.name, secs_f64(stats.median_s));
     stats
 }
 
@@ -148,11 +207,12 @@ fn main() {
     };
 
     let hot_stats = CaseStats::from_samples("cache hit", &hot);
+    let http_stats = http_case(&service, &cases[0].1);
     println!(
         "\n{:<22}{:>10} {:>10} {:>10} {:>10}",
         "", "min", "mean", "p50", "max"
     );
-    for stats in cold.iter().chain([&hot_stats]) {
+    for stats in cold.iter().chain([&hot_stats, &http_stats]) {
         println!(
             "{:<22}{:>10} {:>10} {:>10} {:>10}",
             stats.name,
@@ -180,7 +240,10 @@ fn main() {
                 ("hits_per_client", hits_per_client.to_string()),
                 ("p50_speedup", format!("{speedup:.3}")),
             ],
-            &cold.into_iter().chain([hot_stats]).collect::<Vec<_>>(),
+            &cold
+                .into_iter()
+                .chain([hot_stats, http_stats])
+                .collect::<Vec<_>>(),
         ),
     );
 

@@ -57,8 +57,8 @@
 //! while nothing changes. A stream ends with an `event: end` frame when
 //! the job (or every batch member) reaches a terminal state, when the
 //! stream deadline passes, or silently when the client disconnects —
-//! writes against a gone or stalled client time out, the connection
-//! thread exits, and its slot frees. Streams never hold service locks
+//! writes against a gone or stalled client time out, the handler drops
+//! the connection, and its slot frees. Streams never hold service locks
 //! between polls, so a slow consumer cannot block a worker.
 //!
 //! Every served request is observed: its latency lands in the request
@@ -67,18 +67,29 @@
 //! `GET /profile`. Route labels are static (`GET /jobs/{id}`, ...), so
 //! metric cardinality stays bounded no matter what paths clients send.
 //!
+//! Connections are served by reused handler threads. The accept loop
+//! queues each connection for a free handler and spawns a new one only
+//! when fewer handlers are free than connections wait, so there are never
+//! more handlers than `max_connections`. A handler counts itself free
+//! before it closes its connection, so a client that sends its requests
+//! one after another is served by one thread. Handlers idle (in a clock
+//! wait) until [`HttpServer::shutdown`]. A request is read in chunks, and
+//! a response goes out in one vectored write: head and body, the body
+//! never copied.
+//!
 //! Malformed requests get a 4xx and the server keeps serving; nothing a
 //! client sends can take the accept loop down. Slow clients are bounded
 //! twice over: each `read()` has a socket timeout and the whole request
 //! has a wall-clock deadline (`408`), and the number of concurrent
-//! connection threads is capped (`503` beyond the cap). Both
-//! backpressure responses (`429` queue-full, `503` connection-cap) carry
-//! a `Retry-After` header scaled to the current queue depth.
+//! connections is capped (`503` beyond the cap). Both backpressure
+//! responses (`429` queue-full, `503` connection-cap) carry a
+//! `Retry-After` header scaled to the current queue depth.
 
-use std::io::{self, ErrorKind, Read, Write};
+use std::collections::VecDeque;
+use std::io::{self, ErrorKind, IoSlice, Read, Write};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -86,7 +97,7 @@ use crate::batch::BatchId;
 use crate::cache::CompletedDesign;
 use crate::job::{JobId, JobState, QosClass};
 use crate::service::{ExportError, ExportKind, ProfileError, Service, SubmitError};
-use crate::simenv::clock::{Clock, ClockParty, ClockSuspend};
+use crate::simenv::clock::{clock_wait, Clock, ClockParty, ClockSuspend};
 use crate::simenv::net::{Conn, TcpTransport, Transport};
 
 /// Front-end limits.
@@ -104,12 +115,13 @@ pub struct HttpConfig {
     pub write_timeout: Duration,
     /// Overall deadline for reading one request. `read_timeout` alone only
     /// bounds each *individual* read, so a slow-drip client (one byte
-    /// every few seconds) could hold a connection thread for hours; this
+    /// every few seconds) could hold a handler thread for hours; this
     /// caps the whole request and answers `408`.
     pub request_deadline: Duration,
-    /// Cap on concurrently served connections. Each connection gets its
-    /// own short-lived thread; arrivals beyond the cap are answered `503`
-    /// on the accept thread instead of growing threads without bound.
+    /// Cap on concurrently served connections, and so on handler threads:
+    /// handlers are reused, and one is spawned only when none is free.
+    /// Arrivals beyond the cap are answered `503` on the accept thread
+    /// instead of growing threads without bound.
     pub max_connections: usize,
     /// Hard lifetime cap on one event stream. A client that never
     /// disconnects still releases its connection slot at this deadline
@@ -144,7 +156,7 @@ enum Method {
     Delete,
 }
 
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 struct Request {
     method: Method,
     path: String,
@@ -262,22 +274,46 @@ impl Response {
         }
     }
 
+    /// Writes the response: the head is formatted into one buffer and
+    /// goes out with the body in one vectored write (more only on short
+    /// writes). The body is never copied.
     fn write_to(&self, out: &mut impl Write) -> io::Result<()> {
-        write!(
-            out,
+        use std::fmt::Write as _;
+        let body = self.body.as_bytes();
+        let mut head = String::with_capacity(160);
+        let _ = write!(
+            head,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
             self.status,
             Response::reason(self.status),
             self.content_type,
-            self.body.as_bytes().len()
-        )?;
+            body.len()
+        );
         if let Some(seconds) = self.retry_after {
-            write!(out, "Retry-After: {seconds}\r\n")?;
+            let _ = write!(head, "Retry-After: {seconds}\r\n");
         }
-        write!(out, "\r\n")?;
-        out.write_all(self.body.as_bytes())?;
+        head.push_str("\r\n");
+        write_parts(out, [head.as_bytes(), body])?;
         out.flush()
     }
+}
+
+/// Writes every byte of `parts`, in order, through `write_vectored`: one
+/// call when the writer takes them all, another after each short write.
+fn write_parts<const N: usize>(out: &mut impl Write, parts: [&[u8]; N]) -> io::Result<()> {
+    let mut slices = parts.map(IoSlice::new);
+    let mut rest = &mut slices[..];
+    // drops leading empty parts
+    IoSlice::advance_slices(&mut rest, 0);
+    while !rest.is_empty() {
+        match out.write_vectored(rest) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Process-wide RNG behind the retry-after jitter. Seeded once with a
@@ -314,8 +350,8 @@ fn retry_after_secs(queue_depth: usize, workers: usize) -> u64 {
 }
 
 /// What the router decided: either a fully-formed plain response, or an
-/// event stream the connection thread must serve incrementally (the
-/// stream owns the socket until the job ends or the client goes away).
+/// event stream the handler must serve incrementally (the stream owns
+/// the socket until the job ends or the client goes away).
 #[derive(Debug)]
 enum Routed {
     Plain(Response),
@@ -324,9 +360,9 @@ enum Routed {
 }
 
 /// Chunked transfer encoding over any `Write`: each `chunk()` is one
-/// `<hex len>\r\n<data>\r\n` frame flushed immediately (an SSE event must
-/// reach the client now, not when a buffer fills), `finish()` is the
-/// `0\r\n\r\n` terminator.
+/// `<hex len>\r\n<data>\r\n` frame sent in one write and flushed
+/// immediately (an SSE event must reach the client now, not when a
+/// buffer fills), `finish()` is the `0\r\n\r\n` terminator.
 struct ChunkedWriter<W: Write> {
     out: W,
 }
@@ -341,9 +377,8 @@ impl<W: Write> ChunkedWriter<W> {
             // an empty chunk would terminate the stream
             return Ok(());
         }
-        write!(self.out, "{:x}\r\n", data.len())?;
-        self.out.write_all(data)?;
-        self.out.write_all(b"\r\n")?;
+        let size = format!("{:x}\r\n", data.len());
+        write_parts(&mut self.out, [size.as_bytes(), data, b"\r\n"])?;
         self.out.flush()
     }
 
@@ -487,43 +522,108 @@ fn stream_batch_events(service: &Service, out: &mut impl Write, config: HttpConf
     });
 }
 
+/// Bytes asked of the socket per `read` while the header block is open.
+/// A typical request head, and the start of a small body, arrive in one
+/// call.
+const READ_CHUNK: usize = 4 << 10;
+
 /// Reads and parses one request. Strictly bounded: the header block is
 /// capped at 8 KiB, the body at `max_body`, the whole read at `deadline`
-/// (checked between reads, so a slow-drip client cannot hold the thread
-/// past it), and every malformed shape maps to a 4xx.
+/// (checked before every read, so a slow-drip client cannot hold the
+/// handler past it), and every malformed shape maps to a 4xx. The socket
+/// is read in chunks; bytes read past the head start the body, and bytes
+/// past `Content-Length` are ignored.
 fn read_request(
     stream: &mut impl Read,
     max_body: usize,
     clock: &dyn Clock,
     deadline: Duration,
 ) -> Result<Request, HttpError> {
-    let mut head = Vec::with_capacity(256);
-    let mut byte = [0u8; 1];
-    loop {
-        if clock.now() >= deadline {
-            return Err(HttpError::new(408, "request deadline exceeded"));
+    let mut buf = Vec::new();
+    let mut filled = 0;
+    let head_len = loop {
+        if filled == buf.len() {
+            buf.resize(filled + READ_CHUNK, 0);
         }
-        match stream.read(&mut byte) {
-            Ok(0) => {
-                return Err(HttpError::new(
-                    400,
-                    "connection closed before the header block ended",
-                ))
-            }
-            Ok(_) => head.push(byte[0]),
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                return Err(HttpError::new(408, "timed out reading the request"))
-            }
-            Err(_) => return Err(HttpError::new(400, "read error")),
+        let scanned = filled;
+        filled += read_some(
+            stream,
+            &mut buf[filled..],
+            clock,
+            deadline,
+            "connection closed before the header block ended",
+            "timed out reading the request",
+        )?;
+        match head_end(&buf[..filled], scanned) {
+            Some(end) if end <= MAX_HEAD_BYTES + 1 => break end,
+            None if filled <= MAX_HEAD_BYTES => {}
+            _ => return Err(HttpError::new(431, "header block exceeds 8 KiB")),
         }
-        if head.ends_with(b"\r\n\r\n") || head.ends_with(b"\n\n") {
-            break;
-        }
-        if head.len() > MAX_HEAD_BYTES {
-            return Err(HttpError::new(431, "header block exceeds 8 KiB"));
-        }
+    };
+    let (method, path, len) = parse_head(&buf[..head_len])?;
+    if len > max_body {
+        return Err(HttpError::new(
+            413,
+            format!("body of {len} bytes exceeds the {max_body}-byte limit"),
+        ));
     }
-    let text = String::from_utf8_lossy(&head);
+    // the body starts with what arrived behind the head
+    let early = (filled - head_len).min(len);
+    let mut body = Vec::with_capacity(len);
+    body.extend_from_slice(&buf[head_len..head_len + early]);
+    body.resize(len, 0);
+    let mut got = early;
+    while got < len {
+        got += read_some(
+            stream,
+            &mut body[got..],
+            clock,
+            deadline,
+            "request body shorter than Content-Length",
+            "timed out reading the request body",
+        )?;
+    }
+    Ok(Request { method, path, body })
+}
+
+/// One `read` into `buf`, after the deadline check. Returns the byte
+/// count, never zero: an early close answers `400` with `closed`, a
+/// socket timeout `408` with `timed_out`.
+fn read_some(
+    stream: &mut impl Read,
+    buf: &mut [u8],
+    clock: &dyn Clock,
+    deadline: Duration,
+    closed: &str,
+    timed_out: &str,
+) -> Result<usize, HttpError> {
+    if clock.now() >= deadline {
+        return Err(HttpError::new(408, "request deadline exceeded"));
+    }
+    match stream.read(buf) {
+        Ok(0) => Err(HttpError::new(400, closed)),
+        Ok(n) => Ok(n),
+        Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
+            Err(HttpError::new(408, timed_out))
+        }
+        Err(_) => Err(HttpError::new(400, "read error")),
+    }
+}
+
+/// The length of the header block in `bytes`: up to and including the
+/// first blank line (`\r\n\r\n` or `\n\n`). `scanned` bytes were searched
+/// by an earlier call, so the search starts at the first `\n` after them.
+fn head_end(bytes: &[u8], scanned: usize) -> Option<usize> {
+    (scanned..bytes.len())
+        .filter(|&i| bytes[i] == b'\n')
+        .map(|i| i + 1)
+        .find(|&end| bytes[..end].ends_with(b"\r\n\r\n") || bytes[..end].ends_with(b"\n\n"))
+}
+
+/// Parses a header block into its method, target and `Content-Length`
+/// (zero when absent).
+fn parse_head(head: &[u8]) -> Result<(Method, String, usize), HttpError> {
+    let text = String::from_utf8_lossy(head);
     let mut lines = text.lines();
     let request_line = lines.next().unwrap_or("");
     let mut parts = request_line.split_whitespace();
@@ -570,38 +670,7 @@ fn read_request(
             content_length = Some(parsed);
         }
     }
-    let len = content_length.unwrap_or(0);
-    if len > max_body {
-        return Err(HttpError::new(
-            413,
-            format!("body of {len} bytes exceeds the {max_body}-byte limit"),
-        ));
-    }
-    let mut body = vec![0u8; len];
-    let mut filled = 0;
-    while filled < len {
-        if clock.now() >= deadline {
-            return Err(HttpError::new(408, "request deadline exceeded"));
-        }
-        match stream.read(&mut body[filled..]) {
-            Ok(0) => {
-                return Err(HttpError::new(
-                    400,
-                    "request body shorter than Content-Length",
-                ))
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                return Err(HttpError::new(408, "timed out reading the request body"))
-            }
-            Err(_) => return Err(HttpError::new(400, "read error")),
-        }
-    }
-    Ok(Request {
-        method,
-        path: path.to_string(),
-        body,
-    })
+    Ok((method, path.to_string(), content_length.unwrap_or(0)))
 }
 
 /// Splits a request target into its path and (possibly empty) query.
@@ -889,7 +958,8 @@ fn parse_id(raw: &str) -> Option<JobId> {
     raw.parse().ok().map(JobId)
 }
 
-fn handle_connection(service: &Service, mut conn: Box<dyn Conn>, config: HttpConfig) {
+/// Serves one request on `conn`; the caller closes it.
+fn handle_connection(service: &Service, mut conn: &mut dyn Conn, config: HttpConfig) {
     // Observe the whole request: an `http.request` span (recorded into
     // the service-level recorder behind `GET /profile`), the latency
     // histogram, and the per-(route, status) counter.
@@ -925,11 +995,10 @@ fn handle_connection(service: &Service, mut conn: Box<dyn Conn>, config: HttpCon
     }
     drop(span);
     service.observe_http(label, status, clock.now().saturating_sub(t0));
-    conn.close();
 }
 
-/// Decrements the live-connection count when a connection thread ends
-/// (or when its spawn fails and the closure is dropped unrun).
+/// Decrements the live-connection count when a served connection is
+/// released (or dropped unserved).
 struct ConnGuard(Arc<AtomicUsize>);
 
 impl Drop for ConnGuard {
@@ -938,8 +1007,69 @@ impl Drop for ConnGuard {
     }
 }
 
-/// The front end: an accept loop handing each connection to a short
-/// lived thread. Production serves a [`TcpTransport`] via
+/// How long an idle handler waits per iteration. A `SimClock` counts a
+/// wait this long as forever: an idle handler is no advancement target,
+/// and being blocked it never pins virtual time either.
+const IDLE_WAIT: Duration = Duration::from_secs(3600);
+
+/// The handoff from the accept loop to the handler threads: one queue
+/// and one condvar.
+#[derive(Default)]
+struct Handlers {
+    queue: Mutex<HandlerQueue>,
+    cv: Condvar,
+}
+
+#[derive(Default)]
+struct HandlerQueue {
+    /// Accepted connections no handler has taken yet, oldest first.
+    waiting: VecDeque<(Box<dyn Conn>, ConnGuard)>,
+    /// Handlers holding no connection: idle, closing their last one, or
+    /// just spawned.
+    free: usize,
+    /// Handler threads alive.
+    threads: usize,
+    /// Set by [`HttpServer::shutdown`]: handlers exit once the queue is
+    /// empty.
+    shutdown: bool,
+}
+
+impl Handlers {
+    fn lock(&self) -> MutexGuard<'_, HandlerQueue> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// A handler thread: serves queued connections one at a time until
+/// shutdown, idling in a clock wait between them.
+fn handler_loop(service: &Service, handlers: &Handlers, config: HttpConfig) {
+    let clock = service.clock();
+    let mut queue = handlers.lock();
+    loop {
+        if let Some((mut conn, guard)) = queue.waiting.pop_front() {
+            queue.free -= 1;
+            drop(queue);
+            handle_connection(service, &mut *conn, config);
+            // Free before the close: a client sends its next request
+            // only after it reads the close, so that connection finds
+            // this handler free and no thread is spawned for it.
+            handlers.lock().free += 1;
+            conn.close();
+            drop(conn);
+            drop(guard);
+            queue = handlers.lock();
+        } else if queue.shutdown {
+            queue.free -= 1;
+            queue.threads -= 1;
+            return;
+        } else {
+            queue = clock_wait(&*clock, &handlers.cv, queue, IDLE_WAIT).0;
+        }
+    }
+}
+
+/// The front end: an accept loop handing each connection to a reused
+/// handler thread. Production serves a [`TcpTransport`] via
 /// [`HttpServer::bind`]; the simulation harness serves a
 /// [`crate::SimNet`] via [`HttpServer::serve_on`]. Dropping the server
 /// (or calling [`HttpServer::shutdown`]) stops accepting; the wrapped
@@ -950,6 +1080,7 @@ pub struct HttpServer {
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
     active: Arc<AtomicUsize>,
+    handlers: Arc<Handlers>,
     clock: Arc<dyn Clock>,
 }
 
@@ -1000,6 +1131,7 @@ impl HttpServer {
     ) -> io::Result<HttpServer> {
         let stop = Arc::new(AtomicBool::new(false));
         let active = Arc::new(AtomicUsize::new(0));
+        let handlers = Arc::new(Handlers::default());
         let clock = service.clock();
         // the accept thread is a sim party from before it exists
         clock.party_reserve();
@@ -1007,9 +1139,12 @@ impl HttpServer {
             let stop = Arc::clone(&stop);
             let transport = Arc::clone(&transport);
             let active = Arc::clone(&active);
+            let handlers = Arc::clone(&handlers);
             let spawned = thread::Builder::new()
                 .name("columba-http-accept".into())
-                .spawn(move || accept_loop(&transport, &service, config, &stop, &active));
+                .spawn(move || {
+                    accept_loop(&transport, &service, config, &stop, &active, &handlers);
+                });
             match spawned {
                 Ok(handle) => handle,
                 Err(e) => {
@@ -1024,6 +1159,7 @@ impl HttpServer {
             stop,
             accept: Some(accept),
             active,
+            handlers,
             clock,
         })
     }
@@ -1035,14 +1171,24 @@ impl HttpServer {
     }
 
     /// Connections currently being served (the chaos harness asserts
-    /// this drains to zero — no leaked connection threads).
+    /// this drains to zero — no leaked connections).
     #[must_use]
     pub fn active_connections(&self) -> usize {
         self.active.load(Ordering::Acquire)
     }
 
-    /// Stops accepting connections and joins the accept thread.
-    /// Idempotent; also runs on drop.
+    /// Handler threads alive. A handler is spawned only when fewer are
+    /// free than connections wait, so a client that sends its requests
+    /// one after another is served by a single thread.
+    #[must_use]
+    pub fn handler_threads(&self) -> usize {
+        self.handlers.lock().threads
+    }
+
+    /// Stops accepting connections, joins the accept thread and lets
+    /// idle handlers exit. Handlers are not joined: a busy one exits
+    /// when its connection ends, and an event stream may outlive the
+    /// server. Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
         if self.stop.swap(true, Ordering::AcqRel) {
             return;
@@ -1055,6 +1201,9 @@ impl HttpServer {
             let _suspend = ClockSuspend::new(&self.clock);
             let _ = h.join();
         }
+        self.handlers.lock().shutdown = true;
+        self.clock.mark_wake();
+        self.handlers.cv.notify_all();
     }
 }
 
@@ -1070,6 +1219,7 @@ fn accept_loop(
     config: HttpConfig,
     stop: &AtomicBool,
     active: &Arc<AtomicUsize>,
+    handlers: &Arc<Handlers>,
 ) {
     let clock = service.clock();
     let _party = ClockParty::adopt(&clock);
@@ -1098,27 +1248,66 @@ fn accept_loop(
                     continue;
                 }
                 let guard = ConnGuard(Arc::clone(active));
-                let service = Arc::clone(service);
-                clock.party_reserve();
-                let conn_clock = Arc::clone(&clock);
-                let spawned = thread::Builder::new()
-                    .name("columba-http-conn".into())
-                    .spawn(move || {
-                        let _party = ClockParty::adopt(&conn_clock);
-                        let _guard = guard;
-                        handle_connection(&service, conn, config);
-                    });
-                if spawned.is_err() {
-                    // thread exhaustion: drop the connection rather than
-                    // die (the closure is dropped unrun, releasing the
-                    // guard) and give the reserved party slot back
-                    clock.party_unreserve();
+                let spawn = {
+                    let mut queue = handlers.lock();
+                    queue.waiting.push_back((conn, guard));
+                    // every handler holds or waits for one of the
+                    // capped connections, so there are never more
+                    // handlers than `max_connections`
+                    let spawn = queue.free < queue.waiting.len();
+                    if spawn {
+                        queue.free += 1;
+                        queue.threads += 1;
+                    }
+                    spawn
+                };
+                // the handoff is a wake: an idle handler registered
+                // before it pins virtual time until it has looked
+                clock.mark_wake();
+                handlers.cv.notify_one();
+                if spawn {
+                    spawn_handler(service, handlers, config);
                 }
             }
             // unblock() fired: loop around and re-check the stop flag
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(_) => clock.sleep(Duration::from_millis(10)),
         }
+    }
+}
+
+/// Spawns a handler counted free and alive by the caller, reserving its
+/// clock party first so virtual time cannot advance before it runs. The
+/// thread is detached: it exits after [`HttpServer::shutdown`].
+fn spawn_handler(service: &Arc<Service>, handlers: &Arc<Handlers>, config: HttpConfig) {
+    let clock = service.clock();
+    clock.party_reserve();
+    let spawned = {
+        let service = Arc::clone(service);
+        let handlers = Arc::clone(handlers);
+        let clock = Arc::clone(&clock);
+        thread::Builder::new()
+            .name("columba-http-handler".into())
+            .spawn(move || {
+                let _party = ClockParty::adopt(&clock);
+                handler_loop(&service, &handlers, config);
+            })
+    };
+    if spawned.is_err() {
+        // thread exhaustion: give the reserved party slot back, and drop
+        // the connection no handler is left to take rather than die
+        clock.party_unreserve();
+        let orphan = {
+            let mut queue = handlers.lock();
+            queue.free -= 1;
+            queue.threads -= 1;
+            if queue.waiting.len() > queue.free {
+                queue.waiting.pop_back()
+            } else {
+                None
+            }
+        };
+        drop(orphan);
     }
 }
 
@@ -1268,6 +1457,84 @@ mod tests {
         assert_eq!(e.status, 408);
     }
 
+    /// A reader that hands out at most `piece` bytes per `read()` and
+    /// counts its calls.
+    struct Pieces {
+        data: Cursor<Vec<u8>>,
+        piece: usize,
+        reads: usize,
+    }
+
+    impl Pieces {
+        fn new(data: &[u8], piece: usize) -> Pieces {
+            Pieces {
+                data: Cursor::new(data.to_vec()),
+                piece,
+                reads: 0,
+            }
+        }
+    }
+
+    impl Read for Pieces {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            let n = buf.len().min(self.piece);
+            self.data.read(&mut buf[..n])
+        }
+    }
+
+    #[test]
+    fn requests_parse_the_same_however_they_arrive() {
+        let shapes: &[&[u8]] = &[
+            // head and body in one read when all of it is there
+            b"POST /synthesize HTTP/1.1\r\nContent-Length: 4\r\n\r\nchip",
+            // a body longer than one small piece: split across reads
+            b"POST /batch?class=bulk HTTP/1.1\r\nHost: x\r\nContent-Length: 11\r\n\r\nchip a\n%%\nb",
+            // bytes past Content-Length are ignored
+            b"POST /synthesize HTTP/1.1\r\nContent-Length: 4\r\n\r\nchipEXTRA BYTES",
+            b"GET /metrics HTTP/1.1\r\nContent-Length: 0\r\n\r\nGET /again HTTP/1.1\r\n\r\n",
+            // bare-LF heads, with and without a body
+            b"GET /healthz HTTP/1.1\nHost: x\n\n",
+            b"POST /synthesize HTTP/1.1\nContent-Length: 3\n\nabcdef",
+            // and the rejections keep their status
+            b"POST /s HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort",
+            b"POST /s HTTP/1.1\r\nContent-Length: 1\r\nContent-Length: 2\r\n\r\nx",
+            b"GET /x HTTP/1.1\r\nHost: x",
+        ];
+        let clock = RealClock::new();
+        for raw in shapes {
+            let whole = parse(raw);
+            for piece in [1, 3, usize::MAX] {
+                let got = read_request(&mut Pieces::new(raw, piece), 1 << 20, &clock, FAR);
+                assert_eq!(got, whole, "{piece}-byte reads of {raw:?}");
+            }
+        }
+        let req = parse(shapes[2]).expect("valid");
+        assert_eq!(req.body, b"chip");
+        // the head limit sits on the same byte for every piece size: a
+        // head of 8 KiB + 1 passes, one byte more is a 431
+        for (len, rejected) in [(MAX_HEAD_BYTES + 1, None), (MAX_HEAD_BYTES + 2, Some(431))] {
+            let mut raw = b"GET /x HTTP/1.1\r\nX: ".to_vec();
+            raw.resize(len - 4, b'a');
+            raw.extend_from_slice(b"\r\n\r\n");
+            for piece in [1, 3, usize::MAX] {
+                let got = read_request(&mut Pieces::new(&raw, piece), 1 << 20, &clock, FAR);
+                assert_eq!(got.err().map(|e| e.status), rejected, "{len}: {piece}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_small_get_takes_one_read() {
+        // the shape of a status poll: 58 bytes
+        let raw = b"GET /jobs/123 HTTP/1.1\r\nHost: bench\r\nContent-Length: 0\r\n\r\n";
+        assert_eq!(raw.len(), 58);
+        let mut reader = Pieces::new(raw, usize::MAX);
+        let req = read_request(&mut reader, 1 << 20, &RealClock::new(), FAR).expect("valid");
+        assert_eq!(req.path, "/jobs/123");
+        assert_eq!(reader.reads, 1);
+    }
+
     #[test]
     fn chunked_writer_frames_and_terminates() {
         let mut out = Vec::new();
@@ -1345,6 +1612,111 @@ mod tests {
         assert!(text.contains("Connection: close\r\n"), "{text}");
         assert!(!text.contains("Retry-After"), "{text}");
         assert!(text.ends_with("\r\n\r\nid 7\n"), "{text}");
+    }
+
+    /// A writer over a `Vec` that takes at most `max` bytes per call and
+    /// counts its calls. With `vectored` it gathers across slices like a
+    /// socket's `writev`; without, it keeps `Write`'s default
+    /// `write_vectored`, which writes the first non-empty slice only.
+    struct Limited {
+        out: Vec<u8>,
+        max: usize,
+        vectored: bool,
+        calls: usize,
+    }
+
+    impl Limited {
+        fn new(max: usize, vectored: bool) -> Limited {
+            Limited {
+                out: Vec::new(),
+                max,
+                vectored,
+                calls: 0,
+            }
+        }
+    }
+
+    impl Write for Limited {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            let n = buf.len().min(self.max);
+            self.out.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            if !self.vectored {
+                let first = bufs.iter().find(|b| !b.is_empty()).map_or(&[][..], |b| b);
+                return self.write(first);
+            }
+            self.calls += 1;
+            let mut n = 0;
+            for buf in bufs {
+                let take = buf.len().min(self.max - n);
+                self.out.extend_from_slice(&buf[..take]);
+                n += take;
+            }
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn export_response() -> Response {
+        let design = Arc::new(CompletedDesign {
+            summary: crate::cache::DesignSummary {
+                drc_clean: true,
+                width_mm: 1.0,
+                height_mm: 1.0,
+                control_inlets: 0,
+                solve_nodes: 0,
+                solve_pruned: 0,
+                solve_simplex_iterations: 0,
+            },
+            svg: format!("<svg>{}</svg>", "<rect/>".repeat(40)),
+            scr: String::new(),
+            rung: "full MILP".into(),
+            solved_in: Duration::ZERO,
+        });
+        Response::export(design, ExportKind::Svg)
+    }
+
+    #[test]
+    fn response_bytes_do_not_depend_on_how_the_writer_takes_them() {
+        for response in [
+            Response::text(202, "id 7\n"),
+            Response::text(429, "error queue full\n").with_retry_after(7),
+            Response::text(404, ""),
+            export_response(),
+        ] {
+            let mut expected = Vec::new();
+            response.write_to(&mut expected).expect("in-memory write");
+            for (max, vectored) in [(7, true), (7, false), (usize::MAX, false)] {
+                let mut writer = Limited::new(max, vectored);
+                response.write_to(&mut writer).expect("in-memory write");
+                assert_eq!(writer.out, expected, "max {max}, vectored {vectored}");
+            }
+            // a writer that takes everything gets the response in one call
+            let mut socket = Limited::new(usize::MAX, true);
+            response.write_to(&mut socket).expect("in-memory write");
+            assert_eq!((socket.out, socket.calls), (expected, 1));
+        }
+    }
+
+    #[test]
+    fn an_sse_chunk_goes_out_in_one_write() {
+        let frame = sse_frame("solved", "full MILP");
+        let mut socket = Limited::new(usize::MAX, true);
+        ChunkedWriter::new(&mut socket)
+            .chunk(frame.as_bytes())
+            .expect("in-memory write");
+        assert_eq!(socket.calls, 1);
+        assert_eq!(
+            socket.out,
+            format!("{:x}\r\n{frame}\r\n", frame.len()).as_bytes()
+        );
     }
 
     #[test]
@@ -1583,6 +1955,46 @@ mod tests {
         service.shutdown();
     }
 
+    /// One `GET` on its own connection; returns the whole reply.
+    fn get(addr: SocketAddr, path: &str) -> String {
+        let mut conn = TcpStream::connect(addr).expect("connect");
+        conn.set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        write!(conn, "GET {path} HTTP/1.1\r\n\r\n").expect("send");
+        let mut text = String::new();
+        conn.read_to_string(&mut text).expect("reply");
+        text
+    }
+
+    #[test]
+    fn handlers_are_reused_and_capped() {
+        let service = Arc::new(quick_service(1, 4));
+        let config = HttpConfig {
+            max_connections: 2,
+            ..HttpConfig::default()
+        };
+        let mut server =
+            HttpServer::bind(Arc::clone(&service), "127.0.0.1:0", config).expect("bind");
+        let addr = server.addr();
+        // requests one after another: one handler serves them all
+        for _ in 0..5 {
+            assert!(get(addr, "/healthz").starts_with("HTTP/1.1 200 OK\r\n"));
+        }
+        assert_eq!(server.handler_threads(), 1);
+        // two silent connections hold the reused handler and one more;
+        // the third arrival is over the cap, answered on the accept
+        // thread, and spawns nothing (connections are accepted in order)
+        let connect = || TcpStream::connect(addr).expect("connect");
+        let held = [connect(), connect()];
+        let mut text = String::new();
+        connect().read_to_string(&mut text).expect("reply");
+        assert!(text.starts_with("HTTP/1.1 503 "), "{text}");
+        assert_eq!(server.handler_threads(), 2);
+        drop(held);
+        server.shutdown();
+        service.shutdown();
+    }
+
     /// An in-memory connection: serves `input`, swallows the response.
     struct MemConn(Cursor<Vec<u8>>);
 
@@ -1641,8 +2053,11 @@ mod tests {
         // the (label, status) rows one request adds to or bumps in /metrics
         let serve = |raw: Vec<u8>| -> Vec<(String, u16)> {
             let before = service.metrics().http_by_route;
-            let conn = Box::new(MemConn(Cursor::new(raw)));
-            handle_connection(&service, conn, HttpConfig::default());
+            handle_connection(
+                &service,
+                &mut MemConn(Cursor::new(raw)),
+                HttpConfig::default(),
+            );
             (service.metrics().http_by_route.into_iter())
                 .filter(|row| !before.contains(row))
                 .map(|(label, status, _)| (label, status))

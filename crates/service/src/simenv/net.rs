@@ -13,7 +13,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::io::{self, ErrorKind, Read, Write};
+use std::io::{self, ErrorKind, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -102,6 +102,10 @@ impl Read for TcpConn {
 impl Write for TcpConn {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         self.0.write(buf)
+    }
+
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        self.0.write_vectored(bufs)
     }
 
     fn flush(&mut self) -> io::Result<()> {
@@ -616,6 +620,13 @@ impl Read for SimConn {
 impl Write for SimConn {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         self.0.write_impl(buf)
+    }
+
+    /// One op, like one `writev` on a socket: the slices are gathered
+    /// into a single write.
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        let gathered: Vec<u8> = bufs.iter().flat_map(|b| b.iter().copied()).collect();
+        self.0.write_impl(&gathered)
     }
 
     fn flush(&mut self) -> io::Result<()> {

@@ -293,7 +293,7 @@ fn mutated_batch_assay_and_sse_over_simnet_stay_structured() {
 
     // deterministic slow-loris: a valid assay dripped one byte per
     // second blows the 15 s request deadline and must get a 408, not a
-    // parked connection thread
+    // parked handler
     net.clear_faults();
     net.schedule_fault(
         net.ops() + 2,
