@@ -455,11 +455,10 @@ mod tests {
 
     /// Each rotation binary shares rows with relation binaries, so the
     /// relaxation has no switch-group shape: the crash refuses it and the
-    /// root LP starts from the hint LP's optimal basis. (The wirelength
-    /// rows are no difference rows either, so the hint LP itself runs
-    /// cold.)
+    /// root LP runs cold. (The wirelength rows are no difference rows
+    /// either, so the hint LP itself runs cold too.)
     #[test]
-    fn root_lp_starts_from_the_hint_basis() {
+    fn root_lp_runs_cold() {
         let (n, _) = planarize(&generators::nucleic_acid_processor(MuxCount::One));
         let rec = columba_obs::SpanRecorder::new(256);
         columba_obs::set_enabled(true);
@@ -481,8 +480,8 @@ mod tests {
         };
         let s = |v: &str| Some(columba_obs::AttrValue::from(v));
         assert_eq!(attr("hint_start"), s("shape"));
-        assert_eq!(attr("root_start"), s("handed"));
-        assert_eq!(attr("fallback"), None);
+        assert_eq!(attr("root_start"), s("cold"));
+        assert_eq!(attr("fallback"), s("shape"));
     }
 
     #[test]

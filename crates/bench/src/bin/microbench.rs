@@ -15,10 +15,11 @@
 //! plain run never overwrites the committed baselines in `bench/`). The
 //! work-pinned solver cases also record their simplex iterations, node
 //! count and termination status there, which `perf_gate` holds exactly.
-//! `layout chip4 (one node)` and `layout chip64 (heuristic)` also record
-//! `allocations`: the heap allocations of one layout generation
-//! ([`layout::generate_only`]: entity plan, MILP model, solve) of the case
-//! on one thread, the same on every run; validation is not counted.
+//! `layout chip4 (4 nodes)`, `layout chip4 (one node)` and `layout chip64
+//! (heuristic)` also record `allocations`: the heap allocations of one
+//! layout generation ([`layout::generate_only`]: entity plan, MILP model,
+//! solve) of the case on one thread, the same on every run; validation is
+//! not counted.
 //! `layout chip64 (heuristic)` adds `synthesize_allocations`, those of one
 //! [`layout::synthesize`] (generation plus validation and DRC).
 
@@ -73,16 +74,15 @@ fn main() {
         time_limit: Duration::from_secs(3600),
         ..LayoutOptions::default()
     };
-    cases.push(pinned_layout(
-        "layout chip4 (4 nodes)",
-        iters,
+    cases.push(with_allocations(
+        pinned_layout("layout chip4 (4 nodes)", iters, &planar4, &four_nodes),
         &planar4,
         &four_nodes,
     ));
 
-    // one branch & bound node: the hint LP, then the root LP warm-started
-    // from its basis (layout turns rounding off, and node 0 branches on
-    // the root solution in hand)
+    // one branch & bound node: the hint LP, then the root LP, both
+    // crash-started (layout turns rounding off, and node 0 branches on the
+    // root solution in hand)
     let one_node = LayoutOptions {
         node_limit: 1,
         ..four_nodes.clone()

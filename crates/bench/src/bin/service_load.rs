@@ -36,7 +36,7 @@ use columba_s::{LayoutOptions, SynthesisOptions};
 use columba_service::{HttpConfig, HttpServer, JobState, JobStatus, Service, ServiceConfig};
 
 /// Branch & bound nodes per solve, with no effective clock: the hint LP
-/// and the warm-started root.
+/// and the root, both crash-started.
 const NODE_LIMIT: usize = 1;
 /// Cold solves per input, each under a fresh chip name (a new cache key).
 const COLD_SAMPLES: usize = 3;

@@ -10,13 +10,15 @@
 //! solution, not from phase 1. The root LP and every node LP start from
 //! the crash too: their rows are difference rows plus the eqs 3–5 switch
 //! groups, so the least point of the difference rows, extended over each
-//! group's binaries, is their start, and the hint LP's basis is never
-//! needed. An iteration is a pivot or a bound flip: factoring a start
-//! basis is not one. The objective is pinned to 1e-9 relative of the value
-//! the dense-tableau kernel reached, whose bits are kept here. The best
-//! bound is pinned to its bits: at one node it is the root bound, the
-//! value the hint-basis start reached, bit for bit except 21u's (28.97
-//! against 28.96999999999999, 2 ulps apart). A kernel optimisation that
+//! group's binaries, is their start. The one-node solves check that on the
+//! `milp.root` span: a root the crash refused would run phase 1 and
+//! report a `fallback`. An iteration is a pivot or a bound flip: factoring
+//! a start basis is not one. The objective is pinned to 1e-9 relative of
+//! the value the dense-tableau kernel reached, whose bits are kept here.
+//! The best bound is pinned to its bits: at one node it is the root bound,
+//! the value an earlier start from the hint LP's optimal basis reached,
+//! bit for bit except 21u's (28.97 against 28.96999999999999, 2 ulps
+//! apart). A kernel optimisation that
 //! claims "same pivots" must leave every count unchanged; a change to the
 //! pivot rule, to the basis factorization or to how an LP starts must
 //! update the counts on purpose.
@@ -26,6 +28,7 @@ use std::time::Duration;
 
 use columba_layout::{generate_only, GeneratedLayout, LayoutOptions};
 use columba_netlist::{generators, MuxCount, Netlist};
+use columba_obs::{AttrValue, SpanRecorder};
 use columba_planar::planarize;
 
 /// `(simplex_iterations, nodes_processed, objective bits, best-bound bits)`
@@ -92,8 +95,31 @@ fn one_node() -> LayoutOptions {
     }
 }
 
+/// Pins the one-node solve of `case` and checks on its `milp.root` span
+/// that the hint LP and the root LP both started from the crash. Span
+/// recording is switched on and left on: switching it off again would race
+/// the recorders of the tests running beside this one.
 fn assert_one_node(case: &str, want: Pinned) {
-    assert_pinned(case, pinned(&generate(&bundled(case), &one_node())), want);
+    let rec = SpanRecorder::new(4096);
+    columba_obs::set_enabled(true);
+    let guard = rec.install();
+    let generated = generate(&bundled(case), &one_node());
+    drop(guard);
+    assert_pinned(case, pinned(&generated), want);
+    let root = (rec.finished().into_iter())
+        .find(|e| e.name == "milp.root")
+        .unwrap_or_else(|| panic!("{case}: no milp.root span"));
+    let attr = |key: &str| {
+        (root.attrs.iter())
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| v.clone())
+    };
+    let crash = Some(AttrValue::from("crash"));
+    assert_eq!(
+        (attr("hint_start"), attr("root_start"), attr("fallback")),
+        (crash.clone(), crash, None),
+        "{case}: (hint_start, root_start, fallback)"
+    );
 }
 
 #[test]
@@ -165,8 +191,8 @@ fn chip128_two_mux_heuristic_polish() {
 /// Four branch & bound nodes on a single worker with no effective clock
 /// limit: the root, then child LPs, each crash-started from the least point
 /// of its own difference rows and switch groups. The tree differs from the
-/// hint-basis start's (its root vertex does), so 21u's bound at four nodes
-/// is 43.4625, not the root's 28.97.
+/// one a root started from the hint LP's basis grew (its root vertex does),
+/// so 21u's bound at four nodes is 43.4625, not the root's 28.97.
 fn four_nodes() -> LayoutOptions {
     LayoutOptions {
         node_limit: 4,

@@ -15,9 +15,8 @@
 //!   LP of difference rows and big-M switch groups starts from its least
 //!   solution's crash basis;
 //! * branch & bound with best-bound node selection, most-fractional
-//!   branching, warm-start incumbents, a root relaxation started from the
-//!   crash or, where the crash refuses, from the hint LP's optimal basis,
-//!   and time/node limits;
+//!   branching, warm-start incumbents, every relaxation started from the
+//!   crash or, where the crash refuses, cold, and time/node limits;
 //! * big-M style disjunctive constraints (the "exactly one relative
 //!   position" pattern that dominates the layout models) expressed through
 //!   ordinary binaries.

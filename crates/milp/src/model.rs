@@ -240,29 +240,6 @@ impl Model {
         &self.groups
     }
 
-    /// Fixes `var` to `value` by tightening both bounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `value` lies outside the variable's current bounds by more
-    /// than `1e-9`.
-    pub fn fix_var(&mut self, var: VarId, value: f64) {
-        let (lb, ub) = self.var_bounds(var);
-        assert!(
-            value >= lb - 1e-9 && value <= ub + 1e-9,
-            "cannot fix {var} to {value}: bounds [{lb}, {ub}]"
-        );
-        self.lb[var.index()] = value;
-        self.ub[var.index()] = value;
-    }
-
-    /// Tightens the bounds of `var` to the intersection with `[lb, ub]`.
-    pub fn tighten_bounds(&mut self, var: VarId, lb: f64, ub: f64) {
-        let i = var.index();
-        self.lb[i] = self.lb[i].max(lb);
-        self.ub[i] = self.ub[i].min(ub);
-    }
-
     /// Sets a minimisation objective.
     pub fn minimize(&mut self, expr: Expr) {
         self.set_objective(expr, false);
@@ -296,25 +273,10 @@ impl Model {
         self.rows.len()
     }
 
-    /// The integrality class of `var`.
-    #[must_use]
-    pub fn var_kind(&self, var: VarId) -> VarKind {
-        self.kind[var.index()]
-    }
-
     /// The current bounds of `var`.
     #[must_use]
     pub fn var_bounds(&self, var: VarId) -> (f64, f64) {
         (self.lb[var.index()], self.ub[var.index()])
-    }
-
-    /// Ids of all integer and binary variables.
-    #[must_use]
-    pub fn integer_vars(&self) -> Vec<VarId> {
-        (0..self.kind.len())
-            .filter(|&i| self.kind[i] != VarKind::Continuous)
-            .map(|i| VarId(i as u32))
-            .collect()
     }
 
     /// Summary counts.
@@ -375,9 +337,8 @@ mod tests {
         let k = m.int_var(0.0, 9.0);
         assert_eq!(m.num_vars(), 3);
         assert_eq!(x.to_string(), "x0");
-        assert_eq!(m.var_kind(b), VarKind::Binary);
+        assert_eq!(m.var_bounds(b), (0.0, 1.0));
         assert_eq!(m.var_bounds(k), (0.0, 9.0));
-        assert_eq!(m.integer_vars(), vec![b, k]);
     }
 
     #[test]
@@ -411,16 +372,6 @@ mod tests {
         assert_eq!(m.objective[x.index()], -2.0);
         assert_eq!(m.obj_constant, -1.0);
         assert!(m.maximize);
-    }
-
-    #[test]
-    fn fix_and_tighten() {
-        let mut m = Model::new();
-        let x = m.num_var(0.0, 10.0);
-        m.tighten_bounds(x, 2.0, 20.0);
-        assert_eq!(m.var_bounds(x), (2.0, 10.0));
-        m.fix_var(x, 4.0);
-        assert_eq!(m.var_bounds(x), (4.0, 4.0));
     }
 
     #[test]

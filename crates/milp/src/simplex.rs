@@ -4,10 +4,10 @@
 //! obtained by adding one slack column per constraint row. Phase 1 introduces
 //! one artificial column per row whose slack cannot start within its bounds
 //! and minimises their sum; phase 2 optimises the true objective. Given a
-//! start [`Basis`] (an earlier solve's optimal basis, or the crash basis of
-//! a difference system's least solution, [`crate::crash`]), the solve
-//! factors it directly, checks that it is primal feasible and runs phase 2
-//! alone; a singular or infeasible start runs the cold two phases.
+//! start [`Basis`] (the crash basis of a difference system's least
+//! solution, [`crate::crash`]), the solve factors it directly, checks that
+//! it is primal feasible and runs phase 2 alone; a singular or infeasible
+//! start runs the cold two phases.
 //! Nonbasic variables rest at a finite bound; entering variables may
 //! *bound-flip* without a basis change. Dantzig pricing is used until a long
 //! degenerate streak triggers Bland's rule, which guarantees termination.
@@ -89,8 +89,8 @@ pub(crate) enum LpOutcome {
 }
 
 /// A simplex basis in an [`Lp`]'s own indices: the status of every
-/// structural column, and whether each row's slack is basic. Exactly
-/// `rows.len()` entries are basic in a basis [`solve_lp`] returns.
+/// structural column, and whether each row's slack is basic. A start basis
+/// has exactly `rows.len()` basic entries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Basis {
     /// Per structural column.
@@ -130,7 +130,8 @@ pub(crate) struct LpRun {
     /// Simplex iterations: pivots and bound flips. Factoring a start basis
     /// is not an iteration.
     pub iterations: usize,
-    /// The final basis, when the outcome is optimal.
+    /// The final basis, when the outcome is optimal (read back by tests).
+    #[cfg(test)]
     pub basis: Option<Basis>,
     pub start: Start,
 }
@@ -448,8 +449,6 @@ struct Simplex {
     /// the active phase's cost per column, and its reduced costs
     cost: Vec<f64>,
     d: Vec<f64>,
-    /// the row each artificial column was added for, in column order
-    art_rows: Vec<usize>,
     etas: EtaFile,
     pricer: Pricer,
     /// pivots since the last factorization
@@ -544,7 +543,7 @@ impl Simplex {
         let m = lp.rows.len();
         let n_struct = lp.lb.len();
         let mut basis = Vec::with_capacity(m);
-        let mut art_rows = Vec::new();
+        let mut artificial_cols = 0;
         let mut lb = lp.lb.clone();
         let mut ub = lp.ub.clone();
         let mut rows = Sparse {
@@ -583,15 +582,15 @@ impl Simplex {
                 n_struct + i
             } else {
                 // an artificial column, signed so it starts at |residual|
-                let art_col = n_struct + m + art_rows.len();
+                let art_col = n_struct + m + artificial_cols;
                 rows.index.push(art_col);
                 rows.value.push(if residual >= 0.0 { 1.0 } else { -1.0 });
-                art_rows.push(i);
+                artificial_cols += 1;
                 art_col
             });
             rows.start.push(rows.index.len());
         }
-        let ncols = n_struct + m + art_rows.len();
+        let ncols = n_struct + m + artificial_cols;
         lb.resize(ncols, 0.0);
         ub.resize(ncols, f64::INFINITY);
         let mut at_upper = vec![false; ncols];
@@ -611,7 +610,6 @@ impl Simplex {
             beta: vec![0.0; m],
             cost: vec![0.0; ncols],
             d: vec![0.0; ncols],
-            art_rows,
             etas: EtaFile::new(m),
             pricer: Pricer::new(ncols),
             updates: 0,
@@ -826,6 +824,7 @@ impl Simplex {
         let fail = |outcome: LpOutcome, iterations: usize| LpRun {
             outcome,
             iterations,
+            #[cfg(test)]
             basis: None,
             start,
         };
@@ -908,6 +907,7 @@ impl Simplex {
         LpRun {
             outcome: LpOutcome::Optimal { x, obj },
             iterations: self.iterations,
+            #[cfg(test)]
             basis: Some(self.final_basis()),
             start,
         }
@@ -943,6 +943,7 @@ impl Simplex {
     /// The current basis in the LP's own indices. A basic artificial is
     /// reported as its row's slack: the two columns are parallel, so the
     /// slack cannot be basic too, and the basis stays nonsingular.
+    #[cfg(test)]
     fn final_basis(&self) -> Basis {
         let cols = (0..self.n_struct)
             .map(|j| {
@@ -958,8 +959,10 @@ impl Simplex {
         let mut slack_basic: Vec<bool> = (0..self.m)
             .map(|i| self.basic_row[self.n_struct + i] != NONBASIC)
             .collect();
-        for (k, &i) in self.art_rows.iter().enumerate() {
-            if self.basic_row[self.n_struct + self.m + k] != NONBASIC {
+        // an artificial column's one entry is in the row it was added for
+        for c in (self.n_struct + self.m)..self.ncols {
+            if self.basic_row[c] != NONBASIC {
+                let (i, _) = self.cols.line(c).next().expect("artificial entry");
                 slack_basic[i] = true;
             }
         }

@@ -12,16 +12,14 @@
 //! run to run.
 //!
 //! Every relaxation goes through [`presolved_lp`], which starts the simplex
-//! one of three ways, tried in this order. *Crash*: from the least solution
-//! of a difference system ([`crash`]), for any LP whose kept rows are
-//! difference, single-variable or switch-group rows: the hint LP (the
-//! heuristic-mode polish), the rounding-heuristic LP, the layout root
-//! relaxation and every node LP whose free binaries all sit in eqs 3–5
-//! groups. *Handed*: from an earlier relaxation's optimal basis, as the
-//! root starts from the hint LP's when the crash refuses its shape (the
-//! baseline placer's rotation rows, generic models). *Cold*: two phases
-//! from the slack/artificial basis, for everything else and for any start
-//! refused.
+//! one of two ways. *Crash*: from the least solution of a difference
+//! system ([`crash`]), for any LP whose kept rows are difference,
+//! single-variable or switch-group rows: the hint LP (the heuristic-mode
+//! polish), the rounding-heuristic LP, the layout root relaxation and every
+//! node LP whose free binaries all sit in eqs 3–5 groups. *Cold*: two
+//! phases from the slack/artificial basis, for every LP the crash refuses
+//! (the baseline placer's rotation rows, generic models) and for a crash
+//! basis the simplex refuses.
 
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -34,7 +32,7 @@ use crate::cancel::CancelToken;
 use crate::crash;
 use crate::model::{Model, Sense, VarId, VarKind};
 use crate::rows::Rows;
-use crate::simplex::{self, Basis, ColStatus, Lp, LpOutcome, Start};
+use crate::simplex::{self, Lp, LpOutcome, Start};
 use crate::solution::{MipResult, Solution, SolveStatus};
 use crate::stats::{IncumbentEvent, SolveStats};
 
@@ -105,15 +103,6 @@ impl Default for SolveParams {
 }
 
 impl SolveParams {
-    /// A parameter set with the given time budget and otherwise defaults.
-    #[must_use]
-    pub fn with_time_limit(limit: Duration) -> SolveParams {
-        SolveParams {
-            time_limit: limit,
-            ..SolveParams::default()
-        }
-    }
-
     /// The worker count after resolving `0` to the machine's available
     /// parallelism. Always at least 1.
     #[must_use]
@@ -257,24 +246,11 @@ impl<'a> SearchCtx<'a> {
         })
     }
 
-    /// Solves the LP for the given bounds from the crash, else from `start`,
-    /// else cold, adding its iterations to `iters` and mapping numerical
-    /// failures to [`SolveError`]. Every LP of a solve comes through here.
-    fn lp(
-        &self,
-        lb: &[f64],
-        ub: &[f64],
-        start: Option<&Handoff>,
-        iters: &AtomicUsize,
-    ) -> Result<Relaxation, SolveError> {
-        let relax = presolved_lp(
-            self.base_rows,
-            self.cost,
-            lb,
-            ub,
-            Some(&self.stop_token),
-            start,
-        );
+    /// Solves the LP for the given bounds from the crash, else cold, adding
+    /// its iterations to `iters` and mapping numerical failures to
+    /// [`SolveError`]. Every LP of a solve comes through here.
+    fn lp(&self, lb: &[f64], ub: &[f64], iters: &AtomicUsize) -> Result<Relaxation, SolveError> {
+        let relax = presolved_lp(self.base_rows, self.cost, lb, ub, Some(&self.stop_token));
         iters.fetch_add(relax.iterations, Ordering::Relaxed);
         if let LpOutcome::Numerical(msg) = &relax.outcome {
             return Err(SolveError::Numerical(msg.clone()));
@@ -572,7 +548,7 @@ impl<'a> Search<'a> {
                     return Ok(());
                 }
 
-                match ctx.lp(&lb, &ub, None, &self.simplex_iterations)?.outcome {
+                match ctx.lp(&lb, &ub, &self.simplex_iterations)?.outcome {
                     LpOutcome::Numerical(_) => unreachable!("mapped to Err by SearchCtx::lp"),
                     LpOutcome::TimedOut => {
                         self.stop_at_limit(open);
@@ -660,19 +636,16 @@ impl<'a> Search<'a> {
         let mut span = columba_obs::span("milp.root");
         let iters = &self.simplex_iterations;
 
-        // -- hint: fix its values, polish the rest by one LP; that LP's
-        // optimal basis starts the root relaxation if the crash refuses it --
-        let mut hint_basis: Option<Handoff> = None;
+        // -- hint: fix its values, polish the rest by one LP --
         let hinted = hint.and_then(|h| ctx.fixed_bounds(h.iter().map(|&(v, x)| (v.index(), x))));
         if let Some((lb, ub)) = hinted {
-            let relax = ctx.lp(&lb, &ub, None, iters)?;
+            let relax = ctx.lp(&lb, &ub, iters)?;
             if span.is_recording() {
                 span.attr("hint_start", relax.fallback.unwrap_or(relax.start));
                 span.attr("hint_iterations", relax.iterations);
             }
             if let LpOutcome::Optimal { x, obj } = relax.outcome {
                 self.offer_incumbent(x, obj + ctx.obj_constant)?;
-                hint_basis = relax.handoff;
             }
         }
 
@@ -683,10 +656,9 @@ impl<'a> Search<'a> {
         }
 
         // -- root relaxation --
-        let root = ctx.lp(ctx.base_lb, ctx.base_ub, hint_basis.as_ref(), iters)?;
+        let root = ctx.lp(ctx.base_lb, ctx.base_ub, iters)?;
         if span.is_recording() {
             span.attr("root_start", root.start);
-            span.attr("warm_start", usize::from(root.start != "cold"));
             span.attr("factored_columns", root.factored);
             if let Some(reason) = root.fallback {
                 span.attr("fallback", reason);
@@ -710,7 +682,7 @@ impl<'a> Search<'a> {
         // -- rounding heuristic --
         if ctx.params.rounding_heuristic && !self.best_objective().is_finite() {
             if let Some((lb, ub)) = ctx.fixed_bounds(ctx.int_vars.iter().map(|&j| (j, x[j]))) {
-                if let LpOutcome::Optimal { x, obj } = ctx.lp(&lb, &ub, None, iters)?.outcome {
+                if let LpOutcome::Optimal { x, obj } = ctx.lp(&lb, &ub, iters)?.outcome {
                     self.offer_incumbent(x, obj + ctx.obj_constant)?;
                 }
             }
@@ -873,33 +845,19 @@ pub(crate) fn solve(
     Ok(result)
 }
 
-/// An optimal basis in the base model's indices, with the point it sits
-/// at: what one relaxation hands the next as its start.
-#[derive(Debug)]
-struct Handoff {
-    /// Per model variable: basic in the final basis.
-    basic: Vec<bool>,
-    /// Per model row: its slack is basic. Every row the presolve dropped is.
-    slack_basic: Vec<bool>,
-    /// The optimal point in the model's variable space.
-    x: Vec<f64>,
-}
-
 /// One relaxation solved through [`presolved_lp`].
 #[derive(Debug)]
 struct Relaxation {
     /// The outcome in the model's variable space.
     outcome: LpOutcome,
     iterations: usize,
-    /// The final basis, when the outcome is optimal.
-    handoff: Option<Handoff>,
-    /// Where the simplex began: `"crash"`, `"handed"` or `"cold"`.
+    /// Where the simplex began: `"crash"` or `"cold"`.
     start: &'static str,
-    /// Basic structural columns factored from that start (0 when cold).
+    /// Basic structural columns factored from the crash basis (0 when
+    /// cold).
     factored: usize,
-    /// On a cold run, why the last start tried was refused: the crash's
-    /// reason, `"unmapped"` for a handed basis that does not fit this LP,
-    /// or the simplex's `"singular"` / `"infeasible"`.
+    /// On a cold run, why the crash was refused: the crash's reason, or the
+    /// simplex's `"singular"` / `"infeasible"` for its basis.
     fallback: Option<&'static str>,
 }
 
@@ -914,27 +872,21 @@ struct Relaxation {
 ///
 /// The simplex starts from the crash basis of the presolved LP's least
 /// solution ([`crash`]) when its rows are difference, single-variable and
-/// switch-group rows. Only when the crash refuses is a `start` from an
-/// earlier relaxation mapped through the same row and column maps and
-/// handed to the simplex; with neither, the LP runs cold. Returns the
-/// outcome, and on an optimum the final basis, in the *full* variable
-/// space.
+/// switch-group rows, and cold otherwise. Returns the outcome in the *full*
+/// variable space.
 fn presolved_lp(
     base_rows: &Rows,
     cost: &[f64],
     lb: &[f64],
     ub: &[f64],
     cancel: Option<&CancelToken>,
-    start: Option<&Handoff>,
 ) -> Relaxation {
     let n = lb.len();
     let fixed = |j: usize| ub[j] - lb[j] <= 0.0;
     // the kept rows in base columns, written straight into one store
     let mut kept = Rows::with_capacity(base_rows.len(), base_rows.nonzeros());
-    // base index of each kept row
-    let mut kept_idx: Vec<usize> = Vec::with_capacity(base_rows.len());
 
-    for (i, row) in base_rows.iter().enumerate() {
+    for row in base_rows.iter() {
         let mut rhs = row.rhs;
         // activity bounds over the terms that stay
         let (mut min_act, mut max_act) = (0.0f64, 0.0f64);
@@ -965,7 +917,6 @@ fn presolved_lp(
             return Relaxation {
                 outcome: LpOutcome::Infeasible,
                 iterations: 0,
-                handoff: None,
                 start: "cold",
                 factored: 0,
                 fallback: None,
@@ -976,7 +927,6 @@ fn presolved_lp(
             continue;
         }
         kept.finish_row(row.sense, rhs);
-        kept_idx.push(i);
     }
     // columns of kept rows, and objective terms over unfixed variables,
     // must survive compression
@@ -1003,97 +953,40 @@ fn presolved_lp(
     };
     let fixed_cost: f64 = (0..n).filter(|&j| fixed(j)).map(|j| cost[j] * lb[j]).sum();
 
-    // the crash first; a handed basis only where the crash refuses
-    let begin = match (crash::least_solution(&small), start) {
-        (Ok((basis, _)), _) => Ok((basis, "crash")),
-        (Err(_), Some(h)) => map_start(h, &keep, &kept_idx, lb, ub)
-            .map(|basis| (basis, "handed"))
-            .ok_or("unmapped"),
-        (Err(refusal), None) => Err(refusal),
-    };
+    let begin = crash::least_solution(&small);
     let run = simplex::solve_lp(&small, cancel, begin.as_ref().ok().map(|(b, _)| b));
     let (start, factored, fallback) = match (run.start, begin) {
-        (Start::Warm { factored }, Ok((_, origin))) => (origin, factored, None),
+        (Start::Warm { factored }, _) => ("crash", factored, None),
         (Start::Fallback(reason), _) | (_, Err(reason)) => ("cold", 0, Some(reason)),
-        (_, Ok(_)) => ("cold", 0, None),
+        (Start::Cold, Ok(_)) => ("cold", 0, None),
     };
-    let (outcome, handoff) = match (run.outcome, run.basis) {
-        (LpOutcome::Optimal { x, obj }, Some(basis)) => {
-            // expand to the full space: fixed -> value, unused -> lb
-            let mut full = vec![0.0; n];
-            for j in 0..n {
-                full[j] = if fixed(j) {
-                    lb[j]
-                } else if pos[j] != usize::MAX {
-                    x[pos[j]]
-                } else {
-                    lb[j]
-                };
+    let outcome = match run.outcome {
+        LpOutcome::Optimal { x, obj } => {
+            // expand to the full space: a fixed or unused column sits at
+            // its lower bound
+            let full = (0..n)
+                .map(|j| {
+                    if pos[j] != usize::MAX {
+                        x[pos[j]]
+                    } else {
+                        lb[j]
+                    }
+                })
+                .collect();
+            LpOutcome::Optimal {
+                x: full,
+                obj: obj + fixed_cost,
             }
-            let mut basic = vec![false; n];
-            for (status, &j) in basis.cols.iter().zip(&keep) {
-                basic[j] = *status == ColStatus::Basic;
-            }
-            let mut slack_basic = vec![true; base_rows.len()];
-            for (&b, &i) in basis.slack_basic.iter().zip(&kept_idx) {
-                slack_basic[i] = b;
-            }
-            let handoff = Handoff {
-                basic,
-                slack_basic,
-                x: full.clone(),
-            };
-            (
-                LpOutcome::Optimal {
-                    x: full,
-                    obj: obj + fixed_cost,
-                },
-                Some(handoff),
-            )
         }
-        (other, _) => (other, None),
+        other => other,
     };
     Relaxation {
         outcome,
         iterations: run.iterations,
-        handoff,
         start,
         factored,
         fallback,
     }
-}
-
-/// Maps a base-space basis onto a presolved LP with columns `keep` and
-/// rows `kept_idx` under bounds `lb`/`ub`. A nonbasic column is at its
-/// upper bound exactly when the handed-off point sits there. `None` when a
-/// nonbasic column's point is off its bounds, or the basic count does not
-/// match the kept rows.
-fn map_start(
-    h: &Handoff,
-    keep: &[usize],
-    kept_idx: &[usize],
-    lb: &[f64],
-    ub: &[f64],
-) -> Option<Basis> {
-    let at = |v: f64, bound: f64| (v - bound).abs() <= 1e-9 * (1.0 + bound.abs());
-    let cols = keep
-        .iter()
-        .map(|&j| {
-            if h.basic[j] {
-                Some(ColStatus::Basic)
-            } else if ub[j].is_finite() && at(h.x[j], ub[j]) {
-                Some(ColStatus::AtUpper)
-            } else if at(h.x[j], lb[j]) {
-                Some(ColStatus::AtLower)
-            } else {
-                None
-            }
-        })
-        .collect::<Option<Vec<_>>>()?;
-    let slack_basic: Vec<bool> = kept_idx.iter().map(|&i| h.slack_basic[i]).collect();
-    let basics = cols.iter().filter(|&&s| s == ColStatus::Basic).count()
-        + slack_basic.iter().filter(|&&b| b).count();
-    (basics == kept_idx.len()).then_some(Basis { cols, slack_basic })
 }
 
 fn all_integral(x: &[f64], int_vars: &[usize]) -> bool {
@@ -1314,12 +1207,13 @@ mod tests {
         let attr = root_attrs(&m, Some(&[(q, 0.0)]));
         assert_eq!(attr("hint_start"), s("crash"));
         assert!(attr("hint_iterations").is_some());
-        assert_eq!((attr("root_start"), attr("fallback")), (s("handed"), None));
-        let attr = root_attrs(&m, None);
-        assert_eq!(
-            (attr("root_start"), attr("fallback")),
-            (s("cold"), s("shape"))
-        );
+        // the root runs cold whether or not a hint LP ran before it
+        for attr in [attr, root_attrs(&m, None)] {
+            assert_eq!(
+                (attr("root_start"), attr("fallback")),
+                (s("cold"), s("shape"))
+            );
+        }
         // a row over three free columns is not a difference row
         m.constraint(
             Model::expr().term(1.0, x1).term(1.0, x2).term(1.0, x3),
@@ -1343,7 +1237,6 @@ mod tests {
         for hint in [Some(&[(q1, 0.0), (q2, 1.0)][..]), None] {
             let attr = root_attrs(&m, hint);
             assert_eq!((attr("root_start"), attr("fallback")), (s("crash"), None));
-            assert_eq!(attr("warm_start"), Some(AttrValue::from(1usize)));
         }
     }
 
@@ -1390,7 +1283,7 @@ mod tests {
                 rows: rows.into_iter().collect(),
             };
             assert_eq!(crash::least_solution(&lp).err(), Some(reason));
-            let relax = presolved_lp(&lp.rows, &lp.cost, &lp.lb, &lp.ub, None, None);
+            let relax = presolved_lp(&lp.rows, &lp.cost, &lp.lb, &lp.ub, None);
             assert_eq!((relax.start, relax.fallback), ("cold", Some(reason)));
             let cold = simplex::solve_lp(&lp, None, None);
             assert_eq!(cold.start, Start::Cold);

@@ -1,10 +1,11 @@
-//! Oracle tests for how the root relaxation starts. The crash basis comes
-//! first; only where the crash refuses the relaxation's shape does a solve
-//! with a hint start its root LP from the hint LP's optimal basis, while a
-//! solve without one starts it cold, and both must agree. Driven by the
-//! internal PRNG over seeded random mixed-integer models, each built around
-//! a feasible integral point that serves as the hint, and over seeded
-//! layout-shaped models, whose roots the crash starts.
+//! Oracle tests for hinted against unhinted solves. A hint adds the hint
+//! LP and its incumbent ahead of the root relaxation; the root itself
+//! starts from the crash basis, or cold where the crash refuses its shape,
+//! either way, so both solves must report the same root bound and prove
+//! the same optimum. Driven by the internal PRNG over seeded random
+//! mixed-integer models, each built around a feasible integral point that
+//! serves as the hint, and over seeded layout-shaped models, whose roots
+//! the crash starts.
 
 use columba_milp::{Model, Sense, SolveParams, SolveStatus, VarId};
 use columba_obs::{AttrValue, SpanRecorder};
@@ -13,23 +14,19 @@ use columba_prng::Rng;
 const CASES: usize = 240;
 
 /// A random bounded MILP with binary, general-integer and continuous
-/// columns; the integer part of a point that satisfies every row; and
-/// whether that point puts a general integer strictly inside its bounds.
-fn random_model(rng: &mut Rng) -> (Model, Vec<(VarId, f64)>, bool) {
+/// columns, and the integer part of a point that satisfies every row.
+fn random_model(rng: &mut Rng) -> (Model, Vec<(VarId, f64)>) {
     let mut m = Model::new();
     let n_int = rng.gen_range(2usize..7);
     let n_cont = rng.gen_range(1usize..5);
     let mut vars = Vec::new();
     let mut point = Vec::new();
     let mut hint = Vec::new();
-    let mut interior = false;
     for _ in 0..n_int {
         let (v, value) = if rng.gen_bool(0.6) {
             (m.bin_var(), rng.gen_range(0i64..=1) as f64)
         } else {
-            let value = rng.gen_range(0i64..=3) as f64;
-            interior |= value > 0.0 && value < 3.0;
-            (m.int_var(0.0, 3.0), value)
+            (m.int_var(0.0, 3.0), rng.gen_range(0i64..=3) as f64)
         };
         vars.push(v);
         point.push(value);
@@ -62,7 +59,7 @@ fn random_model(rng: &mut Rng) -> (Model, Vec<(VarId, f64)>, bool) {
         obj = obj.term(rng.gen_range(-5i64..=5) as f64, v);
     }
     m.minimize(obj);
-    (m, hint, interior)
+    (m, hint)
 }
 
 fn close(a: f64, b: f64) -> bool {
@@ -80,12 +77,10 @@ fn root_attr(rec: &SpanRecorder, key: &str) -> Option<AttrValue> {
         .map(|(_, v)| v)
 }
 
-/// At one node the best bound is the root relaxation's, so a warm root and
-/// a cold root must report the same value. Zero gaps keep an incumbent
-/// within tolerance of the root from closing the search at a bound that
-/// differs from it. The root span says whether the hint LP's basis was
-/// used: it must be, unless the hint puts a general integer strictly inside
-/// its bounds, where no basis can hold it nonbasic.
+/// At one node the best bound is the root relaxation's, so a hinted solve
+/// and an unhinted one must report the same value. Zero gaps keep an
+/// incumbent within tolerance of the root from closing the search at a
+/// bound that differs from it.
 #[test]
 fn warm_and_cold_roots_report_the_same_bound() {
     let params = SolveParams {
@@ -96,15 +91,9 @@ fn warm_and_cold_roots_report_the_same_bound() {
         ..SolveParams::default()
     };
     let mut rng = Rng::seed_from_u64(0x3A17);
-    let mut warm_starts = 0;
     for case in 0..CASES {
-        let (m, hint, interior) = random_model(&mut rng);
-        let rec = SpanRecorder::new(256);
-        columba_obs::set_enabled(true);
-        let guard = rec.install();
+        let (m, hint) = random_model(&mut rng);
         let warm = m.solve_with_hint(&params, &hint).expect("hinted solve");
-        drop(guard);
-        columba_obs::set_enabled(false);
         let cold = m.solve(&params).expect("cold solve");
         assert!(
             warm.status().has_solution(),
@@ -117,23 +106,7 @@ fn warm_and_cold_roots_report_the_same_bound() {
             warm.best_bound(),
             cold.best_bound()
         );
-        if interior {
-            assert_eq!(
-                root_attr(&rec, "fallback"),
-                Some(AttrValue::from("unmapped")),
-                "case {case}"
-            );
-        } else {
-            assert_eq!(root_attr(&rec, "fallback"), None, "case {case}");
-            assert_eq!(
-                root_attr(&rec, "warm_start"),
-                Some(AttrValue::from(1usize)),
-                "case {case}"
-            );
-            warm_starts += 1;
-        }
     }
-    assert!(warm_starts >= CASES / 4, "only {warm_starts} warm starts");
 }
 
 /// Run to completion, the warm-started search and the cold one prove the
@@ -146,7 +119,7 @@ fn warm_and_cold_searches_prove_the_same_optimum() {
     };
     let mut rng = Rng::seed_from_u64(0x3A17);
     for case in 0..CASES {
-        let (m, hint, _) = random_model(&mut rng);
+        let (m, hint) = random_model(&mut rng);
         let warm = m.solve_with_hint(&params, &hint).expect("hinted solve");
         let cold = m.solve(&params).expect("cold solve");
         assert_eq!(warm.status(), SolveStatus::Optimal, "case {case}");
@@ -209,7 +182,7 @@ fn layout_model(rng: &mut Rng) -> (Model, Vec<(VarId, f64)>) {
 
 /// The relaxation of a layout-shaped model is a difference system over
 /// switch groups, so its root starts from the crash basis whether or not
-/// the hint LP handed one over, and both roots report the same bound. Run
+/// a hint LP ran first, and both roots report the same bound. Run
 /// to completion, the hinted and unhinted searches prove the same optimum.
 #[test]
 fn layout_shaped_roots_start_from_the_crash() {

@@ -27,4 +27,4 @@ pub mod net;
 
 pub use chaos::{run_plan, run_seed, shrink, ChaosOp, ChaosPlan, ChaosReport};
 pub use clock::{clock_wait, Clock, ClockParty, ClockSuspend, RealClock, SimClock};
-pub use net::{Conn, ConnIo, NetFault, SimNet, SimSocket, TcpTransport, Transport};
+pub use net::{Conn, NetFault, SimNet, SimSocket, TcpTransport, Transport};

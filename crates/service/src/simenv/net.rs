@@ -45,26 +45,6 @@ pub trait Transport: Send + Sync + fmt::Debug {
     fn label(&self) -> String;
 }
 
-/// Adapter exposing any `&mut dyn Conn` as `io::Read + io::Write` (for
-/// helpers that want `impl Read` arguments).
-pub struct ConnIo<'a>(pub &'a mut dyn Conn);
-
-impl Read for ConnIo<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        self.0.read(buf)
-    }
-}
-
-impl Write for ConnIo<'_> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.0.write(buf)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.0.flush()
-    }
-}
-
 /// Production transport: a bound [`TcpListener`].
 #[derive(Debug)]
 pub struct TcpTransport {
@@ -172,7 +152,8 @@ pub enum NetFault {
     },
 }
 
-const DEFAULT_BUFFER_CAP: usize = 256 << 10;
+/// Undelivered bytes a direction holds before its writes block.
+const BUFFER_CAP: usize = 256 << 10;
 
 /// How long a blocked sim accept waits per iteration. Far above the
 /// simulation horizon, so it never becomes a quiescence advancement
@@ -220,7 +201,6 @@ struct NetState {
     ops: u64,
     faults: HashMap<u64, NetFault>,
     latency: Duration,
-    buffer_cap: usize,
     conns: HashMap<u64, DuplexState>,
     accept_queue: VecDeque<u64>,
     next_conn: u64,
@@ -262,10 +242,7 @@ impl SimNet {
     pub fn new(clock: Arc<dyn Clock>) -> SimNet {
         SimNet {
             inner: Arc::new(SimNetInner {
-                state: Mutex::new(NetState {
-                    buffer_cap: DEFAULT_BUFFER_CAP,
-                    ..NetState::default()
-                }),
+                state: Mutex::new(NetState::default()),
                 cv: Condvar::new(),
                 clock,
             }),
@@ -292,11 +269,6 @@ impl SimNet {
     /// Sets the one-way delivery latency applied to every written byte.
     pub fn set_latency(&self, latency: Duration) {
         self.inner.lock().latency = latency;
-    }
-
-    /// Sets the per-direction buffer bound (writes beyond it block).
-    pub fn set_buffer_cap(&self, cap: usize) {
-        self.inner.lock().buffer_cap = cap.max(1);
     }
 
     /// Opens a connection and queues it for the server's accept loop.
@@ -467,7 +439,6 @@ impl SimEnd {
         st.ops += 1;
         let op = st.ops;
         let fault = st.faults.remove(&op);
-        let cap = st.buffer_cap;
         let base_latency = st.latency;
         loop {
             let now = clock.now();
@@ -495,7 +466,7 @@ impl SimEnd {
             if tx.reader_gone {
                 return Err(ErrorKind::BrokenPipe.into());
             }
-            let space = cap.saturating_sub(tx.len);
+            let space = BUFFER_CAP.saturating_sub(tx.len);
             if space == 0 {
                 if let Some(d) = deadline {
                     if now >= d {
@@ -820,12 +791,13 @@ mod tests {
     #[test]
     fn bounded_buffer_blocks_then_times_out() {
         let (_clock, net) = world();
-        net.set_buffer_cap(4);
         let mut client = net.connect();
         let _server = net.accept().expect("conn");
         client.set_write_timeout(Some(Duration::from_millis(5)));
-        let n = client.write(b"123456789").expect("partial fill");
-        assert_eq!(n, 4);
+        let n = client
+            .write(&vec![7; BUFFER_CAP + 5])
+            .expect("partial fill");
+        assert_eq!(n, BUFFER_CAP);
         let err = client.write(b"x").expect_err("buffer full");
         assert_eq!(err.kind(), ErrorKind::WouldBlock);
     }
